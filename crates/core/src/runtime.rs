@@ -1,8 +1,7 @@
 //! Process-wide runtime configuration for the tensor execution layer.
 //!
 //! The tensor kernels (convolution, matmul, elementwise, reductions) run on
-//! a shared thread pool when the `parallel` cargo feature is enabled (the
-//! default). This module is the user-facing switchboard:
+//! a shared thread pool. This module is the user-facing switchboard:
 //!
 //! ```no_run
 //! // Pin the kernels to 4 threads (including the calling thread).
@@ -15,8 +14,8 @@
 //! 2. the `LIGHTTS_NUM_THREADS` environment variable;
 //! 3. `std::thread::available_parallelism()`.
 //!
-//! Setting one thread (or building with `--no-default-features`) yields the
-//! fully serial kernels. Either way results are bitwise identical: parallel
+//! Setting one thread yields the fully serial kernels. Either way results
+//! are bitwise identical: parallel
 //! kernels only split work along disjoint output rows and reduce in fixed
 //! chunk order, never reassociating arithmetic across threads.
 //!

@@ -35,21 +35,6 @@ fn ck(what: impl Into<String>) -> DistillError {
     DistillError::Checkpoint { what: what.into() }
 }
 
-fn rng_bytes(s: [u64; 4]) -> Vec<u8> {
-    s.iter().flat_map(|w| w.to_le_bytes()).collect()
-}
-
-fn rng_from_bytes(b: &[u8]) -> Result<[u64; 4]> {
-    if b.len() != 32 {
-        return Err(ck(format!("rng section is {} bytes, expected 32", b.len())));
-    }
-    let mut s = [0u64; 4];
-    for (i, w) in s.iter_mut().enumerate() {
-        *w = u64::from_le_bytes(b[i * 8..(i + 1) * 8].try_into().unwrap());
-    }
-    Ok(s)
-}
-
 /// Like [`train_student`](crate::trainer::train_student), but crash-safe:
 /// snapshots to `ckpt` after every epoch and resumes from it if present.
 ///
@@ -71,36 +56,33 @@ pub fn train_student_checkpointed(
     ckpt: &Path,
 ) -> Result<InceptionTime> {
     let mut optimizer = opts.make_optimizer();
-    let (mut student, mut rng, start_epoch) = match read_checkpoint(ckpt)
-        .map_err(|e| ck(format!("reading {ckpt:?}: {e}")))?
-    {
-        Some(bytes) => {
-            let r = SectionReader::parse(&bytes).map_err(ck)?;
-            if r.kind() != KIND {
-                return Err(ck(format!("{ckpt:?} is a {:?} checkpoint, not {KIND:?}", r.kind())));
+    let (mut student, mut rng, start_epoch) =
+        match read_checkpoint(ckpt).map_err(|e| ck(format!("reading {ckpt:?}: {e}")))? {
+            Some(bytes) => {
+                let r = SectionReader::parse(&bytes, KIND)?;
+                let mut c = r.cursor("epoch")?;
+                let epoch = c.u64()? as usize;
+                c.finish()?;
+                let student = InceptionTime::load_bytes_exact(r.require("student")?)?;
+                if student.config() != config {
+                    return Err(ck(format!(
+                        "{ckpt:?} holds a different student configuration; refusing to resume"
+                    )));
+                }
+                optimizer
+                    .load_state_bytes(r.require("optimizer")?)
+                    .map_err(|e| ck(format!("optimizer state: {e}")))?;
+                let mut c = r.cursor("rng")?;
+                let rng = rng_from_state([c.u64()?, c.u64()?, c.u64()?, c.u64()?]);
+                c.finish()?;
+                (student, rng, epoch)
             }
-            let epoch_bytes = r.require("epoch").map_err(ck)?;
-            let epoch = u64::from_le_bytes(
-                epoch_bytes.try_into().map_err(|_| ck("malformed epoch section"))?,
-            ) as usize;
-            let student = InceptionTime::load_bytes_exact(r.require("student").map_err(ck)?)?;
-            if student.config() != config {
-                return Err(ck(format!(
-                    "{ckpt:?} holds a different student configuration; refusing to resume"
-                )));
+            None => {
+                let mut rng = seeded(opts.seed);
+                let student = InceptionTime::new(config.clone(), &mut rng)?;
+                (student, rng, 0)
             }
-            optimizer
-                .load_state_bytes(r.require("optimizer").map_err(ck)?)
-                .map_err(|e| ck(format!("optimizer state: {e}")))?;
-            let rng = rng_from_state(rng_from_bytes(r.require("rng").map_err(ck)?)?);
-            (student, rng, epoch)
-        }
-        None => {
-            let mut rng = seeded(opts.seed);
-            let student = InceptionTime::new(config.clone(), &mut rng)?;
-            (student, rng, 0)
-        }
-    };
+        };
     for epoch in start_epoch..opts.epochs {
         train_student_epochs(
             &mut student,
@@ -116,7 +98,7 @@ pub fn train_student_checkpointed(
         w.section("epoch", &((epoch + 1) as u64).to_le_bytes());
         w.section("student", &student.save_bytes_exact()?);
         w.section("optimizer", &optimizer.state_bytes());
-        w.section("rng", &rng_bytes(rng_state(&rng)));
+        w.section("rng", &rng_state(&rng).map(u64::to_le_bytes).concat());
         atomic_write(ckpt, &w.finish()).map_err(|e| ck(format!("writing {ckpt:?}: {e}")))?;
     }
     Ok(student)

@@ -3,6 +3,7 @@
 use lightts_data::DataError;
 use lightts_models::ModelError;
 use lightts_nn::NnError;
+use lightts_obs::checkpoint::DecodeError;
 use lightts_tensor::TensorError;
 use std::fmt;
 
@@ -83,6 +84,12 @@ impl From<DataError> for DistillError {
 impl From<ModelError> for DistillError {
     fn from(e: ModelError) -> Self {
         DistillError::Model(e)
+    }
+}
+
+impl From<DecodeError> for DistillError {
+    fn from(e: DecodeError) -> Self {
+        DistillError::Checkpoint { what: e.0 }
     }
 }
 

@@ -2,6 +2,7 @@
 
 use lightts_data::DataError;
 use lightts_nn::NnError;
+use lightts_obs::checkpoint::DecodeError;
 use lightts_tensor::TensorError;
 use std::fmt;
 
@@ -66,6 +67,12 @@ impl From<TensorError> for ModelError {
 impl From<NnError> for ModelError {
     fn from(e: NnError) -> Self {
         ModelError::Nn(e)
+    }
+}
+
+impl From<DecodeError> for ModelError {
+    fn from(e: DecodeError) -> Self {
+        ModelError::BadConfig { what: format!("load: {e}") }
     }
 }
 

@@ -8,12 +8,14 @@
 //! with halving filter lengths → batch-norm → ReLU) but ends in a linear
 //! regression head over the global-average-pooled features.
 
-use crate::inception::InceptionConfig;
+use crate::inception::{config_bytes, export, read_config, restore, Block, InceptionConfig};
 use crate::{ModelError, Result};
 use lightts_data::forecast::ForecastDataset;
 use lightts_nn::layers::{BatchNorm1d, Conv1d, Linear};
 use lightts_nn::optim::{Adam, Optimizer};
+use lightts_nn::serialize::StoreForm;
 use lightts_nn::{Bindings, Mode, ParamStore};
+use lightts_obs::checkpoint::SectionReader;
 use lightts_tensor::rng::seeded;
 use lightts_tensor::tape::{Tape, Var};
 use lightts_tensor::Tensor;
@@ -49,16 +51,14 @@ impl ForecastConfig {
     }
 }
 
-struct FBlock {
-    convs: Vec<Conv1d>,
-    bn: BatchNorm1d,
-}
+/// Container kind of forecaster exports.
+const KIND: &str = "forecaster";
 
 /// A trainable, quantizable convolutional forecaster.
 pub struct Forecaster {
     config: ForecastConfig,
     store: ParamStore,
-    blocks: Vec<FBlock>,
+    blocks: Vec<Block>,
     head: Linear,
 }
 
@@ -88,7 +88,7 @@ impl Forecaster {
             }
             let bn =
                 BatchNorm1d::new(&mut store, &format!("fblock{i}.bn"), spec.layers * bc.filters)?;
-            blocks.push(FBlock { convs, bn });
+            blocks.push(Block { convs, bn });
             cin = spec.layers * bc.filters;
         }
         let head_bits = bc.blocks.last().map_or(32, |b| b.bits);
@@ -199,113 +199,19 @@ impl Forecaster {
     }
 
     /// Serializes the forecaster (backbone config, output head size,
-    /// batch-norm running statistics, bit-packed parameters).
+    /// batch-norm running statistics, bit-packed parameters) as a
+    /// container of kind `forecaster`.
     pub fn save_bytes(&self) -> Result<Vec<u8>> {
-        use bytes::BufMut;
-        let bc = &self.config.backbone;
-        let mut buf = Vec::new();
-        buf.put_slice(b"LTFC");
-        buf.put_u16_le(1);
-        buf.put_u32_le(bc.blocks.len() as u32);
-        for b in &bc.blocks {
-            buf.put_u32_le(b.layers as u32);
-            buf.put_u32_le(b.filter_len as u32);
-            buf.put_u8(b.bits);
-        }
-        buf.put_u32_le(bc.filters as u32);
-        buf.put_u32_le(bc.in_dims as u32);
-        buf.put_u32_le(bc.in_len as u32);
-        buf.put_u32_le(bc.num_classes as u32);
-        buf.put_u32_le(self.config.out_len as u32);
-        for block in &self.blocks {
-            let (mean, var) = block.bn.running_stats();
-            for &m in mean {
-                buf.put_f32_le(m);
-            }
-            for &v in var {
-                buf.put_f32_le(v);
-            }
-        }
-        let store_bytes = lightts_nn::serialize::serialize_store(&self.store)?;
-        buf.put_u64_le(store_bytes.len() as u64);
-        buf.put_slice(&store_bytes);
-        Ok(buf)
+        let config = config_bytes(&self.config.backbone, Some(self.config.out_len));
+        export(KIND, &config, &self.blocks, &self.store, StoreForm::Packed)
     }
 
     /// Loads a forecaster saved by [`Forecaster::save_bytes`].
     pub fn load_bytes(bytes: &[u8]) -> Result<Self> {
-        use crate::inception::BlockSpec;
-        use bytes::Buf;
-        let mut buf = bytes;
-        let err = |what: &str| ModelError::BadConfig { what: format!("forecaster load: {what}") };
-        if buf.remaining() < 10 {
-            return Err(err("truncated header"));
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != b"LTFC" {
-            return Err(err("bad magic"));
-        }
-        if buf.get_u16_le() != 1 {
-            return Err(err("unsupported version"));
-        }
-        let n_blocks = buf.get_u32_le() as usize;
-        if n_blocks > 64 || buf.remaining() < n_blocks * 9 {
-            return Err(err("bad block table"));
-        }
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let layers = buf.get_u32_le() as usize;
-            let filter_len = buf.get_u32_le() as usize;
-            let bits = buf.get_u8();
-            blocks.push(BlockSpec { layers, filter_len, bits });
-        }
-        if buf.remaining() < 20 {
-            return Err(err("truncated config"));
-        }
-        let backbone = InceptionConfig {
-            blocks,
-            filters: buf.get_u32_le() as usize,
-            in_dims: buf.get_u32_le() as usize,
-            in_len: buf.get_u32_le() as usize,
-            num_classes: buf.get_u32_le() as usize,
-        };
-        let out_len = buf.get_u32_le() as usize;
-        let config = ForecastConfig { backbone, out_len };
-        let mut rng = seeded(0);
-        let mut model = Forecaster::new(config.clone(), &mut rng)?;
-        for (bi, block) in model.blocks.iter_mut().enumerate() {
-            let c = config.backbone.blocks[bi].layers * config.backbone.filters;
-            if buf.remaining() < c * 8 {
-                return Err(err("truncated batch-norm statistics"));
-            }
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for m in &mut mean {
-                *m = buf.get_f32_le();
-            }
-            for v in &mut var {
-                *v = buf.get_f32_le();
-            }
-            block.bn.set_running_stats(&mean, &var)?;
-        }
-        if buf.remaining() < 8 {
-            return Err(err("truncated store length"));
-        }
-        let store_len = buf.get_u64_le() as usize;
-        if buf.remaining() != store_len {
-            return Err(err("store length mismatch"));
-        }
-        let store = lightts_nn::serialize::deserialize_store(buf)?;
-        if store.len() != model.store.len() {
-            return Err(err("parameter count mismatch"));
-        }
-        for ((_, a), (_, b)) in model.store.iter().zip(store.iter()) {
-            if a.name != b.name || a.value.dims() != b.value.dims() || a.bits != b.bits {
-                return Err(err("parameter layout mismatch"));
-            }
-        }
-        model.store = store;
+        let r = SectionReader::parse(bytes, KIND)?;
+        let (backbone, out_len) = read_config(r.require("config")?, true)?;
+        let mut model = Forecaster::new(ForecastConfig { backbone, out_len }, &mut seeded(0))?;
+        restore(&r, &mut model.blocks, &mut model.store, StoreForm::Packed)?;
         Ok(model)
     }
 }
@@ -373,11 +279,6 @@ mod tests {
         for (a, b) in p1.data().iter().zip(p2.data().iter()) {
             assert!((a - b).abs() < 1e-5);
         }
-        // corruption is rejected
-        assert!(Forecaster::load_bytes(&bytes[..12]).is_err());
-        let mut bad = bytes;
-        bad[0] = b'X';
-        assert!(Forecaster::load_bytes(&bad).is_err());
     }
 
     #[test]

@@ -16,7 +16,9 @@ use crate::{Classifier, ModelError, Result};
 use lightts_data::LabeledDataset;
 use lightts_nn::layers::{BatchNorm1d, Conv1d, Linear};
 use lightts_nn::optim::{Adam, Optimizer, Sgd};
+use lightts_nn::serialize::{decode_store, encode_store, StoreForm};
 use lightts_nn::{size, Bindings, Mode, ParamStore};
+use lightts_obs::checkpoint::{Cursor, SectionReader, SectionWriter};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::tape::{Tape, Var};
 use lightts_tensor::Tensor;
@@ -39,7 +41,8 @@ impl BlockSpec {
     /// additionally capped at the series length so degenerate kernels are
     /// never built.
     pub fn kernel(&self, layer: usize, series_len: usize) -> usize {
-        (self.filter_len >> layer).max(1).min(series_len.max(1))
+        let halved = u32::try_from(layer).ok().and_then(|s| self.filter_len.checked_shr(s));
+        halved.unwrap_or(0).max(1).min(series_len.max(1))
     }
 }
 
@@ -142,6 +145,139 @@ impl InceptionConfig {
     pub fn size_kb(&self) -> f64 {
         size::bits_to_kb(self.size_bits())
     }
+
+    /// Elements a model built from this config holds — its parameters
+    /// and batch-norm statistics with a `head_out`-wide linear head — plus
+    /// one input sample; `None` on overflow.
+    fn checked_elems(&self, head_out: usize) -> Option<usize> {
+        let mut total = self.in_dims.checked_mul(self.in_len)?;
+        let mut cin = self.in_dims;
+        for b in &self.blocks {
+            for j in 0..b.layers {
+                let weights =
+                    self.filters.checked_mul(cin)?.checked_mul(b.kernel(j, self.in_len))?;
+                total = total.checked_add(weights)?.checked_add(self.filters)?;
+            }
+            cin = b.layers.checked_mul(self.filters)?;
+            total = total.checked_add(cin.checked_mul(4)?)?;
+        }
+        total.checked_add(cin.checked_add(1)?.checked_mul(head_out)?)
+    }
+}
+
+/// Container kinds of the packed and the exact InceptionTime export.
+const KIND: &str = "inception";
+const KIND_EXACT: &str = "inception.exact";
+
+/// Upper bound on [`InceptionConfig::checked_elems`] of a stored model.
+/// No real configuration comes near it; a stored config beyond it is
+/// refused before any model is built.
+const MAX_MODEL_ELEMS: usize = 64 * 1024 * 1024;
+
+/// Encodes the `config` section shared by the InceptionTime and the
+/// forecaster exports; `head` is the forecaster's output width.
+pub(crate) fn config_bytes(c: &InceptionConfig, head: Option<usize>) -> Vec<u8> {
+    let mut buf = (c.blocks.len() as u32).to_le_bytes().to_vec();
+    for b in &c.blocks {
+        buf.extend_from_slice(&(b.layers as u32).to_le_bytes());
+        buf.extend_from_slice(&(b.filter_len as u32).to_le_bytes());
+        buf.push(b.bits);
+    }
+    for v in [c.filters, c.in_dims, c.in_len, c.num_classes].into_iter().chain(head) {
+        buf.extend_from_slice(&(v as u32).to_le_bytes());
+    }
+    buf
+}
+
+/// Decodes a `config` section written by [`config_bytes`] (with a head
+/// width iff `with_head`) into the config and its head width. A config
+/// whose model would exceed [`MAX_MODEL_ELEMS`] — by checked arithmetic
+/// over all of its fields, not each field alone — is an error.
+pub(crate) fn read_config(bytes: &[u8], with_head: bool) -> Result<(InceptionConfig, usize)> {
+    let mut c = Cursor::new(bytes);
+    let n_blocks = c.u32()? as usize;
+    if n_blocks > 64 {
+        return Err(ModelError::BadConfig { what: format!("load: {n_blocks} blocks") });
+    }
+    let blocks = (0..n_blocks)
+        .map(|_| {
+            Ok(BlockSpec {
+                layers: c.u32()? as usize,
+                filter_len: c.u32()? as usize,
+                bits: c.u8()?,
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let config = InceptionConfig {
+        blocks,
+        filters: c.u32()? as usize,
+        in_dims: c.u32()? as usize,
+        in_len: c.u32()? as usize,
+        num_classes: c.u32()? as usize,
+    };
+    let head_out = if with_head { c.u32()? as usize } else { config.num_classes };
+    c.finish()?;
+    let plausible = config.blocks.iter().all(|b| b.layers <= 256)
+        && config.checked_elems(head_out).is_some_and(|n| n <= MAX_MODEL_ELEMS);
+    if !plausible {
+        return Err(ModelError::BadConfig { what: "load: implausible configuration".into() });
+    }
+    Ok((config, head_out))
+}
+
+/// Writes a model export of `kind`: the `config` section, each block's
+/// batch-norm running mean and variance (`bn`), and the parameter store in
+/// `form` (`params`).
+pub(crate) fn export(
+    kind: &str,
+    config: &[u8],
+    blocks: &[Block],
+    store: &ParamStore,
+    form: StoreForm,
+) -> Result<Vec<u8>> {
+    let mut bn = Vec::new();
+    for block in blocks {
+        let (mean, var) = block.bn.running_stats();
+        for &v in mean.iter().chain(var) {
+            bn.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    let mut w = SectionWriter::new(kind);
+    w.section("config", config);
+    w.section("bn", &bn);
+    w.section("params", &encode_store(store, form)?);
+    Ok(w.finish())
+}
+
+/// Restores the `bn` and `params` sections of an export into a model
+/// freshly built from its `config`, refusing parameters that differ from
+/// the built ones in name, shape or bit-width.
+pub(crate) fn restore(
+    r: &SectionReader<'_>,
+    blocks: &mut [Block],
+    store: &mut ParamStore,
+    form: StoreForm,
+) -> Result<()> {
+    let mut c = r.cursor("bn")?;
+    for block in blocks {
+        let n = block.bn.channels();
+        let mean = (0..n).map(|_| c.f32()).collect::<std::result::Result<Vec<_>, _>>()?;
+        let var = (0..n).map(|_| c.f32()).collect::<std::result::Result<Vec<_>, _>>()?;
+        block.bn.set_running_stats(&mean, &var)?;
+    }
+    c.finish()?;
+    let loaded = decode_store(r.require("params")?, form)?;
+    let same_layout = loaded.len() == store.len()
+        && store.iter().zip(loaded.iter()).all(|((_, a), (_, b))| {
+            a.name == b.name && a.value.dims() == b.value.dims() && a.bits == b.bits
+        });
+    if !same_layout {
+        return Err(ModelError::BadConfig {
+            what: "load: stored parameters do not match the configuration".into(),
+        });
+    }
+    *store = loaded;
+    Ok(())
 }
 
 /// Hyper-parameters for supervised training (used for teachers; students are
@@ -166,10 +302,12 @@ impl Default for TrainConfig {
     }
 }
 
+/// One block's parallel convolutions and batch norm (shared with the
+/// forecaster, which stacks the same blocks).
 #[derive(Debug, Clone)]
-struct Block {
-    convs: Vec<Conv1d>,
-    bn: BatchNorm1d,
+pub(crate) struct Block {
+    pub(crate) convs: Vec<Conv1d>,
+    pub(crate) bn: BatchNorm1d,
 }
 
 /// An InceptionTime classifier instance.
@@ -453,170 +591,50 @@ impl InceptionTime {
     }
 
     /// Serializes the model — configuration, batch-norm running statistics,
-    /// and bit-packed quantized parameters — into a deployable byte buffer.
+    /// and bit-packed quantized parameters — into a deployable byte buffer
+    /// (container kind `inception`).
     ///
-    /// A 4-bit student really occupies ≈ 4 bits per parameter on the wire
+    /// A 4-bit student really occupies ≈ 4 bits per parameter
     /// (see [`lightts_nn::serialize`]); the loaded model's inference path is
     /// bit-identical to the saved one.
     pub fn save_bytes(&self) -> Result<Vec<u8>> {
-        self.save_with(b"LTIM", |store| Ok(lightts_nn::serialize::serialize_store(store)?.to_vec()))
+        self.save_as(KIND, StoreForm::Packed)
     }
 
-    /// Serializes the model at **full precision** — same layout as
-    /// [`save_bytes`](Self::save_bytes) but the parameter payload is the
-    /// raw `f32` shadow weights (magic `LTIX`).
+    /// Serializes the model at **full precision** — same sections as
+    /// [`save_bytes`](Self::save_bytes) but the parameters are the raw
+    /// `f32` shadow weights (container kind `inception.exact`).
     ///
-    /// This is the mid-training *checkpoint* format: resuming training
+    /// This is the mid-training *checkpoint* form: resuming training
     /// needs the exact shadow parameters the quantized forward is a view
-    /// of, which the size-honest packed format deliberately discards.
+    /// of, which the size-honest packed form deliberately discards.
     /// Loading via [`load_bytes_exact`](Self::load_bytes_exact) is
-    /// bit-identical; the two formats reject each other's bytes.
+    /// bit-identical; the two kinds reject each other's bytes.
     pub fn save_bytes_exact(&self) -> Result<Vec<u8>> {
-        self.save_with(b"LTIX", |store| {
-            Ok(lightts_nn::serialize::serialize_store_exact(store)?.to_vec())
-        })
+        self.save_as(KIND_EXACT, StoreForm::Exact)
     }
 
-    fn save_with(
-        &self,
-        magic: &[u8; 4],
-        serialize: impl Fn(&lightts_nn::ParamStore) -> Result<Vec<u8>>,
-    ) -> Result<Vec<u8>> {
-        use bytes::BufMut;
-        let mut buf = Vec::new();
-        buf.put_slice(magic);
-        buf.put_u16_le(1); // model-format version
-                           // config
-        buf.put_u32_le(self.config.blocks.len() as u32);
-        for b in &self.config.blocks {
-            buf.put_u32_le(b.layers as u32);
-            buf.put_u32_le(b.filter_len as u32);
-            buf.put_u8(b.bits);
-        }
-        buf.put_u32_le(self.config.filters as u32);
-        buf.put_u32_le(self.config.in_dims as u32);
-        buf.put_u32_le(self.config.in_len as u32);
-        buf.put_u32_le(self.config.num_classes as u32);
-        // batch-norm running statistics, block order
-        for block in &self.blocks {
-            let (mean, var) = block.bn.running_stats();
-            for &m in mean {
-                buf.put_f32_le(m);
-            }
-            for &v in var {
-                buf.put_f32_le(v);
-            }
-        }
-        // parameter store payload
-        let store_bytes = serialize(&self.store)?;
-        buf.put_u64_le(store_bytes.len() as u64);
-        buf.put_slice(&store_bytes);
-        Ok(buf)
+    fn save_as(&self, kind: &str, form: StoreForm) -> Result<Vec<u8>> {
+        export(kind, &config_bytes(&self.config, None), &self.blocks, &self.store, form)
     }
 
     /// Loads a model saved by [`InceptionTime::save_bytes`].
     pub fn load_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::load_with(bytes, b"LTIM", |payload| {
-            Ok(lightts_nn::serialize::deserialize_store(payload)?)
-        })
+        Self::load_as(bytes, KIND, StoreForm::Packed)
     }
 
     /// Loads an exact snapshot saved by
     /// [`save_bytes_exact`](Self::save_bytes_exact), bit-identically.
     pub fn load_bytes_exact(bytes: &[u8]) -> Result<Self> {
-        Self::load_with(bytes, b"LTIX", |payload| {
-            Ok(lightts_nn::serialize::deserialize_store_exact(payload)?)
-        })
+        Self::load_as(bytes, KIND_EXACT, StoreForm::Exact)
     }
 
-    fn load_with(
-        bytes: &[u8],
-        expect_magic: &[u8; 4],
-        deserialize: impl Fn(&[u8]) -> Result<lightts_nn::ParamStore>,
-    ) -> Result<Self> {
-        use bytes::Buf;
-        let mut buf = bytes;
-        let err = |what: &str| ModelError::BadConfig { what: format!("load: {what}") };
-        if buf.remaining() < 10 {
-            return Err(err("truncated header"));
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != expect_magic {
-            return Err(err("bad magic"));
-        }
-        if buf.get_u16_le() != 1 {
-            return Err(err("unsupported version"));
-        }
-        let n_blocks = buf.get_u32_le() as usize;
-        if n_blocks > 64 || buf.remaining() < n_blocks * 9 {
-            return Err(err("bad block table"));
-        }
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let layers = buf.get_u32_le() as usize;
-            let filter_len = buf.get_u32_le() as usize;
-            let bits = buf.get_u8();
-            blocks.push(BlockSpec { layers, filter_len, bits });
-        }
-        if buf.remaining() < 16 {
-            return Err(err("truncated config"));
-        }
-        let config = InceptionConfig {
-            blocks,
-            filters: buf.get_u32_le() as usize,
-            in_dims: buf.get_u32_le() as usize,
-            in_len: buf.get_u32_le() as usize,
-            num_classes: buf.get_u32_le() as usize,
-        };
-        // Sanity caps on untrusted sizes, before any allocation is sized
-        // from them (a corrupted header must fail cleanly, not OOM).
-        if config.blocks.iter().any(|b| b.layers > 256 || b.filter_len > 1 << 16)
-            || config.filters > 1 << 16
-            || config.in_dims > 1 << 16
-            || config.in_len > 1 << 20
-            || config.num_classes > 1 << 20
-        {
-            return Err(err("implausible configuration"));
-        }
+    fn load_as(bytes: &[u8], kind: &str, form: StoreForm) -> Result<Self> {
+        let r = SectionReader::parse(bytes, kind)?;
+        let (config, _) = read_config(r.require("config")?, false)?;
         // rebuild the structure deterministically, then overwrite its state
-        let mut rng = seeded(0);
-        let mut model = InceptionTime::new(config.clone(), &mut rng)?;
-        for (bi, block) in model.blocks.iter_mut().enumerate() {
-            let c = config.blocks[bi].layers * config.filters;
-            if buf.remaining() < c * 8 {
-                return Err(err("truncated batch-norm statistics"));
-            }
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for m in &mut mean {
-                *m = buf.get_f32_le();
-            }
-            for v in &mut var {
-                *v = buf.get_f32_le();
-            }
-            block.bn.set_running_stats(&mean, &var)?;
-        }
-        if buf.remaining() < 8 {
-            return Err(err("truncated store length"));
-        }
-        let store_len = buf.get_u64_le() as usize;
-        if buf.remaining() != store_len {
-            return Err(err("store length mismatch"));
-        }
-        let store = deserialize(buf)?;
-        // the rebuilt model must agree with the stored parameters
-        if store.len() != model.store.len() {
-            return Err(err("parameter count mismatch"));
-        }
-        for ((_, a), (_, b)) in model.store.iter().zip(store.iter()) {
-            if a.name != b.name || a.value.dims() != b.value.dims() || a.bits != b.bits {
-                return Err(ModelError::BadConfig {
-                    what: format!("load: parameter mismatch at {} vs {}", a.name, b.name),
-                });
-            }
-        }
-        model.store = store;
+        let mut model = InceptionTime::new(config, &mut seeded(0))?;
+        restore(&r, &mut model.blocks, &mut model.store, form)?;
         Ok(model)
     }
 }
@@ -829,15 +847,23 @@ mod tests {
     #[test]
     fn save_bytes_reflect_bit_width() {
         let mut rng = seeded(9);
-        let mut size_of = |bits: u8| {
+        let mut build = |bits: u8| {
             let mut cfg = tiny_config(3);
             cfg.blocks.iter_mut().for_each(|b| b.bits = bits);
-            let model = InceptionTime::new(cfg, &mut rng).unwrap();
-            model.save_bytes().unwrap().len()
+            InceptionTime::new(cfg, &mut rng).unwrap()
         };
-        let s4 = size_of(4);
-        let s32 = size_of(32);
-        assert!(s4 * 2 < s32, "4-bit export {s4}B should be well below 32-bit {s32}B");
+        let (m4, m32) = (build(4), build(32));
+        let s4 = m4.save_bytes().unwrap().len();
+        let s32 = m32.save_bytes().unwrap().len();
+        // Only the quantized tensors differ: each stores ⌈len/2⌉ code bytes
+        // and an 8-byte quantizer at 4 bits, and 4·len bytes at 32.
+        let saved: usize = m4
+            .store()
+            .iter()
+            .filter(|(_, p)| p.bits == 4)
+            .map(|(_, p)| 4 * p.value.len() - p.value.len().div_ceil(2) - 8)
+            .sum();
+        assert_eq!(s32 - s4, saved, "4-bit export {s4}B vs 32-bit {s32}B");
     }
 
     #[test]
@@ -869,20 +895,6 @@ mod tests {
         // the two formats must not be confusable
         assert!(InceptionTime::load_bytes_exact(&model.save_bytes().unwrap()).is_err());
         assert!(InceptionTime::load_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn load_rejects_corruption() {
-        let mut rng = seeded(10);
-        let model = InceptionTime::new(tiny_config(2), &mut rng).unwrap();
-        let bytes = model.save_bytes().unwrap();
-        assert!(InceptionTime::load_bytes(&bytes[..10]).is_err());
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(InceptionTime::load_bytes(&bad).is_err());
-        let mut extra = bytes;
-        extra.push(7);
-        assert!(InceptionTime::load_bytes(&extra).is_err());
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //! [`tapes_created`](lightts_tensor::tape::tapes_created) counter proves the
 //! plan never touches the autodiff tape.
 
-use crate::{ModelError, Result};
+use crate::plan::{bn_relu, check_input, ensure, global_avg_pool, plan_api, Scratch};
+use crate::Result;
 use lightts_obs::Histogram;
 use lightts_tensor::conv::conv1d_forward_into;
-use lightts_tensor::{linalg, pool, simd, Tensor};
+use lightts_tensor::{linalg, Tensor};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,46 +51,6 @@ pub(crate) struct PlanBlock {
     pub(crate) bn_scale: Vec<f32>,
     /// Folded per-channel batch-norm shift (β − μ·scale).
     pub(crate) bn_shift: Vec<f32>,
-}
-
-/// Reusable activation scratch. Buffers grow to the high-water mark of the
-/// batches seen and are never shrunk, so steady-state serving performs zero
-/// heap allocation per request. Growth is served by the thread-local
-/// [`pool`](lightts_tensor::pool) (so a plan that outgrows one batch shape
-/// reuses slabs recycled elsewhere), and dropping the plan returns every
-/// buffer to the pool.
-#[derive(Debug, Clone, Default)]
-struct Scratch {
-    /// Current block input `[batch, c, l]`.
-    a: Vec<f32>,
-    /// Next block output (channel-concatenated) `[batch, c', l]`.
-    b: Vec<f32>,
-    /// Single-convolution output `[batch, filters, l]`.
-    conv: Vec<f32>,
-    /// Pooled features `[batch, c_last]`.
-    pooled: Vec<f32>,
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        for v in [&mut self.a, &mut self.b, &mut self.conv, &mut self.pooled] {
-            pool::recycle(std::mem::take(v));
-        }
-    }
-}
-
-/// Grows `v` to hold at least `n` elements (pool-backed, never shrinks the
-/// visible length below `n`). Contents beyond the previous length are zero;
-/// every caller fully overwrites the region it reads, so reused stale data
-/// can never leak into results.
-fn ensure(v: &mut Vec<f32>, n: usize) {
-    if v.capacity() < n {
-        let fresh = pool::take_empty(n);
-        pool::recycle(std::mem::replace(v, fresh));
-    }
-    if v.len() < n {
-        v.resize(n, 0.0);
-    }
 }
 
 /// A compiled, tape-free, allocation-free inference pass over an
@@ -140,25 +101,7 @@ impl InferencePlan {
         }
     }
 
-    /// Input dimensionality `M` each sample must have.
-    pub fn in_dims(&self) -> usize {
-        self.in_dims
-    }
-
-    /// Series length each sample must have.
-    pub fn in_len(&self) -> usize {
-        self.in_len
-    }
-
-    /// Number of scalars one sample occupies (`in_dims · in_len`).
-    pub fn sample_len(&self) -> usize {
-        self.in_dims * self.in_len
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
+    plan_api!();
 
     /// Computes logits for a `[batch, in_dims, in_len]` slice of inputs into
     /// `out` (resized to `batch · num_classes`).
@@ -170,18 +113,7 @@ impl InferencePlan {
         let t0 = Instant::now();
         let _prof = lightts_obs::prof::scope("plan.forward");
         let l = self.in_len;
-        if batch == 0 {
-            return Err(ModelError::BadConfig { what: "inference: empty batch".into() });
-        }
-        if inputs.len() != batch * self.in_dims * l {
-            return Err(ModelError::BadConfig {
-                what: format!(
-                    "inference: input length {} != batch {batch} × {} × {l}",
-                    inputs.len(),
-                    self.in_dims
-                ),
-            });
-        }
+        check_input(inputs, batch, self.in_dims, l)?;
 
         let scratch = &mut self.scratch;
         let mut cin = self.in_dims;
@@ -216,32 +148,13 @@ impl InferencePlan {
                     }
                 }
             }
-            // Folded batch-norm affine followed by ReLU, in place. Same two
-            // element-wise steps as BatchNorm1d::eval_forward + `max(0.0)`.
-            for bi in 0..batch {
-                for ci in 0..c_total {
-                    let scale = block.bn_scale[ci];
-                    let shift = block.bn_shift[ci];
-                    let off = (bi * c_total + ci) * l;
-                    for v in &mut scratch.b[off..off + l] {
-                        let t = *v * scale + shift;
-                        *v = t.max(0.0);
-                    }
-                }
-            }
+            bn_relu(&mut scratch.b[..batch * c_total * l], l, &block.bn_scale, &block.bn_shift);
             std::mem::swap(&mut scratch.a, &mut scratch.b);
             cin = c_total;
         }
 
-        // Global average pooling, identical summation order to `gap_plain`.
         ensure(&mut scratch.pooled, batch * cin);
-        for bi in 0..batch {
-            for ci in 0..cin {
-                let off = (bi * cin + ci) * l;
-                scratch.pooled[bi * cin + ci] =
-                    scratch.a[off..off + l].iter().sum::<f32>() / l as f32;
-            }
-        }
+        global_avg_pool(&mut scratch.pooled[..batch * cin], &scratch.a[..batch * cin * l], l);
 
         // FC head: zeroed output region + the shared matmul kernel + bias,
         // the exact sequence Linear::eval_forward performs via
@@ -264,46 +177,6 @@ impl InferencePlan {
         }
         self.forward_ns.record_duration(t0.elapsed());
         Ok(())
-    }
-
-    /// Computes class probabilities (softmax over logits) into `out`.
-    ///
-    /// Bitwise identical to
-    /// [`predict_proba`](crate::Classifier::predict_proba) on the same rows:
-    /// both reduce to the one canonical softmax of the workspace —
-    /// `simd::log_softmax_row` followed by `simd::vec_exp` — so batched
-    /// serving, per-sample serving, and `Tensor::softmax_rows` agree element
-    /// for element under any fixed SIMD backend (see `docs/NUMERICS.md`).
-    pub fn predict_proba_into(
-        &mut self,
-        inputs: &[f32],
-        batch: usize,
-        out: &mut Vec<f32>,
-    ) -> Result<()> {
-        self.logits_into(inputs, batch, out)?;
-        let nc = self.num_classes;
-        for row in out.chunks_exact_mut(nc) {
-            simd::log_softmax_row(row);
-            simd::vec_exp(row);
-        }
-        Ok(())
-    }
-
-    /// Convenience wrapper returning probabilities as a `[batch, classes]`
-    /// tensor (allocates; tests and non-hot-path callers).
-    pub fn predict_proba(&mut self, inputs: &Tensor) -> Result<Tensor> {
-        if inputs.rank() != 3 {
-            return Err(ModelError::BadConfig {
-                what: format!(
-                    "inference: expected [batch, dims, len] input, rank {}",
-                    inputs.rank()
-                ),
-            });
-        }
-        let batch = inputs.dims()[0];
-        let mut out = Vec::new();
-        self.predict_proba_into(inputs.data(), batch, &mut out)?;
-        Ok(Tensor::from_vec(out, &[batch, self.num_classes])?)
     }
 }
 

@@ -37,6 +37,7 @@ pub mod inception;
 pub mod inference;
 pub mod metrics;
 pub mod nondeep;
+mod plan;
 pub mod qinference;
 
 pub use classifier::Classifier;

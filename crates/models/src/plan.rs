@@ -1,0 +1,164 @@
+//! Helpers the f32 [`InferencePlan`](crate::inference::InferencePlan) and
+//! the int8 [`QuantizedPlan`](crate::qinference::QuantizedPlan) share: the
+//! pool-backed scratch, the input check, the f32 elementwise tail of each
+//! layer (folded batch-norm + ReLU, global average pooling, softmax) and
+//! the public accessors. Both plans call the same code, which is what keeps
+//! that tail bitwise identical between them.
+
+use crate::{ModelError, Result};
+use lightts_tensor::{pool, simd};
+
+/// Pool-backed f32 activation scratch. Buffers grow to the high-water mark
+/// of the batches seen and are never shrunk, so steady-state serving
+/// performs zero heap allocation per request. Growth is served by the
+/// thread-local [`pool`] (so a plan that outgrows one batch shape reuses
+/// slabs recycled elsewhere), and dropping the plan returns every buffer
+/// to the pool.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    /// Current block input `[batch, c, l]`.
+    pub(crate) a: Vec<f32>,
+    /// Next block output (channel-concatenated) `[batch, c', l]`.
+    pub(crate) b: Vec<f32>,
+    /// Single-convolution output `[batch, filters, l]` (f32 plan only).
+    pub(crate) conv: Vec<f32>,
+    /// Pooled features `[batch, c_last]`.
+    pub(crate) pooled: Vec<f32>,
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        for v in [&mut self.a, &mut self.b, &mut self.conv, &mut self.pooled] {
+            pool::recycle(std::mem::take(v));
+        }
+    }
+}
+
+/// Grows `v` to hold at least `n` elements (pool-backed, never shrinks the
+/// visible length below `n`). Contents beyond the previous length are zero;
+/// every caller fully overwrites the region it reads, so reused stale data
+/// can never leak into results.
+pub(crate) fn ensure(v: &mut Vec<f32>, n: usize) {
+    if v.capacity() < n {
+        let fresh = pool::take_empty(n);
+        pool::recycle(std::mem::replace(v, fresh));
+    }
+    if v.len() < n {
+        v.resize(n, 0.0);
+    }
+}
+
+/// Refuses an empty batch and inputs that are not `batch × in_dims × l`.
+pub(crate) fn check_input(inputs: &[f32], batch: usize, in_dims: usize, l: usize) -> Result<()> {
+    if batch == 0 {
+        return Err(ModelError::BadConfig { what: "inference: empty batch".into() });
+    }
+    if inputs.len() != batch * in_dims * l {
+        return Err(ModelError::BadConfig {
+            what: format!(
+                "inference: input length {} != batch {batch} × {in_dims} × {l}",
+                inputs.len()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// Folded batch-norm affine followed by ReLU, in place over `[batch, c, l]`:
+/// the same two element-wise steps as `BatchNorm1d::eval_forward` +
+/// `max(0.0)`.
+pub(crate) fn bn_relu(x: &mut [f32], l: usize, scale: &[f32], shift: &[f32]) {
+    for sample in x.chunks_exact_mut(scale.len() * l) {
+        for ((row, &scale), &shift) in sample.chunks_exact_mut(l).zip(scale).zip(shift) {
+            for v in row {
+                let t = *v * scale + shift;
+                *v = t.max(0.0);
+            }
+        }
+    }
+}
+
+/// Global average pooling `[batch, c, l] → [batch, c]` into `pooled`, with
+/// the summation order of `gap_plain`.
+pub(crate) fn global_avg_pool(pooled: &mut [f32], x: &[f32], l: usize) {
+    for (p, row) in pooled.iter_mut().zip(x.chunks_exact(l)) {
+        *p = row.iter().sum::<f32>() / l as f32;
+    }
+}
+
+/// Row-wise softmax of `[batch, nc]` logits in place, via the one canonical
+/// softmax of the workspace — `simd::log_softmax_row` followed by
+/// `simd::vec_exp` — so batched serving, per-sample serving, and
+/// `Tensor::softmax_rows` agree element for element under any fixed SIMD
+/// backend (see `docs/NUMERICS.md`).
+pub(crate) fn softmax_rows(out: &mut [f32], nc: usize) {
+    for row in out.chunks_exact_mut(nc) {
+        simd::log_softmax_row(row);
+        simd::vec_exp(row);
+    }
+}
+
+/// The shape accessors and the probability entry points of a compiled
+/// plan, written once for both plans. The plan provides the fields
+/// `in_dims`, `in_len`, `num_classes` and a `logits_into` method.
+macro_rules! plan_api {
+    () => {
+        /// Input dimensionality `M` each sample must have.
+        pub fn in_dims(&self) -> usize {
+            self.in_dims
+        }
+
+        /// Series length each sample must have.
+        pub fn in_len(&self) -> usize {
+            self.in_len
+        }
+
+        /// Number of scalars one sample occupies (`in_dims · in_len`).
+        pub fn sample_len(&self) -> usize {
+            self.in_dims * self.in_len
+        }
+
+        /// Number of output classes.
+        pub fn num_classes(&self) -> usize {
+            self.num_classes
+        }
+
+        /// Computes class probabilities (softmax over
+        /// [`logits_into`](Self::logits_into)) into `out`, through the one
+        /// canonical softmax of the workspace (`simd::log_softmax_row` +
+        /// `simd::vec_exp`).
+        pub fn predict_proba_into(
+            &mut self,
+            inputs: &[f32],
+            batch: usize,
+            out: &mut Vec<f32>,
+        ) -> $crate::Result<()> {
+            self.logits_into(inputs, batch, out)?;
+            $crate::plan::softmax_rows(out, self.num_classes);
+            Ok(())
+        }
+
+        /// Convenience wrapper returning probabilities as a
+        /// `[batch, classes]` tensor (allocates; tests and non-hot-path
+        /// callers).
+        pub fn predict_proba(
+            &mut self,
+            inputs: &lightts_tensor::Tensor,
+        ) -> $crate::Result<lightts_tensor::Tensor> {
+            if inputs.rank() != 3 {
+                return Err($crate::ModelError::BadConfig {
+                    what: format!(
+                        "inference: expected [batch, dims, len] input, rank {}",
+                        inputs.rank()
+                    ),
+                });
+            }
+            let batch = inputs.dims()[0];
+            let mut out = Vec::new();
+            self.predict_proba_into(inputs.data(), batch, &mut out)?;
+            Ok(lightts_tensor::Tensor::from_vec(out, &[batch, self.num_classes])?)
+        }
+    };
+}
+
+pub(crate) use plan_api;

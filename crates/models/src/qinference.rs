@@ -12,8 +12,8 @@
 //! dynamically: an [`ActQuant`] affine is fitted to each sample's activation
 //! range at every block input (and at the pooled features before the FC
 //! head), so no calibration dataset is needed and the f32 elementwise tail
-//! of each layer (bias, folded batch-norm, ReLU, global average pooling,
-//! softmax) is reused unchanged from the f32 plan's algorithms.
+//! of each layer (folded batch-norm, ReLU, global average pooling, softmax)
+//! is the f32 plan's own code, shared through `models::plan`.
 //!
 //! # Numerics & determinism
 //!
@@ -30,14 +30,15 @@
 //! codes never depend on its batch neighbours.
 //!
 //! Scratch discipline matches the f32 plan: f32 buffers come from the
-//! thread-local [`pool`] and are recycled on drop;
+//! thread-local [`pool`](lightts_tensor::pool) and are recycled on drop;
 //! the i8/i32 buffers (which the pool does not serve) are plan-owned and
 //! grow-only. Steady-state forwards allocate nothing.
 
-use crate::{ModelError, Result};
+use crate::plan::{bn_relu, check_input, ensure, global_avg_pool, plan_api, Scratch};
+use crate::Result;
 use lightts_obs::Histogram;
 use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QuantizedMatrix};
-use lightts_tensor::{pool, simd, Tensor};
+use lightts_tensor::simd;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,18 +62,13 @@ pub(crate) struct QPlanBlock {
     pub(crate) bn_shift: Vec<f32>,
 }
 
-/// Reusable scratch. The f32 buffers are pool-backed (recycled on drop,
-/// like the f32 plan's); the integer buffers are plan-owned grow-only Vecs
-/// because the buffer pool only serves f32 slabs. Either way, nothing is
-/// allocated in steady state.
+/// Reusable scratch: the pool-backed f32 buffers shared with the f32 plan,
+/// plus plan-owned grow-only integer buffers (the buffer pool only serves
+/// f32 slabs). Either way, nothing is allocated in steady state.
 #[derive(Debug, Clone, Default)]
 struct QScratch {
-    /// Current block input `[batch, c, l]` (f32, pool-backed).
-    a: Vec<f32>,
-    /// Next block output `[batch, c', l]` (f32, pool-backed).
-    b: Vec<f32>,
-    /// Pooled features `[batch, c_last]` (f32, pool-backed).
-    pooled: Vec<f32>,
+    /// Block activations and pooled features (f32, pool-backed).
+    f32s: Scratch,
     /// One sample's quantized activation codes (grow-only).
     qx: Vec<i8>,
     /// im2row patch rows for one sample (grow-only).
@@ -81,34 +77,14 @@ struct QScratch {
     acc: Vec<i32>,
 }
 
-impl Drop for QScratch {
-    fn drop(&mut self) {
-        for v in [&mut self.a, &mut self.b, &mut self.pooled] {
-            pool::recycle(std::mem::take(v));
-        }
-    }
-}
-
-/// Grows a pool-backed f32 buffer to hold at least `n` elements (same
-/// contract as the f32 plan's helper: callers fully overwrite what they
-/// read).
-fn ensure_f32(v: &mut Vec<f32>, n: usize) {
-    if v.capacity() < n {
-        let fresh = pool::take_empty(n);
-        pool::recycle(std::mem::replace(v, fresh));
-    }
-    if v.len() < n {
-        v.resize(n, 0.0);
-    }
-}
-
 /// A compiled, tape-free, allocation-free **int8** inference pass over an
 /// [`InceptionTime`](crate::inception::InceptionTime) model.
 ///
 /// Build one with
 /// [`InceptionTime::compile_quantized`](crate::inception::InceptionTime::compile_quantized)
 /// (which requires every quantized layer to have been configured with
-/// bit-width ≤ 8, and fails with [`ModelError::UnsupportedPlan`] otherwise),
+/// bit-width ≤ 8, and fails with
+/// [`ModelError::UnsupportedPlan`](crate::ModelError::UnsupportedPlan) otherwise),
 /// then call [`predict_proba_into`](Self::predict_proba_into) per request,
 /// exactly like the f32 plan.
 #[derive(Debug, Clone)]
@@ -152,25 +128,7 @@ impl QuantizedPlan {
         }
     }
 
-    /// Input dimensionality `M` each sample must have.
-    pub fn in_dims(&self) -> usize {
-        self.in_dims
-    }
-
-    /// Series length each sample must have.
-    pub fn in_len(&self) -> usize {
-        self.in_len
-    }
-
-    /// Number of scalars one sample occupies (`in_dims · in_len`).
-    pub fn sample_len(&self) -> usize {
-        self.in_dims * self.in_len
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
+    plan_api!();
 
     /// Heap bytes of quantized weight storage (codes + per-channel
     /// metadata), the number compared against the f32 plan's `4 ·
@@ -196,45 +154,34 @@ impl QuantizedPlan {
         let t0 = Instant::now();
         let _prof = lightts_obs::prof::scope("qplan.forward");
         let l = self.in_len;
-        if batch == 0 {
-            return Err(ModelError::BadConfig { what: "inference: empty batch".into() });
-        }
-        if inputs.len() != batch * self.in_dims * l {
-            return Err(ModelError::BadConfig {
-                what: format!(
-                    "inference: input length {} != batch {batch} × {} × {l}",
-                    inputs.len(),
-                    self.in_dims
-                ),
-            });
-        }
+        check_input(inputs, batch, self.in_dims, l)?;
 
-        let scratch = &mut self.scratch;
+        let QScratch { f32s: scratch, qx, patch, acc } = &mut self.scratch;
         let mut cin = self.in_dims;
-        ensure_f32(&mut scratch.a, batch * cin * l);
+        ensure(&mut scratch.a, batch * cin * l);
         scratch.a[..batch * cin * l].copy_from_slice(inputs);
 
         for block in &self.blocks {
             let filters = block.convs[0].weight.rows();
             let c_total = block.convs.len() * filters;
-            ensure_f32(&mut scratch.b, batch * c_total * l);
-            if scratch.qx.len() < cin * l {
-                scratch.qx.resize(cin * l, 0);
+            ensure(&mut scratch.b, batch * c_total * l);
+            if qx.len() < cin * l {
+                qx.resize(cin * l, 0);
             }
-            if scratch.acc.len() < filters * l {
-                scratch.acc.resize(filters * l, 0);
+            if acc.len() < filters * l {
+                acc.resize(filters * l, 0);
             }
             for bi in 0..batch {
                 // Per-sample dynamic activation quantization: codes depend
                 // only on this sample's bytes, never on batch neighbours.
                 let x_b = &scratch.a[bi * cin * l..(bi + 1) * cin * l];
                 let aq = ActQuant::fit(x_b);
-                aq.quantize_into(x_b, &mut scratch.qx[..cin * l]);
+                aq.quantize_into(x_b, &mut qx[..cin * l]);
                 for (j, conv) in block.convs.iter().enumerate() {
                     qconv1d_same_into(
-                        &mut scratch.acc[..filters * l],
-                        &mut scratch.patch,
-                        &scratch.qx[..cin * l],
+                        &mut acc[..filters * l],
+                        patch,
+                        &qx[..cin * l],
                         cin,
                         l,
                         &conv.weight,
@@ -252,108 +199,47 @@ impl QuantizedPlan {
                         let corr = zp * conv.weight.row_sums()[ci];
                         let bias_v = conv.bias[ci];
                         let dst = (bi * c_total + j * filters + ci) * l;
-                        for (o, &acc) in scratch.b[dst..dst + l]
-                            .iter_mut()
-                            .zip(&scratch.acc[ci * l..(ci + 1) * l])
+                        for (o, &a) in
+                            scratch.b[dst..dst + l].iter_mut().zip(&acc[ci * l..(ci + 1) * l])
                         {
-                            *o = (acc - corr) as f32 * s + bias_v;
+                            *o = (a - corr) as f32 * s + bias_v;
                         }
                     }
                 }
             }
-            // Folded batch-norm affine + ReLU, identical to the f32 plan.
-            for bi in 0..batch {
-                for ci in 0..c_total {
-                    let scale = block.bn_scale[ci];
-                    let shift = block.bn_shift[ci];
-                    let off = (bi * c_total + ci) * l;
-                    for v in &mut scratch.b[off..off + l] {
-                        let t = *v * scale + shift;
-                        *v = t.max(0.0);
-                    }
-                }
-            }
+            bn_relu(&mut scratch.b[..batch * c_total * l], l, &block.bn_scale, &block.bn_shift);
             std::mem::swap(&mut scratch.a, &mut scratch.b);
             cin = c_total;
         }
 
-        // Global average pooling, identical summation order to the f32 plan.
-        ensure_f32(&mut scratch.pooled, batch * cin);
-        for bi in 0..batch {
-            for ci in 0..cin {
-                let off = (bi * cin + ci) * l;
-                scratch.pooled[bi * cin + ci] =
-                    scratch.a[off..off + l].iter().sum::<f32>() / l as f32;
-            }
-        }
+        ensure(&mut scratch.pooled, batch * cin);
+        global_avg_pool(&mut scratch.pooled[..batch * cin], &scratch.a[..batch * cin * l], l);
 
         // Quantized FC head: per-sample quantization of the pooled features,
         // integer matrix-vector product, dequant + bias.
         let nc = self.num_classes;
         let fin = self.fc_in;
         out.resize(batch * nc, 0.0);
-        if scratch.qx.len() < fin {
-            scratch.qx.resize(fin, 0);
+        if qx.len() < fin {
+            qx.resize(fin, 0);
         }
-        if scratch.acc.len() < nc {
-            scratch.acc.resize(nc, 0);
+        if acc.len() < nc {
+            acc.resize(nc, 0);
         }
         for bi in 0..batch {
             let p = &scratch.pooled[bi * fin..(bi + 1) * fin];
             let aq = ActQuant::fit(p);
-            aq.quantize_into(p, &mut scratch.qx[..fin]);
-            simd::qgemm_i8t(
-                &mut scratch.acc[..nc],
-                self.fc_weight.data(),
-                &scratch.qx[..fin],
-                nc,
-                fin,
-                1,
-            );
+            aq.quantize_into(p, &mut qx[..fin]);
+            simd::qgemm_i8t(&mut acc[..nc], self.fc_weight.data(), &qx[..fin], nc, fin, 1);
             let zp = i32::from(aq.zero_point);
             for ci in 0..nc {
                 let s = aq.scale * self.fc_weight.scales()[ci];
                 let corr = zp * self.fc_weight.row_sums()[ci];
-                out[bi * nc + ci] = (scratch.acc[ci] - corr) as f32 * s + self.fc_bias[ci];
+                out[bi * nc + ci] = (acc[ci] - corr) as f32 * s + self.fc_bias[ci];
             }
         }
         self.forward_ns.record_duration(t0.elapsed());
         Ok(())
-    }
-
-    /// Computes class probabilities (softmax over the i8-path logits) into
-    /// `out`, via the same canonical softmax family as every other path
-    /// (`simd::log_softmax_row` + `simd::vec_exp`).
-    pub fn predict_proba_into(
-        &mut self,
-        inputs: &[f32],
-        batch: usize,
-        out: &mut Vec<f32>,
-    ) -> Result<()> {
-        self.logits_into(inputs, batch, out)?;
-        let nc = self.num_classes;
-        for row in out.chunks_exact_mut(nc) {
-            simd::log_softmax_row(row);
-            simd::vec_exp(row);
-        }
-        Ok(())
-    }
-
-    /// Convenience wrapper returning probabilities as a `[batch, classes]`
-    /// tensor (allocates; tests and non-hot-path callers).
-    pub fn predict_proba(&mut self, inputs: &Tensor) -> Result<Tensor> {
-        if inputs.rank() != 3 {
-            return Err(ModelError::BadConfig {
-                what: format!(
-                    "inference: expected [batch, dims, len] input, rank {}",
-                    inputs.rank()
-                ),
-            });
-        }
-        let batch = inputs.dims()[0];
-        let mut out = Vec::new();
-        self.predict_proba_into(inputs.data(), batch, &mut out)?;
-        Ok(Tensor::from_vec(out, &[batch, self.num_classes])?)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Error type for the neural-network crate.
 
+use lightts_obs::checkpoint::DecodeError;
 use lightts_tensor::TensorError;
 use std::fmt;
 
@@ -54,6 +55,12 @@ impl std::error::Error for NnError {
 impl From<TensorError> for NnError {
     fn from(e: TensorError) -> Self {
         NnError::Tensor(e)
+    }
+}
+
+impl From<DecodeError> for NnError {
+    fn from(e: DecodeError) -> Self {
+        NnError::BadConfig { what: e.0 }
     }
 }
 

@@ -1,32 +1,38 @@
-//! Packed serialization of quantized parameter stores.
+//! The parameter-store codec, in a packed and an exact form.
 //!
 //! The LightTS size metric (`Σ params × bits`) is only honest if a deployed
-//! model can actually be *stored* at that size. This module provides that:
-//! each parameter tensor is encoded with its fitted uniform quantizer
-//! ([`QuantParams`]) and its integer codes bit-packed back-to-back, so a
-//! 4-bit layer really occupies 4 bits per weight on the wire (plus a small
-//! fixed header per tensor). Deserialization reproduces exactly the
+//! model can actually be *stored* at that size. [`StoreForm::Packed`]
+//! provides that: each quantized tensor is encoded with its fitted uniform
+//! quantizer ([`QuantParams`]) and its integer codes bit-packed
+//! back-to-back, so a 4-bit layer really occupies 4 bits per weight (plus a
+//! small fixed header per tensor). Decoding reproduces exactly the
 //! dequantized values the quantized forward pass uses — a loaded model is
-//! bit-identical to the trained one in `eval` mode.
+//! bit-identical to the trained one in `eval` mode. [`StoreForm::Exact`]
+//! keeps the raw `f32` values instead, for checkpoints.
 //!
-//! Format (little-endian):
+//! The codec writes a section payload, not a file: model exports and
+//! checkpoints frame it in the checksummed container of
+//! [`lightts_obs::checkpoint`]. It still checks every length and bounds
+//! every allocation itself, since a crafted file can carry a valid
+//! checksum.
+//!
+//! Payload (little-endian):
 //!
 //! ```text
-//! magic "LTTS" | version u16 | tensor count u32
-//! per tensor:
-//!   name len u16 | name bytes | bits u8 | rank u8 | dims u32×rank
-//!   zero_point f32 | step f32 | packed codes ⌈len·bits/8⌉ bytes
+//! tensor count u32
+//! per tensor: name (u16 len + UTF-8) | bits u8 | rank u8 | dims u32×rank
+//!   packed form, bits < 32: zero_point f32 | step f32 | ⌈len·bits/8⌉ code bytes
+//!   otherwise:              len × f32
 //! ```
 
-use crate::{NnError, Param, ParamStore, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::{NnError, ParamStore, Result};
+use lightts_obs::checkpoint::{put_str, Cursor};
 use lightts_tensor::quant::QuantParams;
 use lightts_tensor::Tensor;
 
-/// File magic for packed LightTS models.
-pub const MAGIC: &[u8; 4] = b"LTTS";
-/// Current format version.
-pub const VERSION: u16 = 1;
+/// Upper bound on the elements of one stored tensor; a larger claim is
+/// refused before anything is allocated for it.
+const MAX_TENSOR_ELEMS: usize = 64 * 1024 * 1024;
 
 fn bad(what: impl Into<String>) -> NnError {
     NnError::BadConfig { what: what.into() }
@@ -90,264 +96,114 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Serializes a parameter store into the packed format.
-///
-/// Parameters with `bits = 32` are stored as raw `f32`; everything else is
-/// quantized with a per-tensor uniform quantizer and bit-packed.
-pub fn serialize_store(store: &ParamStore) -> Result<Bytes> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(store.len() as u32);
-    for (_, p) in store.iter() {
-        write_param(&mut buf, p)?;
-    }
-    Ok(buf.freeze())
+/// Which values the store codec keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreForm {
+    /// The deployment form: tensors below 32 bits are quantized with a
+    /// per-tensor uniform quantizer and bit-packed; they load dequantized,
+    /// with their bit-width kept for size accounting.
+    Packed,
+    /// The checkpoint form: every tensor as raw `f32`, its bit-width kept
+    /// as metadata. Mid-training a parameter's value is the full-precision
+    /// shadow weight the quantized forward pass is a view of, and resuming
+    /// from a quantized snapshot would diverge from the uninterrupted run
+    /// on the next gradient step.
+    Exact,
 }
 
-fn write_param(buf: &mut BytesMut, p: &Param) -> Result<()> {
-    let name = p.name.as_bytes();
-    if name.len() > u16::MAX as usize {
-        return Err(bad("parameter name too long"));
-    }
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name);
-    buf.put_u8(p.bits);
-    let dims = p.value.dims();
-    if dims.len() > u8::MAX as usize {
-        return Err(bad("tensor rank too large"));
-    }
-    buf.put_u8(dims.len() as u8);
-    for &d in dims {
-        buf.put_u32_le(d as u32);
-    }
-    if p.bits >= 32 {
-        buf.put_f32_le(0.0); // zero_point unused
-        buf.put_f32_le(0.0); // step unused
-        for &v in p.value.data() {
-            buf.put_f32_le(v);
+/// Encodes `store` in the given form.
+pub fn encode_store(store: &ParamStore, form: StoreForm) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(store.len() as u32).to_le_bytes());
+    for (_, p) in store.iter() {
+        if p.name.len() > usize::from(u16::MAX) {
+            return Err(bad(format!("parameter name of {} bytes", p.name.len())));
         }
-    } else {
+        put_str(&mut buf, &p.name);
+        buf.push(p.bits);
+        if form == StoreForm::Exact || p.bits >= 32 {
+            put_tensor(&mut buf, &p.value);
+            continue;
+        }
+        put_dims(&mut buf, p.value.dims());
         let qp = QuantParams::fit(p.value.data(), p.bits)?;
-        buf.put_f32_le(qp.zero_point);
-        buf.put_f32_le(qp.step);
+        buf.extend_from_slice(&qp.zero_point.to_le_bytes());
+        buf.extend_from_slice(&qp.step.to_le_bytes());
         let mut writer = BitWriter::new(p.value.len() * p.bits as usize);
         for &v in p.value.data() {
             writer.push(qp.encode(v), p.bits);
         }
-        buf.put_slice(&writer.finish());
+        buf.extend_from_slice(&writer.finish());
     }
-    Ok(())
+    Ok(buf)
 }
 
-/// Deserializes a packed model back into a parameter store.
+/// Decodes a store written by [`encode_store`] in the same form.
 ///
-/// Quantized tensors come back *dequantized* (the values the quantized
-/// forward pass uses), with their bit-width preserved for size accounting.
-pub fn deserialize_store(bytes: &[u8]) -> Result<ParamStore> {
-    let mut buf = bytes;
-    if buf.remaining() < 10 {
-        return Err(bad("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(bad(format!("bad magic {magic:?}")));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(bad(format!("unsupported version {version}")));
-    }
-    let count = buf.get_u32_le() as usize;
+/// Exact-form values come back bit-identical; packed-form values come back
+/// as the dequantized values the quantized forward pass uses.
+pub fn decode_store(bytes: &[u8], form: StoreForm) -> Result<ParamStore> {
+    let mut c = Cursor::new(bytes);
+    let count = c.u32()?;
     let mut store = ParamStore::new();
     for _ in 0..count {
-        read_param(&mut buf, &mut store)?;
-    }
-    if buf.has_remaining() {
-        return Err(bad(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(store)
-}
-
-fn read_param(buf: &mut &[u8], store: &mut ParamStore) -> Result<()> {
-    if buf.remaining() < 2 {
-        return Err(bad("truncated parameter header"));
-    }
-    let name_len = buf.get_u16_le() as usize;
-    if buf.remaining() < name_len + 2 {
-        return Err(bad("truncated parameter name"));
-    }
-    let mut name_bytes = vec![0u8; name_len];
-    buf.copy_to_slice(&mut name_bytes);
-    let name = String::from_utf8(name_bytes).map_err(|_| bad("non-UTF8 parameter name"))?;
-    let bits = buf.get_u8();
-    if bits == 0 || bits > 32 {
-        return Err(bad(format!("bad bit-width {bits}")));
-    }
-    let rank = buf.get_u8() as usize;
-    if buf.remaining() < rank * 4 + 8 {
-        return Err(bad("truncated dims"));
-    }
-    let mut dims = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        dims.push(buf.get_u32_le() as usize);
-    }
-    // Checked product: untrusted dims must not overflow (debug panic) or
-    // drive a huge allocation before the payload length check below.
-    let mut len: usize = 1;
-    for &d in &dims {
-        len = len
-            .checked_mul(d)
-            .filter(|&l| l <= 64 * 1024 * 1024)
-            .ok_or_else(|| bad("implausibly large tensor"))?;
-    }
-    let zero_point = buf.get_f32_le();
-    let step = buf.get_f32_le();
-    let value = if bits >= 32 {
-        if buf.remaining() < len * 4 {
-            return Err(bad("truncated f32 payload"));
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(buf.get_f32_le());
-        }
-        Tensor::from_vec(data, &dims)?
-    } else {
-        let packed_len = (len * bits as usize).div_ceil(8);
-        if buf.remaining() < packed_len {
-            return Err(bad("truncated packed payload"));
-        }
-        let (packed, rest) = buf.split_at(packed_len);
-        let qp = QuantParams { bits, zero_point, step };
-        let mut reader = BitReader::new(packed);
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(qp.decode(reader.pull(bits)?));
-        }
-        *buf = rest;
-        Tensor::from_vec(data, &dims)?
-    };
-    store.register(name, value, bits);
-    Ok(())
-}
-
-/// File magic for exact (full-precision) parameter snapshots.
-pub const MAGIC_EXACT: &[u8; 4] = b"LTSE";
-
-/// Serializes a parameter store at full precision — every tensor as raw
-/// `f32`, regardless of its quantization bit-width (which is preserved as
-/// metadata).
-///
-/// This is the *checkpoint* format, not the deployment format: mid-training
-/// a parameter's value is the full-precision shadow weight that the
-/// quantized forward pass is a fake-quantized view of, and resuming from a
-/// quantized snapshot would diverge from the uninterrupted run on the next
-/// gradient step. [`serialize_store`] remains the honest-size wire format
-/// for *finished* models.
-pub fn serialize_store_exact(store: &ParamStore) -> Result<Bytes> {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC_EXACT);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(store.len() as u32);
-    for (_, p) in store.iter() {
-        let name = p.name.as_bytes();
-        if name.len() > u16::MAX as usize {
-            return Err(bad("parameter name too long"));
-        }
-        buf.put_u16_le(name.len() as u16);
-        buf.put_slice(name);
-        buf.put_u8(p.bits);
-        let dims = p.value.dims();
-        if dims.len() > u8::MAX as usize {
-            return Err(bad("tensor rank too large"));
-        }
-        buf.put_u8(dims.len() as u8);
-        for &d in dims {
-            buf.put_u32_le(d as u32);
-        }
-        for &v in p.value.data() {
-            buf.put_f32_le(v);
-        }
-    }
-    Ok(buf.freeze())
-}
-
-/// Deserializes an exact snapshot written by [`serialize_store_exact`].
-///
-/// Values come back bit-identical to the stored shadow weights.
-pub fn deserialize_store_exact(bytes: &[u8]) -> Result<ParamStore> {
-    let mut buf = bytes;
-    if buf.remaining() < 10 {
-        return Err(bad("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC_EXACT {
-        return Err(bad(format!("bad exact-snapshot magic {magic:?}")));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(bad(format!("unsupported version {version}")));
-    }
-    let count = buf.get_u32_le() as usize;
-    let mut store = ParamStore::new();
-    for _ in 0..count {
-        if buf.remaining() < 2 {
-            return Err(bad("truncated parameter header"));
-        }
-        let name_len = buf.get_u16_le() as usize;
-        if buf.remaining() < name_len + 2 {
-            return Err(bad("truncated parameter name"));
-        }
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes).map_err(|_| bad("non-UTF8 parameter name"))?;
-        let bits = buf.get_u8();
+        let name = c.str()?.to_string();
+        let bits = c.u8()?;
         if bits == 0 || bits > 32 {
-            return Err(bad(format!("bad bit-width {bits}")));
+            return Err(bad(format!("{name}: bad bit-width {bits}")));
         }
-        let rank = buf.get_u8() as usize;
-        if buf.remaining() < rank * 4 {
-            return Err(bad("truncated dims"));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(buf.get_u32_le() as usize);
-        }
-        let mut len: usize = 1;
-        for &d in &dims {
-            len = len
-                .checked_mul(d)
-                .filter(|&l| l <= 64 * 1024 * 1024)
-                .ok_or_else(|| bad("implausibly large tensor"))?;
-        }
-        if buf.remaining() < len * 4 {
-            return Err(bad("truncated f32 payload"));
-        }
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(buf.get_f32_le());
-        }
-        store.register(name, Tensor::from_vec(data, &dims)?, bits);
+        let value = if form == StoreForm::Exact || bits >= 32 {
+            read_tensor(&mut c)?
+        } else {
+            let (dims, len) = read_dims(&mut c)?;
+            let qp = QuantParams { bits, zero_point: c.f32()?, step: c.f32()? };
+            let mut reader = BitReader::new(c.take((len * bits as usize).div_ceil(8))?);
+            let mut data = Vec::with_capacity(len);
+            for _ in 0..len {
+                data.push(qp.decode(reader.pull(bits)?));
+            }
+            Tensor::from_vec(data, &dims)?
+        };
+        store.register(name, value, bits);
     }
-    if buf.has_remaining() {
-        return Err(bad(format!("{} trailing bytes", buf.remaining())));
-    }
+    c.finish()?;
     Ok(store)
 }
 
-/// The exact on-wire size in bytes a store serializes to.
-pub fn serialized_size(store: &ParamStore) -> usize {
-    let mut size = 4 + 2 + 4; // magic + version + count
-    for (_, p) in store.iter() {
-        size += 2 + p.name.len() + 1 + 1 + p.value.rank() * 4 + 8;
-        size += if p.bits >= 32 {
-            p.value.len() * 4
-        } else {
-            (p.value.len() * p.bits as usize).div_ceil(8)
-        };
+fn put_dims(buf: &mut Vec<u8>, dims: &[usize]) {
+    buf.push(u8::try_from(dims.len()).expect("tensor rank fits in u8"));
+    for &d in dims {
+        buf.extend_from_slice(&u32::try_from(d).expect("tensor dim fits in u32").to_le_bytes());
     }
-    size
+}
+
+/// Reads dims written by `put_dims` and returns them with their element
+/// count, refusing (with checked arithmetic) any count above
+/// [`MAX_TENSOR_ELEMS`].
+fn read_dims(c: &mut Cursor<'_>) -> Result<(Vec<usize>, usize)> {
+    let rank = c.u8()?;
+    let dims = (0..rank).map(|_| Ok(c.u32()? as usize)).collect::<Result<Vec<_>>>()?;
+    let len = dims
+        .iter()
+        .try_fold(1usize, |len, &d| len.checked_mul(d).filter(|&l| l <= MAX_TENSOR_ELEMS))
+        .ok_or_else(|| bad("implausibly large tensor"))?;
+    Ok((dims, len))
+}
+
+/// Appends a tensor as its dims then its raw `f32` values.
+pub(crate) fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
+    put_dims(buf, t.dims());
+    for &v in t.data() {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Reads a tensor written by [`put_tensor`], bit-identically.
+pub(crate) fn read_tensor(c: &mut Cursor<'_>) -> Result<Tensor> {
+    let (dims, len) = read_dims(c)?;
+    let data =
+        c.take(len * 4)?.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    Ok(Tensor::from_vec(data.collect(), &dims)?)
 }
 
 #[cfg(test)]
@@ -369,8 +225,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_quantized_values() {
         let store = sample_store();
-        let bytes = serialize_store(&store).unwrap();
-        let loaded = deserialize_store(&bytes).unwrap();
+        let bytes = encode_store(&store, StoreForm::Packed).unwrap();
+        let loaded = decode_store(&bytes, StoreForm::Packed).unwrap();
         assert_eq!(loaded.len(), store.len());
         for ((_, a), (_, b)) in store.iter().zip(loaded.iter()) {
             assert_eq!(a.name, b.name);
@@ -386,11 +242,11 @@ mod tests {
 
     #[test]
     fn roundtrip_is_idempotent_on_loaded_models() {
-        // serialize(deserialize(bytes)) == bytes: quantization is stable
+        // encode(decode(bytes)) == bytes: quantization is stable
         let store = sample_store();
-        let b1 = serialize_store(&store).unwrap();
-        let loaded = deserialize_store(&b1).unwrap();
-        let b2 = serialize_store(&loaded).unwrap();
+        let b1 = encode_store(&store, StoreForm::Packed).unwrap();
+        let loaded = decode_store(&b1, StoreForm::Packed).unwrap();
+        let b2 = encode_store(&loaded, StoreForm::Packed).unwrap();
         assert_eq!(b1, b2);
     }
 
@@ -400,7 +256,7 @@ mod tests {
         let mut mk = |bits: u8| {
             let mut s = ParamStore::new();
             s.register("w", Tensor::randn(&mut rng, &[1000], 1.0), bits);
-            serialize_store(&s).unwrap().len()
+            encode_store(&s, StoreForm::Packed).unwrap().len()
         };
         let s4 = mk(4);
         let s8 = mk(8);
@@ -408,50 +264,13 @@ mod tests {
         // payloads: 500 vs 1000 vs 4000 bytes (+ constant header)
         assert!(s8 - s4 > 400, "4-bit packing saves: {s4} vs {s8}");
         assert!(s32 - s8 > 2500);
-        assert_eq!(
-            serialized_size(&{
-                let mut s = ParamStore::new();
-                s.register("w", Tensor::zeros(&[1000]), 4);
-                s
-            }),
-            mk(4)
-        );
-    }
-
-    #[test]
-    fn serialized_size_matches_actual() {
-        let store = sample_store();
-        let bytes = serialize_store(&store).unwrap();
-        assert_eq!(bytes.len(), serialized_size(&store));
-    }
-
-    #[test]
-    fn rejects_corruption() {
-        let store = sample_store();
-        let bytes = serialize_store(&store).unwrap().to_vec();
-        // bad magic
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(deserialize_store(&bad_magic).is_err());
-        // truncation at several points
-        for cut in [3usize, 9, 20, bytes.len() - 1] {
-            assert!(deserialize_store(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        // trailing garbage
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(deserialize_store(&extra).is_err());
-        // bad version
-        let mut bad_ver = bytes;
-        bad_ver[4] = 99;
-        assert!(deserialize_store(&bad_ver).is_err());
     }
 
     #[test]
     fn exact_roundtrip_is_bit_identical() {
         let store = sample_store();
-        let bytes = serialize_store_exact(&store).unwrap();
-        let loaded = deserialize_store_exact(&bytes).unwrap();
+        let bytes = encode_store(&store, StoreForm::Exact).unwrap();
+        let loaded = decode_store(&bytes, StoreForm::Exact).unwrap();
         assert_eq!(loaded.len(), store.len());
         for ((_, a), (_, b)) in store.iter().zip(loaded.iter()) {
             assert_eq!(a.name, b.name);
@@ -461,27 +280,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{}: {x} vs {y}", a.name);
             }
         }
-    }
-
-    #[test]
-    fn exact_and_packed_formats_reject_each_other() {
-        let store = sample_store();
-        let packed = serialize_store(&store).unwrap();
-        let exact = serialize_store_exact(&store).unwrap();
-        assert!(deserialize_store_exact(&packed).is_err());
-        assert!(deserialize_store(&exact).is_err());
-    }
-
-    #[test]
-    fn exact_format_rejects_corruption() {
-        let store = sample_store();
-        let bytes = serialize_store_exact(&store).unwrap().to_vec();
-        for cut in [3usize, 9, 20, bytes.len() - 1] {
-            assert!(deserialize_store_exact(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(deserialize_store_exact(&extra).is_err());
     }
 
     #[test]

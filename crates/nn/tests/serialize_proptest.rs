@@ -1,8 +1,10 @@
-//! Property tests for the packed store format: round-trips over random
-//! `ParamStore` shapes, and hostile inputs (truncation, bit flips) that
-//! must fail with `Err`, never panic or abort.
+//! Property tests for the store codec: round-trips over random
+//! `ParamStore` shapes, and hostile payloads (truncation, overwritten
+//! bytes) that must fail with `Err`, never panic or abort. The payloads
+//! here carry no checksum, which is what a crafted file with a valid
+//! container checksum hands the codec.
 
-use lightts_nn::serialize::{deserialize_store, serialize_store, serialized_size};
+use lightts_nn::serialize::{decode_store, encode_store, StoreForm};
 use lightts_nn::ParamStore;
 use lightts_tensor::quant::fake_quantize;
 use lightts_tensor::Tensor;
@@ -51,10 +53,8 @@ proptest! {
         data in proptest::collection::vec(-3.0f32..3.0, MAX_TENSORS * MAX_ELEMS),
     ) {
         let store = build_store(n, &ranks, &dims, &bits, &data);
-        let bytes = serialize_store(&store).unwrap();
-        prop_assert_eq!(bytes.len(), serialized_size(&store));
-
-        let loaded = deserialize_store(&bytes).unwrap();
+        let bytes = encode_store(&store, StoreForm::Packed).unwrap();
+        let loaded = decode_store(&bytes, StoreForm::Packed).unwrap();
         prop_assert_eq!(loaded.len(), store.len());
         for ((_, a), (_, b)) in store.iter().zip(loaded.iter()) {
             prop_assert_eq!(&a.name, &b.name);
@@ -67,9 +67,9 @@ proptest! {
             }
         }
 
-        // quantization is stable: serialize ∘ deserialize is the identity
-        // on the wire format
-        let again = serialize_store(&loaded).unwrap();
+        // quantization is stable: encode ∘ decode is the identity on the
+        // stored bytes
+        let again = encode_store(&loaded, StoreForm::Packed).unwrap();
         prop_assert_eq!(bytes, again);
     }
 
@@ -84,13 +84,15 @@ proptest! {
         data in proptest::collection::vec(-3.0f32..3.0, MAX_TENSORS * MAX_ELEMS),
     ) {
         let store = build_store(n, &ranks, &dims, &bits, &data);
-        let bytes = serialize_store(&store).unwrap();
-        // every proper prefix must be rejected cleanly
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                deserialize_store(&bytes[..cut]).is_err(),
-                "prefix of {} bytes (of {}) was accepted", cut, bytes.len()
-            );
+        // every proper prefix must be rejected cleanly, in both forms
+        for form in [StoreForm::Packed, StoreForm::Exact] {
+            let bytes = encode_store(&store, form).unwrap();
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    decode_store(&bytes[..cut], form).is_err(),
+                    "{:?} prefix of {} bytes (of {}) was accepted", form, cut, bytes.len()
+                );
+            }
         }
     }
 
@@ -106,19 +108,23 @@ proptest! {
         flips in proptest::collection::vec((0usize..1 << 16, 0usize..256), 8),
     ) {
         let store = build_store(n, &ranks, &dims, &bits, &data);
-        let base = serialize_store(&store).unwrap();
+        let base = encode_store(&store, StoreForm::Packed).unwrap();
         // single- and multi-byte corruption: decoding may succeed (payload
         // bytes are data) or fail, but must never panic / overflow / OOM
         let mut corrupted = base.to_vec();
         for &(pos, val) in &flips {
             corrupted[pos % base.len()] = val as u8;
-            let _ = deserialize_store(&corrupted);
+            let _ = decode_store(&corrupted, StoreForm::Packed);
+            let _ = decode_store(&corrupted, StoreForm::Exact);
         }
-        // all-0xFF dims/lengths: the classic overflow-then-allocate attack
+        // all-0xFF dims/lengths: the classic overflow-then-allocate attack.
+        // The count, the first name ("p0") and its bit-width stay intact;
+        // its rank, dims and everything after become 0xFF.
         let mut hostile = base.to_vec();
-        for b in hostile.iter_mut().skip(6) {
+        for b in hostile.iter_mut().skip(4 + 2 + 2 + 1) {
             *b = 0xFF;
         }
-        prop_assert!(deserialize_store(&hostile).is_err());
+        prop_assert!(decode_store(&hostile, StoreForm::Packed).is_err());
+        prop_assert!(decode_store(&hostile, StoreForm::Exact).is_err());
     }
 }

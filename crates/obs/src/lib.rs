@@ -85,9 +85,10 @@
 //! * [`failpoint`] — deterministic fault injection
 //!   (`LIGHTTS_FAILPOINTS=serve.batch=panic@3,mobo.trial=err@5`), used by
 //!   the chaos tests to prove shedding and recovery paths fire.
-//! * [`checkpoint`] — atomic write-temp→fsync→rename snapshot files and a
-//!   named-section container, the storage layer under the crash-safe
-//!   distillation and MOBO runs (`checkpoint.writes` /
+//! * [`checkpoint`] — atomic write-temp→fsync→rename snapshot files and
+//!   the checksummed named-section container every stored byte of the
+//!   workspace is framed in: model exports, optimizer state, and the
+//!   crash-safe distillation and MOBO checkpoints (`checkpoint.writes` /
 //!   `checkpoint.resumes` counters in the global registry).
 //!
 //! ## Environment variables (workspace index)

@@ -2,6 +2,7 @@
 
 use lightts_models::ModelError;
 use lightts_nn::NnError;
+use lightts_obs::checkpoint::DecodeError;
 use lightts_tensor::TensorError;
 use std::fmt;
 
@@ -78,6 +79,12 @@ impl From<NnError> for SearchError {
 impl From<ModelError> for SearchError {
     fn from(e: ModelError) -> Self {
         SearchError::Model(e)
+    }
+}
+
+impl From<DecodeError> for SearchError {
+    fn from(e: DecodeError) -> Self {
+        SearchError::Checkpoint { what: e.0 }
     }
 }
 

@@ -23,7 +23,9 @@ use crate::pareto::{pareto_frontier, Evaluated};
 use crate::space::{SearchSpace, StudentSetting};
 use crate::{Result, SearchError};
 use lightts_obs as obs;
-use lightts_obs::checkpoint::{atomic_write, read_checkpoint, SectionReader, SectionWriter};
+use lightts_obs::checkpoint::{
+    atomic_write, read_checkpoint, Cursor, SectionReader, SectionWriter,
+};
 use lightts_tensor::rng::{rng_from_state, rng_state, seeded};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -200,62 +202,30 @@ fn put_settings(buf: &mut Vec<u8>, settings: impl ExactSizeIterator<Item = Stude
     }
 }
 
-struct StateCursor<'a>(&'a [u8]);
-
-impl<'a> StateCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.0.len() < n {
-            return Err(ck("checkpoint state truncated"));
+fn read_settings(c: &mut Cursor<'_>) -> Result<Vec<StudentSetting>> {
+    let count = c.u32()?;
+    if count > 1 << 20 {
+        return Err(ck("implausible setting count"));
+    }
+    let mut out = Vec::new();
+    for _ in 0..count {
+        let blocks = c.u32()?;
+        if blocks > 1 << 10 {
+            return Err(ck("implausible block count"));
         }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
+        let setting = (0..blocks)
+            .map(|_| Ok((c.u32()? as usize, c.u32()? as usize, c.u8()?)))
+            .collect::<Result<_>>()?;
+        out.push(StudentSetting(setting));
     }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn settings(&mut self) -> Result<Vec<StudentSetting>> {
-        let count = self.u32()? as usize;
-        if count > 1 << 20 {
-            return Err(ck("implausible setting count"));
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let blocks = self.u32()? as usize;
-            if blocks > 1 << 10 {
-                return Err(ck("implausible block count"));
-            }
-            let mut s = Vec::with_capacity(blocks);
-            for _ in 0..blocks {
-                let layers = self.u32()? as usize;
-                let filters = self.u32()? as usize;
-                let bits = self.take(1)?[0];
-                s.push((layers, filters, bits));
-            }
-            out.push(StudentSetting(s));
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 fn save_state(path: &Path, st: &MoboState) -> Result<()> {
     let mut w = SectionWriter::new(CKPT_KIND);
     w.section("phase", &[u8::from(st.in_init)]);
-    let mut rng = Vec::with_capacity(32);
-    for word in st.rng {
-        rng.extend_from_slice(&word.to_le_bytes());
-    }
-    w.section("rng", &rng);
-    let mut counters = Vec::with_capacity(16);
-    counters.extend_from_slice(&st.since_refresh.to_le_bytes());
-    counters.extend_from_slice(&st.refresh_len.to_le_bytes());
-    w.section("counters", &counters);
+    w.section("rng", &st.rng.map(u64::to_le_bytes).concat());
+    w.section("counters", &[st.since_refresh, st.refresh_len].map(u64::to_le_bytes).concat());
     let mut evs = Vec::new();
     put_settings(&mut evs, st.evaluated.iter().map(|e| e.setting.clone()));
     for e in &st.evaluated {
@@ -274,37 +244,27 @@ fn load_state(path: &Path) -> Result<Option<MoboState>> {
     else {
         return Ok(None);
     };
-    let r = SectionReader::parse(&bytes).map_err(ck)?;
-    if r.kind() != CKPT_KIND {
-        return Err(ck(format!("{path:?} is a {:?} checkpoint, not {CKPT_KIND:?}", r.kind())));
-    }
-    let phase = r.require("phase").map_err(ck)?;
-    let in_init = match phase {
+    let r = SectionReader::parse(&bytes, CKPT_KIND)?;
+    let in_init = match r.require("phase")? {
         [0] => false,
         [1] => true,
         _ => return Err(ck("malformed phase section")),
     };
-    let rng_bytes = r.require("rng").map_err(ck)?;
-    if rng_bytes.len() != 32 {
-        return Err(ck("malformed rng section"));
-    }
-    let mut rng = [0u64; 4];
-    for (i, word) in rng.iter_mut().enumerate() {
-        *word = u64::from_le_bytes(rng_bytes[i * 8..(i + 1) * 8].try_into().unwrap());
-    }
-    let mut counters = StateCursor(r.require("counters").map_err(ck)?);
-    let since_refresh = counters.u64()?;
-    let refresh_len = counters.u64()?;
-    let mut evs = StateCursor(r.require("evaluated").map_err(ck)?);
-    let settings = evs.settings()?;
-    let mut evaluated = Vec::with_capacity(settings.len());
-    for setting in settings {
-        let accuracy = f64::from_le_bytes(evs.take(8)?.try_into().unwrap());
-        let size_bits = evs.u64()?;
-        evaluated.push(Evaluated { setting, accuracy, size_bits });
-    }
-    let mut pending = StateCursor(r.require("pending").map_err(ck)?);
-    let pending_init = pending.settings()?;
+    let mut c = r.cursor("rng")?;
+    let rng = [c.u64()?, c.u64()?, c.u64()?, c.u64()?];
+    c.finish()?;
+    let mut c = r.cursor("counters")?;
+    let (since_refresh, refresh_len) = (c.u64()?, c.u64()?);
+    c.finish()?;
+    let mut c = r.cursor("evaluated")?;
+    let evaluated = read_settings(&mut c)?
+        .into_iter()
+        .map(|setting| Ok(Evaluated { setting, accuracy: c.f64()?, size_bits: c.u64()? }))
+        .collect::<Result<Vec<_>>>()?;
+    c.finish()?;
+    let mut c = r.cursor("pending")?;
+    let pending_init = read_settings(&mut c)?;
+    c.finish()?;
     if refresh_len as usize > evaluated.len() {
         return Err(ck("refresh_len exceeds evaluated count"));
     }

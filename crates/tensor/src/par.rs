@@ -17,11 +17,11 @@
 //! # Determinism
 //!
 //! Parallel kernels in this crate are required to produce **bitwise
-//! identical** results to the serial oracle (the `parallel` feature turned
-//! off), regardless of thread count. Kernels achieve this by only
-//! parallelising over *disjoint output rows* whose per-element accumulation
-//! order is unchanged, and by running reductions in fixed-size chunks that
-//! are combined in chunk order. The property tests in
+//! identical** results regardless of thread count, so one thread
+//! (`LIGHTTS_NUM_THREADS=1`) is the serial oracle. Kernels achieve this by
+//! only parallelising over *disjoint output rows* whose per-element
+//! accumulation order is unchanged, and by running reductions in fixed-size
+//! chunks that are combined in chunk order. The property tests in
 //! `tests/parallel_equivalence.rs` assert the agreement.
 //!
 //! # Configuration
@@ -31,8 +31,8 @@
 //! 2. the `LIGHTTS_NUM_THREADS` environment variable,
 //! 3. `std::thread::available_parallelism()`.
 //!
-//! With the `parallel` cargo feature disabled every helper degrades to its
-//! serial loop and no threads are ever spawned.
+//! With one thread, or below [`MIN_PARALLEL_WORK`], every helper runs its
+//! serial loop on the calling thread.
 //!
 //! # Interaction with the buffer pool
 //!
@@ -89,7 +89,6 @@ pub fn num_threads() -> usize {
 /// serial, never affects results.
 pub const MIN_PARALLEL_WORK: usize = 16 * 1024;
 
-#[cfg(feature = "parallel")]
 mod pool {
     use super::{num_threads, MIN_PARALLEL_WORK};
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -273,14 +272,10 @@ unsafe impl<T> Sync for SendPtr<T> {}
 /// parallelism threshold. `f` must be safe to call concurrently for
 /// distinct indices.
 pub fn par_for(n: usize, work_per_index: usize, f: impl Fn(usize) + Sync) {
-    #[cfg(feature = "parallel")]
-    {
-        if pool::should_parallelize(n, n.saturating_mul(work_per_index)) {
-            pool::run(n, &f);
-            return;
-        }
+    if pool::should_parallelize(n, n.saturating_mul(work_per_index)) {
+        pool::run(n, &f);
+        return;
     }
-    let _ = work_per_index;
     for i in 0..n {
         f(i);
     }
@@ -300,23 +295,18 @@ where
     }
     assert!(row_len > 0 && out.len() % row_len == 0, "par_for_rows: ragged rows");
     let rows = out.len() / row_len;
-    #[cfg(feature = "parallel")]
-    {
-        if pool::should_parallelize(rows, rows.saturating_mul(work_per_row)) {
-            let base = SendPtr(out.as_mut_ptr());
-            pool::run(rows, &|r| {
-                let base = base; // capture the Sync wrapper, not the raw field
-                                 // Safety: each row index is claimed exactly once, and rows
-                                 // are disjoint `row_len`-sized windows of `out`.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(base.0.add(r * row_len), row_len) };
-                f(r, row);
-            });
-            return;
-        }
-        let _ = SendPtr(out.as_mut_ptr()); // silence unused in serial-path builds
+    if pool::should_parallelize(rows, rows.saturating_mul(work_per_row)) {
+        let base = SendPtr(out.as_mut_ptr());
+        pool::run(rows, &|r| {
+            // Capture the Sync wrapper, not the raw field.
+            let base = base;
+            // Safety: each row index is claimed exactly once, and rows are
+            // disjoint `row_len`-sized windows of `out`.
+            let row = unsafe { std::slice::from_raw_parts_mut(base.0.add(r * row_len), row_len) };
+            f(r, row);
+        });
+        return;
     }
-    let _ = work_per_row;
     for (r, row) in out.chunks_exact_mut(row_len).enumerate() {
         f(r, row);
     }
@@ -334,23 +324,19 @@ where
     assert!(chunk > 0, "par_for_chunks: zero chunk size");
     let len = out.len();
     let n_chunks = len.div_ceil(chunk);
-    #[cfg(feature = "parallel")]
-    {
-        if pool::should_parallelize(n_chunks, len.saturating_mul(work_per_elem)) {
-            let base = SendPtr(out.as_mut_ptr());
-            pool::run(n_chunks, &|c| {
-                let base = base; // capture the Sync wrapper, not the raw field
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(len);
-                // Safety: chunk indices are claimed exactly once and the
-                // [lo, hi) windows are pairwise disjoint.
-                let piece = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), hi - lo) };
-                f(c, piece);
-            });
-            return;
-        }
+    if pool::should_parallelize(n_chunks, len.saturating_mul(work_per_elem)) {
+        let base = SendPtr(out.as_mut_ptr());
+        pool::run(n_chunks, &|c| {
+            let base = base; // capture the Sync wrapper, not the raw field
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(len);
+            // Safety: chunk indices are claimed exactly once and the
+            // [lo, hi) windows are pairwise disjoint.
+            let piece = unsafe { std::slice::from_raw_parts_mut(base.0.add(lo), hi - lo) };
+            f(c, piece);
+        });
+        return;
     }
-    let _ = work_per_elem;
     for (c, piece) in out.chunks_mut(chunk).enumerate() {
         f(c, piece);
     }
@@ -366,8 +352,7 @@ pub const REDUCE_CHUNK: usize = 8192;
 /// combining the chunk partials in order.
 ///
 /// Both the serial and the parallel path use this exact association, so
-/// `Tensor::sum` is bitwise reproducible across thread counts and feature
-/// configurations.
+/// `Tensor::sum` is bitwise reproducible across thread counts.
 pub fn chunked_sum(data: &[f32]) -> f32 {
     let n_chunks = data.len().div_ceil(REDUCE_CHUNK).max(1);
     if n_chunks == 1 {
@@ -432,7 +417,6 @@ mod tests {
         assert!((a - plain).abs() < 1e-2 * plain.abs().max(1.0));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn worker_panic_propagates_to_caller() {
         // Force real multi-threading even on single-core hosts: the pool

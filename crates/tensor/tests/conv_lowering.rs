@@ -16,8 +16,8 @@
 //!
 //! Shapes deliberately include kernels **longer than the sequence**
 //! (`k > l`, exercising the padding clamps in im2col/col2im) and **even**
-//! kernel widths (asymmetric "same" padding). CI runs this suite with
-//! `--no-default-features` too, pinning the serial build.
+//! kernel widths (asymmetric "same" padding). CI also runs this suite with
+//! `LIGHTTS_NUM_THREADS=1`, pinning the serial path.
 
 use lightts_tensor::conv::{
     conv1d_backward_input_direct, conv1d_backward_input_lowered, conv1d_backward_weight_direct,

@@ -1,8 +1,7 @@
 //! Differential tests for the parallel kernel layer.
 //!
 //! Every kernel in `lightts-tensor` has two execution modes: the serial
-//! oracle (the `parallel` feature disabled, or one thread) and the
-//! thread-pool path. The kernels are *designed* to be bitwise identical —
+//! oracle (one thread) and the thread-pool path. The kernels are *designed* to be bitwise identical —
 //! they split work only along disjoint output rows and reduce in fixed
 //! chunk order — and this suite checks that claim three ways:
 //!
@@ -13,8 +12,8 @@
 //! 3. finite-difference gradient checks on conv shapes large enough that
 //!    the backward kernels run parallel.
 //!
-//! CI runs this suite with `--no-default-features` too, so the same
-//! assertions also pin the serial build.
+//! CI also runs this suite with `LIGHTTS_NUM_THREADS=1`, so the same
+//! assertions also pin the serial path.
 //!
 //! The shapes here sit below the GEMM-lowering threshold, so `conv1d_*`
 //! dispatch to the direct kernels: this suite pins the *direct* path.

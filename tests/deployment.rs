@@ -4,7 +4,6 @@
 //! of the paper's introduction made concrete.
 
 use lightts::models::inception::InceptionTime;
-use lightts::nn::serialize;
 use lightts::prelude::*;
 use lightts::serve::{ModelRegistry, ServeConfig, Server};
 use lightts_data::synth::{Generator, SynthConfig};
@@ -92,21 +91,4 @@ fn tde_student_survives_packed_export() {
 #[test]
 fn cif_student_survives_packed_export() {
     distill_export_reload_serve(BaseModelKind::Cif, 720);
-}
-
-#[test]
-fn store_serialization_size_formula_is_exact() {
-    let s = splits(701);
-    let ens_cfg = EnsembleTrainConfig { n_members: 2, ..EnsembleTrainConfig::default() };
-    let ensemble = train_ensemble(BaseModelKind::Forest, &s.train, &ens_cfg).unwrap();
-    let teachers = TeacherProbs::compute(&ensemble, &s).unwrap();
-    let cfg = InceptionConfig::student(1, 24, 3, 4, 8);
-    let mut opts = DistillOpts::default();
-    opts.aed.train.epochs = 3;
-    let out = run_method(Method::ClassicKd, &s, &teachers, &cfg, &opts).unwrap();
-    let store = out.student.store();
-    let bytes = serialize::serialize_store(store).unwrap();
-    assert_eq!(bytes.len(), serialize::serialized_size(store));
-    let back = serialize::deserialize_store(&bytes).unwrap();
-    assert_eq!(back.size_bits(), store.size_bits());
 }

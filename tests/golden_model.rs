@@ -1,14 +1,15 @@
 //! Golden-model regression test: a packed student export committed to the
 //! repo must keep reloading byte-compatibly and reproducing its recorded
-//! logits forever. This pins the `LTIM`/`LTTS` wire formats and the whole
-//! inference numerical path against drift — in both the parallel and the
-//! serial (`--no-default-features`) builds, which are bitwise identical by
-//! the determinism contract.
+//! logits forever. This pins the export format (the `inception` container
+//! kind with its bit-packed store) and the whole inference numerical path
+//! against drift — at any thread count, `LIGHTTS_NUM_THREADS=1` included,
+//! which are bitwise identical by the determinism contract.
 //!
-//! To regenerate after an *intentional* format change:
+//! To regenerate after an *intentional* format change (the scalar backend
+//! records the logits without FMA, as the committed ones were):
 //!
 //! ```text
-//! cargo test --test golden_model -- --ignored regenerate_golden_fixture
+//! LIGHTTS_SIMD=scalar cargo test --test golden_model -- --ignored regenerate_golden_fixture
 //! ```
 
 use lightts::models::inception::{BlockSpec, InceptionConfig, InceptionTime};
