@@ -68,9 +68,6 @@ fn config() -> Criterion {
 }
 
 fn bench_kernels(c: &mut Criterion) {
-    // The acceptance numbers are single-threaded: pin the worker count so
-    // the comparison measures the lowering, not the thread pool.
-    lightts_tensor::par::set_num_threads(1);
     let mut rng = seeded(23);
     let mut g = c.benchmark_group("kernels");
     for &k in &KS {
@@ -97,7 +94,6 @@ fn bench_kernels(c: &mut Criterion) {
         });
     }
     g.finish();
-    lightts_tensor::par::set_num_threads(0);
 }
 
 fn bench_simd(c: &mut Criterion) {
@@ -168,7 +164,6 @@ fn bench_simd(c: &mut Criterion) {
 /// comparison), and the quantized conv at the conv acceptance shape
 /// against `kernels/forward_lowered`.
 fn bench_quant(c: &mut Criterion) {
-    lightts_tensor::par::set_num_threads(1);
     let backends: &[SimdBackend] = if native_backend() == SimdBackend::Scalar {
         &[SimdBackend::Scalar]
     } else {
@@ -211,7 +206,6 @@ fn bench_quant(c: &mut Criterion) {
         })
     });
     g.finish();
-    lightts_tensor::par::set_num_threads(0);
 }
 
 criterion_group! {

@@ -7,7 +7,7 @@
 //! GP fitting/prediction as the evaluated set grows, the two skyline
 //! algorithms, and synthetic dataset generation.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lightts::distill::teacher::TeacherProbs;
 use lightts::distill::trainer::{train_student_epochs, StudentTrainOpts};
 use lightts::prelude::*;
@@ -16,7 +16,6 @@ use lightts::search::pareto::{pareto_frontier, skyline_bnl, Evaluated};
 use lightts::tensor::conv::{conv1d_backward_weight, conv1d_forward};
 use lightts::tensor::rng::seeded;
 use lightts::tensor::Tensor;
-use lightts_bench::perf::{self, KernelRecord};
 use lightts_data::synth::{Generator, SynthConfig};
 use std::hint::black_box;
 use std::time::Duration;
@@ -42,36 +41,6 @@ fn bench_conv(c: &mut Criterion) {
             b.iter(|| black_box(conv1d_backward_weight(&dy, &x, w.dims()).unwrap()))
         });
     }
-    g.finish();
-}
-
-/// Serial-vs-pool comparison on identical inputs: the same kernels run
-/// pinned to one thread and then with the automatic thread count. Shapes
-/// are batch ≥ 16 InceptionTime-sized workloads where the pool should win
-/// clearly; results are bitwise identical either way (see
-/// `crates/tensor/tests/parallel_equivalence.rs`), so only time differs.
-fn bench_parallel_speedup(c: &mut Criterion) {
-    let mut rng = seeded(5);
-    let x = Tensor::randn(&mut rng, &[16, 24, 128], 1.0);
-    let w = Tensor::randn(&mut rng, &[32, 24, 9], 0.3);
-    let dy = Tensor::randn(&mut rng, &[16, 32, 128], 1.0);
-    let a = Tensor::randn(&mut rng, &[256, 192], 1.0);
-    let bm = Tensor::randn(&mut rng, &[192, 256], 1.0);
-    let mut g = c.benchmark_group("parallel_speedup");
-    // (label, forced thread count; 0 = automatic)
-    for &(label, threads) in &[("1thread", 1usize), ("pool", 0usize)] {
-        lightts::runtime::set_num_threads(threads);
-        g.bench_function(BenchmarkId::new("conv_fwd_b16", label), |b| {
-            b.iter(|| black_box(conv1d_forward(&x, &w).unwrap()))
-        });
-        g.bench_function(BenchmarkId::new("conv_bwd_w_b16", label), |b| {
-            b.iter(|| black_box(conv1d_backward_weight(&dy, &x, w.dims()).unwrap()))
-        });
-        g.bench_function(BenchmarkId::new("matmul_256x192x256", label), |b| {
-            b.iter(|| black_box(a.matmul(&bm).unwrap()))
-        });
-    }
-    lightts::runtime::set_num_threads(0);
     g.finish();
 }
 
@@ -211,34 +180,7 @@ fn bench_datagen(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_conv, bench_parallel_speedup, bench_inference_by_bits,
-              bench_distill_epoch, bench_gp, bench_skyline, bench_datagen
+    targets = bench_conv, bench_inference_by_bits, bench_distill_epoch, bench_gp,
+              bench_skyline, bench_datagen
 }
-
-fn main() {
-    benches();
-
-    // Merge the parallel_speedup rows into BENCH_kernels.json alongside the
-    // bench_kernels lowering numbers (same artifact, different ops).
-    let scale = perf::current_scale();
-    let records: Vec<KernelRecord> = criterion::take_measurements()
-        .iter()
-        .filter(|m| m.name.starts_with("parallel_speedup/"))
-        .map(|m| {
-            let threads = if m.name.ends_with("/1thread") { 1 } else { 0 };
-            let shape =
-                if m.name.contains("matmul") { "256x192x256" } else { "x16x24x128_w32x24x9" };
-            KernelRecord {
-                op: m.name.clone(),
-                shape: shape.to_string(),
-                median_ns: m.median_ns,
-                threads,
-                scale: scale.to_string(),
-                backend: lightts_tensor::simd::backend().name().to_string(),
-            }
-        })
-        .collect();
-    if !records.is_empty() {
-        perf::write_records(&perf::default_path(), &records).expect("write BENCH_kernels.json");
-    }
-}
+criterion_main!(benches);

@@ -155,7 +155,8 @@ fn main() {
 
     // Record the serving-throughput rows in BENCH_kernels.json too; each
     // iteration serves REQUESTS requests, so median_ns is per-64-requests.
-    // threads = 0: the scheduler thread plus automatic kernel workers.
+    // threads = 0 marks a serve row (kernel rows record 1), so the row keys
+    // stay those of the committed baseline.
     let scale = perf::current_scale();
     let records: Vec<KernelRecord> = criterion::take_measurements()
         .iter()

@@ -1,12 +1,12 @@
 //! Machine-readable kernel benchmark artifact (`BENCH_kernels.json`).
 //!
 //! The criterion stand-in records a [`Measurement`] per completed benchmark;
-//! the bench mains (`benches/kernels.rs`, `benches/micro.rs`,
-//! `benches/serve.rs`) drain those and call [`write_records`] to merge them
-//! into one JSON array at the repository root. Each record carries
-//! `(op, shape, median_ns, threads, scale, backend)`; merging is keyed on
-//! everything but `median_ns`, so re-running a bench updates its timing in
-//! place while other benches' rows survive. CI uploads the file as an
+//! the bench mains (`benches/kernels.rs`, `benches/serve.rs`) drain those
+//! and call [`write_records`] to merge them into one JSON array at the
+//! repository root. Each record carries `(op, shape, median_ns, threads,
+//! scale, backend)`; merging is keyed on everything but `median_ns`, so
+//! re-running a bench updates its timing in place while other benches'
+//! rows survive. CI uploads the file as an
 //! artifact, which is how the ≥1.5× lowered-vs-direct conv and the ≥2×
 //! AVX2-vs-scalar SIMD acceptance numbers are recorded.
 
@@ -24,7 +24,9 @@ pub struct KernelRecord {
     pub shape: String,
     /// Median per-iteration wall clock, nanoseconds.
     pub median_ns: f64,
-    /// Thread count the kernel ran with (`0` = automatic / unpinned).
+    /// Part of the row key: `1` for kernel rows (every kernel runs on the
+    /// calling thread), `0` for the serve rows, whose requests cross the
+    /// client and scheduler threads.
     pub threads: usize,
     /// Measurement scale: `smoke` (CI compile-rot check) or `full`.
     pub scale: String,

@@ -37,7 +37,7 @@
 //!
 //! The sub-crates are re-exported under short names: [`tensor`], [`nn`],
 //! [`data`], [`models`], [`distill`], [`search`], [`serve`], [`stats`];
-//! the kernel thread pool is configured through [`runtime`].
+//! the kernels' SIMD backend is configured through [`runtime`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -148,8 +148,8 @@ impl QuantizedPlan {
     /// `out` (resized to `batch · num_classes`).
     ///
     /// Approximate with respect to the f32 plan (see the parity gate), but
-    /// bitwise reproducible across backends, thread counts, and batch
-    /// splits for identical sample bytes.
+    /// bitwise reproducible across backends and batch splits for
+    /// identical sample bytes.
     pub fn logits_into(&mut self, inputs: &[f32], batch: usize, out: &mut Vec<f32>) -> Result<()> {
         let t0 = Instant::now();
         let _prof = lightts_obs::prof::scope("qplan.forward");

@@ -95,16 +95,15 @@
 //!
 //! Every environment variable the workspace reads, in one place. Each is
 //! read **once** at first use and cached; programmatic setters take
-//! precedence over the environment. None of the observability or
-//! threading knobs can change numerical results — only `LIGHTTS_SIMD`
-//! can, and only within the FMA class documented in `docs/NUMERICS.md`.
+//! precedence over the environment. None of the observability or serving
+//! knobs can change numerical results — only `LIGHTTS_SIMD` can, and only
+//! within the FMA class documented in `docs/NUMERICS.md`.
 //!
 //! | Variable | Crate | Values | Effect |
 //! |---|---|---|---|
 //! | `LIGHTTS_OBS` | `lightts-obs` | unset/`0` (off), `1` (stderr), a file path, `memory` | span/event JSONL emission target; metrics are always on |
 //! | `LIGHTTS_FAILPOINTS` | `lightts-obs` | `name=action[@N\|%p]`, action `panic`/`err`, comma-separated | arms deterministic fault injection at named points (`serve.batch`, `serve.shard`, `trainer.epoch`, `mobo.trial`, `checkpoint.write`); `@N` fires once on the N-th hit, `%p` fires each hit with probability p (deterministic under the seed) |
 //! | `LIGHTTS_FAILPOINT_SEED` | `lightts-obs` | u64 (default `0x5EED`) | seed for `%p` probabilistic failpoint triggers — a fixed seed replays the exact kill schedule (CI chaos soak); overridden by [`failpoint::set_failpoint_seed`] |
-//! | `LIGHTTS_NUM_THREADS` | `lightts-tensor` (`par`) | positive integer | thread-pool size; overridden by `lightts::runtime::set_num_threads`; never changes bits |
 //! | `LIGHTTS_SIMD` | `lightts-tensor` (`simd`) | `avx2` / `sse2` / `scalar` (case-insensitive) | forces the SIMD backend, clamped down to CPU support; overridden by `set_simd_backend`; see `docs/NUMERICS.md` |
 //! | `LIGHTTS_BENCH_SMOKE` | `lightts-bench` | `1` | shrinks every criterion bench to a CI-sized compile-rot check |
 //! | `LIGHTTS_PROF` | `lightts-obs` (`prof`) | unset/`0`/`off`/`false` (off), anything else (on) | hierarchical profiler behind the permanent kernel/serve hooks; `GET /profilez` renders collapsed stacks; never changes bits |

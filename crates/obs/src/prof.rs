@@ -25,11 +25,9 @@
 //!
 //! ## Aggregation model
 //!
-//! Each thread keeps its own current stack (profiling a parallel kernel
-//! from pool workers roots those samples at the kernel's own name), but all
-//! threads aggregate into one global tree keyed by the full stack path, so
-//! identical paths merge across threads exactly like merged flamegraph
-//! samples. The per-(thread, path) node handle is cached thread-locally
+//! Each thread keeps its own current stack, but all threads aggregate into
+//! one global tree keyed by the full stack path, so identical paths merge
+//! across threads exactly like merged flamegraph samples. The per-(thread, path) node handle is cached thread-locally
 //! after the first hit; the steady-state enter/exit cost is a thread-local
 //! lookup plus two relaxed atomic adds.
 

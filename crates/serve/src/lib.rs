@@ -100,10 +100,8 @@
 //! internal locking and shards never contend on one lock. The shard count
 //! defaults to available parallelism clamped to the model count
 //! (overridable via [`ServeConfig::shards`] or `LIGHTTS_SERVE_SHARDS`).
-//! The fused forward itself fans out over the `lightts_tensor::par`
-//! thread pool exactly like the training kernels do: the batched
-//! matrix-multiply and convolution kernels partition output rows across
-//! the pool's workers. Callers block on a one-shot channel (or poll a
+//! The fused forward runs on the shard's own thread, like every tensor
+//! kernel runs on its caller's thread. Callers block on a one-shot channel (or poll a
 //! [`Pending`] handle for pipelined submission); remote callers go
 //! through the [`net`] front door's per-connection reader/writer pair.
 //!

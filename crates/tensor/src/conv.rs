@@ -29,9 +29,9 @@
 //!   slice-zip accumulations the compiler vectorizes.
 //!
 //! Both forms honour the determinism contract the serving layer relies on:
-//! fixed per-element reduction order, results identical across thread counts
-//! and batch fusions. The **forward** lowering is bitwise identical to the
-//! direct kernel *under any fixed SIMD backend* (same `(ci, j)`-ascending
+//! fixed per-element reduction order, results identical across batch
+//! fusions. The **forward** lowering is bitwise identical to the direct
+//! kernel *under any fixed SIMD backend* (same `(ci, j)`-ascending
 //! accumulation per output element, one [`crate::simd`] `mul_add_fast` per
 //! term in both paths — fused on AVX2, plain mul+add on SSE2/scalar — same
 //! zero-skip; padding contributes exact `±0.0` terms which cannot change
@@ -46,15 +46,16 @@
 //! [`ConvImpl::Auto`] picks per shape (batch-independently, so fused and
 //! per-sample runs agree).
 
-use crate::linalg::{gemm_panel_into, gemm_row_into, GEMM_PANEL_ROWS};
-use crate::{par, pool, simd, Result, Tensor, TensorError};
+use crate::linalg::{gemm_panel_into, gemm_row_into};
+use crate::{pool, simd, Result, Tensor, TensorError};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Padding for "same"-length convolution with a kernel of size `k`:
 /// `(pad_left, pad_right)`.
 ///
 /// For odd kernels both sides get `k/2`; for even kernels the left side gets
-/// one less, matching common deep-learning framework behaviour.
+/// one less, matching common deep-learning framework behaviour. `k` must be
+/// at least 1; every convolution entry point rejects `k = 0` first.
 #[inline]
 pub fn same_padding(k: usize) -> (usize, usize) {
     ((k - 1) / 2, k / 2)
@@ -69,8 +70,8 @@ pub fn same_padding(k: usize) -> (usize, usize) {
 pub enum ConvImpl {
     /// Choose per shape: lowered for GEMM-sized problems, direct for tiny
     /// ones. The choice depends only on `(cin, l, cout, k)` — never on the
-    /// batch size or thread count — so batched and per-sample executions of
-    /// the same layer always take the same path.
+    /// batch size — so batched and per-sample executions of the same layer
+    /// always take the same path.
     Auto,
     /// Always the direct nested-loop kernels (the oracle).
     Direct,
@@ -115,23 +116,49 @@ fn use_lowered(cin: usize, l: usize, cout: usize, k: usize) -> bool {
 }
 
 fn check_conv_shapes(x: &Tensor, w: &Tensor) -> Result<(usize, usize, usize, usize, usize)> {
-    if x.rank() != 3 {
-        return Err(TensorError::RankMismatch { found: x.rank(), expected: 3, op: "conv1d(x)" });
+    check_conv_dims(x.dims(), w.dims(), "conv1d")
+}
+
+/// Validates an input shape `x: [b, cin, l]` against a weight shape
+/// `w: [cout, cin, k]` and returns `(b, cin, l, cout, k)`; `op` names the
+/// calling entry point in the error.
+fn check_conv_dims(
+    x: &[usize],
+    w: &[usize],
+    op: &'static str,
+) -> Result<(usize, usize, usize, usize, usize)> {
+    for dims in [x, w] {
+        if dims.len() != 3 {
+            return Err(TensorError::RankMismatch { found: dims.len(), expected: 3, op });
+        }
     }
-    if w.rank() != 3 {
-        return Err(TensorError::RankMismatch { found: w.rank(), expected: 3, op: "conv1d(w)" });
-    }
-    let (b, cin, l) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-    let (cout, cin_w, k) = (w.dims()[0], w.dims()[1], w.dims()[2]);
+    let (b, cin, l) = (x[0], x[1], x[2]);
+    let (cout, cin_w, k) = (w[0], w[1], w[2]);
     if cin != cin_w {
-        return Err(TensorError::ShapeMismatch {
-            left: x.dims().to_vec(),
-            right: w.dims().to_vec(),
-            op: "conv1d",
-        });
+        return Err(TensorError::ShapeMismatch { left: x.to_vec(), right: w.to_vec(), op });
     }
     if k == 0 || l == 0 {
-        return Err(TensorError::Empty { op: "conv1d" });
+        return Err(TensorError::Empty { op });
+    }
+    Ok((b, cin, l, cout, k))
+}
+
+/// Validates a backward call: `x` and `w` must pass the forward checks and
+/// the upstream gradient `dy` must have the forward output's shape
+/// `[b, cout, l]`.
+fn check_backward_dims(
+    dy: &Tensor,
+    x: &[usize],
+    w: &[usize],
+    op: &'static str,
+) -> Result<(usize, usize, usize, usize, usize)> {
+    let (b, cin, l, cout, k) = check_conv_dims(x, w, op)?;
+    if dy.dims() != [b, cout, l] {
+        return Err(TensorError::ShapeMismatch {
+            left: dy.dims().to_vec(),
+            right: vec![b, cout, l],
+            op,
+        });
     }
     Ok((b, cin, l, cout, k))
 }
@@ -264,8 +291,8 @@ pub fn conv1d_forward_lowered(x: &Tensor, w: &Tensor) -> Result<Tensor> {
 }
 
 /// The direct "same"-padded forward kernel (test oracle). Rows of `y` (the
-/// `(batch, out_channel)` grid) are filled independently; each row is zeroed
-/// before accumulation so the buffer may be reused across calls.
+/// `(batch, out_channel)` grid) are filled one after another; each row is
+/// zeroed before accumulation so the buffer may be reused across calls.
 #[allow(clippy::too_many_arguments)]
 fn conv1d_forward_direct_kernel(
     y: &mut [f32],
@@ -277,10 +304,9 @@ fn conv1d_forward_direct_kernel(
     cout: usize,
     k: usize,
 ) {
-    let _ = b;
     let _prof = lightts_obs::prof::scope("conv.direct_fwd");
     let (pl, _pr) = same_padding(k);
-    par::par_for_rows(y, l, cin * k * l, |row, y_row| {
+    for (row, y_row) in y[..b * cout * l].chunks_exact_mut(l).enumerate() {
         let (bi, co) = (row / cout, row % cout);
         y_row.fill(0.0);
         for ci in 0..cin {
@@ -305,7 +331,7 @@ fn conv1d_forward_direct_kernel(
                 simd::axpy_madd(&mut y_row[t_lo..t_hi], &xd[src..src + (t_hi - t_lo)], wv);
             }
         }
-    });
+    }
 }
 
 /// The lowered forward kernel: per sample, `y_b = W[cout, cin·k] @ X_col`.
@@ -334,19 +360,14 @@ fn conv1d_forward_lowered_kernel(
     for bi in 0..b {
         im2col(&mut xcol, &xd[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
         let y_b = &mut y[bi * cout * l..(bi + 1) * cout * l];
-        let xcol_ref = &xcol;
         // Panel blocking: the register-blocked GEMM streams each X_col row
-        // once per GEMM_PANEL_ROWS output channels instead of once per
-        // channel, which is where the lowering's speedup over the (already
-        // contiguous) direct kernel comes from. `gemm_panel_into` keeps the
-        // per-element accumulation order of `gemm_row_into`, so the bitwise
-        // contract holds.
-        par::par_for_chunks(y_b, GEMM_PANEL_ROWS * l, ck, |chunk_idx, chunk| {
-            let row0 = chunk_idx * GEMM_PANEL_ROWS;
-            let rows = chunk.len() / l;
-            chunk.fill(0.0);
-            gemm_panel_into(chunk, &wd[row0 * ck..(row0 + rows) * ck], xcol_ref, rows, ck, l);
-        });
+        // once per 4 output channels instead of once per channel, which is
+        // where the lowering's speedup over the (already contiguous) direct
+        // kernel comes from. `gemm_panel_into` keeps the per-element
+        // accumulation order of `gemm_row_into`, so the bitwise contract
+        // holds.
+        y_b.fill(0.0);
+        gemm_panel_into(y_b, &wd[..cout * ck], &xcol, cout, ck, l);
     }
     pool::recycle(xcol);
 }
@@ -360,26 +381,17 @@ fn check_backward_input(
     w: &Tensor,
     input_dims: &[usize],
 ) -> Result<(usize, usize, usize, usize, usize)> {
-    if dy.rank() != 3 || input_dims.len() != 3 {
-        return Err(TensorError::RankMismatch {
-            found: dy.rank(),
-            expected: 3,
-            op: "conv1d_backward_input",
-        });
-    }
-    let (b, cin, l) = (input_dims[0], input_dims[1], input_dims[2]);
-    let (cout, _cin, k) = (w.dims()[0], w.dims()[1], w.dims()[2]);
-    Ok((b, cin, l, cout, k))
+    check_backward_dims(dy, input_dims, w.dims(), "conv1d_backward_input")
 }
 
 /// Gradient of the convolution output w.r.t. the input:
 /// `dx[b,ci,s] = Σ_co Σ_j dy[b,co,s-j+pl] · w[co,ci,j]`.
 ///
 /// Dispatches between the direct and lowered kernels per [`conv_impl`].
-/// Each kernel has a fixed reduction order independent of thread count and
-/// batch fusion; the two orders differ in association, so gradients from
-/// the two paths agree to rounding (not bitwise) — the dispatch heuristic
-/// is shape-deterministic, so any given layer always takes the same path.
+/// Each kernel has a fixed reduction order independent of batch fusion; the
+/// two orders differ in association, so gradients from the two paths agree
+/// to rounding (not bitwise) — the dispatch heuristic is
+/// shape-deterministic, so any given layer always takes the same path.
 pub fn conv1d_backward_input(dy: &Tensor, w: &Tensor, input_dims: &[usize]) -> Result<Tensor> {
     let (b, cin, l, cout, k) = check_backward_input(dy, w, input_dims)?;
     if use_lowered(cin, l, cout, k) {
@@ -422,10 +434,8 @@ fn conv1d_backward_input_direct_kernel(
     let dyd = dy.data();
     let wd = w.data();
     let mut dx = pool::take_zeroed(b * cin * l);
-    // Parallel over the (batch, in_channel) grid: each dx row accumulates
-    // contributions in the same co → j → t order as the serial bi → co → ci
-    // nest visited it, so results are bitwise identical.
-    par::par_for_rows(&mut dx, l, cout * k * l, |row, dx_row| {
+    // Each (batch, in_channel) row of dx accumulates in co → j → t order.
+    for (row, dx_row) in dx.chunks_exact_mut(l).enumerate() {
         let (bi, ci) = (row / cin, row % cin);
         for co in 0..cout {
             let dy_off = (bi * cout + co) * l;
@@ -451,7 +461,7 @@ fn conv1d_backward_input_direct_kernel(
                 );
             }
         }
-    });
+    }
     Tensor::from_vec(dx, &[b, cin, l])
 }
 
@@ -460,7 +470,7 @@ fn conv1d_backward_input_direct_kernel(
 /// shared row kernel) and fold `G` back onto `dx_b` with a col2im scatter
 /// (per `(ci)` row, `j`-ascending shifted adds). Reduction order per `dx`
 /// element is fixed — `co` summed inside the GEMM, then `j` ascending — and
-/// independent of thread count and batch size.
+/// independent of the batch size.
 fn conv1d_backward_input_lowered_kernel(
     dy: &Tensor,
     w: &Tensor,
@@ -487,21 +497,15 @@ fn conv1d_backward_input_lowered_kernel(
     let mut dx = pool::take_zeroed(b * cin * l);
     for bi in 0..b {
         let dy_b = &dyd[bi * cout * l..(bi + 1) * cout * l];
-        let wt_ref = &wt;
         // Panel blocking over the [cin·k, l] gradient image: each dy_b row is
-        // streamed once per GEMM_PANEL_ROWS G rows (same blocking as the
-        // forward pass); per-element accumulation order is unchanged.
-        par::par_for_chunks(&mut g, GEMM_PANEL_ROWS * l, cout, |chunk_idx, chunk| {
-            let row0 = chunk_idx * GEMM_PANEL_ROWS;
-            let rows = chunk.len() / l;
-            chunk.fill(0.0);
-            gemm_panel_into(chunk, &wt_ref[row0 * cout..(row0 + rows) * cout], dy_b, rows, cout, l);
-        });
+        // streamed once per 4 G rows (same blocking as the forward pass);
+        // per-element accumulation order is unchanged.
+        g.fill(0.0);
+        gemm_panel_into(&mut g, &wt, dy_b, ck, cout, l);
         let dx_b = &mut dx[bi * cin * l..(bi + 1) * cin * l];
-        let g_ref = &g;
-        par::par_for_rows(dx_b, l, k * l, |ci, dx_row| {
+        for (ci, dx_row) in dx_b.chunks_exact_mut(l).enumerate() {
             for j in 0..k {
-                let g_row = &g_ref[(ci * k + j) * l..(ci * k + j + 1) * l];
+                let g_row = &g[(ci * k + j) * l..(ci * k + j + 1) * l];
                 let t_lo = pl.saturating_sub(j).min(l);
                 let t_hi = (l + pl).saturating_sub(j).min(l);
                 if t_lo >= t_hi {
@@ -511,7 +515,7 @@ fn conv1d_backward_input_lowered_kernel(
                 // bitwise invariant across backends.
                 simd::add_assign(&mut dx_row[t_lo + j - pl..t_hi + j - pl], &g_row[t_lo..t_hi]);
             }
-        });
+        }
     }
     pool::recycle(g);
     pool::recycle(wt);
@@ -523,19 +527,11 @@ fn conv1d_backward_input_lowered_kernel(
 // ---------------------------------------------------------------------------
 
 fn check_backward_weight(
+    dy: &Tensor,
     x: &Tensor,
     weight_dims: &[usize],
 ) -> Result<(usize, usize, usize, usize, usize)> {
-    if weight_dims.len() != 3 {
-        return Err(TensorError::RankMismatch {
-            found: weight_dims.len(),
-            expected: 3,
-            op: "conv1d_backward_weight",
-        });
-    }
-    let (cout, cin, k) = (weight_dims[0], weight_dims[1], weight_dims[2]);
-    let (b, _cin, l) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-    Ok((b, cin, l, cout, k))
+    check_backward_dims(dy, x.dims(), weight_dims, "conv1d_backward_weight")
 }
 
 /// Gradient of the convolution output w.r.t. the weights:
@@ -544,7 +540,7 @@ fn check_backward_weight(
 /// Dispatches between the direct and lowered kernels per [`conv_impl`];
 /// see [`conv1d_backward_input`] for the determinism discussion.
 pub fn conv1d_backward_weight(dy: &Tensor, x: &Tensor, weight_dims: &[usize]) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_weight(x, weight_dims)?;
+    let (b, cin, l, cout, k) = check_backward_weight(dy, x, weight_dims)?;
     if use_lowered(cin, l, cout, k) {
         conv1d_backward_weight_lowered_kernel(dy, x, b, cin, l, cout, k)
     } else {
@@ -558,7 +554,7 @@ pub fn conv1d_backward_weight_direct(
     x: &Tensor,
     weight_dims: &[usize],
 ) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_weight(x, weight_dims)?;
+    let (b, cin, l, cout, k) = check_backward_weight(dy, x, weight_dims)?;
     conv1d_backward_weight_direct_kernel(dy, x, b, cin, l, cout, k)
 }
 
@@ -568,7 +564,7 @@ pub fn conv1d_backward_weight_lowered(
     x: &Tensor,
     weight_dims: &[usize],
 ) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_weight(x, weight_dims)?;
+    let (b, cin, l, cout, k) = check_backward_weight(dy, x, weight_dims)?;
     conv1d_backward_weight_lowered_kernel(dy, x, b, cin, l, cout, k)
 }
 
@@ -585,11 +581,9 @@ fn conv1d_backward_weight_direct_kernel(
     let dyd = dy.data();
     let xd = x.data();
     let mut dw = pool::take_zeroed(cout * cin * k);
-    // Parallel over (out_channel, in_channel) filter rows. Each dw[co,ci,j]
-    // accumulates one per-batch t-sum per bi, in ascending bi order — the
-    // same per-element sequence as the serial bi-outermost nest, so results
-    // are bitwise identical.
-    par::par_for_rows(&mut dw, k, b * k * l, |row, dw_row| {
+    // Each dw[co,ci,j] accumulates one per-batch t-sum per bi, in ascending
+    // bi order.
+    for (row, dw_row) in dw.chunks_exact_mut(k).enumerate() {
         let (co, ci) = (row / cin, row % cin);
         for bi in 0..b {
             let dy_off = (bi * cout + co) * l;
@@ -604,15 +598,14 @@ fn conv1d_backward_weight_direct_kernel(
                 *dwj += acc;
             }
         }
-    });
+    }
     Tensor::from_vec(dw, &[cout, cin, k])
 }
 
 /// The lowered weight-gradient kernel: per sample, unfold `x_b` as
 /// `X_row: [l, cin·k]` and accumulate `dw[co, :] += dy[b, co, :] @ X_row`
 /// through the shared GEMM row kernel. Per `dw` element the reduction runs
-/// `bi` ascending then `t` ascending — fixed, thread-count- and
-/// fusion-independent.
+/// `bi` ascending then `t` ascending — fixed and fusion-independent.
 fn conv1d_backward_weight_lowered_kernel(
     dy: &Tensor,
     x: &Tensor,
@@ -631,16 +624,10 @@ fn conv1d_backward_weight_lowered_kernel(
     let mut dw = pool::take_zeroed(cout * ck);
     for bi in 0..b {
         im2row(&mut xrow, &xd[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
-        let xrow_ref = &xrow;
-        par::par_for_rows(&mut dw, ck, l * ck, |co, dw_row| {
-            gemm_row_into(
-                dw_row,
-                &dyd[(bi * cout + co) * l..(bi * cout + co + 1) * l],
-                xrow_ref,
-                l,
-                ck,
-            );
-        });
+        for co in 0..cout {
+            let dy_row = &dyd[(bi * cout + co) * l..(bi * cout + co + 1) * l];
+            gemm_row_into(&mut dw[co * ck..(co + 1) * ck], dy_row, &xrow, l, ck);
+        }
     }
     pool::recycle(xrow);
     Tensor::from_vec(dw, &[cout, cin, k])
@@ -806,6 +793,61 @@ mod tests {
         let x = Tensor::zeros(&[1, 2, 4]);
         let w = Tensor::zeros(&[1, 3, 3]);
         assert!(conv1d_forward(&x, &w).is_err());
+    }
+
+    type Backward = fn(&Tensor, &Tensor, &[usize]) -> Result<Tensor>;
+
+    /// Calls every backward entry point (dispatching, direct, lowered; input
+    /// and weight gradient) with an upstream gradient of shape `dy` for an
+    /// input of shape `x` and a weight of shape `w`, and collects the errors.
+    fn backward_errors(dy: &[usize], x: &[usize], w: &[usize]) -> Vec<TensorError> {
+        let (dy, xt, wt) = (Tensor::zeros(dy), Tensor::zeros(x), Tensor::zeros(w));
+        let input: [Backward; 3] =
+            [conv1d_backward_input, conv1d_backward_input_direct, conv1d_backward_input_lowered];
+        let weight: [Backward; 3] =
+            [conv1d_backward_weight, conv1d_backward_weight_direct, conv1d_backward_weight_lowered];
+        let mut errs: Vec<TensorError> =
+            input.iter().map(|f| f(&dy, &wt, x).unwrap_err()).collect();
+        errs.extend(weight.iter().map(|f| f(&dy, &xt, w).unwrap_err()));
+        errs
+    }
+
+    #[test]
+    fn backward_rejects_rank_two_weight() {
+        for e in backward_errors(&[1, 2, 4], &[1, 3, 4], &[2, 3]) {
+            assert!(matches!(e, TensorError::RankMismatch { found: 2, .. }), "{e}");
+        }
+    }
+
+    #[test]
+    fn backward_rejects_rank_two_input() {
+        for e in backward_errors(&[1, 2, 4], &[3, 4], &[2, 3, 3]) {
+            assert!(matches!(e, TensorError::RankMismatch { found: 2, .. }), "{e}");
+        }
+    }
+
+    #[test]
+    fn backward_rejects_upstream_gradient_of_the_wrong_shape() {
+        // x [1, 3, 4] and w [2, 3, 3] give y [1, 2, 4].
+        for dy in [&[1, 2, 3][..], &[1, 1, 4], &[2, 2, 4], &[2, 4]] {
+            for e in backward_errors(dy, &[1, 3, 4], &[2, 3, 3]) {
+                assert!(matches!(e, TensorError::ShapeMismatch { .. }), "dy {dy:?}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_rejects_channel_mismatch() {
+        for e in backward_errors(&[1, 2, 4], &[1, 3, 4], &[2, 2, 3]) {
+            assert!(matches!(e, TensorError::ShapeMismatch { .. }), "{e}");
+        }
+    }
+
+    #[test]
+    fn backward_rejects_zero_width_kernel() {
+        for e in backward_errors(&[1, 2, 4], &[1, 3, 4], &[2, 3, 0]) {
+            assert!(matches!(e, TensorError::Empty { .. }), "{e}");
+        }
     }
 
     #[test]

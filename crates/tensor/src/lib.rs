@@ -19,10 +19,6 @@
 //!   matmul kernel for the GP estimator and dense layers.
 //! * [`quant`] — uniform quantization (paper Figure 4) shared by the
 //!   quantization-aware training op and the model-size accounting.
-//! * [`par`] — the thread-pool execution layer behind the convolution,
-//!   matmul, elementwise, and reduction kernels. Gated by the `parallel`
-//!   cargo feature (on by default); with the feature off every kernel runs
-//!   its serial path, which doubles as the differential-testing oracle.
 //! * [`pool`] — a grow-only, size-bucketed buffer pool backing every tensor
 //!   allocation, so steady-state training and serving loops perform zero
 //!   transient heap allocations (hit/miss counters included).
@@ -31,6 +27,11 @@
 //!   process via detection, `LIGHTTS_SIMD`, or
 //!   [`simd::set_simd_backend`]; `docs/NUMERICS.md` documents exactly
 //!   which kernels stay bitwise identical across backends.
+//!
+//! Every kernel runs on the calling thread. The students are small enough
+//! (a few filters over tens of steps) that one kernel call costs less than
+//! handing it to another thread; parallelism lives at coarse grain instead,
+//! in ensemble training and in the serve shards.
 //!
 //! # Example
 //!
@@ -54,7 +55,6 @@ mod tensor;
 
 pub mod conv;
 pub mod linalg;
-pub mod par;
 pub mod pool;
 pub mod qint;
 pub mod quant;

@@ -8,10 +8,10 @@
 //! forward/backward substitution — numerically stable and `O(n³)` exactly as
 //! the paper's complexity analysis assumes.
 //!
-//! [`matmul_into`] is the cache-blocked, row-parallel matrix-multiply that
-//! backs [`Tensor::matmul`] (and through it the tape's dense layers).
+//! [`matmul_into`] is the cache-blocked matrix-multiply that backs
+//! [`Tensor::matmul`] (and through it the tape's dense layers).
 
-use crate::{par, simd, Result, Tensor, TensorError};
+use crate::{simd, Result, Tensor, TensorError};
 
 /// One output row of the blocked GEMM: `c_row += a_row · b` for
 /// `a_row: [k]`, `b: [k, n]`, `c_row: [n]`.
@@ -24,12 +24,11 @@ use crate::{par, simd, Result, Tensor, TensorError};
 /// zero-skip on `a_row`'s elements, k-blocked so the touched rows of `b`
 /// stay resident in L1/L2; blocking and lane width reorder only loop
 /// traversal, never the per-element accumulation sequence (`k`-ascending
-/// into each output), so results are independent of block size, thread
-/// count, and caller. Each accumulation step is one
-/// `simd::mul_add_fast`: under the scalar and SSE2 backends that is the
-/// historical multiply-then-add (bitwise identical to the pre-SIMD
-/// kernel); under AVX2 it fuses into a single rounding (see
-/// `docs/NUMERICS.md`).
+/// into each output), so results are independent of block size and
+/// caller. Each accumulation step is one `simd::mul_add_fast`: under the
+/// scalar and SSE2 backends that is the historical multiply-then-add
+/// (bitwise identical to the pre-SIMD kernel); under AVX2 it fuses into a
+/// single rounding (see `docs/NUMERICS.md`).
 #[inline]
 pub fn gemm_row_into(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize, n: usize) {
     debug_assert_eq!(a_row.len(), k);
@@ -37,10 +36,6 @@ pub fn gemm_row_into(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize, n: u
     debug_assert_eq!(b.len(), k * n);
     simd::gemm_row(c_row, a_row, b, k, n);
 }
-
-/// Preferred output-row blocking for [`gemm_panel_into`]; callers that chunk
-/// work for the panel kernel (the lowered conv paths) use multiples of this.
-pub const GEMM_PANEL_ROWS: usize = 8;
 
 /// A register-tiled GEMM panel: `c += a . b` for row-major `a: [rows,k]`,
 /// `b: [k,n]`, `c: [rows,n]`.
@@ -60,14 +55,14 @@ pub const GEMM_PANEL_ROWS: usize = 8;
 /// `c` value and accumulates in the exact `k`-ascending order of
 /// [`gemm_row_into`], one `simd::mul_add_fast` per term — so for any fixed
 /// backend the panel result is bit-identical to the row-by-row kernel,
-/// independent of tile width and thread count (scalar ≡ SSE2; AVX2 fuses
-/// each step, see `docs/NUMERICS.md`). When all four rows' `a` values are
-/// zero the `p` step is skipped outright; when only some are zero the
-/// four-row update adds `+-0.0 . b` for those rows instead of skipping -
-/// an accumulator can never hold `-0.0` (it starts at `+0.0`, and both
-/// `+0.0 + (+-0.0)` and `x + (-x)` round to `+0.0` — fused or not), so for
-/// finite inputs those terms change no bits. A remainder of fewer than
-/// four rows falls back to [`gemm_row_into`].
+/// independent of tile width (scalar ≡ SSE2; AVX2 fuses each step, see
+/// `docs/NUMERICS.md`). When all four rows' `a` values are zero the `p`
+/// step is skipped outright; when only some are zero the four-row update
+/// adds `+-0.0 . b` for those rows instead of skipping - an accumulator can
+/// never hold `-0.0` (it starts at `+0.0`, and both `+0.0 + (+-0.0)` and
+/// `x + (-x)` round to `+0.0` — fused or not), so for finite inputs those
+/// terms change no bits. A remainder of fewer than four rows falls back to
+/// [`gemm_row_into`].
 pub fn gemm_panel_into(c: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) {
     debug_assert_eq!(c.len(), rows * n);
     debug_assert_eq!(a.len(), rows * k);
@@ -89,11 +84,9 @@ pub fn gemm_panel_into(c: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usiz
 
 /// `c = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `c: [m,n]`.
 ///
-/// Rows of `c` are computed independently (in parallel) through
-/// [`gemm_row_into`], in the same `k`-ascending accumulation order as the
-/// serial loop, so the parallel path is bitwise identical to the serial
-/// oracle. The zero-skip on `a` helps the magnitude-pruned weight matrices
-/// common in this workspace.
+/// Rows of `c` are computed one after another through [`gemm_row_into`],
+/// each in `k`-ascending accumulation order. The zero-skip on `a` helps the
+/// magnitude-pruned weight matrices common in this workspace.
 pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "matmul_into: lhs length");
     assert_eq!(b.len(), k * n, "matmul_into: rhs length");
@@ -102,9 +95,9 @@ pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: u
         return;
     }
     let _prof = lightts_obs::prof::scope("gemm.matmul");
-    par::par_for_rows(c, n, 2 * k * n, |i, c_row| {
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
         gemm_row_into(c_row, &a[i * k..(i + 1) * k], b, k, n);
-    });
+    }
 }
 
 /// Cholesky factorization of a symmetric positive-definite matrix.

@@ -10,11 +10,10 @@
 //!
 //! Design:
 //! - **Thread-local buckets.** Each thread owns a private free list, so takes
-//!   and recycles are lock-free `RefCell` operations. The worker threads in
-//!   [`crate::par`] never construct or drop tensors (they operate on borrowed
-//!   `&mut [f32]` rows), so in practice only the thread driving a training or
-//!   serving loop touches its pool — there is no cross-thread migration and
-//!   no shared-state contention.
+//!   and recycles are lock-free `RefCell` operations. Kernels run on the
+//!   calling thread, so only the thread driving a training or serving loop
+//!   touches its pool — there is no cross-thread migration and no
+//!   shared-state contention.
 //! - **Power-of-two buckets.** A request for `n` elements is served from the
 //!   bucket of capacity `2^ceil(log2 n)`; recycled vectors are filed under
 //!   `floor(log2 capacity)`, which guarantees every resident of bucket `b`

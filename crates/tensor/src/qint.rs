@@ -39,7 +39,7 @@
 //! "Quantized inference"): the integer kernels are bitwise identical across
 //! all SIMD backends, and the f32 fit/dequantize steps are element-wise
 //! scalar code — so quantized inference is bitwise reproducible across
-//! backends, thread counts, and batch splits.
+//! backends and batch splits.
 
 use crate::simd;
 use crate::{Result, TensorError};

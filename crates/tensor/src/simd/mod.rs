@@ -43,8 +43,8 @@
 //!   [`axpy_madd`] — scalar and SSE2 are bitwise identical (multiply then
 //!   add, two roundings); AVX2 fuses each multiply-add into one rounding,
 //!   producing different, but equally deterministic, bits: for a fixed
-//!   backend the result is independent of thread count, batch fusion, and
-//!   call context, exactly as before.
+//!   backend the result is independent of batch fusion and call context,
+//!   exactly as before.
 //! * **Integer-exact (quantized)**: [`qdot_i8`], [`qgemm_i8t`] — i8×i8
 //!   products accumulated in i32. Two's-complement addition is
 //!   associative, so all three backends are bitwise identical for every
@@ -57,10 +57,10 @@
 //! backends concurrently from many test threads.
 #![allow(unsafe_code)]
 // SAFETY AUDIT: this module (with its `vec`/`x86`/`kernels` submodules) is
-// one of two `unsafe` islands in the crate (the other is `par`). All
-// `unsafe` here is `core::arch` intrinsic plumbing: the vector types in
-// `x86.rs` wrap `__m128`/`__m256` intrinsics, and `kernels.rs` instantiates
-// the generic loop bodies behind `#[target_feature]` wrappers. Soundness
+// the crate's only `unsafe` island. All `unsafe` here is `core::arch`
+// intrinsic plumbing: the vector types in `x86.rs` wrap `__m128`/`__m256`
+// intrinsics, and `kernels.rs` instantiates the generic loop bodies behind
+// `#[target_feature]` wrappers. Soundness
 // rests on one invariant, enforced in exactly one place: `effective()`
 // below never returns a vector backend unless `cpu_supports` confirmed the
 // CPU features during detection (requests are clamped down, never up).

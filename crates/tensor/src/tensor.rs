@@ -291,18 +291,16 @@ impl Tensor {
         Ok(Tensor { shape: self.shape.clone(), data })
     }
 
-    /// Element-wise binary op threaded through the parallel layer, with
-    /// the per-chunk work done by a [`crate::simd`] slice kernel.
+    /// Element-wise binary op through a [`crate::simd`] slice kernel.
     ///
-    /// Chunking never changes results: the SIMD element-wise kernels apply
-    /// one position-independent, single-rounding operation per element, so
-    /// neither chunk boundaries, thread count, nor lane width affect bits;
-    /// this is the parallel analogue of [`Tensor::zip_map`].
-    fn par_zip(
+    /// The SIMD element-wise kernels apply one position-independent,
+    /// single-rounding operation per element, so lane width never affects
+    /// bits; this is the vectorized analogue of [`Tensor::zip_map`].
+    fn zip_simd(
         &self,
         other: &Tensor,
         op: &'static str,
-        f: impl Fn(&mut [f32], &[f32]) + Sync,
+        f: impl Fn(&mut [f32], &[f32]),
     ) -> Result<Self> {
         if self.dims() != other.dims() {
             return Err(TensorError::ShapeMismatch {
@@ -312,36 +310,29 @@ impl Tensor {
             });
         }
         let mut out = crate::pool::take_copy(&self.data);
-        let rhs = other.data();
-        crate::par::par_for_chunks(&mut out, crate::par::REDUCE_CHUNK, 1, |c, chunk| {
-            let off = c * crate::par::REDUCE_CHUNK;
-            let n = chunk.len();
-            f(chunk, &rhs[off..off + n]);
-        });
+        f(&mut out, other.data());
         Ok(Tensor { shape: self.shape.clone(), data: out })
     }
 
     /// Element-wise sum.
     pub fn add(&self, other: &Tensor) -> Result<Self> {
-        self.par_zip(other, "add", crate::simd::add_assign)
+        self.zip_simd(other, "add", crate::simd::add_assign)
     }
 
     /// Element-wise difference.
     pub fn sub(&self, other: &Tensor) -> Result<Self> {
-        self.par_zip(other, "sub", crate::simd::sub_assign)
+        self.zip_simd(other, "sub", crate::simd::sub_assign)
     }
 
     /// Element-wise product (Hadamard).
     pub fn mul(&self, other: &Tensor) -> Result<Self> {
-        self.par_zip(other, "mul", crate::simd::mul_assign)
+        self.zip_simd(other, "mul", crate::simd::mul_assign)
     }
 
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Self {
         let mut out = crate::pool::take_copy(&self.data);
-        crate::par::par_for_chunks(&mut out, crate::par::REDUCE_CHUNK, 1, |_, chunk| {
-            crate::simd::scale(chunk, s);
-        });
+        crate::simd::scale(&mut out, s);
         Tensor { shape: self.shape.clone(), data: out }
     }
 
@@ -359,14 +350,9 @@ impl Tensor {
                 op: "axpy",
             });
         }
-        let rhs = other.data();
-        crate::par::par_for_chunks(&mut self.data, crate::par::REDUCE_CHUNK, 2, |c, chunk| {
-            let off = c * crate::par::REDUCE_CHUNK;
-            let n = chunk.len();
-            // Unfused multiply-then-add per element (simd::axpy), exactly
-            // the historical optimizer update — bitwise backend-invariant.
-            crate::simd::axpy(chunk, &rhs[off..off + n], s);
-        });
+        // Unfused multiply-then-add per element (simd::axpy), exactly the
+        // historical optimizer update — bitwise backend-invariant.
+        crate::simd::axpy(&mut self.data, other.data(), s);
         Ok(())
     }
 
@@ -376,9 +362,7 @@ impl Tensor {
     /// `+0.0`, matching `f32::max(x, 0.0)` bit-for-bit on every backend.
     pub fn relu(&self) -> Self {
         let mut out = crate::pool::take_copy(&self.data);
-        crate::par::par_for_chunks(&mut out, crate::par::REDUCE_CHUNK, 1, |_, chunk| {
-            crate::simd::relu(chunk);
-        });
+        crate::simd::relu(&mut out);
         Tensor { shape: self.shape.clone(), data: out }
     }
 
@@ -388,9 +372,7 @@ impl Tensor {
     /// overflowing).
     pub fn exp(&self) -> Self {
         let mut out = crate::pool::take_copy(&self.data);
-        crate::par::par_for_chunks(&mut out, crate::par::REDUCE_CHUNK, 4, |_, chunk| {
-            crate::simd::vec_exp(chunk);
-        });
+        crate::simd::vec_exp(&mut out);
         Tensor { shape: self.shape.clone(), data: out }
     }
 
@@ -399,9 +381,7 @@ impl Tensor {
     /// backends; tails saturate to exactly `0.0`/`1.0`).
     pub fn sigmoid(&self) -> Self {
         let mut out = crate::pool::take_copy(&self.data);
-        crate::par::par_for_chunks(&mut out, crate::par::REDUCE_CHUNK, 4, |_, chunk| {
-            crate::simd::vec_sigmoid(chunk);
-        });
+        crate::simd::vec_sigmoid(&mut out);
         Tensor { shape: self.shape.clone(), data: out }
     }
 
@@ -409,9 +389,7 @@ impl Tensor {
     /// (~3 ulp, bitwise identical across SIMD backends; `±inf → ±1.0`).
     pub fn tanh(&self) -> Self {
         let mut out = crate::pool::take_copy(&self.data);
-        crate::par::par_for_chunks(&mut out, crate::par::REDUCE_CHUNK, 4, |_, chunk| {
-            crate::simd::vec_tanh(chunk);
-        });
+        crate::simd::vec_tanh(&mut out);
         Tensor { shape: self.shape.clone(), data: out }
     }
 
@@ -421,12 +399,11 @@ impl Tensor {
 
     /// Sum of all elements.
     ///
-    /// Reduced in fixed-size chunks combined in order (see
-    /// [`crate::par::chunked_sum`]), so the value is identical across
-    /// thread counts and feature configurations; tensors smaller than one
-    /// chunk sum exactly left-to-right.
+    /// Reduced in fixed-size chunks of 8192 elements whose partial sums are
+    /// combined in order; tensors smaller than one chunk sum exactly
+    /// left-to-right.
     pub fn sum(&self) -> f32 {
-        crate::par::chunked_sum(&self.data)
+        chunked_sum(&self.data)
     }
 
     /// Mean of all elements (0 for an empty tensor).
@@ -483,9 +460,7 @@ impl Tensor {
     /// the same bits) as the serving path's `predict_proba_into`.
     pub fn softmax_rows(&self) -> Result<Self> {
         let mut lsm = self.log_softmax_rows()?;
-        crate::par::par_for_chunks(&mut lsm.data, crate::par::REDUCE_CHUNK, 4, |_, chunk| {
-            crate::simd::vec_exp(chunk);
-        });
+        crate::simd::vec_exp(&mut lsm.data);
         Ok(lsm)
     }
 
@@ -494,8 +469,8 @@ impl Tensor {
     /// Each row runs [`crate::simd::log_softmax_row`]: subtract the row
     /// max, exponentiate through the vectorized `vec_exp` kernel, sum the
     /// exponentials strictly left-to-right, subtract the log-sum. The
-    /// result is bitwise identical across thread counts and SIMD backends
-    /// (see `docs/NUMERICS.md`).
+    /// result is bitwise identical across SIMD backends (see
+    /// `docs/NUMERICS.md`).
     pub fn log_softmax_rows(&self) -> Result<Self> {
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
@@ -508,11 +483,10 @@ impl Tensor {
         if n == 0 {
             return Tensor::from_vec(Vec::new(), &[m, n]);
         }
-        let mut out = crate::pool::take_zeroed(m * n);
-        crate::par::par_for_rows(&mut out, n, 4 * n, |i, out_row| {
-            out_row.copy_from_slice(&self.data[i * n..(i + 1) * n]);
-            crate::simd::log_softmax_row(out_row);
-        });
+        let mut out = crate::pool::take_copy(&self.data);
+        for row in out.chunks_exact_mut(n) {
+            crate::simd::log_softmax_row(row);
+        }
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -522,9 +496,8 @@ impl Tensor {
 
     /// Rank-2 matrix product `self[m,k] @ other[k,n] -> [m,n]`.
     ///
-    /// Delegates to [`crate::linalg::matmul_into`]: a cache-blocked,
-    /// row-parallel ikj kernel whose results are bitwise identical to the
-    /// serial triple loop.
+    /// Delegates to [`crate::linalg::matmul_into`]: a cache-blocked ikj
+    /// kernel that accumulates each output in `k`-ascending order.
     pub fn matmul(&self, other: &Tensor) -> Result<Self> {
         if self.rank() != 2 || other.rank() != 2 {
             return Err(TensorError::RankMismatch {
@@ -548,10 +521,39 @@ impl Tensor {
     }
 }
 
+/// Chunk size of [`chunked_sum`]. Fixed, so a sum depends only on the data;
+/// tensors smaller than one chunk reduce exactly like a plain left-to-right
+/// loop.
+const REDUCE_CHUNK: usize = 8192;
+
+/// Sums `data` by reducing fixed-size chunks left-to-right and then
+/// combining the chunk partials in order (the association behind
+/// [`Tensor::sum`]).
+fn chunked_sum(data: &[f32]) -> f32 {
+    data.chunks(REDUCE_CHUNK).map(|chunk| chunk.iter().sum::<f32>()).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn chunked_sum_matches_plain_sum_small() {
+        let data: Vec<f32> = (0..100).map(|i| i as f32 * 0.25).collect();
+        let plain: f32 = data.iter().sum();
+        assert_eq!(chunked_sum(&data), plain);
+    }
+
+    #[test]
+    fn chunked_sum_is_reproducible_large() {
+        let data: Vec<f32> = (0..3 * REDUCE_CHUNK + 17).map(|i| (i as f32).sin()).collect();
+        let a = chunked_sum(&data);
+        let b = chunked_sum(&data);
+        assert_eq!(a.to_bits(), b.to_bits());
+        let plain: f32 = data.iter().sum();
+        assert!((a - plain).abs() < 1e-2 * plain.abs().max(1.0));
+    }
 
     #[test]
     fn from_vec_checks_length() {

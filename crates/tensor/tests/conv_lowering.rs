@@ -9,21 +9,18 @@
 //! 2. the lowered **backwards** agree with the oracle to the f32 error
 //!    model `1e-5 · Σ|terms|` (their reduction order differs in
 //!    association, deterministically);
-//! 3. the lowered kernels are bitwise identical across thread counts
-//!    (mirroring `parallel_equivalence.rs` for the direct path);
-//! 4. finite differences confirm the lowered gradients — driven through
+//! 3. finite differences confirm the lowered gradients — driven through
 //!    the pooled-buffer path the training loop uses.
 //!
 //! Shapes deliberately include kernels **longer than the sequence**
 //! (`k > l`, exercising the padding clamps in im2col/col2im) and **even**
-//! kernel widths (asymmetric "same" padding). CI also runs this suite with
-//! `LIGHTTS_NUM_THREADS=1`, pinning the serial path.
+//! kernel widths (asymmetric "same" padding).
 
 use lightts_tensor::conv::{
     conv1d_backward_input_direct, conv1d_backward_input_lowered, conv1d_backward_weight_direct,
     conv1d_backward_weight_lowered, conv1d_forward_direct, conv1d_forward_lowered,
 };
-use lightts_tensor::{par, Tensor};
+use lightts_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Shapes for the randomized cases. `MAX_K > MAX_L` so the padding clamps
@@ -151,44 +148,13 @@ proptest! {
     }
 }
 
-/// A shape past the parallelism threshold with `cout = 16` so the lowered
-/// forward runs two full `GEMM_PANEL_ROWS` chunks per sample.
-fn big_case() -> (Tensor, Tensor, Tensor) {
+/// A batch-8 shape with `cout = 16`, so the lowered forward runs four full
+/// 4-row GEMM panels per sample.
+fn big_case() -> (Tensor, Tensor) {
     let mut rng = lightts_tensor::rng::seeded(41);
     let x = Tensor::randn(&mut rng, &[8, 4, 128], 1.0);
     let w = Tensor::randn(&mut rng, &[16, 4, 9], 1.0);
-    let dy = Tensor::randn(&mut rng, &[8, 16, 128], 1.0);
-    (x, w, dy)
-}
-
-/// The lowered kernels split work along fixed panel boundaries, so forcing
-/// four workers must reproduce the single-thread result to the bit — the
-/// same invariant `parallel_equivalence.rs` pins for the direct path, and
-/// the one PR 2's batched-serving equivalence ultimately rests on.
-#[test]
-fn lowered_kernels_are_bitwise_identical_across_thread_counts() {
-    let (x, w, dy) = big_case();
-
-    par::set_num_threads(4);
-    let y_multi = conv1d_forward_lowered(&x, &w).unwrap();
-    let dx_multi = conv1d_backward_input_lowered(&dy, &w, x.dims()).unwrap();
-    let dw_multi = conv1d_backward_weight_lowered(&dy, &x, w.dims()).unwrap();
-
-    par::set_num_threads(1);
-    let y_serial = conv1d_forward_lowered(&x, &w).unwrap();
-    let dx_serial = conv1d_backward_input_lowered(&dy, &w, x.dims()).unwrap();
-    let dw_serial = conv1d_backward_weight_lowered(&dy, &x, w.dims()).unwrap();
-    par::set_num_threads(0);
-
-    for (name, multi, serial) in [
-        ("forward_lowered", &y_multi, &y_serial),
-        ("backward_input_lowered", &dx_multi, &dx_serial),
-        ("backward_weight_lowered", &dw_multi, &dw_serial),
-    ] {
-        for (i, (p, s)) in multi.data().iter().zip(serial.data().iter()).enumerate() {
-            assert_eq!(p.to_bits(), s.to_bits(), "{name} differs at {i}: {p} vs {s}");
-        }
-    }
+    (x, w)
 }
 
 /// Finite-difference check of the lowered gradients, driven exactly the way
@@ -197,7 +163,7 @@ fn lowered_kernels_are_bitwise_identical_across_thread_counts() {
 /// recycled slabs — FD probing makes dozens of such calls).
 #[test]
 fn lowered_gradients_match_finite_difference_through_pooled_buffers() {
-    let (x, w, _) = big_case();
+    let (x, w) = big_case();
     let dy = Tensor::ones(&[8, 16, 128]);
     let dx = conv1d_backward_input_lowered(&dy, &w, x.dims()).unwrap();
     let dw = conv1d_backward_weight_lowered(&dy, &x, w.dims()).unwrap();

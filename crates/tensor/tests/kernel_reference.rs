@@ -1,31 +1,24 @@
-//! Differential tests for the parallel kernel layer.
+//! Reference tests for the dispatching tensor kernels:
 //!
-//! Every kernel in `lightts-tensor` has two execution modes: the serial
-//! oracle (one thread) and the thread-pool path. The kernels are *designed* to be bitwise identical —
-//! they split work only along disjoint output rows and reduce in fixed
-//! chunk order — and this suite checks that claim three ways:
+//! 1. the conv passes, matmul, the elementwise ops and the sum are compared
+//!    on random inputs against independent brute-force references written
+//!    directly from the math, accumulated in f64 (tolerance
+//!    `1e-5 · Σ|terms|`);
+//! 2. both conv backward passes are checked against finite differences on
+//!    a batch-8 shape.
 //!
-//! 1. randomized comparison against independent brute-force reference
-//!    implementations written directly from the math (tolerance 1e-5);
-//! 2. bitwise agreement between the default thread count and a forced
-//!    single thread on shapes large enough to engage the pool;
-//! 3. finite-difference gradient checks on conv shapes large enough that
-//!    the backward kernels run parallel.
-//!
-//! CI also runs this suite with `LIGHTTS_NUM_THREADS=1`, so the same
-//! assertions also pin the serial path.
-//!
-//! The shapes here sit below the GEMM-lowering threshold, so `conv1d_*`
-//! dispatch to the direct kernels: this suite pins the *direct* path.
-//! `conv_lowering.rs` is the mirror-image suite for the im2col/kn2row
-//! lowered kernels (bitwise forward equivalence, tolerance-checked
-//! backwards, thread-count invariance, and FD gradients through the
-//! pooled-buffer path).
+//! The conv cases call the dispatching entry points, so each shape takes
+//! whichever path `ConvImpl::Auto` picks for it: the randomized shapes
+//! (`cin, cout ≤ 4`, `k ≤ 11`, `l ≤ 64`) fall on both sides of the
+//! lowering threshold, and the finite-difference shape takes the lowered
+//! kernels. `conv_lowering.rs` pins the lowered kernels against the direct
+//! ones (bitwise forward equivalence, tolerance-checked backwards, and FD
+//! gradients through the pooled-buffer path).
 
 use lightts_tensor::conv::{
     conv1d_backward_input, conv1d_backward_weight, conv1d_forward, same_padding,
 };
-use lightts_tensor::{par, Tensor};
+use lightts_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Shapes used by the randomized cases. Data vectors are generated at the
@@ -275,8 +268,7 @@ proptest! {
     }
 }
 
-/// A conv shape comfortably past the parallelism threshold so the pool
-/// genuinely engages (rows = b·cout = 64, work/row = cin·k·l ≈ 4600).
+/// A batch-8 conv shape (`cin·k·l·cout` well past the lowering threshold).
 fn big_conv_case() -> (Tensor, Tensor) {
     let mut rng = lightts_tensor::rng::seeded(99);
     let x = Tensor::randn(&mut rng, &[8, 4, 128], 1.0);
@@ -284,50 +276,11 @@ fn big_conv_case() -> (Tensor, Tensor) {
     (x, w)
 }
 
+/// Finite-difference check of both conv gradients on the batch-8 shape.
+/// Only a sample of coordinates is probed — full FD on this shape would
+/// dominate the suite.
 #[test]
-fn thread_count_does_not_change_results_bitwise() {
-    let (x, w) = big_conv_case();
-    let dy = Tensor::ones(&[8, 8, 128]);
-
-    // Force four threads explicitly: the pool keeps a minimum number of
-    // parked workers precisely so this comparison is a genuine
-    // multi-threaded-vs-serial check even on a single-core host, where
-    // the automatic thread count would be 1 and the test would be vacuous.
-    par::set_num_threads(4);
-    let y_multi = conv1d_forward(&x, &w).unwrap();
-    let dx_multi = conv1d_backward_input(&dy, &w, x.dims()).unwrap();
-    let dw_multi = conv1d_backward_weight(&dy, &x, w.dims()).unwrap();
-    let a = Tensor::randn(&mut lightts_tensor::rng::seeded(7), &[96, 80], 1.0);
-    let b = Tensor::randn(&mut lightts_tensor::rng::seeded(8), &[80, 96], 1.0);
-    let mm_multi = a.matmul(&b).unwrap();
-    let sum_multi = x.sum();
-
-    par::set_num_threads(1);
-    let y_serial = conv1d_forward(&x, &w).unwrap();
-    let dx_serial = conv1d_backward_input(&dy, &w, x.dims()).unwrap();
-    let dw_serial = conv1d_backward_weight(&dy, &x, w.dims()).unwrap();
-    let mm_serial = a.matmul(&b).unwrap();
-    let sum_serial = x.sum();
-    par::set_num_threads(0);
-
-    for (name, multi, serial) in [
-        ("forward", &y_multi, &y_serial),
-        ("backward_input", &dx_multi, &dx_serial),
-        ("backward_weight", &dw_multi, &dw_serial),
-        ("matmul", &mm_multi, &mm_serial),
-    ] {
-        for (i, (p, s)) in multi.data().iter().zip(serial.data().iter()).enumerate() {
-            assert_eq!(p.to_bits(), s.to_bits(), "{name} differs at {i}: {p} vs {s}");
-        }
-    }
-    assert_eq!(sum_multi.to_bits(), sum_serial.to_bits(), "sum differs");
-}
-
-/// Finite-difference check of both conv gradients on a shape large enough
-/// for the backward kernels to run on the pool. Only a sample of
-/// coordinates is probed — full FD on this shape would dominate the suite.
-#[test]
-fn conv_gradients_match_finite_difference_on_parallel_shapes() {
+fn conv_gradients_match_finite_difference_on_large_shapes() {
     let (x, w) = big_conv_case();
     let dy = Tensor::ones(&[8, 8, 128]);
     let dx = conv1d_backward_input(&dy, &w, x.dims()).unwrap();

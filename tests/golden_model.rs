@@ -2,8 +2,8 @@
 //! repo must keep reloading byte-compatibly and reproducing its recorded
 //! logits forever. This pins the export format (the `inception` container
 //! kind with its bit-packed store) and the whole inference numerical path
-//! against drift — at any thread count, `LIGHTTS_NUM_THREADS=1` included,
-//! which are bitwise identical by the determinism contract.
+//! against drift, under every SIMD backend (`docs/NUMERICS.md`).
+//! `tests/golden_training.rs` does the same for a training run.
 //!
 //! To regenerate after an *intentional* format change (the scalar backend
 //! records the logits without FMA, as the committed ones were):
