@@ -3,12 +3,14 @@
 //!
 //! Two acceptance measurements live here:
 //!
-//! * the im2col lowering: at the InceptionTime-sized shapes `b=16, cin=32,
+//! * the conv lowering: at the InceptionTime-sized shapes `b=16, cin=32,
 //!   cout=32, l=128, k ∈ {9,19,39}` the lowered forward and backward-weight
 //!   kernels must be ≥ 1.5× faster than the direct oracle on one thread;
-//! * the SIMD backends: the `gemm_panel` tile and the `vec_exp`
-//!   transcendental must be ≥ 2× faster under the native vector backend
-//!   (AVX2+FMA where available) than under the forced scalar oracle.
+//! * the SIMD backends: the register tile `simd::gemm_tile` (rows
+//!   `simd_gemm_panel/*`: one 4-row block over a dense `k=256, n=256`
+//!   panel) and the `vec_exp` transcendental must be ≥ 2× faster under the
+//!   native vector backend (AVX2+FMA where available) than under the
+//!   forced scalar oracle.
 //!
 //! Results (plus the backward-input pass, measured for completeness) are
 //! merged into `BENCH_kernels.json` at the repository root — SIMD rows
@@ -22,12 +24,12 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use lightts_bench::perf::{self, KernelRecord};
 use lightts_tensor::conv::{
     conv1d_backward_input_direct, conv1d_backward_input_lowered, conv1d_backward_weight_direct,
-    conv1d_backward_weight_lowered, conv1d_forward_direct, conv1d_forward_lowered,
+    conv1d_backward_weight_lowered, conv1d_forward, conv1d_forward_direct,
 };
 use lightts_tensor::qint::{qconv1d_same_into, QuantizedMatrix};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::simd::{
-    cpu_supports, gemm_block4_with, qgemm_i8t_with, vec_exp_with, SimdBackend,
+    cpu_supports, gemm_tile_with, qgemm_i8t_with, vec_exp_with, SimdBackend, Tile, TileUpdate,
 };
 use lightts_tensor::Tensor;
 use std::hint::black_box;
@@ -39,9 +41,8 @@ const COUT: usize = 32;
 const L: usize = 128;
 const KS: [usize; 3] = [9, 19, 39];
 
-/// GEMM panel shape for the SIMD comparison: one 4-row tile over a
-/// `k=256, n=256` panel (the `K_BLOCK`-sized worst case the blocked matmul
-/// feeds the kernel).
+/// GEMM panel shape for the SIMD comparison: one 4-row tile over a dense
+/// `k=256, n=256` panel.
 const GEMM_K: usize = 256;
 const GEMM_N: usize = 256;
 /// Elements per `vec_exp` call — one softmax-sized activation slab.
@@ -78,7 +79,7 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| black_box(conv1d_forward_direct(&x, &w).unwrap()))
         });
         g.bench_function(BenchmarkId::new("forward_lowered", format!("k{k}")), |b| {
-            b.iter(|| black_box(conv1d_forward_lowered(&x, &w).unwrap()))
+            b.iter(|| black_box(conv1d_forward(&x, &w).unwrap()))
         });
         g.bench_function(BenchmarkId::new("backward_w_direct", format!("k{k}")), |b| {
             b.iter(|| black_box(conv1d_backward_weight_direct(&dy, &x, w.dims()).unwrap()))
@@ -108,40 +109,27 @@ fn bench_simd(c: &mut Criterion) {
     let a = Tensor::randn(&mut rng, &[4, GEMM_K], 1.0);
     let bmat = Tensor::randn(&mut rng, &[GEMM_K, GEMM_N], 1.0);
     let xs = Tensor::randn(&mut rng, &[EXP_N], 1.0);
-    let mut c_rows = vec![vec![0.0f32; GEMM_N]; 4];
+    let mut c_panel = vec![0.0f32; 4 * GEMM_N];
     let mut buf = vec![0.0f32; EXP_N];
+    let panel = Tile {
+        rows: 4,
+        k: GEMM_K,
+        n: GEMM_N,
+        ldc: GEMM_N,
+        lda: GEMM_K,
+        a_step: 1,
+        b_step: GEMM_N,
+        b_run: GEMM_K,
+        b_jump: 0,
+        update: TileUpdate::Chain,
+    };
 
     for &bk in backends {
-        let ad = a.data();
-        let (a0, a1, a2, a3) = (
-            &ad[..GEMM_K],
-            &ad[GEMM_K..2 * GEMM_K],
-            &ad[2 * GEMM_K..3 * GEMM_K],
-            &ad[3 * GEMM_K..],
-        );
         g.bench_function(BenchmarkId::new("gemm_panel", bk.name()), |bch| {
             bch.iter(|| {
-                for row in c_rows.iter_mut() {
-                    row.fill(0.0);
-                }
-                let (c0, rest) = c_rows.split_at_mut(1);
-                let (c1, rest) = rest.split_at_mut(1);
-                let (c2, c3) = rest.split_at_mut(1);
-                gemm_block4_with(
-                    bk,
-                    &mut c0[0],
-                    &mut c1[0],
-                    &mut c2[0],
-                    &mut c3[0],
-                    a0,
-                    a1,
-                    a2,
-                    a3,
-                    bmat.data(),
-                    GEMM_K,
-                    GEMM_N,
-                );
-                black_box(c_rows[0][0]);
+                c_panel.fill(0.0);
+                gemm_tile_with(bk, &mut c_panel, a.data(), bmat.data(), &panel);
+                black_box(c_panel[0]);
             })
         });
         // vec_exp is branch-free straight-line code (clamp + fixed
@@ -186,7 +174,7 @@ fn bench_quant(c: &mut Criterion) {
         });
     }
 
-    // Quantized conv at the im2col acceptance shape (per-sample kernel, so
+    // Quantized conv at the conv acceptance shape (per-sample kernel, so
     // one iteration sweeps the same B samples as the f32 benches). Runs
     // under the process-default (native) backend like `forward_lowered`.
     let k = KS[0];

@@ -115,16 +115,24 @@ impl InferencePlan {
         let l = self.in_len;
         check_input(inputs, batch, self.in_dims, l)?;
 
+        // Grow every scratch buffer before the first convolution: growth
+        // later in the call could take the pool slab a conv kernel has just
+        // recycled, and the next call would miss.
         let scratch = &mut self.scratch;
+        let filters_of = |block: &PlanBlock| block.convs[0].weight.dims()[0];
+        let widest = self.blocks.iter().map(|b| b.convs.len() * filters_of(b)).max().unwrap_or(0);
+        let widest = widest.max(self.in_dims);
+        let filters_max = self.blocks.iter().map(filters_of).max().unwrap_or(0);
+        ensure(&mut scratch.a, batch * widest * l);
+        ensure(&mut scratch.b, batch * widest * l);
+        ensure(&mut scratch.conv, batch * filters_max * l);
+        ensure(&mut scratch.pooled, batch * self.fc_in);
         let mut cin = self.in_dims;
-        ensure(&mut scratch.a, batch * cin * l);
         scratch.a[..batch * cin * l].copy_from_slice(inputs);
 
         for block in &self.blocks {
-            let filters = block.convs[0].weight.dims()[0];
+            let filters = filters_of(block);
             let c_total = block.convs.len() * filters;
-            ensure(&mut scratch.b, batch * c_total * l);
-            ensure(&mut scratch.conv, batch * filters * l);
             for (j, conv) in block.convs.iter().enumerate() {
                 conv1d_forward_into(
                     &mut scratch.conv[..batch * filters * l],
@@ -153,7 +161,6 @@ impl InferencePlan {
             cin = c_total;
         }
 
-        ensure(&mut scratch.pooled, batch * cin);
         global_avg_pool(&mut scratch.pooled[..batch * cin], &scratch.a[..batch * cin * l], l);
 
         // FC head: zeroed output region + the shared matmul kernel + bias,

@@ -9,10 +9,10 @@
 //!   statistics for batch norm and the same fake-quantized weights, so the
 //!   deployed (quantized) model is exactly what was trained.
 //!
-//! Both paths route convolutions through [`lightts_tensor::conv`], which
-//! picks between the direct kernels and the GEMM-lowered (im2col) kernels by
-//! problem size — the forward results are bitwise identical either way, so
-//! layer outputs never depend on the dispatch decision. All transient
+//! Both paths route convolutions through [`lightts_tensor::conv`], whose
+//! forward always runs the GEMM-lowered kernel (bitwise identical to the
+//! direct one), and whose backward passes pick the direct or lowered
+//! kernels by problem size, never by batch size. All transient
 //! buffers (fake-quantized weights, activation tensors) come from the
 //! thread-local [`lightts_tensor::pool`], which makes steady-state QAT
 //! training steps allocation-free.

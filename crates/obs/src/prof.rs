@@ -1,7 +1,7 @@
 //! An always-cheap hierarchical profiler.
 //!
 //! [`scope`] opens an RAII timer named after its call site; nested scopes
-//! build a dotted-at-semicolons *stack path* (`serve.forward;conv.lowered_fwd;gemm.panel`)
+//! build a dotted-at-semicolons *stack path* (`serve.forward;plan.forward;conv.lowered_fwd`)
 //! and every completed scope adds its wall-clock to a process-global,
 //! path-keyed call tree (cumulative nanoseconds + hit count per path).
 //! [`render_collapsed`] dumps the tree in the collapsed-stack format that
@@ -17,8 +17,8 @@
 //! [`scope`] costs exactly **one relaxed atomic load** — no clock read, no
 //! thread-local access, no allocation, and crucially **no tree nodes are
 //! ever created** ([`node_count`] stays 0; a regression test pins this).
-//! The hooks therefore live permanently inside the GEMM panel, the conv
-//! lowerings, the quantized kernels, and the serve forward, and a live
+//! The hooks therefore live permanently inside matmul, the conv kernels,
+//! the quantized kernels, and the serve forward, and a live
 //! process answers "where did the milliseconds go" the moment
 //! `LIGHTTS_PROF=1` (or [`set_enabled`]`(true)`) is in effect — no rerun,
 //! no recompile.
@@ -127,7 +127,7 @@ pub struct ProfGuard(Option<(Arc<Node>, Instant)>, std::marker::PhantomData<*con
 
 /// Opens a profiling scope named `name` under the thread's current stack.
 ///
-/// `name` should be a short dotted identifier (`gemm.panel`,
+/// `name` should be a short dotted identifier (`gemm.matmul`,
 /// `conv.lowered_fwd`); `;` is reserved as the stack separator and must not
 /// appear in it.
 #[inline]

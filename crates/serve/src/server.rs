@@ -971,6 +971,17 @@ pub(crate) fn spawn_shard(shared: &Arc<Shared>, si: usize, plans: Vec<AnyPlan>) 
 /// shard, flips its routing phase to restarting, and notifies the
 /// supervisor — sibling shards keep serving untouched while the respawn
 /// happens.
+/// Records shard `si`'s death: its liveness gauge and the `alive` flag.
+/// Every path by which a caller can learn of the death runs this first, so
+/// a caller that has seen `SchedulerDied` finds the shard dead, or already
+/// reborn and counted in `restarts`. The relaxed store is enough: the reply
+/// channel (a send, or the sender's drop) orders it before the caller's
+/// read.
+fn mark_dead(shared: &Shared, si: usize) {
+    shared.stats.shard_dead(si);
+    shared.shards[si].alive.store(false, Ordering::Relaxed);
+}
+
 fn shard_scheduler(shared: &Shared, si: usize, mut plans: Vec<AnyPlan>) {
     /// Marks the shard dead when the loop exits — including via a panic
     /// escaping the loop itself (plan forwards are caught below, but the
@@ -986,6 +997,8 @@ fn shard_scheduler(shared: &Shared, si: usize, mut plans: Vec<AnyPlan>) {
     impl Drop for AliveGuard<'_> {
         fn drop(&mut self) {
             let shard = &self.shared.shards[self.si];
+            // Before the first drained request hears of the death.
+            mark_dead(self.shared, self.si);
             let mut st = lock_state(shard);
             let clean = st.shutdown;
             st.dead = !clean;
@@ -1020,8 +1033,6 @@ fn shard_scheduler(shared: &Shared, si: usize, mut plans: Vec<AnyPlan>) {
             if !clean {
                 obs::event!("serve.shard.dead", { shard: self.si, drained: drained });
             }
-            self.shared.stats.shard_dead(self.si);
-            shard.alive.store(false, Ordering::Relaxed);
             if !clean {
                 // Last: hand the corpse to the supervisor. At shutdown the
                 // sender is already gone (or the send fails) — both mean
@@ -1038,10 +1049,27 @@ fn shard_scheduler(shared: &Shared, si: usize, mut plans: Vec<AnyPlan>) {
             }
         }
     }
+    /// Marks the shard dead when a panic unwinds through one iteration of
+    /// the loop (a no-op otherwise).
+    struct PanicNotice<'a> {
+        shared: &'a Shared,
+        si: usize,
+    }
+    impl Drop for PanicNotice<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                mark_dead(self.shared, self.si);
+            }
+        }
+    }
     let _alive = AliveGuard { shared, si };
     let mut inputs: Vec<f32> = Vec::new();
     let mut probs: Vec<f32> = Vec::new();
-    while let Some((slot, batch)) = next_batch(shared, si) {
+    while let Some((slot, mut batch)) = next_batch(shared, si) {
+        // Declared after `batch`, so a panic below marks the shard dead
+        // before unwinding drops the batch, whose dropped reply senders
+        // tell their callers the shard died.
+        let _panic = PanicNotice { shared, si };
         // The shard-death failpoint sits OUTSIDE the catch_unwind below:
         // arming `serve.shard` kills this shard thread outright (either
         // action), exercising the sibling-isolation contract the chaos
@@ -1052,9 +1080,9 @@ fn shard_scheduler(shared: &Shared, si: usize, mut plans: Vec<AnyPlan>) {
         // Shed expired requests pre-inference.
         let now = Instant::now();
         let mi = shared.shards[si].slot_models[slot];
-        let mut live = Vec::with_capacity(batch.len());
-        for r in batch {
-            if r.deadline.is_some_and(|d| now >= d) {
+        batch.retain(|r| {
+            let expired = r.deadline.is_some_and(|d| now >= d);
+            if expired {
                 // Counter before send: a caller whose `wait` just returned
                 // must never read a stale counter. A shed request may have
                 // been the model's half-open probe — reopen rather than
@@ -1062,14 +1090,12 @@ fn shard_scheduler(shared: &Shared, si: usize, mut plans: Vec<AnyPlan>) {
                 shared.breakers[mi].probe_aborted(elapsed_us(shared));
                 shared.stats.shed_deadline();
                 let _ = r.tx.send(Err(ServeError::DeadlineExceeded));
-            } else {
-                live.push(r);
             }
-        }
-        if live.is_empty() {
+            !expired
+        });
+        if batch.is_empty() {
             continue;
         }
-        let batch = live;
         let plan = &mut plans[slot];
         let kind = plan.kind();
         let nc = plan.num_classes();

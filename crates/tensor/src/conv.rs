@@ -10,45 +10,46 @@
 //! * weight `w`: `[out_channels, in_channels, kernel]`
 //! * output `y`: `[batch, out_channels, length]`
 //!
-//! # Two implementations, one contract
+//! # Lowered kernels without unfold slabs
 //!
-//! Each pass (forward, backward-input, backward-weight) exists in two forms:
+//! Every pass is a GEMM on the register tile [`simd::gemm_tile`], whose
+//! `b` rows are addressed by offset. Per sample, the input (or the input
+//! gradient) lives in one pooled zero-padded copy `pad[cin][l + k − 1]`,
+//! and the GEMM reads its unfold straight from there: row `(ci, j)` of the
+//! im2col matrix is `pad[ci][j..j + l]`. No `[cin·k, l]` slab is built.
 //!
-//! * **Direct** — the original nested-loop kernels, kept as the test oracle
-//!   and used for small shapes where lowering overhead dominates.
-//! * **Lowered** — im2col/kn2row lowering onto the cache-blocked GEMM row
-//!   kernel [`crate::linalg::gemm_row_into`] shared with `matmul`. Per
-//!   sample, the input is unfolded into a `[cin·k, l]` patch matrix (built
-//!   in a pooled slab, one contiguous copy per `(ci, j)` row) and the
-//!   convolution becomes `W[cout, cin·k] @ X_col` — the flattened weight
-//!   tensor *is* the packed GEMM panel, reused across the whole batch.
-//!   The backward-input pass packs `Wᵀ` once per call and reuses it across
-//!   the batch; backward-weight unfolds each sample as `[l, cin·k]` rows
-//!   and accumulates `dy_row @ X_rowᵀ` per output channel. The win comes
-//!   from turning indexed, bounds-checked inner loops into straight-line
-//!   slice-zip accumulations the compiler vectorizes.
+//! * **Forward**: `y_b = W[cout, cin·k] · X_col`, one tile call per sample.
+//!   Each output element accumulates `p = (ci, j)` ascending from `+0.0`.
+//! * **Weight gradient**: per (sample, `ci`), `dW[:, ci, :] += dY_b · H_ci`
+//!   with `H_ci[t, j] = pad[ci][t + j]`, into a pooled accumulator whose
+//!   rows are padded to a multiple of 8 columns. Each `dw` element is one
+//!   chain over `(bi, t)` ascending.
+//! * **Input gradient**: per (sample, `j` ascending), the tile computes
+//!   `G[(ci, j), t] = Σ_co w[co, ci, j] · dy[co, t]` in registers (a chain
+//!   over `co` from `+0.0`) and adds it into the zero-padded `dx` rows at
+//!   offset `j`. Each `dx` element sums its `G` terms in ascending `j`.
 //!
-//! Both forms honour the determinism contract the serving layer relies on:
-//! fixed per-element reduction order, results identical across batch
-//! fusions. The **forward** lowering is bitwise identical to the direct
-//! kernel *under any fixed SIMD backend* (same `(ci, j)`-ascending
-//! accumulation per output element, one [`crate::simd`] `mul_add_fast` per
-//! term in both paths — fused on AVX2, plain mul+add on SSE2/scalar — same
-//! zero-skip; padding contributes exact `±0.0` terms which cannot change
-//! an accumulator that is never `-0.0`). The backward lowerings use a
-//! different (but still fixed) summation association and are validated
-//! against the direct oracles by property tests in `tests/conv_lowering.rs`;
-//! the direct backward-weight kernel deliberately stays scalar (its inner
-//! loop is a dot product, and reassociating it would change the oracle),
-//! so it is bitwise identical across every backend.
+//! The padding cannot move bits: a padded input position adds a `±0.0`
+//! term, which leaves a chain that is never `-0.0` unchanged, and a padded
+//! output column or `dx` position is discarded.
 //!
-//! The active implementation is chosen by [`set_conv_impl`]; the default
-//! [`ConvImpl::Auto`] picks per shape (batch-independently, so fused and
-//! per-sample runs agree).
+//! The direct nested-loop kernels stay as oracles. The forward always takes
+//! the lowered kernel, which is bitwise equal to the direct one under any
+//! fixed SIMD backend (same `(ci, j)`-ascending order, one
+//! [`crate::simd`] `mul_add_fast` per term, same zero-skip; a skipped or
+//! padded `±0.0` term cannot change an accumulator that is never `-0.0`).
+//! The backward passes take the direct kernels below `LOWERED_MIN_WORK`
+//! multiplies per sample and the lowered ones above it. The choice depends
+//! only on `(cin, l, cout, k)`, never on the batch size, so fused and
+//! per-sample runs agree. The two backward families associate their sums
+//! differently, so they agree to rounding, not bitwise
+//! (`tests/conv_lowering.rs` checks both; it also pins the lowered passes'
+//! bits on every backend against test-only slab references). The direct
+//! backward-weight kernel stays scalar on purpose (its inner loop is a dot
+//! product), so it is bitwise identical across every backend.
 
-use crate::linalg::{gemm_panel_into, gemm_row_into};
 use crate::{pool, simd, Result, Tensor, TensorError};
-use std::sync::atomic::{AtomicU8, Ordering};
+use simd::{Tile, TileUpdate};
 
 /// Padding for "same"-length convolution with a kernel of size `k`:
 /// `(pad_left, pad_right)`.
@@ -61,58 +62,16 @@ pub fn same_padding(k: usize) -> (usize, usize) {
     ((k - 1) / 2, k / 2)
 }
 
-// ---------------------------------------------------------------------------
-// Implementation selection
-// ---------------------------------------------------------------------------
-
-/// Which convolution kernel family the dispatching entry points use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvImpl {
-    /// Choose per shape: lowered for GEMM-sized problems, direct for tiny
-    /// ones. The choice depends only on `(cin, l, cout, k)` — never on the
-    /// batch size — so batched and per-sample executions of the same layer
-    /// always take the same path.
-    Auto,
-    /// Always the direct nested-loop kernels (the oracle).
-    Direct,
-    /// Always the im2col/GEMM lowering.
-    Lowered,
-}
-
-static CONV_IMPL: AtomicU8 = AtomicU8::new(0);
-
-/// Below this per-sample multiply count the im2col build + pooled-slab
-/// bookkeeping costs more than it saves and the direct kernels win.
+/// Below this per-sample multiply count the backward passes take the
+/// direct kernels. The two families associate differently, so moving the
+/// threshold moves training bits.
 const LOWERED_MIN_WORK: usize = 1 << 12;
 
-/// Sets the process-global convolution implementation (default
-/// [`ConvImpl::Auto`]).
-pub fn set_conv_impl(which: ConvImpl) {
-    let v = match which {
-        ConvImpl::Auto => 0,
-        ConvImpl::Direct => 1,
-        ConvImpl::Lowered => 2,
-    };
-    CONV_IMPL.store(v, Ordering::Relaxed);
-}
-
-/// The currently selected convolution implementation.
-pub fn conv_impl() -> ConvImpl {
-    match CONV_IMPL.load(Ordering::Relaxed) {
-        1 => ConvImpl::Direct,
-        2 => ConvImpl::Lowered,
-        _ => ConvImpl::Auto,
-    }
-}
-
-/// Resolves [`ConvImpl::Auto`] for a concrete (batch-independent) shape.
+/// Whether the backward passes of a (batch-independent) shape take the
+/// lowered kernels.
 #[inline]
 fn use_lowered(cin: usize, l: usize, cout: usize, k: usize) -> bool {
-    match conv_impl() {
-        ConvImpl::Direct => false,
-        ConvImpl::Lowered => true,
-        ConvImpl::Auto => cin * k * l * cout >= LOWERED_MIN_WORK,
-    }
+    cin * k * l * cout >= LOWERED_MIN_WORK
 }
 
 fn check_conv_shapes(x: &Tensor, w: &Tensor) -> Result<(usize, usize, usize, usize, usize)> {
@@ -163,52 +122,12 @@ fn check_backward_dims(
     Ok((b, cin, l, cout, k))
 }
 
-// ---------------------------------------------------------------------------
-// im2col / im2row unfolding
-// ---------------------------------------------------------------------------
-
-/// Unfolds one sample `x_b: [cin, l]` into `xcol: [cin·k, l]` where row
-/// `p = ci·k + j` holds `x[ci, t + j - pl]` for `t in 0..l` (zero outside
-/// the valid range). Each row is one edge-zeroed contiguous copy.
-fn im2col(xcol: &mut [f32], x_b: &[f32], cin: usize, l: usize, k: usize, pl: usize) {
-    for ci in 0..cin {
-        let x_row = &x_b[ci * l..(ci + 1) * l];
-        for j in 0..k {
-            let dst = &mut xcol[(ci * k + j) * l..(ci * k + j + 1) * l];
-            // t + j - pl in [0, l) ⇒ t in [pl - j, l + pl - j); when k > l
-            // a row can be entirely padding, hence the extra clamp to l.
-            let t_lo = pl.saturating_sub(j).min(l);
-            let t_hi = (l + pl).saturating_sub(j).min(l);
-            dst[..t_lo].fill(0.0);
-            dst[t_hi..].fill(0.0);
-            if t_lo < t_hi {
-                dst[t_lo..t_hi].copy_from_slice(&x_row[t_lo + j - pl..t_hi + j - pl]);
-            }
-        }
-    }
-}
-
-/// Unfolds one sample `x_b: [cin, l]` into `xrow: [l, cin·k]` where row `t`,
-/// column `p = ci·k + j` holds `x[ci, t + j - pl]` (zero outside the valid
-/// range) — the transpose of [`im2col`], laid out so backward-weight can
-/// reduce over `t` with [`gemm_row_into`].
-fn im2row(xrow: &mut [f32], x_b: &[f32], cin: usize, l: usize, k: usize, pl: usize) {
-    let ck = cin * k;
-    for t in 0..l {
-        let dst_t = &mut xrow[t * ck..(t + 1) * ck];
-        for ci in 0..cin {
-            let x_row = &x_b[ci * l..(ci + 1) * l];
-            let dst = &mut dst_t[ci * k..(ci + 1) * k];
-            // t + j - pl in [0, l) ⇒ j in [pl - t, l + pl - t); pl < k so
-            // the lower clamp never exceeds k.
-            let j_lo = pl.saturating_sub(t);
-            let j_hi = (l + pl - t).min(k);
-            dst[..j_lo].fill(0.0);
-            dst[j_hi..].fill(0.0);
-            if j_lo < j_hi {
-                dst[j_lo..j_hi].copy_from_slice(&x_row[t + j_lo - pl..t + j_hi - pl]);
-            }
-        }
+/// Copies one sample `x_b: [cin, l]` into the middle of the zero-padded rows
+/// `pad[ci·lp + pl ..][..l]`. The padding around the copies is never
+/// written, so it stays zero from the pooled `take_zeroed`.
+fn pad_sample(pad: &mut [f32], x_b: &[f32], l: usize, lp: usize, pl: usize) {
+    for (row, x_row) in pad.chunks_exact_mut(lp).zip(x_b.chunks_exact(l)) {
+        row[pl..pl + l].copy_from_slice(x_row);
     }
 }
 
@@ -219,13 +138,12 @@ fn im2row(xrow: &mut [f32], x_b: &[f32], cin: usize, l: usize, k: usize, pl: usi
 /// Forward "same" 1-D convolution (actually cross-correlation, the deep
 /// learning convention): `y[b,co,t] = Σ_ci Σ_j x[b,ci,t+j-pl] · w[co,ci,j]`.
 ///
-/// Dispatches between the direct and lowered kernels per [`conv_impl`]; the
-/// two are bitwise identical for the forward pass, so the choice is purely
-/// a performance matter.
+/// Runs the lowered kernel, which is bitwise equal to
+/// [`conv1d_forward_direct`] under any fixed SIMD backend.
 pub fn conv1d_forward(x: &Tensor, w: &Tensor) -> Result<Tensor> {
     let (b, cin, l, cout, k) = check_conv_shapes(x, w)?;
     let mut y = pool::take_zeroed(b * cout * l);
-    conv1d_forward_dispatch(&mut y, x.data(), w.data(), b, cin, l, cout, k);
+    conv1d_forward_kernel(&mut y, x.data(), w.data(), b, cin, l, cout, k);
     Tensor::from_vec(y, &[b, cout, l])
 }
 
@@ -236,7 +154,7 @@ pub fn conv1d_forward(x: &Tensor, w: &Tensor) -> Result<Tensor> {
 /// `batch · cout · l` elements; `y` is overwritten. This is the
 /// allocation-free entry point the inference engine uses to reuse one
 /// scratch buffer across requests; numerics are identical to
-/// [`conv1d_forward`] (same dispatch, same kernels).
+/// [`conv1d_forward`] (same kernel).
 pub fn conv1d_forward_into(y: &mut [f32], x: &[f32], batch: usize, w: &Tensor) -> Result<()> {
     if w.rank() != 3 {
         return Err(TensorError::RankMismatch { found: w.rank(), expected: 3, op: "conv1d(w)" });
@@ -252,41 +170,16 @@ pub fn conv1d_forward_into(y: &mut [f32], x: &[f32], batch: usize, w: &Tensor) -
     if y.len() != batch * cout * l {
         return Err(TensorError::LengthMismatch { len: y.len(), expected: batch * cout * l });
     }
-    conv1d_forward_dispatch(y, x, w.data(), batch, cin, l, cout, k);
+    y.fill(0.0);
+    conv1d_forward_kernel(y, x, w.data(), batch, cin, l, cout, k);
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn conv1d_forward_dispatch(
-    y: &mut [f32],
-    xd: &[f32],
-    wd: &[f32],
-    b: usize,
-    cin: usize,
-    l: usize,
-    cout: usize,
-    k: usize,
-) {
-    if use_lowered(cin, l, cout, k) {
-        conv1d_forward_lowered_kernel(y, xd, wd, b, cin, l, cout, k);
-    } else {
-        conv1d_forward_direct_kernel(y, xd, wd, b, cin, l, cout, k);
-    }
-}
-
-/// Forward convolution forced through the direct nested-loop oracle.
+/// Forward convolution through the direct nested-loop oracle.
 pub fn conv1d_forward_direct(x: &Tensor, w: &Tensor) -> Result<Tensor> {
     let (b, cin, l, cout, k) = check_conv_shapes(x, w)?;
     let mut y = pool::take_zeroed(b * cout * l);
     conv1d_forward_direct_kernel(&mut y, x.data(), w.data(), b, cin, l, cout, k);
-    Tensor::from_vec(y, &[b, cout, l])
-}
-
-/// Forward convolution forced through the im2col/GEMM lowering.
-pub fn conv1d_forward_lowered(x: &Tensor, w: &Tensor) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_conv_shapes(x, w)?;
-    let mut y = pool::take_zeroed(b * cout * l);
-    conv1d_forward_lowered_kernel(&mut y, x.data(), w.data(), b, cin, l, cout, k);
     Tensor::from_vec(y, &[b, cout, l])
 }
 
@@ -324,8 +217,8 @@ fn conv1d_forward_direct_kernel(
                     continue;
                 }
                 // Shifted axpy through simd::axpy_madd: the same
-                // mul_add_fast per element as the lowered GEMM panel, so
-                // direct and lowered forward stay bitwise equal under
+                // mul_add_fast per element as the lowered register tile,
+                // so direct and lowered forward stay bitwise equal under
                 // every backend (fused on AVX2, plain mul+add otherwise).
                 let src = x_off + t_lo + j - pl;
                 simd::axpy_madd(&mut y_row[t_lo..t_hi], &xd[src..src + (t_hi - t_lo)], wv);
@@ -334,16 +227,13 @@ fn conv1d_forward_direct_kernel(
     }
 }
 
-/// The lowered forward kernel: per sample, `y_b = W[cout, cin·k] @ X_col`.
-///
-/// The flattened weight tensor already is the `[cout, cin·k]` GEMM panel
-/// (row-major `[cout, cin, k]` has exactly that memory layout), so it is
-/// reused untouched across the whole batch; only the `X_col` unfold (one
-/// pooled slab, rebuilt per sample) moves data. Accumulation per output
-/// element runs `p = ci·k + j` ascending — the identical order and zero-skip
-/// as the direct kernel — which makes this path bitwise equal to the oracle.
+/// The lowered forward kernel: per sample, `y_b += W[cout, cin·k] · X_col`
+/// on the register tile, with row `(ci, j)` of `X_col` read in place from
+/// the padded copy (`pad[ci·lp + j ..]`). The flattened weight tensor is
+/// the `a` operand as is. `y` must be zeroed: each element's chain runs
+/// `p = (ci, j)` ascending from `+0.0`, the direct kernel's order.
 #[allow(clippy::too_many_arguments)]
-fn conv1d_forward_lowered_kernel(
+fn conv1d_forward_kernel(
     y: &mut [f32],
     xd: &[f32],
     wd: &[f32],
@@ -355,21 +245,26 @@ fn conv1d_forward_lowered_kernel(
 ) {
     let _prof = lightts_obs::prof::scope("conv.lowered_fwd");
     let (pl, _pr) = same_padding(k);
+    let lp = l + k - 1;
     let ck = cin * k;
-    let mut xcol = pool::take_zeroed(ck * l);
+    let tile = Tile {
+        rows: cout,
+        k: ck,
+        n: l,
+        ldc: l,
+        lda: ck,
+        a_step: 1,
+        b_step: 1,
+        b_run: k,
+        b_jump: lp,
+        update: TileUpdate::Chain,
+    };
+    let mut xpad = pool::take_zeroed(cin * lp);
     for bi in 0..b {
-        im2col(&mut xcol, &xd[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
-        let y_b = &mut y[bi * cout * l..(bi + 1) * cout * l];
-        // Panel blocking: the register-blocked GEMM streams each X_col row
-        // once per 4 output channels instead of once per channel, which is
-        // where the lowering's speedup over the (already contiguous) direct
-        // kernel comes from. `gemm_panel_into` keeps the per-element
-        // accumulation order of `gemm_row_into`, so the bitwise contract
-        // holds.
-        y_b.fill(0.0);
-        gemm_panel_into(y_b, &wd[..cout * ck], &xcol, cout, ck, l);
+        pad_sample(&mut xpad, &xd[bi * cin * l..(bi + 1) * cin * l], l, lp, pl);
+        simd::gemm_tile(&mut y[bi * cout * l..(bi + 1) * cout * l], wd, &xpad, &tile);
     }
-    pool::recycle(xcol);
+    pool::recycle(xpad);
 }
 
 // ---------------------------------------------------------------------------
@@ -387,11 +282,11 @@ fn check_backward_input(
 /// Gradient of the convolution output w.r.t. the input:
 /// `dx[b,ci,s] = Σ_co Σ_j dy[b,co,s-j+pl] · w[co,ci,j]`.
 ///
-/// Dispatches between the direct and lowered kernels per [`conv_impl`].
-/// Each kernel has a fixed reduction order independent of batch fusion; the
-/// two orders differ in association, so gradients from the two paths agree
-/// to rounding (not bitwise) — the dispatch heuristic is
-/// shape-deterministic, so any given layer always takes the same path.
+/// Takes the direct kernel for small shapes and the lowered one otherwise
+/// (by `(cin, l, cout, k)` only). Each kernel has a fixed reduction order
+/// independent of batch fusion; the two orders differ in association, so
+/// gradients from the two paths agree to rounding (not bitwise) — any
+/// given layer always takes the same path.
 pub fn conv1d_backward_input(dy: &Tensor, w: &Tensor, input_dims: &[usize]) -> Result<Tensor> {
     let (b, cin, l, cout, k) = check_backward_input(dy, w, input_dims)?;
     if use_lowered(cin, l, cout, k) {
@@ -401,7 +296,7 @@ pub fn conv1d_backward_input(dy: &Tensor, w: &Tensor, input_dims: &[usize]) -> R
     }
 }
 
-/// Input gradient forced through the direct nested-loop oracle.
+/// Input gradient through the direct nested-loop kernel.
 pub fn conv1d_backward_input_direct(
     dy: &Tensor,
     w: &Tensor,
@@ -411,7 +306,7 @@ pub fn conv1d_backward_input_direct(
     conv1d_backward_input_direct_kernel(dy, w, b, cin, l, cout, k)
 }
 
-/// Input gradient forced through the kn2row/GEMM lowering.
+/// Input gradient through the lowered kernel.
 pub fn conv1d_backward_input_lowered(
     dy: &Tensor,
     w: &Tensor,
@@ -430,6 +325,7 @@ fn conv1d_backward_input_direct_kernel(
     cout: usize,
     k: usize,
 ) -> Result<Tensor> {
+    let _prof = lightts_obs::prof::scope("conv.direct_bwd_input");
     let (pl, _pr) = same_padding(k);
     let dyd = dy.data();
     let wd = w.data();
@@ -465,12 +361,14 @@ fn conv1d_backward_input_direct_kernel(
     Tensor::from_vec(dx, &[b, cin, l])
 }
 
-/// The lowered input-gradient kernel: pack `Wᵀ: [cin·k, cout]` once, then
-/// per sample compute `G = Wᵀ @ dy_b` (a `[cin·k, l]` GEMM through the
-/// shared row kernel) and fold `G` back onto `dx_b` with a col2im scatter
-/// (per `(ci)` row, `j`-ascending shifted adds). Reduction order per `dx`
-/// element is fixed — `co` summed inside the GEMM, then `j` ascending — and
-/// independent of the batch size.
+/// The lowered input-gradient kernel. Per sample and per `j` ascending, one
+/// tile call computes `G[(ci, j), t] = Σ_co w[co, ci, j] · dy_b[co, t]` for
+/// every `ci` in registers (a chain over `co` from `+0.0`, reading `w` in
+/// place with stride `cin·k`) and adds it into the zero-padded rows
+/// `dxpad[ci][t + j]`; the middle `l` values of each row are `dx_b`. Per
+/// `dx` element that is the `G` terms summed in ascending `j`, the order of
+/// a col2im pass, independent of the batch size. Terms that fall on the
+/// padding belong to no `dx` element and are discarded.
 fn conv1d_backward_input_lowered_kernel(
     dy: &Tensor,
     w: &Tensor,
@@ -482,43 +380,38 @@ fn conv1d_backward_input_lowered_kernel(
 ) -> Result<Tensor> {
     let _prof = lightts_obs::prof::scope("conv.lowered_bwd_input");
     let (pl, _pr) = same_padding(k);
-    let dyd = dy.data();
-    let wd = w.data();
+    let lp = l + k - 1;
     let ck = cin * k;
-    // The packed weight panel: wt[p·cout + co] = w[co, p], built once and
-    // reused across the batch.
-    let mut wt = pool::take_zeroed(ck * cout);
-    for co in 0..cout {
-        for (p, &wv) in wd[co * ck..(co + 1) * ck].iter().enumerate() {
-            wt[p * cout + co] = wv;
-        }
+    let tile = Tile {
+        rows: cin,
+        k: cout,
+        n: l,
+        ldc: lp,
+        lda: k,
+        a_step: ck,
+        b_step: l,
+        b_run: cout,
+        b_jump: 0,
+        update: TileUpdate::AddTotal,
+    };
+    let (dyd, wd) = (dy.data(), w.data());
+    if cin == 0 || cout == 0 {
+        // No channel to slice the per-`j` operands from: the gradient is 0.
+        return Tensor::from_vec(pool::take_zeroed(b * cin * l), &[b, cin, l]);
     }
-    let mut g = pool::take_zeroed(ck * l);
-    let mut dx = pool::take_zeroed(b * cin * l);
+    let mut dxpad = pool::take_zeroed(cin * lp);
+    let mut dx = pool::take_empty(b * cin * l);
     for bi in 0..b {
+        dxpad.fill(0.0);
         let dy_b = &dyd[bi * cout * l..(bi + 1) * cout * l];
-        // Panel blocking over the [cin·k, l] gradient image: each dy_b row is
-        // streamed once per 4 G rows (same blocking as the forward pass);
-        // per-element accumulation order is unchanged.
-        g.fill(0.0);
-        gemm_panel_into(&mut g, &wt, dy_b, ck, cout, l);
-        let dx_b = &mut dx[bi * cin * l..(bi + 1) * cin * l];
-        for (ci, dx_row) in dx_b.chunks_exact_mut(l).enumerate() {
-            for j in 0..k {
-                let g_row = &g[(ci * k + j) * l..(ci * k + j + 1) * l];
-                let t_lo = pl.saturating_sub(j).min(l);
-                let t_hi = (l + pl).saturating_sub(j).min(l);
-                if t_lo >= t_hi {
-                    continue;
-                }
-                // Pure additions (exact single-rounding op): vectorized,
-                // bitwise invariant across backends.
-                simd::add_assign(&mut dx_row[t_lo + j - pl..t_hi + j - pl], &g_row[t_lo..t_hi]);
-            }
+        for j in 0..k {
+            simd::gemm_tile(&mut dxpad[j..], &wd[j..], dy_b, &tile);
+        }
+        for row in dxpad.chunks_exact(lp) {
+            dx.extend_from_slice(&row[pl..pl + l]);
         }
     }
-    pool::recycle(g);
-    pool::recycle(wt);
+    pool::recycle(dxpad);
     Tensor::from_vec(dx, &[b, cin, l])
 }
 
@@ -537,7 +430,7 @@ fn check_backward_weight(
 /// Gradient of the convolution output w.r.t. the weights:
 /// `dw[co,ci,j] = Σ_b Σ_t dy[b,co,t] · x[b,ci,t+j-pl]`.
 ///
-/// Dispatches between the direct and lowered kernels per [`conv_impl`];
+/// Takes the direct kernel for small shapes and the lowered one otherwise;
 /// see [`conv1d_backward_input`] for the determinism discussion.
 pub fn conv1d_backward_weight(dy: &Tensor, x: &Tensor, weight_dims: &[usize]) -> Result<Tensor> {
     let (b, cin, l, cout, k) = check_backward_weight(dy, x, weight_dims)?;
@@ -548,7 +441,7 @@ pub fn conv1d_backward_weight(dy: &Tensor, x: &Tensor, weight_dims: &[usize]) ->
     }
 }
 
-/// Weight gradient forced through the direct nested-loop oracle.
+/// Weight gradient through the direct nested-loop kernel.
 pub fn conv1d_backward_weight_direct(
     dy: &Tensor,
     x: &Tensor,
@@ -558,7 +451,7 @@ pub fn conv1d_backward_weight_direct(
     conv1d_backward_weight_direct_kernel(dy, x, b, cin, l, cout, k)
 }
 
-/// Weight gradient forced through the im2row/GEMM lowering.
+/// Weight gradient through the lowered kernel.
 pub fn conv1d_backward_weight_lowered(
     dy: &Tensor,
     x: &Tensor,
@@ -577,6 +470,7 @@ fn conv1d_backward_weight_direct_kernel(
     cout: usize,
     k: usize,
 ) -> Result<Tensor> {
+    let _prof = lightts_obs::prof::scope("conv.direct_bwd_weight");
     let (pl, _pr) = same_padding(k);
     let dyd = dy.data();
     let xd = x.data();
@@ -602,10 +496,13 @@ fn conv1d_backward_weight_direct_kernel(
     Tensor::from_vec(dw, &[cout, cin, k])
 }
 
-/// The lowered weight-gradient kernel: per sample, unfold `x_b` as
-/// `X_row: [l, cin·k]` and accumulate `dw[co, :] += dy[b, co, :] @ X_row`
-/// through the shared GEMM row kernel. Per `dw` element the reduction runs
-/// `bi` ascending then `t` ascending — fixed and fusion-independent.
+/// The lowered weight-gradient kernel: per sample and input channel,
+/// `dW[:, ci, :] += dY_b[cout, l] · H_ci` on the register tile, where row
+/// `t` of `H_ci` is the padded input `xpad[ci][t..]` read in place. The
+/// accumulator's rows are padded to `kp` (a multiple of 8) columns so the
+/// tile runs whole vectors; the extra columns read past the kernel window
+/// and are dropped at the end. Per `dw` element the reduction is one chain
+/// over `bi` ascending then `t` ascending — fixed and fusion-independent.
 fn conv1d_backward_weight_lowered_kernel(
     dy: &Tensor,
     x: &Tensor,
@@ -617,19 +514,42 @@ fn conv1d_backward_weight_lowered_kernel(
 ) -> Result<Tensor> {
     let _prof = lightts_obs::prof::scope("conv.lowered_bwd_weight");
     let (pl, _pr) = same_padding(k);
-    let dyd = dy.data();
-    let xd = x.data();
-    let ck = cin * k;
-    let mut xrow = pool::take_zeroed(l * ck);
-    let mut dw = pool::take_zeroed(cout * ck);
+    let lp = l + k - 1;
+    let kp = k.next_multiple_of(8);
+    let tile = Tile {
+        rows: cout,
+        k: l,
+        n: kp,
+        ldc: cin * kp,
+        lda: l,
+        a_step: 1,
+        b_step: 1,
+        b_run: l,
+        b_jump: 0,
+        update: TileUpdate::Chain,
+    };
+    if cin == 0 || cout == 0 {
+        // No channel to slice the per-`ci` operands from: the gradient is 0.
+        return Tensor::from_vec(pool::take_zeroed(cout * cin * k), &[cout, cin, k]);
+    }
+    // The `kp - k` slack lets the last channel's padded columns stay in
+    // bounds.
+    let mut xpad = pool::take_zeroed(cin * lp + kp - k);
+    let mut acc = pool::take_zeroed(cout * cin * kp);
+    let (dyd, xd) = (dy.data(), x.data());
     for bi in 0..b {
-        im2row(&mut xrow, &xd[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
-        for co in 0..cout {
-            let dy_row = &dyd[(bi * cout + co) * l..(bi * cout + co + 1) * l];
-            gemm_row_into(&mut dw[co * ck..(co + 1) * ck], dy_row, &xrow, l, ck);
+        pad_sample(&mut xpad, &xd[bi * cin * l..(bi + 1) * cin * l], l, lp, pl);
+        let dy_b = &dyd[bi * cout * l..(bi + 1) * cout * l];
+        for ci in 0..cin {
+            simd::gemm_tile(&mut acc[ci * kp..], dy_b, &xpad[ci * lp..], &tile);
         }
     }
-    pool::recycle(xrow);
+    let mut dw = pool::take_empty(cout * cin * k);
+    for row in acc.chunks_exact(kp) {
+        dw.extend_from_slice(&row[..k]);
+    }
+    pool::recycle(acc);
+    pool::recycle(xpad);
     Tensor::from_vec(dw, &[cout, cin, k])
 }
 
@@ -705,7 +625,7 @@ mod tests {
             let x = Tensor::randn(&mut rng, &[b, cin, l], 1.0);
             let w = Tensor::randn(&mut rng, &[cout, cin, k], 1.0);
             let direct = conv1d_forward_direct(&x, &w).unwrap();
-            let lowered = conv1d_forward_lowered(&x, &w).unwrap();
+            let lowered = conv1d_forward(&x, &w).unwrap();
             for (a, b) in direct.data().iter().zip(lowered.data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "direct {a} vs lowered {b}");
             }
@@ -740,9 +660,9 @@ mod tests {
         for (a, b) in fast.data().iter().zip(slow.data().iter()) {
             assert!((a - b).abs() < 1e-5);
         }
-        // The lowering must handle k > l (fully clipped copies) too.
-        let lowered = conv1d_forward_lowered(&x, &w).unwrap();
-        for (a, b) in lowered.data().iter().zip(slow.data().iter()) {
+        // So must the direct oracle (fully clipped windows).
+        let direct = conv1d_forward_direct(&x, &w).unwrap();
+        for (a, b) in direct.data().iter().zip(slow.data().iter()) {
             assert!((a - b).abs() < 1e-5);
         }
     }
@@ -785,6 +705,18 @@ mod tests {
                 - conv1d_forward(&x, &wm).unwrap().sum())
                 / (2.0 * eps);
             assert!((dw.data()[i] - fd).abs() < 1e-2, "i={i}: {} vs {fd}", dw.data()[i]);
+        }
+    }
+
+    #[test]
+    fn lowered_backwards_accept_zero_channels() {
+        for (cin, cout) in [(0, 2), (2, 0)] {
+            let (x, w) = (Tensor::ones(&[2, cin, 5]), Tensor::ones(&[cout, cin, 3]));
+            let dy = Tensor::ones(&[2, cout, 5]);
+            let dx = conv1d_backward_input_lowered(&dy, &w, x.dims()).unwrap();
+            assert_eq!(dx.data(), conv1d_backward_input_direct(&dy, &w, x.dims()).unwrap().data());
+            let dw = conv1d_backward_weight_lowered(&dy, &x, w.dims()).unwrap();
+            assert_eq!(dw.data(), conv1d_backward_weight_direct(&dy, &x, w.dims()).unwrap().data());
         }
     }
 
@@ -848,16 +780,5 @@ mod tests {
         for e in backward_errors(&[1, 2, 4], &[1, 3, 4], &[2, 3, 0]) {
             assert!(matches!(e, TensorError::Empty { .. }), "{e}");
         }
-    }
-
-    #[test]
-    fn conv_impl_selector_roundtrips() {
-        assert_eq!(conv_impl(), ConvImpl::Auto);
-        set_conv_impl(ConvImpl::Direct);
-        assert_eq!(conv_impl(), ConvImpl::Direct);
-        set_conv_impl(ConvImpl::Lowered);
-        assert_eq!(conv_impl(), ConvImpl::Lowered);
-        set_conv_impl(ConvImpl::Auto);
-        assert_eq!(conv_impl(), ConvImpl::Auto);
     }
 }

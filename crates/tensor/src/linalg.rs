@@ -13,80 +13,22 @@
 
 use crate::{simd, Result, Tensor, TensorError};
 
-/// One output row of the blocked GEMM: `c_row += a_row · b` for
-/// `a_row: [k]`, `b: [k, n]`, `c_row: [n]`.
-///
-/// This is the single accumulation kernel shared by [`matmul_into`] and the
-/// im2col-lowered convolution in [`crate::conv`] — training dense layers,
-/// serving plans, and all three conv passes reduce through this exact loop,
-/// so their numerics cannot drift apart. The traversal is `kj` (row-major
-/// friendly, vectorized along `j` by [`crate::simd::gemm_row`]) with a
-/// zero-skip on `a_row`'s elements, k-blocked so the touched rows of `b`
-/// stay resident in L1/L2; blocking and lane width reorder only loop
-/// traversal, never the per-element accumulation sequence (`k`-ascending
-/// into each output), so results are independent of block size and
-/// caller. Each accumulation step is one `simd::mul_add_fast`: under the
-/// scalar and SSE2 backends that is the historical multiply-then-add
-/// (bitwise identical to the pre-SIMD kernel); under AVX2 it fuses into a
-/// single rounding (see `docs/NUMERICS.md`).
-#[inline]
-pub fn gemm_row_into(c_row: &mut [f32], a_row: &[f32], b: &[f32], k: usize, n: usize) {
-    debug_assert_eq!(a_row.len(), k);
-    debug_assert_eq!(c_row.len(), n);
-    debug_assert_eq!(b.len(), k * n);
-    simd::gemm_row(c_row, a_row, b, k, n);
-}
-
-/// A register-tiled GEMM panel: `c += a . b` for row-major `a: [rows,k]`,
-/// `b: [k,n]`, `c: [rows,n]`.
-///
-/// The micro-kernel ([`crate::simd::gemm_block4`]) walks 4 output rows x
-/// one backend-sized column tile at a time — 2 `ymm` vectors (16 columns)
-/// under AVX2, 2 `xmm` vectors (8 columns) under SSE2, 16 scalar
-/// accumulators under the scalar oracle — keeping that block of
-/// accumulators in registers for the entire `k` reduction and touching `c`
-/// memory exactly twice (initial load, final store). Compared with calling
-/// [`gemm_row_into`] per output row this eliminates the per-`p` load/store
-/// of the `c` row *and* streams each `b` row once per 4 output rows
-/// instead of once per row - which is what makes the im2col-lowered conv
-/// forward beat the (already contiguous) direct kernel.
-///
-/// **Bitwise contract:** every output element still starts from its current
-/// `c` value and accumulates in the exact `k`-ascending order of
-/// [`gemm_row_into`], one `simd::mul_add_fast` per term — so for any fixed
-/// backend the panel result is bit-identical to the row-by-row kernel,
-/// independent of tile width (scalar ≡ SSE2; AVX2 fuses each step, see
-/// `docs/NUMERICS.md`). When all four rows' `a` values are zero the `p`
-/// step is skipped outright; when only some are zero the four-row update
-/// adds `+-0.0 . b` for those rows instead of skipping - an accumulator can
-/// never hold `-0.0` (it starts at `+0.0`, and both `+0.0 + (+-0.0)` and
-/// `x + (-x)` round to `+0.0` — fused or not), so for finite inputs those
-/// terms change no bits. A remainder of fewer than four rows falls back to
-/// [`gemm_row_into`].
-pub fn gemm_panel_into(c: &mut [f32], a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) {
-    debug_assert_eq!(c.len(), rows * n);
-    debug_assert_eq!(a.len(), rows * k);
-    debug_assert_eq!(b.len(), k * n);
-    let _prof = lightts_obs::prof::scope("gemm.panel");
-    let mut r = 0;
-    while r + 4 <= rows {
-        let (c01, c23) = c[r * n..(r + 4) * n].split_at_mut(2 * n);
-        let (c0, c1) = c01.split_at_mut(n);
-        let (c2, c3) = c23.split_at_mut(n);
-        let ar = |i: usize| &a[(r + i) * k..(r + i + 1) * k];
-        simd::gemm_block4(c0, c1, c2, c3, ar(0), ar(1), ar(2), ar(3), b, k, n);
-        r += 4;
-    }
-    for rr in r..rows {
-        gemm_row_into(&mut c[rr * n..(rr + 1) * n], &a[rr * k..(rr + 1) * k], b, k, n);
-    }
-}
-
 /// `c = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `c: [m,n]`.
 ///
-/// Rows of `c` are computed one after another through [`gemm_row_into`],
-/// each in `k`-ascending accumulation order. The zero-skip on `a` helps the
-/// magnitude-pruned weight matrices common in this workspace.
+/// Rows of `c` are computed one after another through
+/// [`crate::simd::gemm_row`] — training dense layers and serving plans
+/// reduce through this exact loop, so their numerics cannot drift apart.
+/// The traversal is `kj` (row-major friendly, vectorized along `j`) with a
+/// zero-skip on `a`'s elements, which helps the magnitude-pruned weight
+/// matrices common in this workspace, k-blocked so the touched rows of `b`
+/// stay resident in L1/L2; blocking and lane width reorder only loop
+/// traversal, never the per-element accumulation sequence (`k`-ascending
+/// into each output). Each accumulation step is one `simd::mul_add_fast`:
+/// under the scalar and SSE2 backends that is the historical
+/// multiply-then-add (bitwise identical to the pre-SIMD kernel); under
+/// AVX2 it fuses into a single rounding (see `docs/NUMERICS.md`). The
+/// convolutions use the register-tiled sibling [`crate::simd::gemm_tile`],
+/// which keeps the same per-element order.
 pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "matmul_into: lhs length");
     assert_eq!(b.len(), k * n, "matmul_into: rhs length");
@@ -96,7 +38,7 @@ pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: u
     }
     let _prof = lightts_obs::prof::scope("gemm.matmul");
     for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
-        gemm_row_into(c_row, &a[i * k..(i + 1) * k], b, k, n);
+        simd::gemm_row(c_row, &a[i * k..(i + 1) * k], b, k, n);
     }
 }
 

@@ -200,9 +200,9 @@ impl ActQuant {
     }
 }
 
-/// Quantized analogue of the f32 lowering's `im2row`: scatters an `i8`
-/// activation map `qx: [cin, l]` into patch rows `patch: [l, cin·kernel]`
-/// where `patch[t, ci·kernel + j] = qx[ci, t + j − pl]`, out-of-range
+/// Quantized im2row unfold: scatters an `i8` activation map `qx: [cin, l]`
+/// into patch rows `patch: [l, cin·kernel]` where
+/// `patch[t, ci·kernel + j] = qx[ci, t + j − pl]`, out-of-range
 /// positions filled with `pad` (the activation zero-point code, so padding
 /// dequantizes to exactly 0.0).
 pub fn qim2row(

@@ -23,7 +23,7 @@
 //!   tree ⇒ **bitwise backend-invariant**, though *not* equal to a plain
 //!   left-to-right sum (for `n < 8` the stripe tree degenerates to exactly
 //!   left-to-right).
-//! * The GEMM family ([`gemm_row`], [`gemm_block4`], [`axpy_madd`]) uses
+//! * The GEMM family ([`gemm_row`], [`gemm_tile`], [`axpy_madd`]) uses
 //!   [`SimdF32::mul_add_fast`]: scalar ≡ SSE2 bitwise; AVX2 fuses
 //!   multiply-add (one rounding instead of two) and therefore produces
 //!   different — but equally deterministic — bits.
@@ -338,82 +338,266 @@ unsafe fn gemm_row_g<V: SimdF32>(c: &mut [f32], a: &[f32], b: &[f32], k: usize, 
     }
 }
 
-/// Four output rows of the register-tiled GEMM panel: `c_i += a_i · b` for
-/// `a_i: [k]`, `b: [k, n]`, `c_i: [n]`.
+/// Output rows one [`gemm_tile`] register block covers: six rows of two
+/// `ymm` vectors are 12 accumulators, which leaves the AVX2 register file
+/// room for the two `b` vectors and one broadcast.
+const TILE_ROWS: usize = 6;
+
+/// How [`gemm_tile`] combines each output element's product chain with `c`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TileUpdate {
+    /// `c` seeds the chain: `c ← (…((c + a₀b₀) + a₁b₁) + …)`. Splitting the
+    /// `k` range over several calls continues one chain through memory.
+    Chain,
+    /// The chain starts at `+0.0` and its total is added to `c` once:
+    /// `c ← c + (…((+0.0 + a₀b₀) + a₁b₁) + …)`.
+    AddTotal,
+}
+
+/// Operand layout of one [`gemm_tile`] call:
 ///
-/// Walks column tiles of `NV` vectors (`NV·LANES` columns), keeping the
-/// 4-row accumulator block in registers for the entire `k` reduction. The
-/// tile width is backend-specific (16 columns scalar/AVX2, 8 on SSE2 to
-/// fit the `xmm` file) — legal because per output element the accumulation
-/// is `k`-ascending regardless of tiling. When all four `a` values are
-/// zero the `p` step is skipped; when only some are, the fused update adds
-/// `±0.0·b` terms, which change no bits for finite inputs (an accumulator
-/// can never hold `-0.0`; fused and unfused alike, `acc + ±0.0 = acc` and
-/// an exact-zero result rounds to `+0.0`).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-unsafe fn gemm_block4_g<V: SimdF32, const NV: usize>(
-    c0: &mut [f32],
-    c1: &mut [f32],
-    c2: &mut [f32],
-    c3: &mut [f32],
-    a0: &[f32],
-    a1: &[f32],
-    a2: &[f32],
-    a3: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-) {
-    debug_assert!([c0.len(), c1.len(), c2.len(), c3.len()].iter().all(|&l| l == n));
-    debug_assert!([a0.len(), a1.len(), a2.len(), a3.len()].iter().all(|&l| l == k));
-    debug_assert_eq!(b.len(), k * n);
-    let tile = NV * V::LANES;
-    let mut j0 = 0;
-    while j0 + tile <= n {
-        let mut acc = [[V::zero(); NV]; 4];
-        for (row, cr) in [&*c0, &*c1, &*c2, &*c3].iter().enumerate() {
-            for v in 0..NV {
-                acc[row][v] = V::load(&cr[j0 + v * V::LANES..]);
-            }
-        }
-        for p in 0..k {
-            let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
-            if v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0 {
-                continue;
-            }
-            let (s0, s1, s2, s3) = (V::splat(v0), V::splat(v1), V::splat(v2), V::splat(v3));
-            for v in 0..NV {
-                let bv = V::load(&b[p * n + j0 + v * V::LANES..]);
-                acc[0][v] = s0.mul_add_fast(bv, acc[0][v]);
-                acc[1][v] = s1.mul_add_fast(bv, acc[1][v]);
-                acc[2][v] = s2.mul_add_fast(bv, acc[2][v]);
-                acc[3][v] = s3.mul_add_fast(bv, acc[3][v]);
-            }
-        }
-        for (row, cr) in [&mut *c0, &mut *c1, &mut *c2, &mut *c3].iter_mut().enumerate() {
-            for v in 0..NV {
-                acc[row][v].store(&mut cr[j0 + v * V::LANES..]);
-            }
-        }
-        j0 += tile;
+/// `c[r·ldc + t] ⊕= Σ_p a[r·lda + p·a_step] · b[off(p) + t]` for
+/// `r < rows`, `t < n`, `p < k`, where row `p` of `b` starts at
+/// `off(p) = (p / b_run)·b_jump + (p % b_run)·b_step` and `⊕` is the
+/// [`TileUpdate`].
+///
+/// The two-level `b` addressing lets a convolution read its unfold
+/// straight from a zero-padded copy of the input: rows may overlap
+/// (`b_step = 1` walks a sliding window), and a run of `b_run` rows per
+/// input channel jumps `b_jump` to the next channel. Rows of `c` must not
+/// overlap (`ldc ≥ n`), and `k` must be a multiple of `b_run`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tile {
+    /// Output rows (walked in register blocks of up to six).
+    pub rows: usize,
+    /// Reduction length.
+    pub k: usize,
+    /// Output columns.
+    pub n: usize,
+    /// Distance between consecutive rows of `c`.
+    pub ldc: usize,
+    /// Distance between consecutive rows of `a`.
+    pub lda: usize,
+    /// Distance between consecutive reduction steps within a row of `a`.
+    pub a_step: usize,
+    /// Distance between consecutive rows of `b` within a run.
+    pub b_step: usize,
+    /// Rows of `b` per run.
+    pub b_run: usize,
+    /// Distance between the first rows of consecutive runs of `b`.
+    pub b_jump: usize,
+    /// How the chain meets `c`.
+    pub update: TileUpdate,
+}
+
+impl Tile {
+    /// Panics unless every element a layout with `rows`, `k` and `n` all
+    /// non-zero addresses lies inside `c`, `a` and `b` (of these lengths):
+    /// the unchecked loads of [`gemm_tile`] rely on it.
+    fn check(&self, c: usize, a: usize, b: usize) {
+        assert!(self.k.checked_rem(self.b_run) == Some(0), "gemm_tile: k not a multiple of b_run");
+        assert!(self.rows < 2 || self.ldc >= self.n, "gemm_tile: rows of c overlap");
+        // One past the last element each operand addresses, overflow-checked.
+        let end = |terms: &[(usize, usize)], last: usize| {
+            terms.iter().try_fold(last, |acc, &(count, step)| {
+                (count - 1).checked_mul(step).and_then(|v| v.checked_add(acc))
+            })
+        };
+        let c_end = end(&[(self.rows, self.ldc)], self.n);
+        let a_end = end(&[(self.rows, self.lda), (self.k, self.a_step)], 1);
+        let b_end = end(&[(self.k / self.b_run, self.b_jump), (self.b_run, self.b_step)], self.n);
+        assert!(c_end.is_some_and(|e| e <= c), "gemm_tile: c too short");
+        assert!(a_end.is_some_and(|e| e <= a), "gemm_tile: a too short");
+        assert!(b_end.is_some_and(|e| e <= b), "gemm_tile: b too short");
     }
-    // Column remainder (< tile): same fused 4-row update at width 1, with
-    // the accumulators living in the (L1-hot) tails of the c rows.
-    if j0 < n {
-        for p in 0..k {
-            let (v0, v1, v2, v3) = (a0[p], a1[p], a2[p], a3[p]);
-            if v0 == 0.0 && v1 == 0.0 && v2 == 0.0 && v3 == 0.0 {
-                continue;
-            }
-            let b_tail = &b[p * n + j0..(p + 1) * n];
-            for (i, &bv) in b_tail.iter().enumerate() {
-                c0[j0 + i] = scalar_madd::<V>(v0, bv, c0[j0 + i]);
-                c1[j0 + i] = scalar_madd::<V>(v1, bv, c1[j0 + i]);
-                c2[j0 + i] = scalar_madd::<V>(v2, bv, c2[j0 + i]);
-                c3[j0 + i] = scalar_madd::<V>(v3, bv, c3[j0 + i]);
+}
+
+/// The register-tiled GEMM micro-kernel behind every lowered convolution
+/// pass (see [`Tile`] for the operand layout).
+///
+/// Rows are taken in blocks of up to [`TILE_ROWS`]; each block walks
+/// column tiles of `NV` vectors, then single vectors, then a scalar tail,
+/// keeping its accumulators in registers for the whole `k` reduction.
+/// Per output element the terms accumulate `k`-ascending, one
+/// [`SimdF32::mul_add_fast`] each, whatever the tiling. A step `p` is
+/// skipped when the block's `a` values are all zero; when only some are,
+/// the update adds `±0.0·b` terms. For finite inputs these change no bits
+/// of a chain that never holds `-0.0`, and a chain seeded with `+0.0`
+/// never does (`+0.0 + −0.0` and `x + (−x)` round to `+0.0`, fused or
+/// not); every convolution seeds its chains with `+0.0`.
+#[inline(always)]
+unsafe fn gemm_tile_g<V: SimdF32, const NV: usize>(c: &mut [f32], a: &[f32], b: &[f32], t: &Tile) {
+    if t.rows == 0 || t.n == 0 || t.k == 0 {
+        return;
+    }
+    // Past this check the loops below index `a` and `b` unchecked.
+    t.check(c.len(), a.len(), b.len());
+    let mut r0 = 0;
+    while r0 < t.rows {
+        let rows = (t.rows - r0).min(TILE_ROWS);
+        let (c, a) = (&mut c[r0 * t.ldc..], &a[r0 * t.lda..]);
+        match rows {
+            6 => tile_rows::<V, NV, 6>(c, a, b, t),
+            5 => tile_rows::<V, NV, 5>(c, a, b, t),
+            4 => tile_rows::<V, NV, 4>(c, a, b, t),
+            3 => tile_rows::<V, NV, 3>(c, a, b, t),
+            2 => tile_rows::<V, NV, 2>(c, a, b, t),
+            _ => tile_rows::<V, NV, 1>(c, a, b, t),
+        }
+        r0 += rows;
+    }
+}
+
+/// One block of `R` rows of [`gemm_tile`], all `n` columns.
+///
+/// # Safety
+/// `t` restricted to the block's `R` rows must pass [`Tile::check`] for
+/// `c`, `a` and `b`, and `V` must be supported by the CPU.
+#[inline(always)]
+unsafe fn tile_rows<V: SimdF32, const NV: usize, const R: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    t: &Tile,
+) {
+    let mut j0 = 0;
+    while j0 + NV * V::LANES <= t.n {
+        tile_block::<V, NV, R>(c, a, b, t, j0);
+        j0 += NV * V::LANES;
+    }
+    while j0 + V::LANES <= t.n {
+        tile_block::<V, 1, R>(c, a, b, t, j0);
+        j0 += V::LANES;
+    }
+    while j0 < t.n {
+        tile_column::<V, R>(c, a, b, t, j0);
+        j0 += 1;
+    }
+}
+
+/// Whether the `R` values of `a` at reduction step offset `ap`
+/// (`p · a_step`) are all `±0.0`, so the step is skipped.
+///
+/// The test ORs the integer bits, read with volatile loads so the compiler
+/// cannot reuse them for the row broadcasts: those then load straight from
+/// memory instead of moving each value through the shuffle port, which on
+/// AVX2 cost more than the multiply-adds.
+///
+/// # Safety
+/// `(R - 1)·lda + ap` must be in bounds of `a` ([`Tile::check`]).
+#[inline(always)]
+unsafe fn tile_step_is_zero<const R: usize>(a: &[f32], lda: usize, ap: usize) -> bool {
+    let mut bits = 0u32;
+    for r in 0..R {
+        // SAFETY: in bounds by the caller's contract; `u32` has the size
+        // and alignment of `f32`.
+        bits |= std::ptr::read_volatile(a.as_ptr().add(r * lda + ap).cast::<u32>());
+    }
+    bits << 1 == 0
+}
+
+/// `R` rows × `NV` vectors of [`gemm_tile`] starting at column `j0`.
+///
+/// The per-step loops index instead of iterating: iterator adaptors
+/// doubled this kernel's cost in unoptimized builds, which the test suite
+/// runs on, and compile to the same code when optimized.
+///
+/// # Safety
+/// As [`tile_rows`], and `j0 + NV·LANES ≤ n`.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+unsafe fn tile_block<V: SimdF32, const NV: usize, const R: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    t: &Tile,
+    j0: usize,
+) {
+    let mut acc = [[V::zero(); NV]; R];
+    if t.update == TileUpdate::Chain {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            for (v, acc_rv) in acc_r.iter_mut().enumerate() {
+                *acc_rv = V::load(&c[r * t.ldc + j0 + v * V::LANES..]);
             }
         }
+    }
+    let (mut ap, mut run) = (0, 0);
+    for _ in 0..t.k / t.b_run {
+        let mut bp = run + j0;
+        for _ in 0..t.b_run {
+            // SAFETY: `Tile::check` bounds every `r·lda + p·a_step` in `a`
+            // and every `off(p) + t` (`t < n`) in `b`; here `t` runs
+            // `j0 .. j0 + NV·LANES ≤ n`.
+            if !tile_step_is_zero::<R>(a, t.lda, ap) {
+                let mut bv = [V::zero(); NV];
+                for v in 0..NV {
+                    bv[v] = V::load(b.get_unchecked(bp + v * V::LANES..));
+                }
+                for r in 0..R {
+                    let s = V::splat(*a.get_unchecked(r * t.lda + ap));
+                    for v in 0..NV {
+                        acc[r][v] = s.mul_add_fast(bv[v], acc[r][v]);
+                    }
+                }
+            }
+            ap += t.a_step;
+            bp += t.b_step;
+        }
+        run += t.b_jump;
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (v, &acc_rv) in acc_r.iter().enumerate() {
+            let dst = &mut c[r * t.ldc + j0 + v * V::LANES..];
+            match t.update {
+                TileUpdate::Chain => acc_rv.store(dst),
+                TileUpdate::AddTotal => V::load(dst).add(acc_rv).store(dst),
+            }
+        }
+    }
+}
+
+/// `R` rows of column `j` of [`gemm_tile`]: the scalar tail, rounding each
+/// step like the vector body via [`scalar_madd`].
+///
+/// # Safety
+/// As [`tile_rows`], and `j < n`.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+unsafe fn tile_column<V: SimdF32, const R: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    t: &Tile,
+    j: usize,
+) {
+    let mut acc = [0.0f32; R];
+    if t.update == TileUpdate::Chain {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            *acc_r = c[r * t.ldc + j];
+        }
+    }
+    let (mut ap, mut run) = (0, 0);
+    for _ in 0..t.k / t.b_run {
+        let mut bp = run + j;
+        for _ in 0..t.b_run {
+            // SAFETY: as in `tile_block`, with `t = j < n`.
+            if !tile_step_is_zero::<R>(a, t.lda, ap) {
+                let bv = *b.get_unchecked(bp);
+                for r in 0..R {
+                    acc[r] = scalar_madd::<V>(*a.get_unchecked(r * t.lda + ap), bv, acc[r]);
+                }
+            }
+            ap += t.a_step;
+            bp += t.b_step;
+        }
+        run += t.b_jump;
+    }
+    for (r, &acc_r) in acc.iter().enumerate() {
+        let dst = &mut c[r * t.ldc + j];
+        *dst = match t.update {
+            TileUpdate::Chain => acc_r,
+            TileUpdate::AddTotal => *dst + acc_r,
+        };
     }
 }
 
@@ -616,16 +800,13 @@ dispatch_kernel!(
     avx2: gemm_row_g::<F32x8>, sse2: gemm_row_g::<F32x4>, scalar: gemm_row_g::<ScalarVec>
 );
 dispatch_kernel!(
-    /// Four GEMM output rows with a register-resident accumulator tile
-    /// (see [`crate::linalg::gemm_panel_into`]). Scalar ≡ SSE2 bitwise;
+    /// The register-tiled GEMM micro-kernel: `c ⊕= a · b` with strided
+    /// rows and offset-addressed `b` rows (see [`Tile`]). Per element,
+    /// `k`-ascending, one multiply-add per term. Scalar ≡ SSE2 bitwise;
     /// AVX2 fuses each multiply-add.
-    gemm_block4 / gemm_block4_with(
-        c0: &mut [f32], c1: &mut [f32], c2: &mut [f32], c3: &mut [f32],
-        a0: &[f32], a1: &[f32], a2: &[f32], a3: &[f32],
-        b: &[f32], k: usize, n: usize,
-    ),
-    avx2: gemm_block4_g::<F32x8, 2>, sse2: gemm_block4_g::<F32x4, 2>,
-    scalar: gemm_block4_g::<ScalarVec, 16>
+    gemm_tile / gemm_tile_with(c: &mut [f32], a: &[f32], b: &[f32], t: &Tile),
+    avx2: gemm_tile_g::<F32x8, 2>, sse2: gemm_tile_g::<F32x4, 2>,
+    scalar: gemm_tile_g::<ScalarVec, 2>
 );
 dispatch_kernel!(
     /// `Σ xᵢ` over 8 fixed stripes + canonical pairing tree; tail (< 8)

@@ -4,8 +4,8 @@
 //! instruction set. It provides a small portable-vector abstraction over
 //! `core::arch` x86-64 — AVX2+FMA primary, SSE2 fallback, and a scalar
 //! oracle that is always available — plus one-time runtime feature
-//! detection and an explicit override. Every hot kernel (the GEMM panel in
-//! [`crate::linalg`], the convolution inner loops in [`crate::conv`], the
+//! detection and an explicit override. Every hot kernel (the GEMM row and
+//! register tile under [`crate::linalg`] and [`crate::conv`], the
 //! element-wise tensor ops, and the `vec_exp`/`vec_tanh`/`vec_sigmoid`
 //! transcendentals behind the softmax/activation family) is written once,
 //! generically, and lowered onto whichever backend is selected.
@@ -39,7 +39,7 @@
 //! * **Backend-invariant, striped**: [`reduce_sum`], [`reduce_sum_sq`],
 //!   [`dot`] — eight fixed stripes folded by one canonical pairing tree on
 //!   every backend (degenerating to a plain serial sum for `n < 8`).
-//! * **Backend-sensitive (FMA)**: [`gemm_row`], [`gemm_block4`],
+//! * **Backend-sensitive (FMA)**: [`gemm_row`], [`gemm_tile`],
 //!   [`axpy_madd`] — scalar and SSE2 are bitwise identical (multiply then
 //!   add, two roundings); AVX2 fuses each multiply-add into one rounding,
 //!   producing different, but equally deterministic, bits: for a fixed
@@ -77,10 +77,10 @@ pub use qkernels::{qdot_i8, qdot_i8_with, qgemm_i8t, qgemm_i8t_with, QDOT_MAX_K}
 
 pub use kernels::{
     add_assign, add_assign_with, axpy, axpy_madd, axpy_madd_with, axpy_with, dot, dot_with,
-    gemm_block4, gemm_block4_with, gemm_row, gemm_row_with, mul_assign, mul_assign_with,
-    reduce_sum, reduce_sum_sq, reduce_sum_sq_with, reduce_sum_with, relu, relu_with, scale,
-    scale_with, sub_assign, sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with,
-    vec_exp, vec_exp_with, vec_sigmoid, vec_sigmoid_with, vec_tanh, vec_tanh_with,
+    gemm_row, gemm_row_with, gemm_tile, gemm_tile_with, mul_assign, mul_assign_with, reduce_sum,
+    reduce_sum_sq, reduce_sum_sq_with, reduce_sum_with, relu, relu_with, scale, scale_with,
+    sub_assign, sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp,
+    vec_exp_with, vec_sigmoid, vec_sigmoid_with, vec_tanh, vec_tanh_with, Tile, TileUpdate,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -7,8 +7,8 @@
 //! 2. both conv backward passes are checked against finite differences on
 //!    a batch-8 shape.
 //!
-//! The conv cases call the dispatching entry points, so each shape takes
-//! whichever path `ConvImpl::Auto` picks for it: the randomized shapes
+//! The conv cases call the dispatching entry points, so each backward shape
+//! takes whichever kernel the size rule picks for it: the randomized shapes
 //! (`cin, cout ≤ 4`, `k ≤ 11`, `l ≤ 64`) fall on both sides of the
 //! lowering threshold, and the finite-difference shape takes the lowered
 //! kernels. `conv_lowering.rs` pins the lowered kernels against the direct

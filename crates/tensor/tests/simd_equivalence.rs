@@ -11,7 +11,7 @@
 //!    striped reductions, `log_softmax_row`) must agree *bitwise* across
 //!    scalar / SSE2 / AVX2 on every shape — including remainder lanes,
 //!    empty and single-element inputs — and on NaN/±inf/±0 specials.
-//! 2. **FMA-sensitive kernels** (`gemm_row`, `gemm_block4`, `axpy_madd`)
+//! 2. **FMA-sensitive kernels** (`gemm_row`, `gemm_tile`, `axpy_madd`)
 //!    must be bitwise identical between scalar and SSE2 (both unfused),
 //!    and bitwise identical between AVX2 and a scalar reference that uses
 //!    `f32::mul_add` (both fused, same accumulation order).
@@ -25,12 +25,12 @@
 //! serialized behind a mutex, since the cargo test harness runs tests of
 //! one binary concurrently in-process.
 
-use lightts_tensor::conv::{conv1d_forward, set_conv_impl, ConvImpl};
+use lightts_tensor::conv::{conv1d_forward, conv1d_forward_direct};
 use lightts_tensor::simd::{
-    add_assign_with, axpy_madd_with, axpy_with, cpu_supports, dot_with, gemm_block4_with,
-    gemm_row_with, log_softmax_row_with, mul_assign_with, reduce_sum_sq_with, reduce_sum_with,
+    add_assign_with, axpy_madd_with, axpy_with, cpu_supports, dot_with, gemm_row_with,
+    gemm_tile_with, log_softmax_row_with, mul_assign_with, reduce_sum_sq_with, reduce_sum_with,
     relu_with, scale_with, set_simd_backend, sub_assign_with, sub_scalar_with, sum_exp_with,
-    vec_exp_with, vec_sigmoid_with, vec_tanh_with, SimdBackend,
+    vec_exp_with, vec_sigmoid_with, vec_tanh_with, SimdBackend, Tile, TileUpdate,
 };
 use lightts_tensor::Tensor;
 use proptest::prelude::*;
@@ -44,8 +44,7 @@ const BACKENDS: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Sse2, Simd
 /// Lengths that hit every remainder-lane case for 4- and 8-wide vectors.
 const EDGE_LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33];
 
-/// Serializes the tests that mutate process-wide state (the SIMD backend
-/// and the conv implementation toggle).
+/// Serializes the tests that mutate process-wide state (the SIMD backend).
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
 fn vec_data(len: usize, seed: u32) -> Vec<f32> {
@@ -268,37 +267,119 @@ fn gemm_row_honours_per_backend_fma_contract() {
     }
 }
 
-#[test]
-fn gemm_block4_matches_gemm_row_per_backend() {
-    // The 4-row tile must produce exactly the same bits as four independent
-    // row kernels under the same backend (same madd per element, same
-    // k-order), for every column-remainder case of the 16/8-wide tiles.
-    for &(k, n) in &[(5usize, 1usize), (9, 7), (16, 16), (21, 17), (33, 31), (40, 64)] {
-        let rows: Vec<Vec<f32>> = (0..4).map(|r| vec_data(k, 51 + r)).collect();
-        let b = vec_data(k * n, 57);
-        let seeds: Vec<Vec<f32>> = (0..4).map(|r| vec_data(n, 61 + r)).collect();
-
-        for bk in BACKENDS {
-            let mut want = seeds.clone();
-            for r in 0..4 {
-                gemm_row_with(bk, &mut want[r], &rows[r], &b, k, n);
-            }
-            let mut got = seeds.clone();
-            let (g0, rest) = got.split_at_mut(1);
-            let (g1, rest) = rest.split_at_mut(1);
-            let (g2, g3) = rest.split_at_mut(1);
-            gemm_block4_with(
-                bk, &mut g0[0], &mut g1[0], &mut g2[0], &mut g3[0], &rows[0], &rows[1], &rows[2],
-                &rows[3], &b, k, n,
-            );
-            for r in 0..4 {
-                assert_bits_eq(
-                    &got[r],
-                    &want[r],
-                    &format!("gemm_block4 row {r} k={k} n={n} [{}]", bk.name()),
-                );
+/// Runs [`gemm_tile_with`] on `c` and checks it against a reference built
+/// from one `gemm_row_with` per row over `a` and `b` gathered into dense
+/// operands: same bits on every row, and `c` untouched between rows.
+fn check_tile(bk: SimdBackend, t: &Tile, a: &[f32], b: &[f32], c: &[f32], what: &str) {
+    let mut want = c.to_vec();
+    let dense_b: Vec<f32> = (0..t.k)
+        .flat_map(|p| {
+            let off = (p / t.b_run) * t.b_jump + (p % t.b_run) * t.b_step;
+            b[off..off + t.n].to_vec()
+        })
+        .collect();
+    for r in 0..t.rows {
+        let a_r: Vec<f32> = (0..t.k).map(|p| a[r * t.lda + p * t.a_step]).collect();
+        let c_r = &mut want[r * t.ldc..r * t.ldc + t.n];
+        match t.update {
+            TileUpdate::Chain => gemm_row_with(bk, c_r, &a_r, &dense_b, t.k, t.n),
+            TileUpdate::AddTotal => {
+                let mut total = vec![0.0f32; t.n];
+                gemm_row_with(bk, &mut total, &a_r, &dense_b, t.k, t.n);
+                for (cv, tv) in c_r.iter_mut().zip(&total) {
+                    *cv += tv;
+                }
             }
         }
+    }
+    let mut got = c.to_vec();
+    gemm_tile_with(bk, &mut got, a, b, t);
+    assert_bits_eq(&got, &want, &format!("{what} [{}]", bk.name()));
+}
+
+#[test]
+fn gemm_tile_matches_gemm_row_per_backend() {
+    // The register tile must produce exactly the bits of independent row
+    // kernels under the same backend (same madd per element, same k-order)
+    // for every row count of its 6-row block (and multi-block counts),
+    // both update modes, every column case of its NV-vector tiles,
+    // single-vector tiles and scalar tail, dense and offset-addressed `b`
+    // rows (overlapping windows jumping per run) and strided `a`.
+    for rows in [1usize, 2, 3, 4, 5, 6, 7, 13] {
+        for &(k, n) in &[(5usize, 1usize), (9, 7), (16, 16), (21, 17), (33, 31), (40, 64)] {
+            for update in [TileUpdate::Chain, TileUpdate::AddTotal] {
+                // Exact zeros: one whole reduction step (skipped) and
+                // scattered single values (added as ±0 terms).
+                let mut a = vec_data(rows * k, 51 + rows as u32);
+                for (i, v) in a.iter_mut().enumerate() {
+                    if i % k == 2 || i % 5 == 1 {
+                        *v = 0.0;
+                    }
+                }
+                let dense = Tile {
+                    rows,
+                    k,
+                    n,
+                    ldc: n + 3,
+                    lda: k,
+                    a_step: 1,
+                    b_step: n,
+                    b_run: k,
+                    b_jump: 0,
+                    update,
+                };
+                let c = vec_data(rows * (n + 3), 61);
+                let b = vec_data(k * n, 57);
+                // `a` transposed (reduction steps strided by `rows`), `b`
+                // as sliding windows (`b_step = 1`) over `runs` channels
+                // of `k / runs` rows each, placed `b_jump` apart.
+                let runs = if k % 3 == 0 { 3 } else { 1 };
+                let b_jump = n + k / runs + 2;
+                let offset =
+                    Tile { lda: 1, a_step: rows, b_step: 1, b_run: k / runs, b_jump, ..dense };
+                let at: Vec<f32> = (0..k * rows).map(|i| a[(i % rows) * k + i / rows]).collect();
+                let bw = vec_data(runs * b_jump, 59);
+                let what = format!("rows={rows} k={k} n={n} {update:?}");
+                for bk in BACKENDS {
+                    check_tile(bk, &dense, &a, &b, &c, &format!("gemm_tile dense {what}"));
+                    check_tile(bk, &offset, &at, &bw, &c, &format!("gemm_tile offset {what}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_tile_rejects_layouts_past_its_operands() {
+    // The tile loads `a` and `b` unchecked past one up-front check of the
+    // layout; a layout reaching one element too far, or overflowing, must
+    // panic instead.
+    let t = Tile {
+        rows: 2,
+        k: 3,
+        n: 4,
+        ldc: 4,
+        lda: 3,
+        a_step: 1,
+        b_step: 4,
+        b_run: 3,
+        b_jump: 0,
+        update: TileUpdate::Chain,
+    };
+    let runs = |bk: SimdBackend, c: usize, a: usize, b: usize, t: Tile| {
+        std::panic::catch_unwind(move || {
+            gemm_tile_with(bk, &mut vec![0.0; c], &vec![1.0; a], &vec![1.0; b], &t)
+        })
+        .is_ok()
+    };
+    for bk in BACKENDS {
+        assert!(runs(bk, 8, 6, 12, t));
+        assert!(!runs(bk, 7, 6, 12, t), "c too short");
+        assert!(!runs(bk, 8, 5, 12, t), "a too short");
+        assert!(!runs(bk, 8, 6, 11, t), "b too short");
+        assert!(!runs(bk, 8, 6, 12, Tile { b_step: usize::MAX / 2, ..t }), "overflow");
+        assert!(!runs(bk, 8, 6, 12, Tile { b_run: 2, ..t }), "k not a multiple of b_run");
+        assert!(!runs(bk, 8, 6, 12, Tile { ldc: 3, ..t }), "overlapping rows of c");
     }
 }
 
@@ -461,9 +542,7 @@ fn conv_direct_matches_lowered_bitwise_under_every_backend() {
     let w = Tensor::from_vec(vec_data(5 * 3 * 9, 97), &[5, 3, 9]).unwrap();
     for bk in BACKENDS {
         set_simd_backend(bk);
-        set_conv_impl(ConvImpl::Direct);
-        let direct = conv1d_forward(&x, &w).unwrap();
-        set_conv_impl(ConvImpl::Lowered);
+        let direct = conv1d_forward_direct(&x, &w).unwrap();
         let lowered = conv1d_forward(&x, &w).unwrap();
         assert_bits_eq(
             lowered.data(),
@@ -471,6 +550,5 @@ fn conv_direct_matches_lowered_bitwise_under_every_backend() {
             &format!("conv direct vs lowered [{}]", bk.name()),
         );
     }
-    set_conv_impl(ConvImpl::Auto);
     set_simd_backend(prev);
 }

@@ -2,12 +2,12 @@
 //! entirely from the tensor buffer pool.
 //!
 //! The training loops hoist one `Tape` + `Bindings` pair and `reset` them
-//! per mini-batch, and every transient kernel buffer (conv im2col slabs,
-//! matmul outputs, elementwise results) is drawn from the thread-local
-//! grow-only pool in `lightts_tensor::pool`. After one warm-up pass has
-//! populated the size buckets, further epochs over same-shaped mini-batches
-//! must therefore hit the pool every single time — **zero** new `Vec`
-//! allocations per step.
+//! per mini-batch, and every transient kernel buffer (padded conv inputs
+//! and gradients, matmul outputs, elementwise results) is drawn from the
+//! thread-local grow-only pool in `lightts_tensor::pool`. After one warm-up
+//! pass has populated the size buckets, further epochs over same-shaped
+//! mini-batches must therefore hit the pool every single time — **zero**
+//! new `Vec` allocations per step.
 //!
 //! The assertion uses `thread_pool_misses()`, the *thread-local* miss
 //! counter, so it measures only this test's thread. The test still lives in
