@@ -1,31 +1,25 @@
-//! `bench_kernels`: direct vs GEMM-lowered conv1d kernels plus SIMD
-//! backend comparisons, single-threaded.
+//! `bench_kernels`: the conv1d kernels plus SIMD backend comparisons,
+//! single-threaded.
 //!
-//! Two acceptance measurements live here:
-//!
-//! * the conv lowering: at the InceptionTime-sized shapes `b=16, cin=32,
-//!   cout=32, l=128, k ∈ {9,19,39}` the lowered forward and backward-weight
-//!   kernels must be ≥ 1.5× faster than the direct oracle on one thread;
+//! * the conv passes at the InceptionTime-sized shapes `b=16, cin=32,
+//!   cout=32, l=128, k ∈ {9,19,39}` through the entry points the training
+//!   loop calls (rows `conv1d_{forward,backward_w,backward_x}_lowered`);
 //! * the SIMD backends: the register tile `simd::gemm_tile` (rows
 //!   `simd_gemm_panel/*`: one 4-row block over a dense `k=256, n=256`
 //!   panel) and the `vec_exp` transcendental must be ≥ 2× faster under the
 //!   native vector backend (AVX2+FMA where available) than under the
 //!   forced scalar oracle.
 //!
-//! Results (plus the backward-input pass, measured for completeness) are
-//! merged into `BENCH_kernels.json` at the repository root — SIMD rows
-//! carry the backend in both the bench name and the record's `backend`
-//! field — and the speedup summaries are printed at the end.
+//! Results are merged into `BENCH_kernels.json` at the repository root —
+//! SIMD rows carry the backend in both the bench name and the record's
+//! `backend` field — and the speedup summaries are printed at the end.
 //!
 //! Set `LIGHTTS_BENCH_SMOKE=1` (as CI does) to shrink warm-up and
 //! measurement windows to a compile-rot check rather than a measurement.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use lightts_bench::perf::{self, KernelRecord};
-use lightts_tensor::conv::{
-    conv1d_backward_input_direct, conv1d_backward_input_lowered, conv1d_backward_weight_direct,
-    conv1d_backward_weight_lowered, conv1d_forward, conv1d_forward_direct,
-};
+use lightts_tensor::conv::{conv1d_backward_input, conv1d_backward_weight, conv1d_forward};
 use lightts_tensor::qint::{qconv1d_same_into, QuantizedMatrix};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::simd::{
@@ -75,23 +69,14 @@ fn bench_kernels(c: &mut Criterion) {
         let x = Tensor::randn(&mut rng, &[B, CIN, L], 1.0);
         let w = Tensor::randn(&mut rng, &[COUT, CIN, k], 0.3);
         let dy = Tensor::randn(&mut rng, &[B, COUT, L], 1.0);
-        g.bench_function(BenchmarkId::new("forward_direct", format!("k{k}")), |b| {
-            b.iter(|| black_box(conv1d_forward_direct(&x, &w).unwrap()))
-        });
         g.bench_function(BenchmarkId::new("forward_lowered", format!("k{k}")), |b| {
             b.iter(|| black_box(conv1d_forward(&x, &w).unwrap()))
         });
-        g.bench_function(BenchmarkId::new("backward_w_direct", format!("k{k}")), |b| {
-            b.iter(|| black_box(conv1d_backward_weight_direct(&dy, &x, w.dims()).unwrap()))
-        });
         g.bench_function(BenchmarkId::new("backward_w_lowered", format!("k{k}")), |b| {
-            b.iter(|| black_box(conv1d_backward_weight_lowered(&dy, &x, w.dims()).unwrap()))
-        });
-        g.bench_function(BenchmarkId::new("backward_x_direct", format!("k{k}")), |b| {
-            b.iter(|| black_box(conv1d_backward_input_direct(&dy, &w, x.dims()).unwrap()))
+            b.iter(|| black_box(conv1d_backward_weight(&dy, &x, w.dims()).unwrap()))
         });
         g.bench_function(BenchmarkId::new("backward_x_lowered", format!("k{k}")), |b| {
-            b.iter(|| black_box(conv1d_backward_input_lowered(&dy, &w, x.dims()).unwrap()))
+            b.iter(|| black_box(conv1d_backward_input(&dy, &w, x.dims()).unwrap()))
         });
     }
     g.finish();
@@ -249,7 +234,7 @@ fn main() {
                     backend,
                 }
             } else {
-                // "kernels/forward_direct/k9" → op "conv1d_forward_direct",
+                // "kernels/forward_lowered/k9" → op "conv1d_forward_lowered",
                 // shape "b16_cin32_cout32_l128_k9"; these run under the
                 // process-default (native) backend.
                 KernelRecord {
@@ -266,21 +251,6 @@ fn main() {
     let path = perf::default_path();
     perf::write_records(&path, &records).expect("write BENCH_kernels.json");
     println!("\nwrote {} records to {}", records.len(), path.display());
-
-    // Speedup summary: the headline numbers for the lowering.
-    let median = |op: &str, k: usize| {
-        measurements.iter().find(|m| m.name == format!("kernels/{op}/k{k}")).map(|m| m.median_ns)
-    };
-    println!("\nlowered-vs-direct speedups (b={B}, cin={CIN}, cout={COUT}, l={L}, 1 thread):");
-    for &k in &KS {
-        for pass in ["forward", "backward_w", "backward_x"] {
-            if let (Some(d), Some(l)) =
-                (median(&format!("{pass}_direct"), k), median(&format!("{pass}_lowered"), k))
-            {
-                println!("  {pass:<11} k={k:<3} {:>6.2}x", d / l);
-            }
-        }
-    }
 
     // SIMD backend summary: scalar baseline vs each vector backend.
     let simd_median = |op: &str, bk: &str| {

@@ -164,8 +164,7 @@ fn main() {
     check("/tracez stage spans", has_stages, "missing a stage span path in the ring");
 
     let (status, body) = get(addr, "/profilez");
-    let named = body.contains("plan.forward")
-        && (body.contains("conv.lowered_fwd") || body.contains("conv.direct_fwd"));
+    let named = body.contains("plan.forward") && body.contains("conv.lowered_fwd");
     check(
         "/profilez",
         status == 200 && named,

@@ -7,7 +7,7 @@
 //! scale, backend)`; merging is keyed on everything but `median_ns`, so
 //! re-running a bench updates its timing in place while other benches'
 //! rows survive. CI uploads the file as an
-//! artifact, which is how the ≥1.5× lowered-vs-direct conv and the ≥2×
+//! artifact, which is how the conv kernel timings and the ≥2×
 //! AVX2-vs-scalar SIMD acceptance numbers are recorded.
 
 use criterion::Measurement;
@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn write_then_read_round_trips() {
         let p = temp_path("roundtrip");
-        let rows = vec![rec("conv1d_forward_direct", 100.0), rec("conv1d_forward_lowered", 50.0)];
+        let rows = vec![rec("simd_vec_exp", 100.0), rec("conv1d_forward_lowered", 50.0)];
         write_records(&p, &rows).unwrap();
         let back = read_records(&p);
         assert_eq!(back.len(), 2);

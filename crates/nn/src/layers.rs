@@ -10,12 +10,11 @@
 //!   deployed (quantized) model is exactly what was trained.
 //!
 //! Both paths route convolutions through [`lightts_tensor::conv`], whose
-//! forward always runs the GEMM-lowered kernel (bitwise identical to the
-//! direct one), and whose backward passes pick the direct or lowered
-//! kernels by problem size, never by batch size. All transient
-//! buffers (fake-quantized weights, activation tensors) come from the
-//! thread-local [`lightts_tensor::pool`], which makes steady-state QAT
-//! training steps allocation-free.
+//! forward and backward passes each run one GEMM-lowered kernel, whatever
+//! the layer shape or batch size. All transient buffers (fake-quantized
+//! weights, activation tensors) come from the thread-local
+//! [`lightts_tensor::pool`], which makes steady-state QAT training steps
+//! allocation-free.
 
 use crate::init::he_normal;
 use crate::{Bindings, Mode, NnError, ParamRef, ParamStore, Result};

@@ -361,21 +361,22 @@ where
     };
 
     // ----- initialization: P random evaluations -----
-    while in_init {
-        let Some(s) = pending_init.first().cloned() else { break };
-        obs::failpoint::hit("mobo.trial").map_err(|what| SearchError::Fault { what })?;
-        let accuracy = call_oracle(&mut oracle, &s)?;
-        let size_bits = space.size_bits(&s);
-        pending_init.remove(0);
-        evaluated.push(Evaluated { setting: s, accuracy, size_bits });
-        save(&MoboState {
-            in_init: true,
-            evaluated: evaluated.clone(),
-            pending_init: pending_init.clone(),
-            rng: rng_state(&rng),
-            since_refresh: 0,
-            refresh_len: 0,
-        })?;
+    if in_init {
+        while let Some(s) = pending_init.first().cloned() {
+            obs::failpoint::hit("mobo.trial").map_err(|what| SearchError::Fault { what })?;
+            let accuracy = call_oracle(&mut oracle, &s)?;
+            let size_bits = space.size_bits(&s);
+            pending_init.remove(0);
+            evaluated.push(Evaluated { setting: s, accuracy, size_bits });
+            save(&MoboState {
+                in_init: true,
+                evaluated: evaluated.clone(),
+                pending_init: pending_init.clone(),
+                rng: rng_state(&rng),
+                since_refresh: 0,
+                refresh_len: 0,
+            })?;
+        }
     }
 
     let mut reprs = ReprBuilder { space, repr: cfg.repr, encoder: None };

@@ -33,20 +33,12 @@
 //! term, which leaves a chain that is never `-0.0` unchanged, and a padded
 //! output column or `dx` position is discarded.
 //!
-//! The direct nested-loop kernels stay as oracles. The forward always takes
-//! the lowered kernel, which is bitwise equal to the direct one under any
-//! fixed SIMD backend (same `(ci, j)`-ascending order, one
-//! [`crate::simd`] `mul_add_fast` per term, same zero-skip; a skipped or
-//! padded `±0.0` term cannot change an accumulator that is never `-0.0`).
-//! The backward passes take the direct kernels below `LOWERED_MIN_WORK`
-//! multiplies per sample and the lowered ones above it. The choice depends
-//! only on `(cin, l, cout, k)`, never on the batch size, so fused and
-//! per-sample runs agree. The two backward families associate their sums
-//! differently, so they agree to rounding, not bitwise
-//! (`tests/conv_lowering.rs` checks both; it also pins the lowered passes'
-//! bits on every backend against test-only slab references). The direct
-//! backward-weight kernel stays scalar on purpose (its inner loop is a dot
-//! product), so it is bitwise identical across every backend.
+//! Each pass runs this one kernel on every shape, and the per-element
+//! orders above do not depend on the batch size, so fused and per-sample
+//! runs agree bitwise under any fixed SIMD backend. The brute-force
+//! oracles live in the tests (`tests/kernel_reference.rs` and the unit
+//! tests below), and `tests/conv_lowering.rs` pins each pass's bits on
+//! every backend against slab references.
 
 use crate::{pool, simd, Result, Tensor, TensorError};
 use simd::{Tile, TileUpdate};
@@ -60,22 +52,6 @@ use simd::{Tile, TileUpdate};
 #[inline]
 pub fn same_padding(k: usize) -> (usize, usize) {
     ((k - 1) / 2, k / 2)
-}
-
-/// Below this per-sample multiply count the backward passes take the
-/// direct kernels. The two families associate differently, so moving the
-/// threshold moves training bits.
-const LOWERED_MIN_WORK: usize = 1 << 12;
-
-/// Whether the backward passes of a (batch-independent) shape take the
-/// lowered kernels.
-#[inline]
-fn use_lowered(cin: usize, l: usize, cout: usize, k: usize) -> bool {
-    cin * k * l * cout >= LOWERED_MIN_WORK
-}
-
-fn check_conv_shapes(x: &Tensor, w: &Tensor) -> Result<(usize, usize, usize, usize, usize)> {
-    check_conv_dims(x.dims(), w.dims(), "conv1d")
 }
 
 /// Validates an input shape `x: [b, cin, l]` against a weight shape
@@ -137,11 +113,8 @@ fn pad_sample(pad: &mut [f32], x_b: &[f32], l: usize, lp: usize, pl: usize) {
 
 /// Forward "same" 1-D convolution (actually cross-correlation, the deep
 /// learning convention): `y[b,co,t] = Σ_ci Σ_j x[b,ci,t+j-pl] · w[co,ci,j]`.
-///
-/// Runs the lowered kernel, which is bitwise equal to
-/// [`conv1d_forward_direct`] under any fixed SIMD backend.
 pub fn conv1d_forward(x: &Tensor, w: &Tensor) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_conv_shapes(x, w)?;
+    let (b, cin, l, cout, k) = check_conv_dims(x.dims(), w.dims(), "conv1d")?;
     let mut y = pool::take_zeroed(b * cout * l);
     conv1d_forward_kernel(&mut y, x.data(), w.data(), b, cin, l, cout, k);
     Tensor::from_vec(y, &[b, cout, l])
@@ -175,63 +148,11 @@ pub fn conv1d_forward_into(y: &mut [f32], x: &[f32], batch: usize, w: &Tensor) -
     Ok(())
 }
 
-/// Forward convolution through the direct nested-loop oracle.
-pub fn conv1d_forward_direct(x: &Tensor, w: &Tensor) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_conv_shapes(x, w)?;
-    let mut y = pool::take_zeroed(b * cout * l);
-    conv1d_forward_direct_kernel(&mut y, x.data(), w.data(), b, cin, l, cout, k);
-    Tensor::from_vec(y, &[b, cout, l])
-}
-
-/// The direct "same"-padded forward kernel (test oracle). Rows of `y` (the
-/// `(batch, out_channel)` grid) are filled one after another; each row is
-/// zeroed before accumulation so the buffer may be reused across calls.
-#[allow(clippy::too_many_arguments)]
-fn conv1d_forward_direct_kernel(
-    y: &mut [f32],
-    xd: &[f32],
-    wd: &[f32],
-    b: usize,
-    cin: usize,
-    l: usize,
-    cout: usize,
-    k: usize,
-) {
-    let _prof = lightts_obs::prof::scope("conv.direct_fwd");
-    let (pl, _pr) = same_padding(k);
-    for (row, y_row) in y[..b * cout * l].chunks_exact_mut(l).enumerate() {
-        let (bi, co) = (row / cout, row % cout);
-        y_row.fill(0.0);
-        for ci in 0..cin {
-            let x_off = (bi * cin + ci) * l;
-            let w_off = (co * cin + ci) * k;
-            for j in 0..k {
-                let wv = wd[w_off + j];
-                if wv == 0.0 {
-                    continue;
-                }
-                // t + j - pl in [0, l) ⇒ t in [pl - j, l + pl - j)
-                let t_lo = pl.saturating_sub(j);
-                let t_hi = (l + pl).saturating_sub(j).min(l);
-                if t_lo >= t_hi {
-                    continue;
-                }
-                // Shifted axpy through simd::axpy_madd: the same
-                // mul_add_fast per element as the lowered register tile,
-                // so direct and lowered forward stay bitwise equal under
-                // every backend (fused on AVX2, plain mul+add otherwise).
-                let src = x_off + t_lo + j - pl;
-                simd::axpy_madd(&mut y_row[t_lo..t_hi], &xd[src..src + (t_hi - t_lo)], wv);
-            }
-        }
-    }
-}
-
 /// The lowered forward kernel: per sample, `y_b += W[cout, cin·k] · X_col`
 /// on the register tile, with row `(ci, j)` of `X_col` read in place from
 /// the padded copy (`pad[ci·lp + j ..]`). The flattened weight tensor is
 /// the `a` operand as is. `y` must be zeroed: each element's chain runs
-/// `p = (ci, j)` ascending from `+0.0`, the direct kernel's order.
+/// `p = (ci, j)` ascending from `+0.0`.
 #[allow(clippy::too_many_arguments)]
 fn conv1d_forward_kernel(
     y: &mut [f32],
@@ -271,113 +192,20 @@ fn conv1d_forward_kernel(
 // Backward w.r.t. input
 // ---------------------------------------------------------------------------
 
-fn check_backward_input(
-    dy: &Tensor,
-    w: &Tensor,
-    input_dims: &[usize],
-) -> Result<(usize, usize, usize, usize, usize)> {
-    check_backward_dims(dy, input_dims, w.dims(), "conv1d_backward_input")
-}
-
 /// Gradient of the convolution output w.r.t. the input:
 /// `dx[b,ci,s] = Σ_co Σ_j dy[b,co,s-j+pl] · w[co,ci,j]`.
 ///
-/// Takes the direct kernel for small shapes and the lowered one otherwise
-/// (by `(cin, l, cout, k)` only). Each kernel has a fixed reduction order
-/// independent of batch fusion; the two orders differ in association, so
-/// gradients from the two paths agree to rounding (not bitwise) — any
-/// given layer always takes the same path.
+/// Per sample and per `j` ascending, one tile call computes
+/// `G[(ci, j), t] = Σ_co w[co, ci, j] · dy_b[co, t]` for every `ci` in
+/// registers (a chain over `co` from `+0.0`, reading `w` in place with
+/// stride `cin·k`) and adds it into the zero-padded rows `dxpad[ci][t + j]`;
+/// the middle `l` values of each row are `dx_b`. Per `dx` element that is
+/// the `G` terms summed in ascending `j`, the order of a col2im pass,
+/// independent of the batch size. Terms that fall on the padding belong to
+/// no `dx` element and are discarded.
 pub fn conv1d_backward_input(dy: &Tensor, w: &Tensor, input_dims: &[usize]) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_input(dy, w, input_dims)?;
-    if use_lowered(cin, l, cout, k) {
-        conv1d_backward_input_lowered_kernel(dy, w, b, cin, l, cout, k)
-    } else {
-        conv1d_backward_input_direct_kernel(dy, w, b, cin, l, cout, k)
-    }
-}
-
-/// Input gradient through the direct nested-loop kernel.
-pub fn conv1d_backward_input_direct(
-    dy: &Tensor,
-    w: &Tensor,
-    input_dims: &[usize],
-) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_input(dy, w, input_dims)?;
-    conv1d_backward_input_direct_kernel(dy, w, b, cin, l, cout, k)
-}
-
-/// Input gradient through the lowered kernel.
-pub fn conv1d_backward_input_lowered(
-    dy: &Tensor,
-    w: &Tensor,
-    input_dims: &[usize],
-) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_input(dy, w, input_dims)?;
-    conv1d_backward_input_lowered_kernel(dy, w, b, cin, l, cout, k)
-}
-
-fn conv1d_backward_input_direct_kernel(
-    dy: &Tensor,
-    w: &Tensor,
-    b: usize,
-    cin: usize,
-    l: usize,
-    cout: usize,
-    k: usize,
-) -> Result<Tensor> {
-    let _prof = lightts_obs::prof::scope("conv.direct_bwd_input");
-    let (pl, _pr) = same_padding(k);
-    let dyd = dy.data();
-    let wd = w.data();
-    let mut dx = pool::take_zeroed(b * cin * l);
-    // Each (batch, in_channel) row of dx accumulates in co → j → t order.
-    for (row, dx_row) in dx.chunks_exact_mut(l).enumerate() {
-        let (bi, ci) = (row / cin, row % cin);
-        for co in 0..cout {
-            let dy_off = (bi * cout + co) * l;
-            let w_off = (co * cin + ci) * k;
-            for j in 0..k {
-                let wv = wd[w_off + j];
-                if wv == 0.0 {
-                    continue;
-                }
-                // s = t + j - pl with t in [0,l) ⇒ s in [j-pl, l+j-pl)
-                let t_lo = pl.saturating_sub(j);
-                let t_hi = (l + pl).saturating_sub(j).min(l);
-                if t_lo >= t_hi {
-                    continue;
-                }
-                // Same vectorized shifted axpy as the forward kernel;
-                // per-element co → j order is unchanged.
-                let dst = t_lo + j - pl;
-                simd::axpy_madd(
-                    &mut dx_row[dst..dst + (t_hi - t_lo)],
-                    &dyd[dy_off + t_lo..dy_off + t_hi],
-                    wv,
-                );
-            }
-        }
-    }
-    Tensor::from_vec(dx, &[b, cin, l])
-}
-
-/// The lowered input-gradient kernel. Per sample and per `j` ascending, one
-/// tile call computes `G[(ci, j), t] = Σ_co w[co, ci, j] · dy_b[co, t]` for
-/// every `ci` in registers (a chain over `co` from `+0.0`, reading `w` in
-/// place with stride `cin·k`) and adds it into the zero-padded rows
-/// `dxpad[ci][t + j]`; the middle `l` values of each row are `dx_b`. Per
-/// `dx` element that is the `G` terms summed in ascending `j`, the order of
-/// a col2im pass, independent of the batch size. Terms that fall on the
-/// padding belong to no `dx` element and are discarded.
-fn conv1d_backward_input_lowered_kernel(
-    dy: &Tensor,
-    w: &Tensor,
-    b: usize,
-    cin: usize,
-    l: usize,
-    cout: usize,
-    k: usize,
-) -> Result<Tensor> {
+    let (b, cin, l, cout, k) =
+        check_backward_dims(dy, input_dims, w.dims(), "conv1d_backward_input")?;
     let _prof = lightts_obs::prof::scope("conv.lowered_bwd_input");
     let (pl, _pr) = same_padding(k);
     let lp = l + k - 1;
@@ -419,99 +247,19 @@ fn conv1d_backward_input_lowered_kernel(
 // Backward w.r.t. weights
 // ---------------------------------------------------------------------------
 
-fn check_backward_weight(
-    dy: &Tensor,
-    x: &Tensor,
-    weight_dims: &[usize],
-) -> Result<(usize, usize, usize, usize, usize)> {
-    check_backward_dims(dy, x.dims(), weight_dims, "conv1d_backward_weight")
-}
-
 /// Gradient of the convolution output w.r.t. the weights:
 /// `dw[co,ci,j] = Σ_b Σ_t dy[b,co,t] · x[b,ci,t+j-pl]`.
 ///
-/// Takes the direct kernel for small shapes and the lowered one otherwise;
-/// see [`conv1d_backward_input`] for the determinism discussion.
+/// Per sample and input channel, `dW[:, ci, :] += dY_b[cout, l] · H_ci` on
+/// the register tile, where row `t` of `H_ci` is the padded input
+/// `xpad[ci][t..]` read in place. The accumulator's rows are padded to `kp`
+/// (a multiple of 8) columns so the tile runs whole vectors; the extra
+/// columns read past the kernel window and are dropped at the end. Per `dw`
+/// element the reduction is one chain over `bi` ascending then `t`
+/// ascending — fixed and fusion-independent.
 pub fn conv1d_backward_weight(dy: &Tensor, x: &Tensor, weight_dims: &[usize]) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_weight(dy, x, weight_dims)?;
-    if use_lowered(cin, l, cout, k) {
-        conv1d_backward_weight_lowered_kernel(dy, x, b, cin, l, cout, k)
-    } else {
-        conv1d_backward_weight_direct_kernel(dy, x, b, cin, l, cout, k)
-    }
-}
-
-/// Weight gradient through the direct nested-loop kernel.
-pub fn conv1d_backward_weight_direct(
-    dy: &Tensor,
-    x: &Tensor,
-    weight_dims: &[usize],
-) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_weight(dy, x, weight_dims)?;
-    conv1d_backward_weight_direct_kernel(dy, x, b, cin, l, cout, k)
-}
-
-/// Weight gradient through the lowered kernel.
-pub fn conv1d_backward_weight_lowered(
-    dy: &Tensor,
-    x: &Tensor,
-    weight_dims: &[usize],
-) -> Result<Tensor> {
-    let (b, cin, l, cout, k) = check_backward_weight(dy, x, weight_dims)?;
-    conv1d_backward_weight_lowered_kernel(dy, x, b, cin, l, cout, k)
-}
-
-fn conv1d_backward_weight_direct_kernel(
-    dy: &Tensor,
-    x: &Tensor,
-    b: usize,
-    cin: usize,
-    l: usize,
-    cout: usize,
-    k: usize,
-) -> Result<Tensor> {
-    let _prof = lightts_obs::prof::scope("conv.direct_bwd_weight");
-    let (pl, _pr) = same_padding(k);
-    let dyd = dy.data();
-    let xd = x.data();
-    let mut dw = pool::take_zeroed(cout * cin * k);
-    // Each dw[co,ci,j] accumulates one per-batch t-sum per bi, in ascending
-    // bi order.
-    for (row, dw_row) in dw.chunks_exact_mut(k).enumerate() {
-        let (co, ci) = (row / cin, row % cin);
-        for bi in 0..b {
-            let dy_off = (bi * cout + co) * l;
-            let x_off = (bi * cin + ci) * l;
-            for (j, dwj) in dw_row.iter_mut().enumerate() {
-                let t_lo = pl.saturating_sub(j);
-                let t_hi = (l + pl).saturating_sub(j).min(l);
-                let mut acc = 0.0f32;
-                for t in t_lo..t_hi {
-                    acc += dyd[dy_off + t] * xd[x_off + t + j - pl];
-                }
-                *dwj += acc;
-            }
-        }
-    }
-    Tensor::from_vec(dw, &[cout, cin, k])
-}
-
-/// The lowered weight-gradient kernel: per sample and input channel,
-/// `dW[:, ci, :] += dY_b[cout, l] · H_ci` on the register tile, where row
-/// `t` of `H_ci` is the padded input `xpad[ci][t..]` read in place. The
-/// accumulator's rows are padded to `kp` (a multiple of 8) columns so the
-/// tile runs whole vectors; the extra columns read past the kernel window
-/// and are dropped at the end. Per `dw` element the reduction is one chain
-/// over `bi` ascending then `t` ascending — fixed and fusion-independent.
-fn conv1d_backward_weight_lowered_kernel(
-    dy: &Tensor,
-    x: &Tensor,
-    b: usize,
-    cin: usize,
-    l: usize,
-    cout: usize,
-    k: usize,
-) -> Result<Tensor> {
+    let (b, cin, l, cout, k) =
+        check_backward_dims(dy, x.dims(), weight_dims, "conv1d_backward_weight")?;
     let _prof = lightts_obs::prof::scope("conv.lowered_bwd_weight");
     let (pl, _pr) = same_padding(k);
     let lp = l + k - 1;
@@ -617,40 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn lowered_forward_is_bitwise_equal_to_direct() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for &(b, cin, l, cout, k) in
-            &[(2usize, 3usize, 11usize, 4usize, 5usize), (1, 1, 3, 2, 7), (3, 2, 16, 5, 4)]
-        {
-            let x = Tensor::randn(&mut rng, &[b, cin, l], 1.0);
-            let w = Tensor::randn(&mut rng, &[cout, cin, k], 1.0);
-            let direct = conv1d_forward_direct(&x, &w).unwrap();
-            let lowered = conv1d_forward(&x, &w).unwrap();
-            for (a, b) in direct.data().iter().zip(lowered.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "direct {a} vs lowered {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn lowered_backwards_match_direct_to_rounding() {
-        let mut rng = StdRng::seed_from_u64(19);
-        let x = Tensor::randn(&mut rng, &[2, 3, 13], 1.0);
-        let w = Tensor::randn(&mut rng, &[4, 3, 5], 1.0);
-        let dy = Tensor::randn(&mut rng, &[2, 4, 13], 1.0);
-        let dx_d = conv1d_backward_input_direct(&dy, &w, x.dims()).unwrap();
-        let dx_l = conv1d_backward_input_lowered(&dy, &w, x.dims()).unwrap();
-        for (a, b) in dx_d.data().iter().zip(dx_l.data().iter()) {
-            assert!((a - b).abs() < 1e-4, "dx: {a} vs {b}");
-        }
-        let dw_d = conv1d_backward_weight_direct(&dy, &x, w.dims()).unwrap();
-        let dw_l = conv1d_backward_weight_lowered(&dy, &x, w.dims()).unwrap();
-        for (a, b) in dw_d.data().iter().zip(dw_l.data().iter()) {
-            assert!((a - b).abs() < 1e-3, "dw: {a} vs {b}");
-        }
-    }
-
-    #[test]
     fn kernel_larger_than_input_is_ok() {
         let mut rng = StdRng::seed_from_u64(5);
         let x = Tensor::randn(&mut rng, &[1, 1, 3], 1.0);
@@ -658,11 +372,6 @@ mod tests {
         let fast = conv1d_forward(&x, &w).unwrap();
         let slow = conv_ref(&x, &w);
         for (a, b) in fast.data().iter().zip(slow.data().iter()) {
-            assert!((a - b).abs() < 1e-5);
-        }
-        // So must the direct oracle (fully clipped windows).
-        let direct = conv1d_forward_direct(&x, &w).unwrap();
-        for (a, b) in direct.data().iter().zip(slow.data().iter()) {
             assert!((a - b).abs() < 1e-5);
         }
     }
@@ -713,10 +422,10 @@ mod tests {
         for (cin, cout) in [(0, 2), (2, 0)] {
             let (x, w) = (Tensor::ones(&[2, cin, 5]), Tensor::ones(&[cout, cin, 3]));
             let dy = Tensor::ones(&[2, cout, 5]);
-            let dx = conv1d_backward_input_lowered(&dy, &w, x.dims()).unwrap();
-            assert_eq!(dx.data(), conv1d_backward_input_direct(&dy, &w, x.dims()).unwrap().data());
-            let dw = conv1d_backward_weight_lowered(&dy, &x, w.dims()).unwrap();
-            assert_eq!(dw.data(), conv1d_backward_weight_direct(&dy, &x, w.dims()).unwrap().data());
+            let dx = conv1d_backward_input(&dy, &w, x.dims()).unwrap();
+            assert_eq!(dx, Tensor::zeros(x.dims()));
+            let dw = conv1d_backward_weight(&dy, &x, w.dims()).unwrap();
+            assert_eq!(dw, Tensor::zeros(w.dims()));
         }
     }
 
@@ -727,21 +436,15 @@ mod tests {
         assert!(conv1d_forward(&x, &w).is_err());
     }
 
-    type Backward = fn(&Tensor, &Tensor, &[usize]) -> Result<Tensor>;
-
-    /// Calls every backward entry point (dispatching, direct, lowered; input
-    /// and weight gradient) with an upstream gradient of shape `dy` for an
-    /// input of shape `x` and a weight of shape `w`, and collects the errors.
+    /// Calls both backward entry points (input and weight gradient) with an
+    /// upstream gradient of shape `dy` for an input of shape `x` and a
+    /// weight of shape `w`, and collects the errors.
     fn backward_errors(dy: &[usize], x: &[usize], w: &[usize]) -> Vec<TensorError> {
         let (dy, xt, wt) = (Tensor::zeros(dy), Tensor::zeros(x), Tensor::zeros(w));
-        let input: [Backward; 3] =
-            [conv1d_backward_input, conv1d_backward_input_direct, conv1d_backward_input_lowered];
-        let weight: [Backward; 3] =
-            [conv1d_backward_weight, conv1d_backward_weight_direct, conv1d_backward_weight_lowered];
-        let mut errs: Vec<TensorError> =
-            input.iter().map(|f| f(&dy, &wt, x).unwrap_err()).collect();
-        errs.extend(weight.iter().map(|f| f(&dy, &xt, w).unwrap_err()));
-        errs
+        vec![
+            conv1d_backward_input(&dy, &wt, x).unwrap_err(),
+            conv1d_backward_weight(&dy, &xt, w).unwrap_err(),
+        ]
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! instantiated three times by the `dispatch_kernel!` macro:
 //!
 //! * **scalar** — [`ScalarVec`], plain `f32` arithmetic, no `unsafe`
-//!   preconditions. This instantiation *is* the oracle: the historical
-//!   scalar loops of `linalg.rs`/`conv.rs` in trait clothing, bit-for-bit.
+//!   preconditions. This instantiation *is* the oracle the vector
+//!   backends are tested against (`tests/simd_equivalence.rs`).
 //! * **sse2** — [`F32x4`], part of the x86-64 baseline.
 //! * **avx2** — [`F32x8`], guarded by runtime detection, wrapped in
 //!   `#[target_feature(enable = "avx2,fma")]` so the `#[inline(always)]`
@@ -23,10 +23,10 @@
 //!   tree ⇒ **bitwise backend-invariant**, though *not* equal to a plain
 //!   left-to-right sum (for `n < 8` the stripe tree degenerates to exactly
 //!   left-to-right).
-//! * The GEMM family ([`gemm_row`], [`gemm_tile`], [`axpy_madd`]) uses
-//!   [`SimdF32::mul_add_fast`]: scalar ≡ SSE2 bitwise; AVX2 fuses
-//!   multiply-add (one rounding instead of two) and therefore produces
-//!   different — but equally deterministic — bits.
+//! * The GEMM family ([`gemm_row`], and [`gemm_tile`] under every conv
+//!   pass) uses [`SimdF32::mul_add_fast`]: scalar ≡ SSE2 bitwise; AVX2
+//!   fuses multiply-add (one rounding instead of two) and therefore
+//!   produces different — but equally deterministic — bits.
 
 use super::vec::{scalar_madd, ScalarVec, SimdF32};
 #[cfg(target_arch = "x86_64")]
@@ -120,24 +120,6 @@ unsafe fn axpy_g<V: SimdF32>(out: &mut [f32], rhs: &[f32], s: f32) {
     }
     while i < n {
         out[i] += rhs[i] * s;
-        i += 1;
-    }
-}
-
-/// `out += rhs · s` with [`SimdF32::mul_add_fast`] — the convolution /
-/// GEMM-family axpy (fused on AVX2, hence backend-sensitive bits).
-#[inline(always)]
-unsafe fn axpy_madd_g<V: SimdF32>(out: &mut [f32], rhs: &[f32], s: f32) {
-    debug_assert_eq!(out.len(), rhs.len());
-    let n = out.len();
-    let vs = V::splat(s);
-    let mut i = 0;
-    while i + V::LANES <= n {
-        vs.mul_add_fast(V::load(&rhs[i..]), V::load(&out[i..])).store(&mut out[i..]);
-        i += V::LANES;
-    }
-    while i < n {
-        out[i] = scalar_madd::<V>(rhs[i], s, out[i]);
         i += 1;
     }
 }
@@ -752,12 +734,6 @@ dispatch_kernel!(
     /// backend-invariant.
     axpy / axpy_with(out: &mut [f32], rhs: &[f32], s: f32),
     avx2: axpy_g::<F32x8>, sse2: axpy_g::<F32x4>, scalar: axpy_g::<ScalarVec>
-);
-dispatch_kernel!(
-    /// `out += rhs · s` through `mul_add_fast` — the convolution inner
-    /// loop. Scalar ≡ SSE2 bitwise; AVX2 fuses.
-    axpy_madd / axpy_madd_with(out: &mut [f32], rhs: &[f32], s: f32),
-    avx2: axpy_madd_g::<F32x8>, sse2: axpy_madd_g::<F32x4>, scalar: axpy_madd_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// In-place `max(x, 0.0)`. Bitwise backend-invariant (NaN → `0.0`,

@@ -39,12 +39,12 @@
 //! * **Backend-invariant, striped**: [`reduce_sum`], [`reduce_sum_sq`],
 //!   [`dot`] — eight fixed stripes folded by one canonical pairing tree on
 //!   every backend (degenerating to a plain serial sum for `n < 8`).
-//! * **Backend-sensitive (FMA)**: [`gemm_row`], [`gemm_tile`],
-//!   [`axpy_madd`] — scalar and SSE2 are bitwise identical (multiply then
-//!   add, two roundings); AVX2 fuses each multiply-add into one rounding,
-//!   producing different, but equally deterministic, bits: for a fixed
-//!   backend the result is independent of batch fusion and call context,
-//!   exactly as before.
+//! * **Backend-sensitive (FMA)**: [`gemm_row`] and [`gemm_tile`] (the one
+//!   kernel under every conv pass) — scalar and SSE2 are bitwise identical
+//!   (multiply then add, two roundings); AVX2 fuses each multiply-add into
+//!   one rounding, producing different, but equally deterministic, bits:
+//!   for a fixed backend the result is independent of batch fusion and
+//!   call context.
 //! * **Integer-exact (quantized)**: [`qdot_i8`], [`qgemm_i8t`] — i8×i8
 //!   products accumulated in i32. Two's-complement addition is
 //!   associative, so all three backends are bitwise identical for every
@@ -76,11 +76,11 @@ mod x86;
 pub use qkernels::{qdot_i8, qdot_i8_with, qgemm_i8t, qgemm_i8t_with, QDOT_MAX_K};
 
 pub use kernels::{
-    add_assign, add_assign_with, axpy, axpy_madd, axpy_madd_with, axpy_with, dot, dot_with,
-    gemm_row, gemm_row_with, gemm_tile, gemm_tile_with, mul_assign, mul_assign_with, reduce_sum,
-    reduce_sum_sq, reduce_sum_sq_with, reduce_sum_with, relu, relu_with, scale, scale_with,
-    sub_assign, sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp,
-    vec_exp_with, vec_sigmoid, vec_sigmoid_with, vec_tanh, vec_tanh_with, Tile, TileUpdate,
+    add_assign, add_assign_with, axpy, axpy_with, dot, dot_with, gemm_row, gemm_row_with,
+    gemm_tile, gemm_tile_with, mul_assign, mul_assign_with, reduce_sum, reduce_sum_sq,
+    reduce_sum_sq_with, reduce_sum_with, relu, relu_with, scale, scale_with, sub_assign,
+    sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp, vec_exp_with,
+    vec_sigmoid, vec_sigmoid_with, vec_tanh, vec_tanh_with, Tile, TileUpdate,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

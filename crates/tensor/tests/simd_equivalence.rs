@@ -11,30 +11,25 @@
 //!    striped reductions, `log_softmax_row`) must agree *bitwise* across
 //!    scalar / SSE2 / AVX2 on every shape — including remainder lanes,
 //!    empty and single-element inputs — and on NaN/±inf/±0 specials.
-//! 2. **FMA-sensitive kernels** (`gemm_row`, `gemm_tile`, `axpy_madd`)
-//!    must be bitwise identical between scalar and SSE2 (both unfused),
-//!    and bitwise identical between AVX2 and a scalar reference that uses
+//! 2. **FMA-sensitive kernels** (`gemm_row`, `gemm_tile`) must be bitwise
+//!    identical between scalar and SSE2 (both unfused), and bitwise
+//!    identical between AVX2 and a scalar reference that uses
 //!    `f32::mul_add` (both fused, same accumulation order).
 //! 3. The transcendental approximations must stay within their documented
 //!    ULP budgets of the correctly rounded result (`vec_exp` ≤ 2 ULP,
 //!    `vec_tanh` ≤ 2 ULP, `vec_sigmoid` ≤ 3 ULP over the tested ranges;
 //!    measured worst cases are 1 / 1 / 2).
 //!
-//! The few tests that *do* exercise the process-wide backend (clamping,
-//! `set_simd_backend`, conv direct-vs-lowered under a forced backend) are
-//! serialized behind a mutex, since the cargo test harness runs tests of
-//! one binary concurrently in-process.
+//! Only `set_simd_backend_clamps_and_installs` touches the process-wide
+//! backend, and no other test reads it.
 
-use lightts_tensor::conv::{conv1d_forward, conv1d_forward_direct};
 use lightts_tensor::simd::{
-    add_assign_with, axpy_madd_with, axpy_with, cpu_supports, dot_with, gemm_row_with,
-    gemm_tile_with, log_softmax_row_with, mul_assign_with, reduce_sum_sq_with, reduce_sum_with,
-    relu_with, scale_with, set_simd_backend, sub_assign_with, sub_scalar_with, sum_exp_with,
-    vec_exp_with, vec_sigmoid_with, vec_tanh_with, SimdBackend, Tile, TileUpdate,
+    add_assign_with, axpy_with, cpu_supports, dot_with, gemm_row_with, gemm_tile_with,
+    log_softmax_row_with, mul_assign_with, reduce_sum_sq_with, reduce_sum_with, relu_with,
+    scale_with, set_simd_backend, sub_assign_with, sub_scalar_with, sum_exp_with, vec_exp_with,
+    vec_sigmoid_with, vec_tanh_with, SimdBackend, Tile, TileUpdate,
 };
-use lightts_tensor::Tensor;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 /// All three backends; `*_with` clamps unsupported requests down, so on a
 /// non-AVX2 host the AVX2 entries degenerate to (already covered) SSE2
@@ -43,9 +38,6 @@ const BACKENDS: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Sse2, Simd
 
 /// Lengths that hit every remainder-lane case for 4- and 8-wide vectors.
 const EDGE_LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33];
-
-/// Serializes the tests that mutate process-wide state (the SIMD backend).
-static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
 fn vec_data(len: usize, seed: u32) -> Vec<f32> {
     // Small deterministic LCG; values in roughly [-4, 4] so exp stays
@@ -383,29 +375,6 @@ fn gemm_tile_rejects_layouts_past_its_operands() {
     }
 }
 
-#[test]
-fn axpy_madd_honours_per_backend_fma_contract() {
-    for &n in &EDGE_LENS {
-        let xs = vec_data(n, 71);
-        let rhs = vec_data(n, 73);
-        let s = -1.3f32;
-
-        let unfused: Vec<f32> = xs.iter().zip(&rhs).map(|(&o, &r)| r * s + o).collect();
-        let fused: Vec<f32> = xs.iter().zip(&rhs).map(|(&o, &r)| r.mul_add(s, o)).collect();
-
-        for bk in BACKENDS {
-            let mut out = xs.clone();
-            axpy_madd_with(bk, &mut out, &rhs, s);
-            let want = if bk == SimdBackend::Avx2 && cpu_supports(SimdBackend::Avx2) {
-                &fused
-            } else {
-                &unfused
-            };
-            assert_bits_eq(&out, want, &format!("axpy_madd n={n} [{}]", bk.name()));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Class 3: accuracy of the transcendental approximations
 // ---------------------------------------------------------------------
@@ -507,12 +476,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Process-wide backend state (serialized behind GLOBAL_STATE)
+// Process-wide backend state
 // ---------------------------------------------------------------------
 
 #[test]
 fn set_simd_backend_clamps_and_installs() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
     let native = set_simd_backend(SimdBackend::Avx2);
     assert!(cpu_supports(native), "installed backend must be runnable");
     if !cpu_supports(SimdBackend::Avx2) {
@@ -532,23 +500,4 @@ fn backend_names_are_stable() {
     assert_eq!(SimdBackend::Avx2.name(), "avx2");
     assert!(SimdBackend::Scalar < SimdBackend::Sse2);
     assert!(SimdBackend::Sse2 < SimdBackend::Avx2);
-}
-
-#[test]
-fn conv_direct_matches_lowered_bitwise_under_every_backend() {
-    let _guard = GLOBAL_STATE.lock().unwrap();
-    let prev = lightts_tensor::simd::backend();
-    let x = Tensor::from_vec(vec_data(2 * 3 * 40, 91), &[2, 3, 40]).unwrap();
-    let w = Tensor::from_vec(vec_data(5 * 3 * 9, 97), &[5, 3, 9]).unwrap();
-    for bk in BACKENDS {
-        set_simd_backend(bk);
-        let direct = conv1d_forward_direct(&x, &w).unwrap();
-        let lowered = conv1d_forward(&x, &w).unwrap();
-        assert_bits_eq(
-            lowered.data(),
-            direct.data(),
-            &format!("conv direct vs lowered [{}]", bk.name()),
-        );
-    }
-    set_simd_backend(prev);
 }

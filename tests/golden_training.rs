@@ -51,10 +51,8 @@ fn smoothed(ds: &LabeledDataset, sharp: f32, shift: usize) -> Tensor {
 }
 
 /// Runs the pinned recipe: two smoothed-label teachers (one faithful, one
-/// shifted by a class), an 8-bit student whose first block takes the direct
-/// conv kernels and whose second block takes the lowered ones, Adam, and
-/// 4 epochs with `v = 2`, so one outer λ step sits between two inner
-/// phases.
+/// shifted by a class), an 8-bit student with two blocks, Adam, and 4
+/// epochs with `v = 2`, so one outer λ step sits between two inner phases.
 fn train_golden_student() -> Vec<u8> {
     set_simd_backend(SimdBackend::Scalar);
     let s = splits();
