@@ -422,7 +422,7 @@ impl InceptionTime {
     /// The plan's outputs are bitwise identical to [`Self::logits`] /
     /// [`Classifier::predict_proba`]; see [`crate::inference`] for why.
     pub fn compile(&self) -> Result<crate::inference::InferencePlan> {
-        use crate::inference::{PlanBlock, PlanConv};
+        use crate::inference::{InferencePlan, PlanBlock, PlanConv, PlanWeights};
         let mut sp = lightts_obs::span!("inference.compile", {
             blocks: self.blocks.len(),
             size_bits: self.size_bits(),
@@ -440,15 +440,15 @@ impl InceptionTime {
         }
         let (fw, fb) = self.fc.quantized_params(&self.store)?;
         sp.record("classes", self.config.num_classes);
-        Ok(crate::inference::InferencePlan::from_parts(
+        Ok(InferencePlan::new(PlanWeights {
             blocks,
-            fw.into_vec(),
-            fb.into_vec(),
-            self.fc.in_features(),
-            self.config.in_dims,
-            self.config.in_len,
-            self.config.num_classes,
-        ))
+            fc_weight: fw.into_vec(),
+            fc_bias: fb.into_vec(),
+            fc_in: self.fc.in_features(),
+            in_dims: self.config.in_dims,
+            in_len: self.config.in_len,
+            num_classes: self.config.num_classes,
+        }))
     }
 
     /// Compiles the model into a true-int8
@@ -465,7 +465,7 @@ impl InceptionTime {
     /// with [`ModelError::UnsupportedPlan`] rather than served with silent
     /// accuracy loss.
     pub fn compile_quantized(&self) -> Result<crate::qinference::QuantizedPlan> {
-        use crate::qinference::{QPlanBlock, QPlanConv, QuantizedPlan};
+        use crate::qinference::{QPlanBlock, QPlanConv, QPlanWeights, QuantizedPlan};
         use lightts_tensor::qint::QuantizedMatrix;
         for (i, block) in self.blocks.iter().enumerate() {
             for conv in &block.convs {
@@ -521,15 +521,15 @@ impl InceptionTime {
         }
         let fc_weight = QuantizedMatrix::quantize_rows_symmetric(&fwt, nc, fin)?;
         sp.record("classes", nc);
-        Ok(QuantizedPlan::from_parts(
+        Ok(QuantizedPlan::new(QPlanWeights {
             blocks,
             fc_weight,
-            fb.into_vec(),
-            fin,
-            self.config.in_dims,
-            self.config.in_len,
-            nc,
-        ))
+            fc_bias: fb.into_vec(),
+            fc_in: fin,
+            in_dims: self.config.in_dims,
+            in_len: self.config.in_len,
+            num_classes: nc,
+        }))
     }
 
     /// Channel count of each block's batch-norm layer, in block order.

@@ -15,6 +15,12 @@
 //! * owns ping-pong activation buffers that grow to the largest batch seen
 //!   and are reused for every subsequent request.
 //!
+//! The compiled weights are immutable and sit behind an `Arc`; only the
+//! activation buffers belong to the plan handle. Cloning a plan therefore
+//! copies no weights: the clone shares them and starts with empty scratch,
+//! which is how the serving layer runs one compiled copy of a model on
+//! many threads.
+//!
 //! Numerics are **bitwise identical** to the uncompiled path: each hoisted
 //! quantity is produced by the very same f32 expressions the per-call path
 //! evaluates (see `quantized_params` / `folded_affine` in `lightts_nn`), and
@@ -34,7 +40,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One compiled convolution layer: pre-quantized weight and bias.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PlanConv {
     /// Fake-quantized filter bank `[filters, cin, k]`.
     pub(crate) weight: Tensor,
@@ -44,7 +50,7 @@ pub(crate) struct PlanConv {
 
 /// One compiled Inception block: parallel convolutions plus folded
 /// batch-norm affine.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PlanBlock {
     pub(crate) convs: Vec<PlanConv>,
     /// Folded per-channel batch-norm scale (γ·/√(σ²+ε)).
@@ -53,16 +59,12 @@ pub(crate) struct PlanBlock {
     pub(crate) bn_shift: Vec<f32>,
 }
 
-/// A compiled, tape-free, allocation-free inference pass over an
-/// [`InceptionTime`](crate::inception::InceptionTime) model.
-///
-/// Build one with [`InceptionTime::compile`](crate::inception::InceptionTime::compile), then call
-/// [`predict_proba_into`](Self::predict_proba_into) (or
-/// [`logits_into`](Self::logits_into)) per request. The plan is `Send`, so a
-/// serving scheduler can own it on a dedicated thread; it is `&mut self`
-/// because it reuses internal scratch buffers.
-#[derive(Debug, Clone)]
-pub struct InferencePlan {
+/// The compiled weights of an f32 plan: built once by
+/// [`InceptionTime::compile`](crate::inception::InceptionTime::compile),
+/// never written afterwards, and shared through an `Arc` by every clone of
+/// the plan.
+#[derive(Debug)]
+pub(crate) struct PlanWeights {
     pub(crate) blocks: Vec<PlanBlock>,
     /// Fake-quantized FC weight, row-major `[fc_in, num_classes]`.
     pub(crate) fc_weight: Vec<f32>,
@@ -71,6 +73,19 @@ pub struct InferencePlan {
     pub(crate) in_dims: usize,
     pub(crate) in_len: usize,
     pub(crate) num_classes: usize,
+}
+
+/// A compiled, tape-free, allocation-free inference pass over an
+/// [`InceptionTime`](crate::inception::InceptionTime) model.
+///
+/// Build one with [`InceptionTime::compile`](crate::inception::InceptionTime::compile), then call
+/// [`predict_proba_into`](Self::predict_proba_into) (or
+/// [`logits_into`](Self::logits_into)) per request. It is `&mut self`
+/// because it reuses its scratch buffers; [`Clone`] shares the weights and
+/// starts with empty scratch.
+#[derive(Debug)]
+pub struct InferencePlan {
+    weights: Arc<PlanWeights>,
     scratch: Scratch,
     /// Per-forward wall-clock histogram (`inference.forward_ns` in the
     /// global registry), resolved once at compile time so the hot path
@@ -78,31 +93,9 @@ pub struct InferencePlan {
     forward_ns: Arc<Histogram>,
 }
 
+plan_api!(InferencePlan, PlanWeights, "inference.forward_ns");
+
 impl InferencePlan {
-    pub(crate) fn from_parts(
-        blocks: Vec<PlanBlock>,
-        fc_weight: Vec<f32>,
-        fc_bias: Vec<f32>,
-        fc_in: usize,
-        in_dims: usize,
-        in_len: usize,
-        num_classes: usize,
-    ) -> Self {
-        InferencePlan {
-            blocks,
-            fc_weight,
-            fc_bias,
-            fc_in,
-            in_dims,
-            in_len,
-            num_classes,
-            scratch: Scratch::default(),
-            forward_ns: lightts_obs::global().histogram("inference.forward_ns"),
-        }
-    }
-
-    plan_api!();
-
     /// Computes logits for a `[batch, in_dims, in_len]` slice of inputs into
     /// `out` (resized to `batch · num_classes`).
     ///
@@ -112,25 +105,26 @@ impl InferencePlan {
     pub fn logits_into(&mut self, inputs: &[f32], batch: usize, out: &mut Vec<f32>) -> Result<()> {
         let t0 = Instant::now();
         let _prof = lightts_obs::prof::scope("plan.forward");
-        let l = self.in_len;
-        check_input(inputs, batch, self.in_dims, l)?;
+        let w = &*self.weights;
+        let l = w.in_len;
+        check_input(inputs, batch, w.in_dims, l)?;
 
         // Grow every scratch buffer before the first convolution: growth
         // later in the call could take the pool slab a conv kernel has just
         // recycled, and the next call would miss.
         let scratch = &mut self.scratch;
         let filters_of = |block: &PlanBlock| block.convs[0].weight.dims()[0];
-        let widest = self.blocks.iter().map(|b| b.convs.len() * filters_of(b)).max().unwrap_or(0);
-        let widest = widest.max(self.in_dims);
-        let filters_max = self.blocks.iter().map(filters_of).max().unwrap_or(0);
+        let widest = w.blocks.iter().map(|b| b.convs.len() * filters_of(b)).max().unwrap_or(0);
+        let widest = widest.max(w.in_dims);
+        let filters_max = w.blocks.iter().map(filters_of).max().unwrap_or(0);
         ensure(&mut scratch.a, batch * widest * l);
         ensure(&mut scratch.b, batch * widest * l);
         ensure(&mut scratch.conv, batch * filters_max * l);
-        ensure(&mut scratch.pooled, batch * self.fc_in);
-        let mut cin = self.in_dims;
+        ensure(&mut scratch.pooled, batch * w.fc_in);
+        let mut cin = w.in_dims;
         scratch.a[..batch * cin * l].copy_from_slice(inputs);
 
-        for block in &self.blocks {
+        for block in &w.blocks {
             let filters = filters_of(block);
             let c_total = block.convs.len() * filters;
             for (j, conv) in block.convs.iter().enumerate() {
@@ -166,20 +160,20 @@ impl InferencePlan {
         // FC head: zeroed output region + the shared matmul kernel + bias,
         // the exact sequence Linear::eval_forward performs via
         // Tensor::matmul.
-        let nc = self.num_classes;
+        let nc = w.num_classes;
         out.resize(batch * nc, 0.0);
         out[..batch * nc].fill(0.0);
         linalg::matmul_into(
             &mut out[..batch * nc],
-            &scratch.pooled[..batch * self.fc_in],
-            &self.fc_weight,
+            &scratch.pooled[..batch * w.fc_in],
+            &w.fc_weight,
             batch,
-            self.fc_in,
+            w.fc_in,
             nc,
         );
         for bi in 0..batch {
             for ci in 0..nc {
-                out[bi * nc + ci] += self.fc_bias[ci];
+                out[bi * nc + ci] += w.fc_bias[ci];
             }
         }
         self.forward_ns.record_duration(t0.elapsed());
@@ -189,47 +183,10 @@ impl InferencePlan {
 
 #[cfg(test)]
 mod tests {
-    use crate::inception::{BlockSpec, InceptionConfig, InceptionTime};
+    use crate::plan::fixtures::{build_model, test_inputs};
     use crate::Classifier;
-    use lightts_tensor::rng::seeded;
-    use lightts_tensor::tape::tapes_created;
-    use lightts_tensor::Tensor;
-
-    fn build_model(bits: u8) -> InceptionTime {
-        let cfg = InceptionConfig {
-            blocks: vec![
-                BlockSpec { layers: 2, filter_len: 8, bits },
-                BlockSpec { layers: 3, filter_len: 4, bits },
-            ],
-            filters: 4,
-            in_dims: 2,
-            in_len: 20,
-            num_classes: 5,
-        };
-        let mut rng = seeded(11);
-        let mut model = InceptionTime::new(cfg, &mut rng).unwrap();
-        // Non-trivial running stats without training (no tapes involved).
-        let stats: Vec<(Vec<f32>, Vec<f32>)> = model
-            .bn_channel_counts()
-            .iter()
-            .map(|&c| {
-                let mean: Vec<f32> = (0..c).map(|i| 0.05 * i as f32 - 0.1).collect();
-                let var: Vec<f32> = (0..c).map(|i| 0.5 + 0.03 * i as f32).collect();
-                (mean, var)
-            })
-            .collect();
-        for (i, (mean, var)) in stats.iter().enumerate() {
-            model.set_bn_running_stats(i, mean, var).unwrap();
-        }
-        model
-    }
-
-    fn test_inputs(batch: usize, dims: usize, len: usize) -> Tensor {
-        let data: Vec<f32> = (0..batch * dims * len)
-            .map(|i| ((i as u64 * 2_654_435_761) % 1000) as f32 / 500.0 - 1.0)
-            .collect();
-        Tensor::from_vec(data, &[batch, dims, len]).unwrap()
-    }
+    use lightts_tensor::tape::thread_tapes_created;
+    use std::sync::Arc;
 
     #[test]
     fn compiled_plan_matches_eval_path_bitwise() {
@@ -259,11 +216,40 @@ mod tests {
         let x = test_inputs(4, 2, 20);
         // Warm up scratch, then measure.
         plan.predict_proba(&x).unwrap();
-        let before = tapes_created();
+        let before = thread_tapes_created();
         for _ in 0..10 {
             plan.predict_proba(&x).unwrap();
         }
-        assert_eq!(tapes_created(), before, "compiled inference constructed a Tape");
+        assert_eq!(thread_tapes_created(), before, "compiled inference constructed a Tape");
+    }
+
+    #[test]
+    fn clone_shares_the_weights_and_starts_with_empty_scratch() {
+        let model = build_model(8);
+        let mut plan = model.compile().unwrap();
+        let mut out = Vec::new();
+        plan.logits_into(test_inputs(3, 2, 20).data(), 3, &mut out).unwrap();
+        let clone = plan.clone();
+        assert!(Arc::ptr_eq(&plan.weights, &clone.weights), "the clone copied the weights");
+        assert_eq!(clone.scratch.capacity(), 0, "the clone copied the scratch");
+    }
+
+    #[test]
+    fn source_and_clone_in_turns_answer_like_a_fresh_plan() {
+        let model = build_model(8);
+        let mut source = model.compile().unwrap();
+        let mut clone = source.clone();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for batch in [7usize, 1, 3] {
+            let x = test_inputs(batch, 2, 20);
+            let mut fresh = Vec::new();
+            model.compile().unwrap().logits_into(x.data(), batch, &mut fresh).unwrap();
+            for (who, plan) in [("source", &mut source), ("clone", &mut clone)] {
+                let mut got = Vec::new();
+                plan.logits_into(x.data(), batch, &mut got).unwrap();
+                assert_eq!(bits(&got), bits(&fresh), "{who} at batch {batch}");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! layer (folded batch-norm + ReLU, global average pooling, softmax) and
 //! the public accessors. Both plans call the same code, which is what keeps
 //! that tail bitwise identical between them.
+//!
+//! Both plans have the same layout: an `Arc` on immutable compiled weights,
+//! which every clone shares, plus the handle's own [`Scratch`], which a
+//! clone starts empty.
 
 use crate::{ModelError, Result};
 use lightts_tensor::{pool, simd};
@@ -12,9 +16,9 @@ use lightts_tensor::{pool, simd};
 /// of the batches seen and are never shrunk, so steady-state serving
 /// performs zero heap allocation per request. Growth is served by the
 /// thread-local [`pool`] (so a plan that outgrows one batch shape reuses
-/// slabs recycled elsewhere), and dropping the plan returns every buffer
-/// to the pool.
-#[derive(Debug, Clone, Default)]
+/// slabs recycled elsewhere), and dropping the plan handle returns every
+/// buffer to the pool.
+#[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Current block input `[batch, c, l]`.
     pub(crate) a: Vec<f32>,
@@ -24,6 +28,14 @@ pub(crate) struct Scratch {
     pub(crate) conv: Vec<f32>,
     /// Pooled features `[batch, c_last]`.
     pub(crate) pooled: Vec<f32>,
+}
+
+#[cfg(test)]
+impl Scratch {
+    /// Total capacity of the buffers: 0 in a fresh plan handle.
+    pub(crate) fn capacity(&self) -> usize {
+        [&self.a, &self.b, &self.conv, &self.pooled].iter().map(|v| v.capacity()).sum()
+    }
 }
 
 impl Drop for Scratch {
@@ -98,67 +110,136 @@ pub(crate) fn softmax_rows(out: &mut [f32], nc: usize) {
     }
 }
 
-/// The shape accessors and the probability entry points of a compiled
-/// plan, written once for both plans. The plan provides the fields
-/// `in_dims`, `in_len`, `num_classes` and a `logits_into` method.
+/// The handle half of a compiled plan, written once for both plans: a
+/// [`Clone`] that shares the weights and starts with empty scratch, the
+/// constructor, the shape accessors and the probability entry points. The
+/// plan has the fields `weights: Arc<$weights>`, `scratch` (of a `Default`
+/// type) and `forward_ns: Arc<Histogram>` (resolved from `$histogram`),
+/// and a `logits_into` method; `$weights` has the fields `in_dims`,
+/// `in_len` and `num_classes`.
 macro_rules! plan_api {
-    () => {
-        /// Input dimensionality `M` each sample must have.
-        pub fn in_dims(&self) -> usize {
-            self.in_dims
-        }
-
-        /// Series length each sample must have.
-        pub fn in_len(&self) -> usize {
-            self.in_len
-        }
-
-        /// Number of scalars one sample occupies (`in_dims · in_len`).
-        pub fn sample_len(&self) -> usize {
-            self.in_dims * self.in_len
-        }
-
-        /// Number of output classes.
-        pub fn num_classes(&self) -> usize {
-            self.num_classes
-        }
-
-        /// Computes class probabilities (softmax over
-        /// [`logits_into`](Self::logits_into)) into `out`, through the one
-        /// canonical softmax of the workspace (`simd::log_softmax_row` +
-        /// `simd::vec_exp`).
-        pub fn predict_proba_into(
-            &mut self,
-            inputs: &[f32],
-            batch: usize,
-            out: &mut Vec<f32>,
-        ) -> $crate::Result<()> {
-            self.logits_into(inputs, batch, out)?;
-            $crate::plan::softmax_rows(out, self.num_classes);
-            Ok(())
-        }
-
-        /// Convenience wrapper returning probabilities as a
-        /// `[batch, classes]` tensor (allocates; tests and non-hot-path
-        /// callers).
-        pub fn predict_proba(
-            &mut self,
-            inputs: &lightts_tensor::Tensor,
-        ) -> $crate::Result<lightts_tensor::Tensor> {
-            if inputs.rank() != 3 {
-                return Err($crate::ModelError::BadConfig {
-                    what: format!(
-                        "inference: expected [batch, dims, len] input, rank {}",
-                        inputs.rank()
-                    ),
-                });
+    ($plan:ident, $weights:ty, $histogram:literal) => {
+        impl Clone for $plan {
+            /// A new handle on the same weights, with empty scratch.
+            fn clone(&self) -> Self {
+                $plan {
+                    weights: std::sync::Arc::clone(&self.weights),
+                    scratch: Default::default(),
+                    forward_ns: std::sync::Arc::clone(&self.forward_ns),
+                }
             }
-            let batch = inputs.dims()[0];
-            let mut out = Vec::new();
-            self.predict_proba_into(inputs.data(), batch, &mut out)?;
-            Ok(lightts_tensor::Tensor::from_vec(out, &[batch, self.num_classes])?)
+        }
+
+        impl $plan {
+            pub(crate) fn new(weights: $weights) -> Self {
+                $plan {
+                    weights: std::sync::Arc::new(weights),
+                    scratch: Default::default(),
+                    forward_ns: lightts_obs::global().histogram($histogram),
+                }
+            }
+
+            /// Input dimensionality `M` each sample must have.
+            pub fn in_dims(&self) -> usize {
+                self.weights.in_dims
+            }
+
+            /// Series length each sample must have.
+            pub fn in_len(&self) -> usize {
+                self.weights.in_len
+            }
+
+            /// Number of scalars one sample occupies (`in_dims · in_len`).
+            pub fn sample_len(&self) -> usize {
+                self.weights.in_dims * self.weights.in_len
+            }
+
+            /// Number of output classes.
+            pub fn num_classes(&self) -> usize {
+                self.weights.num_classes
+            }
+
+            /// Computes class probabilities (softmax over
+            /// [`logits_into`](Self::logits_into)) into `out`, through the one
+            /// canonical softmax of the workspace (`simd::log_softmax_row` +
+            /// `simd::vec_exp`).
+            pub fn predict_proba_into(
+                &mut self,
+                inputs: &[f32],
+                batch: usize,
+                out: &mut Vec<f32>,
+            ) -> $crate::Result<()> {
+                self.logits_into(inputs, batch, out)?;
+                $crate::plan::softmax_rows(out, self.weights.num_classes);
+                Ok(())
+            }
+
+            /// Convenience wrapper returning probabilities as a
+            /// `[batch, classes]` tensor (allocates; tests and non-hot-path
+            /// callers).
+            pub fn predict_proba(
+                &mut self,
+                inputs: &lightts_tensor::Tensor,
+            ) -> $crate::Result<lightts_tensor::Tensor> {
+                if inputs.rank() != 3 {
+                    return Err($crate::ModelError::BadConfig {
+                        what: format!(
+                            "inference: expected [batch, dims, len] input, rank {}",
+                            inputs.rank()
+                        ),
+                    });
+                }
+                let batch = inputs.dims()[0];
+                let mut out = Vec::new();
+                self.predict_proba_into(inputs.data(), batch, &mut out)?;
+                Ok(lightts_tensor::Tensor::from_vec(out, &[batch, self.weights.num_classes])?)
+            }
         }
     };
 }
 
 pub(crate) use plan_api;
+
+/// The small model and inputs both plans' unit tests compile and run.
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use crate::inception::{BlockSpec, InceptionConfig, InceptionTime};
+    use lightts_tensor::rng::seeded;
+    use lightts_tensor::Tensor;
+
+    pub(crate) fn build_model(bits: u8) -> InceptionTime {
+        let cfg = InceptionConfig {
+            blocks: vec![
+                BlockSpec { layers: 2, filter_len: 8, bits },
+                BlockSpec { layers: 3, filter_len: 4, bits },
+            ],
+            filters: 4,
+            in_dims: 2,
+            in_len: 20,
+            num_classes: 5,
+        };
+        let mut rng = seeded(11);
+        let mut model = InceptionTime::new(cfg, &mut rng).unwrap();
+        // Non-trivial running stats without training (no tapes involved).
+        let stats: Vec<(Vec<f32>, Vec<f32>)> = model
+            .bn_channel_counts()
+            .iter()
+            .map(|&c| {
+                let mean: Vec<f32> = (0..c).map(|i| 0.05 * i as f32 - 0.1).collect();
+                let var: Vec<f32> = (0..c).map(|i| 0.5 + 0.03 * i as f32).collect();
+                (mean, var)
+            })
+            .collect();
+        for (i, (mean, var)) in stats.iter().enumerate() {
+            model.set_bn_running_stats(i, mean, var).unwrap();
+        }
+        model
+    }
+
+    pub(crate) fn test_inputs(batch: usize, dims: usize, len: usize) -> Tensor {
+        let data: Vec<f32> = (0..batch * dims * len)
+            .map(|i| ((i as u64 * 2_654_435_761) % 1000) as f32 / 500.0 - 1.0)
+            .collect();
+        Tensor::from_vec(data, &[batch, dims, len]).unwrap()
+    }
+}

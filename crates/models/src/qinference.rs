@@ -32,7 +32,10 @@
 //! Scratch discipline matches the f32 plan: f32 buffers come from the
 //! thread-local [`pool`](lightts_tensor::pool) and are recycled on drop;
 //! the i8/i32 buffers (which the pool does not serve) are plan-owned and
-//! grow-only. Steady-state forwards allocate nothing.
+//! grow-only. Steady-state forwards allocate nothing. Sharing matches the
+//! f32 plan too: the quantized weights sit behind an `Arc`, and a clone
+//! shares them and starts with empty scratch, so replicas hold one copy of
+//! the codes.
 
 use crate::plan::{bn_relu, check_input, ensure, global_avg_pool, plan_api, Scratch};
 use crate::Result;
@@ -43,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One compiled int8 convolution layer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct QPlanConv {
     /// Quantized filter bank, flattened `[filters, cin·kernel]`.
     pub(crate) weight: QuantizedMatrix,
@@ -55,7 +58,7 @@ pub(crate) struct QPlanConv {
 
 /// One compiled int8 Inception block: parallel quantized convolutions plus
 /// the folded batch-norm affine (f32, identical to the f32 plan's).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct QPlanBlock {
     pub(crate) convs: Vec<QPlanConv>,
     pub(crate) bn_scale: Vec<f32>,
@@ -65,7 +68,7 @@ pub(crate) struct QPlanBlock {
 /// Reusable scratch: the pool-backed f32 buffers shared with the f32 plan,
 /// plus plan-owned grow-only integer buffers (the buffer pool only serves
 /// f32 slabs). Either way, nothing is allocated in steady state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct QScratch {
     /// Block activations and pooled features (f32, pool-backed).
     f32s: Scratch,
@@ -77,6 +80,23 @@ struct QScratch {
     acc: Vec<i32>,
 }
 
+/// The compiled weights of an int8 plan: built once by
+/// [`InceptionTime::compile_quantized`](crate::inception::InceptionTime::compile_quantized),
+/// never written afterwards, and shared through an `Arc` by every clone of
+/// the plan.
+#[derive(Debug)]
+pub(crate) struct QPlanWeights {
+    pub(crate) blocks: Vec<QPlanBlock>,
+    /// Quantized FC weight `[num_classes, fc_in]` (transposed at compile so
+    /// the reduction axis is contiguous for the integer kernels).
+    pub(crate) fc_weight: QuantizedMatrix,
+    pub(crate) fc_bias: Vec<f32>,
+    pub(crate) fc_in: usize,
+    pub(crate) in_dims: usize,
+    pub(crate) in_len: usize,
+    pub(crate) num_classes: usize,
+}
+
 /// A compiled, tape-free, allocation-free **int8** inference pass over an
 /// [`InceptionTime`](crate::inception::InceptionTime) model.
 ///
@@ -86,62 +106,33 @@ struct QScratch {
 /// bit-width ≤ 8, and fails with
 /// [`ModelError::UnsupportedPlan`](crate::ModelError::UnsupportedPlan) otherwise),
 /// then call [`predict_proba_into`](Self::predict_proba_into) per request,
-/// exactly like the f32 plan.
-#[derive(Debug, Clone)]
+/// exactly like the f32 plan; [`Clone`] shares the weights and starts with
+/// empty scratch.
+#[derive(Debug)]
 pub struct QuantizedPlan {
-    blocks: Vec<QPlanBlock>,
-    /// Quantized FC weight `[num_classes, fc_in]` (transposed at compile so
-    /// the reduction axis is contiguous for the integer kernels).
-    fc_weight: QuantizedMatrix,
-    fc_bias: Vec<f32>,
-    fc_in: usize,
-    in_dims: usize,
-    in_len: usize,
-    num_classes: usize,
+    weights: Arc<QPlanWeights>,
     scratch: QScratch,
     /// Per-forward wall-clock histogram (`inference.forward_i8_ns`),
     /// resolved once at compile time.
     forward_ns: Arc<Histogram>,
 }
 
+plan_api!(QuantizedPlan, QPlanWeights, "inference.forward_i8_ns");
+
 impl QuantizedPlan {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        blocks: Vec<QPlanBlock>,
-        fc_weight: QuantizedMatrix,
-        fc_bias: Vec<f32>,
-        fc_in: usize,
-        in_dims: usize,
-        in_len: usize,
-        num_classes: usize,
-    ) -> Self {
-        QuantizedPlan {
-            blocks,
-            fc_weight,
-            fc_bias,
-            fc_in,
-            in_dims,
-            in_len,
-            num_classes,
-            scratch: QScratch::default(),
-            forward_ns: lightts_obs::global().histogram("inference.forward_i8_ns"),
-        }
-    }
-
-    plan_api!();
-
     /// Heap bytes of quantized weight storage (codes + per-channel
     /// metadata), the number compared against the f32 plan's `4 ·
     /// parameter-count` in the README size table.
     pub fn weight_bytes(&self) -> usize {
-        let conv: usize = self
+        let w = &self.weights;
+        let conv: usize = w
             .blocks
             .iter()
             .flat_map(|b| b.convs.iter())
             .map(|c| c.weight.size_bytes() + c.bias.len() * 4)
             .sum();
-        let bn: usize = self.blocks.iter().map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4).sum();
-        conv + bn + self.fc_weight.size_bytes() + self.fc_bias.len() * 4
+        let bn: usize = w.blocks.iter().map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4).sum();
+        conv + bn + w.fc_weight.size_bytes() + w.fc_bias.len() * 4
     }
 
     /// Computes logits for a `[batch, in_dims, in_len]` slice of inputs into
@@ -153,15 +144,16 @@ impl QuantizedPlan {
     pub fn logits_into(&mut self, inputs: &[f32], batch: usize, out: &mut Vec<f32>) -> Result<()> {
         let t0 = Instant::now();
         let _prof = lightts_obs::prof::scope("qplan.forward");
-        let l = self.in_len;
-        check_input(inputs, batch, self.in_dims, l)?;
+        let w = &*self.weights;
+        let l = w.in_len;
+        check_input(inputs, batch, w.in_dims, l)?;
 
         let QScratch { f32s: scratch, qx, patch, acc } = &mut self.scratch;
-        let mut cin = self.in_dims;
+        let mut cin = w.in_dims;
         ensure(&mut scratch.a, batch * cin * l);
         scratch.a[..batch * cin * l].copy_from_slice(inputs);
 
-        for block in &self.blocks {
+        for block in &w.blocks {
             let filters = block.convs[0].weight.rows();
             let c_total = block.convs.len() * filters;
             ensure(&mut scratch.b, batch * c_total * l);
@@ -217,8 +209,8 @@ impl QuantizedPlan {
 
         // Quantized FC head: per-sample quantization of the pooled features,
         // integer matrix-vector product, dequant + bias.
-        let nc = self.num_classes;
-        let fin = self.fc_in;
+        let nc = w.num_classes;
+        let fin = w.fc_in;
         out.resize(batch * nc, 0.0);
         if qx.len() < fin {
             qx.resize(fin, 0);
@@ -230,12 +222,12 @@ impl QuantizedPlan {
             let p = &scratch.pooled[bi * fin..(bi + 1) * fin];
             let aq = ActQuant::fit(p);
             aq.quantize_into(p, &mut qx[..fin]);
-            simd::qgemm_i8t(&mut acc[..nc], self.fc_weight.data(), &qx[..fin], nc, fin, 1);
+            simd::qgemm_i8t(&mut acc[..nc], w.fc_weight.data(), &qx[..fin], nc, fin, 1);
             let zp = i32::from(aq.zero_point);
             for ci in 0..nc {
-                let s = aq.scale * self.fc_weight.scales()[ci];
-                let corr = zp * self.fc_weight.row_sums()[ci];
-                out[bi * nc + ci] = (acc[ci] - corr) as f32 * s + self.fc_bias[ci];
+                let s = aq.scale * w.fc_weight.scales()[ci];
+                let corr = zp * w.fc_weight.row_sums()[ci];
+                out[bi * nc + ci] = (acc[ci] - corr) as f32 * s + w.fc_bias[ci];
             }
         }
         self.forward_ns.record_duration(t0.elapsed());
@@ -245,46 +237,10 @@ impl QuantizedPlan {
 
 #[cfg(test)]
 mod tests {
-    use crate::inception::{BlockSpec, InceptionConfig, InceptionTime};
+    use crate::plan::fixtures::{build_model, test_inputs};
     use crate::ModelError;
-    use lightts_tensor::rng::seeded;
-    use lightts_tensor::tape::tapes_created;
-    use lightts_tensor::Tensor;
-
-    fn build_model(bits: u8) -> InceptionTime {
-        let cfg = InceptionConfig {
-            blocks: vec![
-                BlockSpec { layers: 2, filter_len: 8, bits },
-                BlockSpec { layers: 3, filter_len: 4, bits },
-            ],
-            filters: 4,
-            in_dims: 2,
-            in_len: 20,
-            num_classes: 5,
-        };
-        let mut rng = seeded(11);
-        let mut model = InceptionTime::new(cfg, &mut rng).unwrap();
-        let stats: Vec<(Vec<f32>, Vec<f32>)> = model
-            .bn_channel_counts()
-            .iter()
-            .map(|&c| {
-                let mean: Vec<f32> = (0..c).map(|i| 0.05 * i as f32 - 0.1).collect();
-                let var: Vec<f32> = (0..c).map(|i| 0.5 + 0.03 * i as f32).collect();
-                (mean, var)
-            })
-            .collect();
-        for (i, (mean, var)) in stats.iter().enumerate() {
-            model.set_bn_running_stats(i, mean, var).unwrap();
-        }
-        model
-    }
-
-    fn test_inputs(batch: usize, dims: usize, len: usize) -> Tensor {
-        let data: Vec<f32> = (0..batch * dims * len)
-            .map(|i| ((i as u64 * 2_654_435_761) % 1000) as f32 / 500.0 - 1.0)
-            .collect();
-        Tensor::from_vec(data, &[batch, dims, len]).unwrap()
-    }
+    use lightts_tensor::tape::thread_tapes_created;
+    use std::sync::Arc;
 
     #[test]
     fn quantized_plan_tracks_f32_argmax() {
@@ -337,11 +293,42 @@ mod tests {
         let mut plan = model.compile_quantized().unwrap();
         let x = test_inputs(4, 2, 20);
         plan.predict_proba(&x).unwrap();
-        let before = tapes_created();
+        let before = thread_tapes_created();
         for _ in 0..10 {
             plan.predict_proba(&x).unwrap();
         }
-        assert_eq!(tapes_created(), before, "quantized inference constructed a Tape");
+        assert_eq!(thread_tapes_created(), before, "quantized inference constructed a Tape");
+    }
+
+    #[test]
+    fn quantized_clone_shares_the_weights_and_starts_with_empty_scratch() {
+        let model = build_model(8);
+        let mut plan = model.compile_quantized().unwrap();
+        let mut out = Vec::new();
+        plan.logits_into(test_inputs(3, 2, 20).data(), 3, &mut out).unwrap();
+        let clone = plan.clone();
+        assert!(Arc::ptr_eq(&plan.weights, &clone.weights), "the clone copied the weights");
+        let s = &clone.scratch;
+        let ints = s.qx.capacity() + s.patch.capacity() + s.acc.capacity();
+        assert_eq!(s.f32s.capacity() + ints, 0, "the clone copied the scratch");
+    }
+
+    #[test]
+    fn quantized_source_and_clone_in_turns_answer_like_a_fresh_plan() {
+        let model = build_model(8);
+        let mut source = model.compile_quantized().unwrap();
+        let mut clone = source.clone();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for batch in [7usize, 1, 3] {
+            let x = test_inputs(batch, 2, 20);
+            let mut fresh = Vec::new();
+            model.compile_quantized().unwrap().logits_into(x.data(), batch, &mut fresh).unwrap();
+            for (who, plan) in [("source", &mut source), ("clone", &mut clone)] {
+                let mut got = Vec::new();
+                plan.logits_into(x.data(), batch, &mut got).unwrap();
+                assert_eq!(bits(&got), bits(&fresh), "{who} at batch {batch}");
+            }
+        }
     }
 
     #[test]
@@ -367,26 +354,25 @@ mod tests {
     fn quantized_plan_shrinks_weight_storage() {
         let model = build_model(8);
         let plan = model.compile_quantized().unwrap();
+        let w = &plan.weights;
         // The f32 plan stores 4 bytes per conv/FC weight code plus the same
         // f32 bias/BN vectors. The i8 plan's codes + per-channel metadata
         // must undercut that by at least 2× even on this tiny model
         // (larger models approach the full 4×).
-        let codes: usize = plan
+        let codes: usize = w
             .blocks
             .iter()
             .flat_map(|b| b.convs.iter())
             .map(|c| c.weight.data().len())
             .sum::<usize>()
-            + plan.fc_weight.data().len();
-        let aux: usize =
-            plan.blocks.iter().map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4).sum::<usize>()
-                + plan
-                    .blocks
-                    .iter()
-                    .flat_map(|b| b.convs.iter())
-                    .map(|c| c.bias.len() * 4)
-                    .sum::<usize>()
-                + plan.fc_bias.len() * 4;
+            + w.fc_weight.data().len();
+        let aux: usize = w
+            .blocks
+            .iter()
+            .map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4)
+            .sum::<usize>()
+            + w.blocks.iter().flat_map(|b| b.convs.iter()).map(|c| c.bias.len() * 4).sum::<usize>()
+            + w.fc_bias.len() * 4;
         let f32_total = 4 * codes + aux;
         let i8_total = plan.weight_bytes();
         assert!(i8_total * 2 < f32_total, "no storage win: {i8_total} vs {f32_total} bytes");

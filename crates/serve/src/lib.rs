@@ -9,16 +9,15 @@
 //! * [`ModelRegistry`] — loads packed
 //!   [`save_bytes`](lightts_models::inception::InceptionTime::save_bytes)
 //!   exports (or live models) and compiles each into a tape-free plan of
-//!   the chosen [`PlanKind`]: the f32
-//!   [`InferencePlan`](lightts_models::inference::InferencePlan) (default)
-//!   or the true-int8
-//!   [`QuantizedPlan`](lightts_models::qinference::QuantizedPlan) via the
-//!   `plan = f32 | i8` knob ([`ServeConfig::plan`] +
-//!   [`ModelRegistry::for_config`], or per-model
-//!   [`register_as`](ModelRegistry::register_as)). Both kinds can be
-//!   resident at once; a model that cannot support the requested kind
-//!   (e.g. 16/32-bit quantization metadata asked to serve i8) is refused
-//!   at registration with a typed error, never a panic.
+//!   the [`PlanKind`] chosen per model: the f32
+//!   [`InferencePlan`](lightts_models::inference::InferencePlan)
+//!   ([`load_packed`](ModelRegistry::load_packed)) or the true-int8
+//!   [`QuantizedPlan`](lightts_models::qinference::QuantizedPlan)
+//!   ([`load_packed_as`](ModelRegistry::load_packed_as) /
+//!   [`register_as`](ModelRegistry::register_as) with [`PlanKind::I8`]).
+//!   Both kinds can be resident at once; a model that cannot support the
+//!   requested kind (e.g. 16/32-bit quantization metadata asked to serve
+//!   i8) is refused at registration with a typed error, never a panic.
 //! * [`Server`] — request queues with **dynamic micro-batching**: requests
 //!   accumulate until either `max_batch` are waiting or the oldest has
 //!   waited `max_wait`, then one fused forward runs over the whole batch
@@ -27,7 +26,9 @@
 //!   queues, condvar, and plan clones, models are replicated across
 //!   [`ServeConfig::replicas`] shards, and requests are hash-routed by
 //!   request id ([`route_replica`]) — one hot model replicated across N
-//!   shards scales across cores with no shared lock on the hot path.
+//!   shards scales across cores with no shared lock on the hot path. The
+//!   replicas share one compiled copy of each model's weights: a plan
+//!   clone owns only its scratch.
 //! * [`wire`] / [`net`] — the `LTSP` length-prefixed binary protocol and
 //!   its TCP / Unix-socket front door ([`Server::serve_net`],
 //!   [`Server::serve_unix`] + [`NetClient`]): remote callers get the same
@@ -64,7 +65,8 @@
 //!   are answered with a shard-tagged [`ServeError::SchedulerDied`], and
 //!   sibling shards keep serving bitwise-identically.
 //! * **Self-healing** — a supervisor thread detects shard death and
-//!   **respawns** the shard from pristine plan masters, after proving the
+//!   **respawns** the shard with fresh clones of the registered plans
+//!   (handles on the live weights, with new scratch), after proving the
 //!   reborn shard answers a probe input bitwise identically to its
 //!   pre-death self — at most [`ServeConfig::restart_budget`] times per
 //!   rolling [`ServeConfig::restart_window`], after which the shard is
@@ -95,10 +97,11 @@
 //! ## Threading model
 //!
 //! N scheduler shard threads each own *clones* of the compiled plans
-//! placed on them (and their scratch buffers) — requests are handed over
-//! through the owning shard's mutex-protected queues, so plans need no
-//! internal locking and shards never contend on one lock. The shard count
-//! defaults to available parallelism clamped to the model count
+//! placed on them. A clone shares the immutable compiled weights (one copy
+//! per model, behind an `Arc`) and owns its scratch buffers — requests are
+//! handed over through the owning shard's mutex-protected queues, so plans
+//! need no internal locking and shards never contend on one lock. The
+//! shard count defaults to available parallelism clamped to the model count
 //! (overridable via [`ServeConfig::shards`] or `LIGHTTS_SERVE_SHARDS`).
 //! The fused forward runs on the shard's own thread, like every tensor
 //! kernel runs on its caller's thread. Callers block on a one-shot channel (or poll a
@@ -114,9 +117,9 @@
 //! batch-size-independent accumulation order (see
 //! [`lightts_models::inference`]). Sharding preserves this whole-server:
 //! the route is a pure function of the request id, and every replica is a
-//! clone of the same compiled plan, so shard counts 1 and N answer
-//! bitwise identically — and so does the wire path, which moves `f32`
-//! bit patterns, never text. Batching is therefore purely a
+//! clone of the same compiled plan, sharing its weights, so shard counts 1
+//! and N answer bitwise identically — and so does the wire path, which
+//! moves `f32` bit patterns, never text. Batching is therefore purely a
 //! throughput optimization — it can never change a prediction. The i8 plan
 //! upholds the same batch-size invariance (activation quantizers are
 //! fitted per sample, and integer accumulation is exact), and is

@@ -1,23 +1,26 @@
 //! The model registry: named, compiled inference plans (f32 or int8).
+//!
+//! A registered plan is the model's one compiled copy. The server keeps it
+//! as the model's record, and every shard slot that hosts the model runs a
+//! clone of it, which shares the compiled weights and owns only its scratch.
 
-use crate::{Result, ServeConfig, ServeError};
+use crate::{Result, ServeError};
 use lightts_models::inception::InceptionTime;
 use lightts_models::inference::InferencePlan;
 use lightts_models::qinference::QuantizedPlan;
 
-/// Which compiled plan kind a model is served with — the `plan = f32 | i8`
-/// knob.
+/// Which compiled plan kind a model is served with, chosen per model by
+/// [`ModelRegistry::register_as`] / [`ModelRegistry::load_packed_as`].
 ///
-/// * [`PlanKind::F32`] (default): the classic [`InferencePlan`] — f32
+/// * [`PlanKind::F32`]: the classic [`InferencePlan`] — f32
 ///   arithmetic, bitwise identical to the uncompiled eval path.
 /// * [`PlanKind::I8`]: the [`QuantizedPlan`] — i8 weights, integer
 ///   conv/GEMM, ~4× smaller weight storage; approximate vs f32 within the
 ///   parity gate of `tests/quantized_parity.rs`, and bitwise reproducible
 ///   across backends/batch splits in its own right.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
     /// Full-precision compiled plan.
-    #[default]
     F32,
     /// True-int8 compiled plan.
     I8,
@@ -36,8 +39,9 @@ impl PlanKind {
 
 /// A compiled plan of either kind, dispatched per batch by the scheduler.
 /// `Clone` is what makes replica placement possible: each shard hosting a
-/// replica of a model owns its own clone of the compiled plan (weights and
-/// scratch), so shards never share mutable plan state.
+/// replica of a model runs its own clone, which shares the compiled weights
+/// (immutable, behind an `Arc`) and owns its scratch, so shards never share
+/// mutable plan state.
 #[derive(Debug, Clone)]
 pub(crate) enum AnyPlan {
     F32(InferencePlan),
@@ -92,9 +96,9 @@ pub(crate) struct Entry {
 /// [`save_bytes`](InceptionTime::save_bytes) exports
 /// ([`load_packed`](Self::load_packed)) — the deployment path — or as live
 /// [`InceptionTime`] instances ([`register`](Self::register)). Either way
-/// they are compiled once at registration time into a tape-free plan of the
-/// registry's default [`PlanKind`] (or an explicit per-model kind via
-/// [`register_as`](Self::register_as) / [`load_packed_as`](Self::load_packed_as)),
+/// they are compiled once at registration time into a tape-free plan: the
+/// f32 plan, or the [`PlanKind`] chosen per model via
+/// [`register_as`](Self::register_as) / [`load_packed_as`](Self::load_packed_as),
 /// so the serving hot path never re-quantizes weights or touches the
 /// autodiff tape. f32 and i8 plans can be resident simultaneously; requests
 /// are routed by model name as before.
@@ -107,49 +111,23 @@ pub(crate) struct Entry {
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
     pub(crate) entries: Vec<Entry>,
-    default_plan: PlanKind,
 }
 
 impl ModelRegistry {
-    /// Creates an empty registry with the default f32 plan kind.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty registry whose [`register`](Self::register) /
-    /// [`load_packed`](Self::load_packed) compile plans of `kind`.
-    pub fn with_plan(kind: PlanKind) -> Self {
-        ModelRegistry { entries: Vec::new(), default_plan: kind }
-    }
-
-    /// Creates an empty registry honouring the config's `plan` knob —
-    /// the usual way to build the registry a [`Server`](crate::Server)
-    /// will consume.
-    pub fn for_config(cfg: &ServeConfig) -> Self {
-        Self::with_plan(cfg.plan)
-    }
-
-    /// The plan kind [`register`](Self::register) compiles by default.
-    pub fn default_plan(&self) -> PlanKind {
-        self.default_plan
-    }
-
-    /// Changes the default plan kind for subsequent registrations
-    /// (already-registered models are unaffected).
-    pub fn set_default_plan(&mut self, kind: PlanKind) {
-        self.default_plan = kind;
-    }
-
-    /// Registers a live model under `name`, compiling it for serving with
-    /// the registry's default plan kind.
+    /// Registers a live model under `name`, compiling it for serving as an
+    /// f32 plan.
     ///
     /// Replaces any previous model of the same name.
     pub fn register(&mut self, name: impl Into<String>, model: &InceptionTime) -> Result<()> {
-        self.register_as(name, model, self.default_plan)
+        self.register_as(name, model, PlanKind::F32)
     }
 
-    /// Registers a live model under `name` with an explicit plan kind,
-    /// regardless of the registry default.
+    /// Registers a live model under `name` with an explicit plan kind.
     pub fn register_as(
         &mut self,
         name: impl Into<String>,
@@ -170,10 +148,10 @@ impl ModelRegistry {
     }
 
     /// Loads a packed model export (the bytes written by
-    /// [`InceptionTime::save_bytes`]) and registers it under `name` with
-    /// the registry's default plan kind.
+    /// [`InceptionTime::save_bytes`]) and registers it under `name` as an
+    /// f32 plan.
     pub fn load_packed(&mut self, name: impl Into<String>, bytes: &[u8]) -> Result<()> {
-        self.load_packed_as(name, bytes, self.default_plan)
+        self.load_packed_as(name, bytes, PlanKind::F32)
     }
 
     /// Loads a packed model export and registers it with an explicit plan

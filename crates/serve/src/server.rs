@@ -4,16 +4,18 @@
 //! ## Sharding
 //!
 //! The server runs [`ServeConfig::shards`] scheduler threads. Each shard
-//! owns its own bounded queues, condvar, and *clones* of the compiled
-//! plans placed on it, so shards share no mutable state and never contend
-//! on one lock. Models are placed on [`ServeConfig::replicas`] consecutive
-//! shards (round-robin from the model's index); a request is routed to one
-//! replica by hashing its request id ([`route_replica`]) — a pure function
-//! of the id, so the same request id always lands on the same shard and
-//! the per-shard determinism contract composes into a whole-server one:
+//! owns its own bounded queues, condvar, and a clone of each compiled plan
+//! placed on it. A clone shares the model's one compiled copy of the
+//! weights and owns only its scratch, so shards share no mutable state and
+//! never contend on one lock. Models are placed on
+//! [`ServeConfig::replicas`] consecutive shards (round-robin from the
+//! model's index); a request is routed to one replica by hashing its
+//! request id ([`route_replica`]) — a pure function of the id, so the
+//! same request id always lands on the same shard and the per-shard
+//! determinism contract composes into a whole-server one:
 //! the route is deterministic, and every replica answers bitwise
-//! identically (clones of one plan), so *any* route answers bitwise
-//! identically.
+//! identically (clones of one plan, sharing its weights), so *any* route
+//! answers bitwise identically.
 //!
 //! Fault isolation is shard-local: a panic escaping one shard's loop kills
 //! only that shard — its queued requests are drained with
@@ -25,7 +27,7 @@
 //! liveness.
 
 use crate::breaker::Breaker;
-use crate::registry::{AnyPlan, ModelRegistry, PlanKind};
+use crate::registry::{AnyPlan, ModelRegistry};
 use crate::retry::RetryPolicy;
 use crate::stats::{ServeStats, StatsInner};
 use crate::supervisor;
@@ -41,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Hard cap on the number of scheduler shards (a runaway-config backstop;
-/// each shard is an OS thread plus a plan-clone set).
+/// each shard is an OS thread plus the scratch of its plan clones).
 pub const MAX_SHARDS: usize = 64;
 
 /// Default shard restart budget (respawns per rolling window) when
@@ -63,14 +65,6 @@ pub struct ServeConfig {
     /// latency finite under overload — shedding early is cheaper than
     /// answering late.
     pub max_queue: usize,
-    /// Which compiled plan kind [`ModelRegistry::for_config`] builds for
-    /// models registered through it: the classic f32 plan (default) or the
-    /// true-int8 plan (~4× smaller weights, integer conv/GEMM, parity-gated
-    /// against f32). Per-batch execution is recorded in the
-    /// `serve.plan_f32_requests` / `serve.plan_i8_requests` counters
-    /// regardless of how the registry was built, so mixed registries stay
-    /// observable.
-    pub plan: PlanKind,
     /// Number of scheduler shards (capped at [`MAX_SHARDS`]).
     ///
     /// `0` (the default) resolves at [`Server::start`]: the
@@ -81,8 +75,9 @@ pub struct ServeConfig {
     /// *not* clamped to the model count: replicating one hot model across
     /// many shards is exactly the multi-core throughput play.
     pub shards: usize,
-    /// Replicas per model: each model's compiled plan is cloned onto this
-    /// many consecutive shards and its requests hash-routed among them.
+    /// Replicas per model: this many consecutive shards each run a clone of
+    /// the model's compiled plan (sharing its weights), and its requests
+    /// are hash-routed among them.
     /// `0` (the default) replicates on every shard. Values are clamped to
     /// the shard count.
     pub replicas: usize,
@@ -114,7 +109,6 @@ impl Default for ServeConfig {
             max_batch: 16,
             max_wait: Duration::from_millis(1),
             max_queue: 1024,
-            plan: PlanKind::F32,
             shards: 0,
             replicas: 0,
             restart_budget: None,
@@ -239,11 +233,14 @@ pub(crate) struct Request {
     tx: mpsc::Sender<Result<Vec<f32>>>,
 }
 
-/// Submit-side metadata for one registered model.
+/// One registered model: its name, its compiled plan and its placement.
 #[derive(Debug)]
 pub(crate) struct ModelInfo {
     pub(crate) name: String,
-    pub(crate) sample_len: usize,
+    /// The registered plan, the model's one compiled copy. It never runs a
+    /// forward itself: every shard slot hosting the model runs a clone of
+    /// it, made at [`Server::start`] and again at each respawn.
+    pub(crate) plan: AnyPlan,
     /// The model's replicas, in route order: `(shard, slot)` pairs.
     pub(crate) routes: Vec<(usize, usize)>,
 }
@@ -303,15 +300,10 @@ pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     /// Per-model circuit breakers, indexed like `models`.
     pub(crate) breakers: Vec<Breaker>,
-    /// Pristine master copies of every model's compiled plan, the
-    /// clone-source for shard respawn (indexed by model). Behind a mutex
-    /// only because the supervisor clones from it; the serving hot path
-    /// never touches it.
-    pub(crate) masters: Mutex<Vec<AnyPlan>>,
     /// Per-model golden probe rows (`f32::to_bits` of the probability
     /// row for [`supervisor::probe_input`]), computed once at start. A
-    /// respawned shard's plan clones must reproduce these **bitwise** or
-    /// the shard is failed instead of revived.
+    /// respawned shard's fresh plan clones must reproduce these
+    /// **bitwise** or the shard is failed instead of revived.
     pub(crate) probe_golden: Vec<Vec<u32>>,
     /// Shard thread handles, shared with the supervisor so it can join a
     /// dead shard before respawning it. `None` while a slot has no
@@ -329,6 +321,15 @@ pub(crate) struct Shared {
     /// Unix-epoch µs of the most recent successful shard respawn (0 =
     /// never); surfaced in `/healthz` as `last_restart_us`.
     pub(crate) last_restart_us: AtomicU64,
+}
+
+impl Shared {
+    /// Fresh clones of the plans behind shard `si`'s slots, in slot order:
+    /// each shares its model's compiled weights and starts with empty
+    /// scratch, so no weights are copied.
+    pub(crate) fn plan_clones(&self, si: usize) -> Vec<AnyPlan> {
+        self.shards[si].slot_models.iter().map(|&m| self.models[m].plan.clone()).collect()
+    }
 }
 
 /// Microseconds since the server started (the monotonic clock every
@@ -451,19 +452,19 @@ impl Server {
             ..cfg
         };
         let (slots, routes) = placement(nmodels, nshards, cfg.replicas);
-        let mut models = Vec::with_capacity(nmodels);
-        let mut plans: Vec<AnyPlan> = Vec::with_capacity(nmodels);
-        for (e, routes) in registry.entries.into_iter().zip(routes) {
-            models.push(ModelInfo { name: e.name, sample_len: e.plan.sample_len(), routes });
-            plans.push(e.plan);
-        }
-        // Golden probe rows, computed on the master plans before any clone
-        // exists: the bitwise identity a respawned shard's clones must
-        // reproduce before the supervisor lets them serve.
-        let probe_golden: Vec<Vec<u32>> = plans
-            .iter_mut()
+        let models: Vec<ModelInfo> = registry
+            .entries
+            .into_iter()
+            .zip(routes)
+            .map(|(e, routes)| ModelInfo { name: e.name, plan: e.plan, routes })
+            .collect();
+        // Golden probe rows, computed before any shard serves: the bitwise
+        // identity a respawned shard's clones must reproduce before the
+        // supervisor lets them serve.
+        let probe_golden: Vec<Vec<u32>> = models
+            .iter()
             .enumerate()
-            .map(|(m, plan)| supervisor::probe_bits(plan, m).unwrap_or_default())
+            .map(|(m, info)| supervisor::probe_bits(&mut info.plan.clone(), m).unwrap_or_default())
             .collect();
         let shards: Vec<Shard> = slots
             .iter()
@@ -478,13 +479,6 @@ impl Server {
                 alive: AtomicBool::new(true),
                 phase: AtomicU8::new(PHASE_LIVE),
             })
-            .collect();
-        // Each shard owns *clones* of the plans placed on it — weights and
-        // scratch both — so shards never share mutable plan state; the
-        // pristine masters go into `Shared` as the respawn clone-source.
-        let shard_plans: Vec<Vec<AnyPlan>> = slots
-            .iter()
-            .map(|slot_models| slot_models.iter().map(|&m| plans[m].clone()).collect())
             .collect();
         let stats = StatsInner::new(nshards, nmodels);
         let breakers = (0..nmodels)
@@ -504,7 +498,6 @@ impl Server {
             stats,
             cfg,
             breakers,
-            masters: Mutex::new(plans),
             probe_golden,
             threads: Mutex::new((0..nshards).map(|_| None).collect()),
             supervisor_tx: Mutex::new(Some(sup_tx)),
@@ -514,8 +507,8 @@ impl Server {
         });
         {
             let mut threads = shared.threads.lock().unwrap_or_else(PoisonError::into_inner);
-            for (si, plans) in shard_plans.into_iter().enumerate() {
-                threads[si] = Some(spawn_shard(&shared, si, plans));
+            for (si, thread) in threads.iter_mut().enumerate() {
+                *thread = Some(spawn_shard(&shared, si, shared.plan_clones(si)));
             }
         }
         let supervisor = Some(supervisor::spawn(Arc::clone(&shared), sup_rx));
@@ -752,7 +745,7 @@ impl ServerHandle {
             .iter()
             .position(|m| m.name == model)
             .ok_or_else(|| ServeError::UnknownModel { name: model.to_string() })?;
-        let expect = self.shared.models[mi].sample_len;
+        let expect = self.shared.models[mi].plan.sample_len();
         if input.len() != expect {
             return Err(ServeError::BadRequest {
                 what: format!(
@@ -947,7 +940,7 @@ fn next_batch(shared: &Shared, si: usize) -> Option<(usize, Vec<Request>)> {
 
 /// Spawns shard `si`'s scheduler thread over its plan clones — used both
 /// at [`Server::start`] and by the supervisor when it respawns a dead
-/// shard.
+/// shard, each time with fresh clones from [`Shared::plan_clones`].
 pub(crate) fn spawn_shard(shared: &Arc<Shared>, si: usize, plans: Vec<AnyPlan>) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
@@ -956,8 +949,8 @@ pub(crate) fn spawn_shard(shared: &Arc<Shared>, si: usize, plans: Vec<AnyPlan>) 
         .expect("spawn scheduler shard thread")
 }
 
-/// One shard's scheduler loop: owns clones of the plans placed on it plus
-/// their scratch buffers.
+/// One shard's scheduler loop: owns a clone of each plan placed on it,
+/// which shares the model's weights and brings its own scratch buffers.
 ///
 /// Failure containment happens here, shard-locally. Requests whose
 /// deadline has already passed are shed *before* the forward pass (their

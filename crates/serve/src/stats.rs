@@ -106,8 +106,8 @@ pub(crate) struct StatsInner {
     /// (`lightts_models::inference`).
     plan_f32_requests: Arc<Counter>,
     /// Requests answered by an int8 `QuantizedPlan`
-    /// (`lightts_models::qinference`) — the `plan = i8` knob's adoption
-    /// signal in a mixed registry.
+    /// (`lightts_models::qinference`) — the adoption signal of
+    /// [`PlanKind::I8`](crate::PlanKind::I8) in a mixed registry.
     plan_i8_requests: Arc<Counter>,
 }
 

@@ -1,6 +1,6 @@
-//! The shard supervisor: detects shard death and respawns the shard from
-//! pristine plan masters — after proving the reborn shard would answer
-//! **bitwise identically** to its pre-death self.
+//! The shard supervisor: detects shard death and respawns the shard with
+//! fresh clones of the registered plans — after proving the reborn shard
+//! would answer **bitwise identically** to its pre-death self.
 //!
 //! ## Protocol
 //!
@@ -20,12 +20,13 @@
 //!    Over budget → the shard is marked permanently **failed**: routing
 //!    masks it forever, `serve.shards_failed` rises, and `/healthz`
 //!    reports `degraded`;
-//! 3. clones fresh plans from the **masters** (the pristine copies
-//!    [`Server::start`](crate::Server::start) retained) and **verifies**
-//!    each clone answers the deterministic probe input bitwise identically
-//!    to the golden rows recorded at server start — the same identity
-//!    contract the equivalence suite pins for replicas. A mismatch fails
-//!    the shard instead of reviving it with corrupt weights;
+//! 3. clones the shard's plans from the registered ones (a clone shares
+//!    the model's compiled weights and starts with empty scratch, so no
+//!    weights are copied) and **verifies** each clone answers the
+//!    deterministic probe input bitwise identically to the golden rows
+//!    recorded at server start — the same identity contract the
+//!    equivalence suite pins for replicas. A mismatch fails the shard
+//!    instead of reviving it;
 //! 4. clears the shard's `dead` flag, flips its liveness gauge back,
 //!    counts `serve.shard{i}.restarts`, records the restart timestamp for
 //!    `/healthz`, spawns the new scheduler thread, and only then reopens
@@ -119,12 +120,9 @@ fn respawn(shared: &Arc<Shared>, si: usize, history: &mut Vec<u64>) {
         });
         return;
     }
-    // 3. Fresh clones from the pristine masters, each verified bitwise
+    // 3. Fresh clones of the registered plans, each verified bitwise
     // against the golden probe rows before it may serve.
-    let mut plans: Vec<AnyPlan> = {
-        let masters = shared.masters.lock().unwrap_or_else(PoisonError::into_inner);
-        shard.slot_models.iter().map(|&m| masters[m].clone()).collect()
-    };
+    let mut plans = shared.plan_clones(si);
     for (slot, plan) in plans.iter_mut().enumerate() {
         let mi = shard.slot_models[slot];
         let golden = &shared.probe_golden[mi];

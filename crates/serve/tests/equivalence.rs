@@ -316,15 +316,10 @@ fn i8_plan_serving_is_batch_size_invariant_bitwise() {
     let packed = model.save_bytes().unwrap();
     let served = InceptionTime::load_bytes(&packed).unwrap();
     for max_batch in [1usize, 2, 4, 16] {
-        let cfg = ServeConfig {
-            max_batch,
-            max_wait: Duration::from_millis(2),
-            plan: PlanKind::I8,
-            ..ServeConfig::default()
-        };
-        let mut reg = ModelRegistry::for_config(&cfg);
-        assert_eq!(reg.default_plan(), PlanKind::I8);
-        reg.load_packed("student", &packed).unwrap();
+        let cfg =
+            ServeConfig { max_batch, max_wait: Duration::from_millis(2), ..ServeConfig::default() };
+        let mut reg = ModelRegistry::new();
+        reg.load_packed_as("student", &packed, PlanKind::I8).unwrap();
         assert_eq!(reg.plan_kind("student"), Some(PlanKind::I8));
         let server = Server::start(reg, cfg);
         let handle = server.handle();

@@ -34,7 +34,8 @@
 //! [`crate::tape::tapes_created`]): [`pool_hits`], [`pool_misses`],
 //! [`pool_held_bytes`] (bytes currently parked in free lists) and
 //! [`pool_high_water_bytes`] (maximum ever parked — exported as a gauge by
-//! the serve crate so deployment memory is observable).
+//! the serve crate so deployment memory is observable). Each has a
+//! `thread_` twin counting only the calling thread's pool.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +51,12 @@ static POOL_HIGH_WATER_BYTES: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     static FREE_LISTS: RefCell<Vec<Vec<Vec<f32>>>> =
         RefCell::new((0..BUCKETS).map(|_| Vec::new()).collect());
-    /// Per-thread miss count: lets a test assert *its own* steady state even
-    /// while unrelated test threads in the same process are warming up.
+    // Per-thread twins of the four counters: a test asserts *its own* pool
+    // traffic on these while other test threads take and recycle slabs.
+    static LOCAL_HITS: Cell<u64> = const { Cell::new(0) };
     static LOCAL_MISSES: Cell<u64> = const { Cell::new(0) };
+    static LOCAL_HELD_BYTES: Cell<u64> = const { Cell::new(0) };
+    static LOCAL_HIGH_WATER_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Bucket index a vector of capacity `cap` is filed under (floor log2).
@@ -102,13 +106,16 @@ pub fn take_empty(n: usize) -> Vec<f32> {
     });
     match got {
         Some(v) => {
+            let bytes = (v.capacity() * 4) as u64;
             POOL_HITS.fetch_add(1, Ordering::Relaxed);
-            POOL_HELD_BYTES.fetch_sub((v.capacity() * 4) as u64, Ordering::Relaxed);
+            POOL_HELD_BYTES.fetch_sub(bytes, Ordering::Relaxed);
+            LOCAL_HITS.set(LOCAL_HITS.get() + 1);
+            LOCAL_HELD_BYTES.set(LOCAL_HELD_BYTES.get() - bytes);
             v
         }
         None => {
             POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-            LOCAL_MISSES.with(|c| c.set(c.get() + 1));
+            LOCAL_MISSES.set(LOCAL_MISSES.get() + 1);
             Vec::with_capacity(1usize << b)
         }
     }
@@ -146,6 +153,9 @@ pub fn recycle(v: Vec<f32>) {
     FREE_LISTS.with(|fl| fl.borrow_mut()[floor_bucket(cap)].push(v));
     let held = POOL_HELD_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
     POOL_HIGH_WATER_BYTES.fetch_max(held, Ordering::Relaxed);
+    let local = LOCAL_HELD_BYTES.get() + bytes;
+    LOCAL_HELD_BYTES.set(local);
+    LOCAL_HIGH_WATER_BYTES.set(LOCAL_HIGH_WATER_BYTES.get().max(local));
 }
 
 /// Grows `v` to exactly `n` zeroed elements, swapping in a pooled slab when
@@ -172,12 +182,17 @@ pub fn pool_misses() -> u64 {
     POOL_MISSES.load(Ordering::Relaxed)
 }
 
+/// [`pool_hits`] of the *calling thread* alone.
+pub fn thread_pool_hits() -> u64 {
+    LOCAL_HITS.get()
+}
+
 /// Number of pool misses charged to the *calling thread* since it started.
 /// Unlike the process-global [`pool_misses`], this is immune to concurrent
 /// threads (e.g. other tests in the same binary) warming their own pools, so
 /// single-thread steady-state assertions use it.
 pub fn thread_pool_misses() -> u64 {
-    LOCAL_MISSES.with(|c| c.get())
+    LOCAL_MISSES.get()
 }
 
 /// Bytes currently parked in free lists across all threads.
@@ -185,9 +200,19 @@ pub fn pool_held_bytes() -> u64 {
     POOL_HELD_BYTES.load(Ordering::Relaxed)
 }
 
+/// [`pool_held_bytes`] of the *calling thread's* free lists alone.
+pub fn thread_pool_held_bytes() -> u64 {
+    LOCAL_HELD_BYTES.get()
+}
+
 /// Maximum value [`pool_held_bytes`] has ever reached.
 pub fn pool_high_water_bytes() -> u64 {
     POOL_HIGH_WATER_BYTES.load(Ordering::Relaxed)
+}
+
+/// Maximum value [`thread_pool_held_bytes`] has ever reached.
+pub fn thread_pool_high_water_bytes() -> u64 {
+    LOCAL_HIGH_WATER_BYTES.get()
 }
 
 #[cfg(test)]
@@ -209,7 +234,7 @@ mod tests {
 
     #[test]
     fn recycled_slab_is_reused() {
-        let before = pool_misses();
+        let before = thread_pool_misses();
         let v = take_zeroed(100);
         assert!(v.capacity() >= 128, "miss should allocate the full bucket");
         let cap = v.capacity();
@@ -220,7 +245,7 @@ mod tests {
         assert!(w.iter().all(|&x| x == 0.0));
         // Exactly one of the two takes missed (the first — unless an earlier
         // test on this thread already parked a 128-slab, in which case zero).
-        assert!(pool_misses() - before <= 1);
+        assert!(thread_pool_misses() - before <= 1);
         recycle(w);
     }
 
@@ -236,11 +261,11 @@ mod tests {
 
     #[test]
     fn zero_sized_takes_do_not_allocate() {
-        let (h0, m0) = (pool_hits(), pool_misses());
+        let (h0, m0) = (thread_pool_hits(), thread_pool_misses());
         let v = take_empty(0);
         assert_eq!(v.capacity(), 0);
         recycle(v);
-        assert_eq!((pool_hits(), pool_misses()), (h0, m0));
+        assert_eq!((thread_pool_hits(), thread_pool_misses()), (h0, m0));
     }
 
     #[test]
@@ -252,10 +277,10 @@ mod tests {
         let cap = v.capacity();
         assert!((8..16).contains(&cap));
         recycle(v);
-        let hits = pool_hits();
+        let hits = thread_pool_hits();
         let w = take_zeroed(10);
         if cap >= 10 {
-            assert_eq!(pool_hits(), hits + 1);
+            assert_eq!(thread_pool_hits(), hits + 1);
             assert_eq!(w.capacity(), cap);
         }
         recycle(w);
@@ -264,10 +289,10 @@ mod tests {
     #[test]
     fn high_water_tracks_held_bytes() {
         let v = take_zeroed(1 << 12);
-        let held = pool_held_bytes();
+        let held = thread_pool_held_bytes();
         recycle(v);
-        assert!(pool_held_bytes() >= held + 4 * (1 << 12));
-        assert!(pool_high_water_bytes() >= pool_held_bytes());
+        assert!(thread_pool_held_bytes() >= held + 4 * (1 << 12));
+        assert!(thread_pool_high_water_bytes() >= thread_pool_held_bytes());
         // Drain it back out so this test is idempotent for its thread.
         let v = take_zeroed(1 << 12);
         drop_forever(v);

@@ -177,12 +177,23 @@ impl Grads {
 /// increment per tape is noise next to the `Vec` the tape itself allocates.
 static TAPES_CREATED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+thread_local! {
+    /// Per-thread twin of [`TAPES_CREATED`].
+    static LOCAL_TAPES_CREATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Total number of [`Tape`]s constructed by this process so far.
 ///
 /// Monotonically increasing; meaningful only as a *delta* around a region
 /// that is claimed to be tape-free (inference/serving paths).
 pub fn tapes_created() -> u64 {
     TAPES_CREATED.load(std::sync::atomic::Ordering::Relaxed)
+}
+
+/// [`tapes_created`] of the *calling thread* alone: other threads (e.g.
+/// other tests in the same binary) cannot move it.
+pub fn thread_tapes_created() -> u64 {
+    LOCAL_TAPES_CREATED.get()
 }
 
 /// A define-by-run reverse-mode autodiff tape.
@@ -205,6 +216,7 @@ impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
         TAPES_CREATED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        LOCAL_TAPES_CREATED.set(LOCAL_TAPES_CREATED.get() + 1);
         Tape { nodes: Vec::new() }
     }
 
@@ -1304,10 +1316,10 @@ mod tests {
         let a = tape.leaf(Tensor::ones(&[4]), true);
         let _ = tape.scale(a, 2.0).unwrap();
         assert_eq!(tape.len(), 2);
-        let before = tapes_created();
+        let before = thread_tapes_created();
         tape.reset();
         assert!(tape.is_empty());
-        assert_eq!(tapes_created(), before);
+        assert_eq!(thread_tapes_created(), before);
         // The tape is reusable: record and differentiate a fresh step.
         let b = tape.leaf(Tensor::ones(&[3]), true);
         let loss = tape.sum(b).unwrap();
