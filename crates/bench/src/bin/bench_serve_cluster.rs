@@ -6,7 +6,9 @@
 //! ephemeral TCP port and drives it with a **closed loop**: `C` client
 //! connections each issue one blocking `PREDICT` at a time, so offered
 //! load rises with `C` and the system is never asked for more than it just
-//! delivered. Each cell records the exact sorted p50/p99 request latency,
+//! delivered. Every cell serves with the default batching policy of
+//! [`ServeConfig`], so the rows measure what a deployment gets. Each cell
+//! records the exact sorted p50/p99 request latency,
 //! completed throughput, and the shed rate (`OVERLOADED` + `DEADLINE`
 //! replies), then merges its rows into `BENCH_serve.json` keyed on
 //! `(bench, shards, concurrency, scale)` — `bench_gate --serve` gates the
@@ -105,8 +107,6 @@ fn run_cell(
     let mut registry = ModelRegistry::new();
     registry.load_packed(MODEL, packed).expect("load student");
     let cfg = ServeConfig {
-        max_batch: 16,
-        max_wait: Duration::from_micros(200),
         shards,
         replicas: 0, // replicate the one hot model onto every shard
         ..ServeConfig::default()

@@ -18,14 +18,16 @@
 //!   Both kinds can be resident at once; a model that cannot support the
 //!   requested kind (e.g. 16/32-bit quantization metadata asked to serve
 //!   i8) is refused at registration with a typed error, never a panic.
-//! * [`Server`] — request queues with **dynamic micro-batching**: requests
-//!   accumulate until either `max_batch` are waiting or the oldest has
-//!   waited `max_wait`, then one fused forward runs over the whole batch
-//!   and the rows are scattered back to their callers. The scheduler is
-//!   **sharded** ([`ServeConfig::shards`]): each shard thread owns its own
-//!   queues, condvar, and plan clones, models are replicated across
-//!   [`ServeConfig::replicas`] shards, and requests are hash-routed by
-//!   request id ([`route_replica`]) — one hot model replicated across N
+//! * [`Server`] — request queues with **dynamic micro-batching**: a shard
+//!   runs a queued request as soon as it is free, fusing up to `max_batch`
+//!   requests that queued while it was busy into one forward, and the rows
+//!   are scattered back to their callers. By default nothing is held for
+//!   more arrivals; a positive [`ServeConfig::max_wait`] opts into holding
+//!   a partial batch until its oldest request has waited that long. The
+//!   scheduler is **sharded** ([`ServeConfig::shards`]): each shard thread
+//!   owns its own queues, condvar, and plan clones, models are replicated
+//!   across [`ServeConfig::replicas`] shards, and requests are hash-routed
+//!   by request id ([`route_replica`]) — one hot model replicated across N
 //!   shards scales across cores with no shared lock on the hot path. The
 //!   replicas share one compiled copy of each model's weights: a plan
 //!   clone owns only its scratch.

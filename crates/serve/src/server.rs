@@ -56,7 +56,17 @@ pub const DEFAULT_RESTART_BUDGET: usize = 3;
 pub struct ServeConfig {
     /// Fuse at most this many requests into one forward pass.
     pub max_batch: usize,
-    /// Run a partial batch once its oldest request has waited this long.
+    /// How long a partial batch is held for more arrivals before it runs.
+    ///
+    /// The default, [`Duration::ZERO`], holds nothing: a shard runs a
+    /// queued request as soon as it is free, taking up to
+    /// [`max_batch`](Self::max_batch) requests, so batches form only from
+    /// requests that queued while the shard was busy. Both plan kinds
+    /// compute each sample's row on its own, so a wider batch saves little
+    /// forward time and a hold would mostly add latency. A positive value
+    /// is an opt-in hold: a partial batch runs once its oldest request has
+    /// waited this long, or sooner when `max_batch` requests are queued
+    /// or the server shuts down.
     pub max_wait: Duration,
     /// Admission control: at most this many requests may be queued per
     /// model replica; further submissions are shed with
@@ -107,7 +117,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 16,
-            max_wait: Duration::from_millis(1),
+            max_wait: Duration::ZERO,
             max_queue: 1024,
             shards: 0,
             replicas: 0,
@@ -896,11 +906,38 @@ impl ServerHandle {
     }
 }
 
-/// Picks shard `si`'s next batch to run, blocking until one is ready.
+/// What the scheduler does with one non-empty slot queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    /// Run it now.
+    Ready,
+    /// Hold it: it becomes ready after this much longer, unless enough
+    /// arrivals fill a batch first.
+    HoldFor(Duration),
+}
+
+/// The dispatch rule for a slot queue holding `queued ≥ 1` requests whose
+/// oldest has waited `oldest_age`.
 ///
-/// A slot is *ready* when its queue holds `max_batch` requests, when its
-/// oldest request has waited `max_wait`, or when the server is shutting
-/// down (drain). Returns `None` once shut down with all queues empty.
+/// The queue is ready when the server is shutting down (drain), when it
+/// holds [`max_batch`](ServeConfig::max_batch) requests, or when its oldest
+/// request has waited [`max_wait`](ServeConfig::max_wait). Under the
+/// default `max_wait` of zero every non-empty queue is ready at once.
+fn dispatch(queued: usize, oldest_age: Duration, shutdown: bool, cfg: &ServeConfig) -> Dispatch {
+    if shutdown || queued >= cfg.max_batch {
+        return Dispatch::Ready;
+    }
+    match cfg.max_wait.checked_sub(oldest_age) {
+        Some(left) if !left.is_zero() => Dispatch::HoldFor(left),
+        _ => Dispatch::Ready,
+    }
+}
+
+/// Picks shard `si`'s next batch to run, blocking until one is ready: the
+/// first slot in index order that [`dispatch`] finds ready gives up to
+/// `max_batch` of its requests. Under the default `max_wait` of zero a
+/// free shard takes whatever is queued at once. Returns `None` once shut
+/// down with all queues empty.
 fn next_batch(shared: &Shared, si: usize) -> Option<(usize, Vec<Request>)> {
     let cfg = shared.cfg;
     let shard = &shared.shards[si];
@@ -910,13 +947,16 @@ fn next_batch(shared: &Shared, si: usize) -> Option<(usize, Vec<Request>)> {
         let mut earliest: Option<Instant> = None;
         let mut pick = None;
         for (i, q) in st.queues.iter().enumerate() {
-            if let Some(front) = q.front() {
-                let deadline = front.trace.anchor() + cfg.max_wait;
-                if st.shutdown || q.len() >= cfg.max_batch || now >= deadline {
+            let Some(front) = q.front() else { continue };
+            match dispatch(q.len(), front.trace.since_submit(now), st.shutdown, &cfg) {
+                Dispatch::Ready => {
                     pick = Some(i);
                     break;
                 }
-                earliest = Some(earliest.map_or(deadline, |e| e.min(deadline)));
+                Dispatch::HoldFor(left) => {
+                    let at = now + left;
+                    earliest = Some(earliest.map_or(at, |e| e.min(at)));
+                }
             }
         }
         if let Some(i) = pick {
@@ -1398,6 +1438,31 @@ mod tests {
             assert_eq!(shards, vec![0, 1, 2]);
         }
         assert!(slots.iter().all(|s| s.len() == 2));
+    }
+
+    #[test]
+    fn default_dispatch_runs_a_lone_request_at_once() {
+        let cfg = ServeConfig::default();
+        assert_eq!(dispatch(1, Duration::ZERO, false, &cfg), Dispatch::Ready);
+    }
+
+    #[test]
+    fn explicit_max_wait_holds_a_partial_batch_until_it_expires() {
+        let cfg = ServeConfig { max_wait: Duration::from_millis(5), ..ServeConfig::default() };
+        let ms = Duration::from_millis;
+        assert_eq!(dispatch(1, ms(1), false, &cfg), Dispatch::HoldFor(ms(4)));
+        assert_eq!(dispatch(1, ms(5), false, &cfg), Dispatch::Ready);
+        assert_eq!(dispatch(1, ms(7), false, &cfg), Dispatch::Ready);
+    }
+
+    #[test]
+    fn a_full_batch_or_shutdown_is_ready_at_once() {
+        let cfg = ServeConfig { max_wait: Duration::from_secs(10), ..ServeConfig::default() };
+        assert_eq!(dispatch(cfg.max_batch, Duration::ZERO, false, &cfg), Dispatch::Ready);
+        assert_eq!(dispatch(cfg.max_batch + 3, Duration::ZERO, false, &cfg), Dispatch::Ready);
+        for queued in [1, 2, cfg.max_batch] {
+            assert_eq!(dispatch(queued, Duration::ZERO, true, &cfg), Dispatch::Ready);
+        }
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   slab is maximally reusable.
 //! - **Grow-only.** Slabs are never freed while the thread lives; the pool's
 //!   footprint is bounded by the high-water mark of simultaneously-live
-//!   buffers, not by the number of ops executed.
+//!   buffers, not by the number of ops executed. A thread's free lists are
+//!   freed when it exits, and their bytes leave [`pool_held_bytes`] then.
 //!
 //! Only allocations that deterministically return to the pool are routed
 //! through it: a `take_*` whose buffer escapes as a plain `Vec<f32>` would
@@ -48,9 +49,21 @@ static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
 static POOL_HELD_BYTES: AtomicU64 = AtomicU64::new(0);
 static POOL_HIGH_WATER_BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// One thread's parked slabs, one free list per bucket.
+struct FreeLists(Vec<Vec<Vec<f32>>>);
+
+impl Drop for FreeLists {
+    /// The thread is exiting and its slabs are freed with it: they leave
+    /// the process-wide held count.
+    fn drop(&mut self) {
+        let bytes: usize = self.0.iter().flatten().map(|v| v.capacity() * 4).sum();
+        POOL_HELD_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+    }
+}
+
 thread_local! {
-    static FREE_LISTS: RefCell<Vec<Vec<Vec<f32>>>> =
-        RefCell::new((0..BUCKETS).map(|_| Vec::new()).collect());
+    static FREE_LISTS: RefCell<FreeLists> =
+        RefCell::new(FreeLists((0..BUCKETS).map(|_| Vec::new()).collect()));
     // Per-thread twins of the four counters: a test asserts *its own* pool
     // traffic on these while other test threads take and recycle slabs.
     static LOCAL_HITS: Cell<u64> = const { Cell::new(0) };
@@ -85,7 +98,7 @@ pub fn take_empty(n: usize) -> Vec<f32> {
     }
     let b = ceil_bucket(n);
     let got = FREE_LISTS.with(|fl| {
-        let mut fl = fl.borrow_mut();
+        let fl = &mut fl.borrow_mut().0;
         if let Some(mut v) = fl[b].pop() {
             v.clear();
             return Some(v);
@@ -150,7 +163,7 @@ pub fn recycle(v: Vec<f32>) {
         return;
     }
     let bytes = (cap * 4) as u64;
-    FREE_LISTS.with(|fl| fl.borrow_mut()[floor_bucket(cap)].push(v));
+    FREE_LISTS.with(|fl| fl.borrow_mut().0[floor_bucket(cap)].push(v));
     let held = POOL_HELD_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
     POOL_HIGH_WATER_BYTES.fetch_max(held, Ordering::Relaxed);
     let local = LOCAL_HELD_BYTES.get() + bytes;

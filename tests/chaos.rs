@@ -272,8 +272,9 @@ fn wait_all_alive(server: &Server, total: usize) {
 }
 
 /// The supervisor must respawn a killed shard — and the reborn shard must
-/// answer **bitwise identically** to its pre-death self (the respawn is
-/// probe-verified against plan masters, so this is the contract it
+/// answer **bitwise identically** to its pre-death self (the respawn's
+/// fresh clones of the registered plans must reproduce the golden probe
+/// rows bit for bit before they serve, so this is the contract it
 /// enforces, observed end to end).
 #[test]
 fn killed_shard_is_respawned_and_answers_bit_identically() {
