@@ -42,14 +42,13 @@ const GEMM_N: usize = 256;
 /// Elements per `vec_exp` call — one softmax-sized activation slab.
 const EXP_N: usize = 4096;
 
-/// The best backend this host supports (what auto-detection would pick).
-fn native_backend() -> SimdBackend {
+/// The backends this host runs: the scalar oracle, plus AVX2+FMA where the
+/// CPU has it.
+fn backends() -> &'static [SimdBackend] {
     if cpu_supports(SimdBackend::Avx2) {
-        SimdBackend::Avx2
-    } else if cpu_supports(SimdBackend::Sse2) {
-        SimdBackend::Sse2
+        &[SimdBackend::Scalar, SimdBackend::Avx2]
     } else {
-        SimdBackend::Scalar
+        &[SimdBackend::Scalar]
     }
 }
 
@@ -84,11 +83,6 @@ fn bench_kernels(c: &mut Criterion) {
 
 fn bench_simd(c: &mut Criterion) {
     let mut rng = seeded(29);
-    let backends: &[SimdBackend] = if native_backend() == SimdBackend::Scalar {
-        &[SimdBackend::Scalar]
-    } else {
-        &[SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2]
-    };
     let mut g = c.benchmark_group("simd");
 
     let a = Tensor::randn(&mut rng, &[4, GEMM_K], 1.0);
@@ -109,7 +103,7 @@ fn bench_simd(c: &mut Criterion) {
         update: TileUpdate::Chain,
     };
 
-    for &bk in backends {
+    for &bk in backends() {
         g.bench_function(BenchmarkId::new("gemm_panel", bk.name()), |bch| {
             bch.iter(|| {
                 c_panel.fill(0.0);
@@ -137,11 +131,6 @@ fn bench_simd(c: &mut Criterion) {
 /// comparison), and the quantized conv at the conv acceptance shape
 /// against `kernels/forward_lowered`.
 fn bench_quant(c: &mut Criterion) {
-    let backends: &[SimdBackend] = if native_backend() == SimdBackend::Scalar {
-        &[SimdBackend::Scalar]
-    } else {
-        &[SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2]
-    };
     let mut g = c.benchmark_group("quant");
 
     // Deterministic i8 operands (value-independent integer kernels, but
@@ -150,7 +139,7 @@ fn bench_quant(c: &mut Criterion) {
     let qa: Vec<i8> = (0..4 * GEMM_K).map(code).collect();
     let qb: Vec<i8> = (0..GEMM_N * GEMM_K).map(code).collect();
     let mut qout = vec![0i32; 4 * GEMM_N];
-    for &bk in backends {
+    for &bk in backends() {
         g.bench_function(BenchmarkId::new("qgemm_i8t", bk.name()), |bch| {
             bch.iter(|| {
                 qgemm_i8t_with(bk, &mut qout, &qa, &qb, 4, GEMM_K, GEMM_N);
@@ -252,18 +241,14 @@ fn main() {
     perf::write_records(&path, &records).expect("write BENCH_kernels.json");
     println!("\nwrote {} records to {}", records.len(), path.display());
 
-    // SIMD backend summary: scalar baseline vs each vector backend.
+    // SIMD backend summary: scalar baseline vs the AVX2 backend.
     let simd_median = |op: &str, bk: &str| {
         measurements.iter().find(|m| m.name == format!("simd/{op}/{bk}")).map(|m| m.median_ns)
     };
     println!("\nSIMD speedups vs scalar (native backend: {native}):");
     for op in ["gemm_panel", "vec_exp"] {
-        if let Some(s) = simd_median(op, "scalar") {
-            for bk in ["sse2", "avx2"] {
-                if let Some(v) = simd_median(op, bk) {
-                    println!("  {op:<10} {bk:<6} {:>6.2}x", s / v);
-                }
-            }
+        if let (Some(s), Some(v)) = (simd_median(op, "scalar"), simd_median(op, "avx2")) {
+            println!("  {op:<10} avx2   {:>6.2}x", s / v);
         }
     }
 
@@ -273,7 +258,7 @@ fn main() {
     let any_median =
         |name: String| measurements.iter().find(|m| m.name == name).map(|m| m.median_ns);
     println!("\nint8 speedups vs f32 (rows4_k{GEMM_K}_n{GEMM_N} panel):");
-    for bk in ["scalar", "sse2", "avx2"] {
+    for bk in ["scalar", "avx2"] {
         if let (Some(f), Some(q)) = (
             any_median(format!("simd/gemm_panel/{bk}")),
             any_median(format!("quant/qgemm_i8t/{bk}")),

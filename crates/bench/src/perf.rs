@@ -30,7 +30,7 @@ pub struct KernelRecord {
     pub threads: usize,
     /// Measurement scale: `smoke` (CI compile-rot check) or `full`.
     pub scale: String,
-    /// SIMD backend the kernel ran on (`scalar` / `sse2` / `avx2`; see
+    /// SIMD backend the kernel ran on (`scalar` / `avx2`; see
     /// `lightts_tensor::simd`). Rows written before the field existed read
     /// back as `unspecified`.
     pub backend: String,

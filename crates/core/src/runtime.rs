@@ -1,15 +1,16 @@
 //! Process-wide runtime configuration for the tensor kernels.
 //!
 //! The kernels (convolution, matmul, elementwise, reductions) dispatch onto
-//! a SIMD backend (AVX2+FMA, SSE2, or a scalar oracle), resolved once per
+//! a SIMD backend (AVX2+FMA or a scalar oracle), resolved once per
 //! process:
-//! 1. [`set_simd_backend`] — explicit override, clamped to CPU support;
-//! 2. the `LIGHTTS_SIMD` environment variable (`avx2`/`sse2`/`scalar`);
+//! 1. [`set_simd_backend`] — explicit override (scalar if the CPU cannot
+//!    run it);
+//! 2. the `LIGHTTS_SIMD` environment variable (`avx2`/`scalar`);
 //! 3. runtime CPU feature detection.
 //!
 //! The backend *can* change result bits — but only for the FMA-fused
-//! GEMM/convolution family, only between AVX2 and the scalar/SSE2 pair,
-//! and deterministically per backend. The full contract is in
+//! GEMM/convolution family, only between AVX2 and scalar, and
+//! deterministically per backend. The full contract is in
 //! `docs/NUMERICS.md`.
 //!
 //! ```no_run

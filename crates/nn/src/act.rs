@@ -12,7 +12,7 @@
 //! * [`Activation::Tanh`] → `tanh(x)` via `vec_tanh`.
 //!
 //! The transcendental kernels are polynomial approximations that are
-//! bitwise identical across SIMD backends (scalar / SSE2 / AVX2) and
+//! bitwise identical across SIMD backends (scalar / AVX2) and
 //! accurate to within a few ULP of the correctly rounded result — the
 //! exact bounds are stated in `docs/NUMERICS.md`. Backward rules reuse the
 //! forward output: `σ′ = y(1−y)`, `tanh′ = 1−y²`.

@@ -104,15 +104,11 @@
 //! | `LIGHTTS_OBS` | `lightts-obs` | unset/`0` (off), `1` (stderr), a file path, `memory` | span/event JSONL emission target; metrics are always on |
 //! | `LIGHTTS_FAILPOINTS` | `lightts-obs` | `name=action[@N\|%p]`, action `panic`/`err`, comma-separated | arms deterministic fault injection at named points (`serve.batch`, `serve.shard`, `trainer.epoch`, `mobo.trial`, `checkpoint.write`); `@N` fires once on the N-th hit, `%p` fires each hit with probability p (deterministic under the seed) |
 //! | `LIGHTTS_FAILPOINT_SEED` | `lightts-obs` | u64 (default `0x5EED`) | seed for `%p` probabilistic failpoint triggers — a fixed seed replays the exact kill schedule (CI chaos soak); overridden by [`failpoint::set_failpoint_seed`] |
-//! | `LIGHTTS_SIMD` | `lightts-tensor` (`simd`) | `avx2` / `sse2` / `scalar` (case-insensitive) | forces the SIMD backend, clamped down to CPU support; overridden by `set_simd_backend`; see `docs/NUMERICS.md` |
+//! | `LIGHTTS_SIMD` | `lightts-tensor` (`simd`) | `avx2` / `scalar` (case-insensitive; any other value is ignored) | forces the SIMD backend; `avx2` on a CPU without AVX2+FMA runs scalar; overridden by `set_simd_backend`; see `docs/NUMERICS.md` |
 //! | `LIGHTTS_BENCH_SMOKE` | `lightts-bench` | `1` | shrinks every criterion bench to a CI-sized compile-rot check |
 //! | `LIGHTTS_PROF` | `lightts-obs` (`prof`) | unset/`0`/`off`/`false` (off), anything else (on) | hierarchical profiler behind the permanent kernel/serve hooks; `GET /profilez` renders collapsed stacks; never changes bits |
 //! | `LIGHTTS_TELEMETRY_ADDR` | `lightts-obs` (`http`) | `host:port`, e.g. `127.0.0.1:9464` | the experiment binaries spawn the telemetry HTTP server here at startup ([`http::spawn_from_env`]) |
 //! | `LIGHTTS_SERVE_SHARDS` | `lightts-serve`, `lightts-bench` | positive integer | scheduler shard count when `ServeConfig::shards` is 0 (read at each server start, capped at 64); without it the count defaults to available parallelism clamped to the model count; `bench_serve_cluster` sweeps only this count when set; never changes bits — routing is deterministic and every replica answers identically |
-//! | `LIGHTTS_SERVE_RESTARTS` | `lightts-serve` | non-negative integer (default 3) | restart budget when `ServeConfig::restart_budget` is `None`: how many times the supervisor may respawn one shard per rolling window before marking it permanently failed (`0` disables respawn) |
-//! | `LIGHTTS_SERVE_RETRIES` | `lightts-serve` | positive integer (default 3) | `RetryPolicy::from_env` total attempt count (first try included) for `predict_with_retry` |
-//! | `LIGHTTS_SERVE_RETRY_BACKOFF_US` | `lightts-serve` | non-negative integer µs (default 5000) | `RetryPolicy::from_env` base backoff before the first retry; doubles per attempt |
-//! | `LIGHTTS_SERVE_RETRY_JITTER` | `lightts-serve` | 0–100 (default 50) | `RetryPolicy::from_env` jitter percentage subtracted deterministically from each backoff |
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

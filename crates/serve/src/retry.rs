@@ -60,23 +60,6 @@ impl RetryPolicy {
         RetryPolicy { max_attempts: 1, base_backoff: Duration::ZERO, jitter: 0 }
     }
 
-    /// Reads the policy from the environment: `LIGHTTS_SERVE_RETRIES`
-    /// (total attempts), `LIGHTTS_SERVE_RETRY_BACKOFF_US` (base backoff,
-    /// µs), `LIGHTTS_SERVE_RETRY_JITTER` (percent). Unset or unparsable
-    /// variables fall back to the defaults (3 attempts, 5 ms, 50%).
-    pub fn from_env() -> RetryPolicy {
-        let var = |name: &str| std::env::var(name).ok().and_then(|v| v.trim().parse::<u64>().ok());
-        let d = RetryPolicy::default();
-        RetryPolicy {
-            max_attempts: var("LIGHTTS_SERVE_RETRIES")
-                .filter(|&n| n > 0)
-                .map_or(d.max_attempts, |n| n.min(u64::from(u32::MAX)) as u32),
-            base_backoff: var("LIGHTTS_SERVE_RETRY_BACKOFF_US")
-                .map_or(d.base_backoff, Duration::from_micros),
-            jitter: var("LIGHTTS_SERVE_RETRY_JITTER").map_or(d.jitter, |n| n.min(100) as u32),
-        }
-    }
-
     /// Total attempts, never less than one.
     pub fn attempts(&self) -> u32 {
         self.max_attempts.max(1)

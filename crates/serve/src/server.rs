@@ -46,9 +46,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// each shard is an OS thread plus the scratch of its plan clones).
 pub const MAX_SHARDS: usize = 64;
 
-/// Default shard restart budget (respawns per rolling window) when
-/// neither [`ServeConfig::restart_budget`] nor `LIGHTTS_SERVE_RESTARTS`
-/// picks one.
+/// Default shard restart budget (respawns per rolling window), the
+/// [`ServeConfig::default`] value of [`ServeConfig::restart_budget`].
 pub const DEFAULT_RESTART_BUDGET: usize = 3;
 
 /// Micro-batching and admission policy.
@@ -96,11 +95,10 @@ pub struct ServeConfig {
     /// **permanently failed** (no further respawns; submissions reroute to
     /// surviving replicas and `/healthz` reports `degraded`).
     ///
-    /// `None` (the default) resolves at [`Server::start`]: the
-    /// `LIGHTTS_SERVE_RESTARTS` environment variable if set, else
-    /// [`DEFAULT_RESTART_BUDGET`]. `Some(0)` disables respawn entirely —
-    /// a dead shard stays dead, as in the pre-supervisor behaviour.
-    pub restart_budget: Option<usize>,
+    /// Defaults to [`DEFAULT_RESTART_BUDGET`]. `0` disables respawn
+    /// entirely — a dead shard stays dead, as in the pre-supervisor
+    /// behaviour.
+    pub restart_budget: usize,
     /// The rolling window the restart budget is counted over.
     pub restart_window: Duration,
     /// Circuit breaker: consecutive *failed batches* (contained panics or
@@ -121,7 +119,7 @@ impl Default for ServeConfig {
             max_queue: 1024,
             shards: 0,
             replicas: 0,
-            restart_budget: None,
+            restart_budget: DEFAULT_RESTART_BUDGET,
             restart_window: Duration::from_secs(60),
             circuit_threshold: 8,
             circuit_cooldown: Duration::from_millis(250),
@@ -175,19 +173,6 @@ fn env_shards() -> Option<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
-}
-
-/// Resolves the shard restart budget: explicit config wins, then the
-/// `LIGHTTS_SERVE_RESTARTS` environment knob, then
-/// [`DEFAULT_RESTART_BUDGET`]. A budget of 0 disables respawn.
-fn resolve_restart_budget(cfg_budget: Option<usize>) -> usize {
-    cfg_budget
-        .or_else(|| {
-            std::env::var("LIGHTTS_SERVE_RESTARTS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        })
-        .unwrap_or(DEFAULT_RESTART_BUDGET)
 }
 
 /// Resolves the shard count: explicit config wins, then the environment
@@ -323,8 +308,6 @@ pub(crate) struct Shared {
     /// shard's index here; dropped (→ `None`) at shutdown, which is what
     /// stops the supervisor thread.
     pub(crate) supervisor_tx: Mutex<Option<mpsc::Sender<usize>>>,
-    /// Resolved restart budget (see [`ServeConfig::restart_budget`]).
-    pub(crate) restart_budget: usize,
     /// Monotonic anchor for breaker cooldowns and restart-window
     /// arithmetic.
     pub(crate) started: Instant,
@@ -452,13 +435,11 @@ impl Server {
     pub fn start(registry: ModelRegistry, cfg: ServeConfig) -> Server {
         let nmodels = registry.entries.len();
         let nshards = resolve_shards(cfg.shards, nmodels);
-        let restart_budget = resolve_restart_budget(cfg.restart_budget);
         let cfg = ServeConfig {
             max_batch: cfg.max_batch.max(1),
             max_queue: cfg.max_queue.max(1),
             shards: nshards,
             replicas: if cfg.replicas == 0 { nshards } else { cfg.replicas.min(nshards) },
-            restart_budget: Some(restart_budget),
             ..cfg
         };
         let (slots, routes) = placement(nmodels, nshards, cfg.replicas);
@@ -511,7 +492,6 @@ impl Server {
             probe_golden,
             threads: Mutex::new((0..nshards).map(|_| None).collect()),
             supervisor_tx: Mutex::new(Some(sup_tx)),
-            restart_budget,
             started: Instant::now(),
             last_restart_us: AtomicU64::new(0),
         });
@@ -1391,16 +1371,6 @@ mod tests {
         // Single survivor: every id routes to it.
         for id in 0u64..64 {
             assert_eq!(route_replica_masked(id, &[false, true, false]), Some(1));
-        }
-    }
-
-    #[test]
-    fn restart_budget_resolution_prefers_config() {
-        assert_eq!(resolve_restart_budget(Some(7)), 7);
-        assert_eq!(resolve_restart_budget(Some(0)), 0);
-        // No config, no env (tests don't set it): the default.
-        if std::env::var("LIGHTTS_SERVE_RESTARTS").is_err() {
-            assert_eq!(resolve_restart_budget(None), DEFAULT_RESTART_BUDGET);
         }
     }
 

@@ -110,13 +110,13 @@ fn respawn(shared: &Arc<Shared>, si: usize, history: &mut Vec<u64>) {
     let now_us = elapsed_us(shared);
     let window_us = shared.cfg.restart_window.as_micros().min(u128::from(u64::MAX)) as u64;
     history.retain(|&t| now_us.saturating_sub(t) < window_us);
-    if history.len() >= shared.restart_budget {
+    if history.len() >= shared.cfg.restart_budget {
         shard.phase.store(PHASE_FAILED, Ordering::Relaxed);
         shared.stats.shard_failed();
         obs::event!("serve.shard.failed", {
             shard: si,
             restarts_in_window: history.len(),
-            budget: shared.restart_budget,
+            budget: shared.cfg.restart_budget,
         });
         return;
     }

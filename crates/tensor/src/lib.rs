@@ -22,7 +22,7 @@
 //! * [`pool`] — a grow-only, size-bucketed buffer pool backing every tensor
 //!   allocation, so steady-state training and serving loops perform zero
 //!   transient heap allocations (hit/miss counters included).
-//! * [`simd`] — the runtime-dispatched vector backends (AVX2+FMA, SSE2,
+//! * [`simd`] — the runtime-dispatched vector backends (AVX2+FMA and the
 //!   scalar oracle) every inner loop above lowers onto, selected once per
 //!   process via detection, `LIGHTTS_SIMD`, or
 //!   [`simd::set_simd_backend`]; `docs/NUMERICS.md` documents exactly

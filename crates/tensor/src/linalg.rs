@@ -24,7 +24,7 @@ use crate::{simd, Result, Tensor, TensorError};
 /// stay resident in L1/L2; blocking and lane width reorder only loop
 /// traversal, never the per-element accumulation sequence (`k`-ascending
 /// into each output). Each accumulation step is one `simd::mul_add_fast`:
-/// under the scalar and SSE2 backends that is the historical
+/// under the scalar backend that is the historical
 /// multiply-then-add (bitwise identical to the pre-SIMD kernel); under
 /// AVX2 it fuses into a single rounding (see `docs/NUMERICS.md`). The
 /// convolutions use the register-tiled sibling [`crate::simd::gemm_tile`],

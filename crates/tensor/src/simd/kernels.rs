@@ -1,12 +1,11 @@
 //! Generic kernel bodies and the per-backend dispatchers.
 //!
 //! Every kernel is written once, generically over [`SimdF32`], then
-//! instantiated three times by the `dispatch_kernel!` macro:
+//! instantiated twice by the `dispatch_kernel!` macro:
 //!
 //! * **scalar** — [`ScalarVec`], plain `f32` arithmetic, no `unsafe`
 //!   preconditions. This instantiation *is* the oracle the vector
-//!   backends are tested against (`tests/simd_equivalence.rs`).
-//! * **sse2** — [`F32x4`], part of the x86-64 baseline.
+//!   backend is tested against (`tests/simd_equivalence.rs`).
 //! * **avx2** — [`F32x8`], guarded by runtime detection, wrapped in
 //!   `#[target_feature(enable = "avx2,fma")]` so the `#[inline(always)]`
 //!   generic body compiles with the vector ISA enabled.
@@ -24,13 +23,13 @@
 //!   left-to-right sum (for `n < 8` the stripe tree degenerates to exactly
 //!   left-to-right).
 //! * The GEMM family ([`gemm_row`], and [`gemm_tile`] under every conv
-//!   pass) uses [`SimdF32::mul_add_fast`]: scalar ≡ SSE2 bitwise; AVX2
-//!   fuses multiply-add (one rounding instead of two) and therefore
-//!   produces different — but equally deterministic — bits.
+//!   pass) uses [`SimdF32::mul_add_fast`]: the scalar oracle multiplies
+//!   then adds; AVX2 fuses multiply-add (one rounding instead of two) and
+//!   therefore produces different — but equally deterministic — bits.
 
 use super::vec::{scalar_madd, ScalarVec, SimdF32};
 #[cfg(target_arch = "x86_64")]
-use super::x86::{F32x4, F32x8};
+use super::x86::F32x8;
 use super::SimdBackend;
 
 /// Number of consecutive `k`-indices per cache block in [`gemm_row`].
@@ -40,9 +39,9 @@ use super::SimdBackend;
 pub(crate) const K_BLOCK: usize = 256;
 
 /// Stripe count of the canonical striped reductions. Eight stripes is one
-/// AVX2 register, two SSE2 registers, or eight scalar accumulators — every
-/// backend walks the same stripes and folds them with the same pairing
-/// tree ([`SimdF32::hsum`]), so the reduced value is backend-invariant.
+/// AVX2 register or eight scalar accumulators — both backends walk the
+/// same stripes and fold them with the same pairing tree
+/// ([`SimdF32::hsum`]), so the reduced value is backend-invariant.
 pub(crate) const REDUCE_STRIPES: usize = 8;
 
 // ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ unsafe fn sum_exp_g<V: SimdF32>(row: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM micro-kernels (mul_add_fast ⇒ scalar ≡ SSE2; AVX2 fuses)
+// GEMM micro-kernels (mul_add_fast ⇒ scalar unfused; AVX2 fuses)
 // ---------------------------------------------------------------------------
 
 /// One output row of the blocked GEMM: `c += a_row · b` for `a_row: [k]`,
@@ -652,11 +651,11 @@ striped_reduce!(dot_g, (x, y), |vx, vy| vx.mul(vy), |sx, sy| sx * sy);
 
 macro_rules! dispatch_kernel {
     ($(#[$doc:meta])* $name:ident / $with:ident ( $($arg:ident : $ty:ty),* $(,)? ) $(-> $ret:ty)?,
-     avx2: $ga:expr, sse2: $gs:expr, scalar: $gc:expr) => {
+     avx2: $ga:expr, scalar: $gc:expr) => {
         $(#[$doc])*
         ///
-        /// The `_with` variant runs under an explicit backend (clamped to
-        /// what the CPU supports) — the concurrency-safe entry point the
+        /// The `_with` variant runs under an explicit backend (scalar if
+        /// the CPU cannot run it) — the concurrency-safe entry point the
         /// equivalence tests use; the plain variant consults the resolved
         /// process-wide [`SimdBackend`].
         pub fn $with(bk: SimdBackend, $($arg: $ty),*) $(-> $ret)? {
@@ -664,10 +663,6 @@ macro_rules! dispatch_kernel {
             #[target_feature(enable = "avx2", enable = "fma")]
             unsafe fn w_avx2($($arg: $ty),*) $(-> $ret)? {
                 ($ga)($($arg),*)
-            }
-            #[cfg(target_arch = "x86_64")]
-            unsafe fn w_sse2($($arg: $ty),*) $(-> $ret)? {
-                ($gs)($($arg),*)
             }
             fn w_scalar($($arg: $ty),*) $(-> $ret)? {
                 // SAFETY: ScalarVec has no hardware preconditions.
@@ -678,8 +673,6 @@ macro_rules! dispatch_kernel {
                 // `cpu_supports` confirmed the features at detection time.
                 #[cfg(target_arch = "x86_64")]
                 SimdBackend::Avx2 => unsafe { w_avx2($($arg),*) },
-                #[cfg(target_arch = "x86_64")]
-                SimdBackend::Sse2 => unsafe { w_sse2($($arg),*) },
                 _ => w_scalar($($arg),*),
             }
         }
@@ -695,64 +688,62 @@ macro_rules! dispatch_kernel {
 }
 
 // Shared with the sibling `qkernels` module, which stamps out the i8
-// integer kernels through the same three-backend dispatcher.
+// integer kernels through the same two-backend dispatcher.
 pub(crate) use dispatch_kernel;
 
-#[cfg(not(target_arch = "x86_64"))]
-type F32x4 = ScalarVec;
 #[cfg(not(target_arch = "x86_64"))]
 type F32x8 = ScalarVec;
 
 dispatch_kernel!(
     /// Element-wise `out += rhs`. Bitwise backend-invariant.
     add_assign / add_assign_with(out: &mut [f32], rhs: &[f32]),
-    avx2: add_assign_g::<F32x8>, sse2: add_assign_g::<F32x4>, scalar: add_assign_g::<ScalarVec>
+    avx2: add_assign_g::<F32x8>, scalar: add_assign_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// Element-wise `out -= rhs`. Bitwise backend-invariant.
     sub_assign / sub_assign_with(out: &mut [f32], rhs: &[f32]),
-    avx2: sub_assign_g::<F32x8>, sse2: sub_assign_g::<F32x4>, scalar: sub_assign_g::<ScalarVec>
+    avx2: sub_assign_g::<F32x8>, scalar: sub_assign_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// Element-wise `out *= rhs` (Hadamard). Bitwise backend-invariant.
     mul_assign / mul_assign_with(out: &mut [f32], rhs: &[f32]),
-    avx2: mul_assign_g::<F32x8>, sse2: mul_assign_g::<F32x4>, scalar: mul_assign_g::<ScalarVec>
+    avx2: mul_assign_g::<F32x8>, scalar: mul_assign_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// `out *= s`. Bitwise backend-invariant.
     scale / scale_with(out: &mut [f32], s: f32),
-    avx2: scale_g::<F32x8>, sse2: scale_g::<F32x4>, scalar: scale_g::<ScalarVec>
+    avx2: scale_g::<F32x8>, scalar: scale_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// `out -= s` element-wise. Bitwise backend-invariant.
     sub_scalar / sub_scalar_with(out: &mut [f32], s: f32),
-    avx2: sub_scalar_g::<F32x8>, sse2: sub_scalar_g::<F32x4>, scalar: sub_scalar_g::<ScalarVec>
+    avx2: sub_scalar_g::<F32x8>, scalar: sub_scalar_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// `out += rhs · s`, unfused on every backend (two roundings per
     /// element, like the historical optimizer loops). Bitwise
     /// backend-invariant.
     axpy / axpy_with(out: &mut [f32], rhs: &[f32], s: f32),
-    avx2: axpy_g::<F32x8>, sse2: axpy_g::<F32x4>, scalar: axpy_g::<ScalarVec>
+    avx2: axpy_g::<F32x8>, scalar: axpy_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// In-place `max(x, 0.0)`. Bitwise backend-invariant (NaN → `0.0`,
     /// `-0.0` → `+0.0`, exactly like `f32::max(x, 0.0)`).
     relu / relu_with(out: &mut [f32]),
-    avx2: relu_g::<F32x8>, sse2: relu_g::<F32x4>, scalar: relu_g::<ScalarVec>
+    avx2: relu_g::<F32x8>, scalar: relu_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// In-place vectorized `exp(x)` (polynomial kernel, ≤ 2 ulp). Bitwise
     /// backend-invariant; NaN passes through; saturates instead of
     /// producing `±inf`/denormals at the range edges.
     vec_exp / vec_exp_with(out: &mut [f32]),
-    avx2: exp_g::<F32x8>, sse2: exp_g::<F32x4>, scalar: exp_g::<ScalarVec>
+    avx2: exp_g::<F32x8>, scalar: exp_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// In-place vectorized `tanh(x)` (polynomial + exp kernel, ≤ 2 ulp).
     /// Bitwise backend-invariant; NaN propagates, `±inf → ±1.0`.
     vec_tanh / vec_tanh_with(out: &mut [f32]),
-    avx2: tanh_g::<F32x8>, sse2: tanh_g::<F32x4>, scalar: tanh_g::<ScalarVec>
+    avx2: tanh_g::<F32x8>, scalar: tanh_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// In-place vectorized logistic sigmoid `1/(1+exp(−x))` (≤ 3 ulp).
@@ -760,49 +751,45 @@ dispatch_kernel!(
     /// saturates to exactly `1.0`, the negative tail to a subnormal
     /// `≈ 5.9e-39` (because [`vec_exp`] saturates rather than overflow).
     vec_sigmoid / vec_sigmoid_with(out: &mut [f32]),
-    avx2: sigmoid_g::<F32x8>, sse2: sigmoid_g::<F32x4>, scalar: sigmoid_g::<ScalarVec>
+    avx2: sigmoid_g::<F32x8>, scalar: sigmoid_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// `Σ exp(xᵢ)`, exponentials from the [`vec_exp`] kernel, summed
     /// strictly left-to-right. Bitwise backend-invariant.
     sum_exp / sum_exp_with(row: &[f32]) -> f32,
-    avx2: sum_exp_g::<F32x8>, sse2: sum_exp_g::<F32x4>, scalar: sum_exp_g::<ScalarVec>
+    avx2: sum_exp_g::<F32x8>, scalar: sum_exp_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// One GEMM output row: `c += a_row · b` (`a_row: [k]`, `b: [k,n]`),
-    /// `k`-ascending per element with a zero-skip on `a_row`. Scalar ≡
-    /// SSE2 bitwise; AVX2 fuses each multiply-add.
+    /// `k`-ascending per element with a zero-skip on `a_row`. AVX2 fuses
+    /// each multiply-add.
     gemm_row / gemm_row_with(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize),
-    avx2: gemm_row_g::<F32x8>, sse2: gemm_row_g::<F32x4>, scalar: gemm_row_g::<ScalarVec>
+    avx2: gemm_row_g::<F32x8>, scalar: gemm_row_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// The register-tiled GEMM micro-kernel: `c ⊕= a · b` with strided
     /// rows and offset-addressed `b` rows (see [`Tile`]). Per element,
-    /// `k`-ascending, one multiply-add per term. Scalar ≡ SSE2 bitwise;
-    /// AVX2 fuses each multiply-add.
+    /// `k`-ascending, one multiply-add per term. AVX2 fuses each
+    /// multiply-add.
     gemm_tile / gemm_tile_with(c: &mut [f32], a: &[f32], b: &[f32], t: &Tile),
-    avx2: gemm_tile_g::<F32x8, 2>, sse2: gemm_tile_g::<F32x4, 2>,
-    scalar: gemm_tile_g::<ScalarVec, 2>
+    avx2: gemm_tile_g::<F32x8, 2>, scalar: gemm_tile_g::<ScalarVec, 2>
 );
 dispatch_kernel!(
     /// `Σ xᵢ` over 8 fixed stripes + canonical pairing tree; tail (< 8)
     /// appended left-to-right. Bitwise backend-invariant (and exactly the
     /// plain serial sum for `n < 8`).
     reduce_sum / reduce_sum_with(x: &[f32]) -> f32,
-    avx2: reduce_sum_g::<F32x8, 1>, sse2: reduce_sum_g::<F32x4, 2>,
-    scalar: reduce_sum_g::<ScalarVec, 8>
+    avx2: reduce_sum_g::<F32x8, 1>, scalar: reduce_sum_g::<ScalarVec, 8>
 );
 dispatch_kernel!(
     /// `Σ xᵢ²` with the same striped scheme as [`reduce_sum`]. Bitwise
     /// backend-invariant.
     reduce_sum_sq / reduce_sum_sq_with(x: &[f32]) -> f32,
-    avx2: reduce_sum_sq_g::<F32x8, 1>, sse2: reduce_sum_sq_g::<F32x4, 2>,
-    scalar: reduce_sum_sq_g::<ScalarVec, 8>
+    avx2: reduce_sum_sq_g::<F32x8, 1>, scalar: reduce_sum_sq_g::<ScalarVec, 8>
 );
 dispatch_kernel!(
     /// `Σ xᵢ·yᵢ` (unfused multiply) with the same striped scheme as
     /// [`reduce_sum`]. Bitwise backend-invariant.
     dot / dot_with(x: &[f32], y: &[f32]) -> f32,
-    avx2: dot_g::<F32x8, 1>, sse2: dot_g::<F32x4, 2>,
-    scalar: dot_g::<ScalarVec, 8>
+    avx2: dot_g::<F32x8, 1>, scalar: dot_g::<ScalarVec, 8>
 );

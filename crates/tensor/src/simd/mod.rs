@@ -2,13 +2,13 @@
 //!
 //! This module is the single point where the crate's inner loops meet the
 //! instruction set. It provides a small portable-vector abstraction over
-//! `core::arch` x86-64 — AVX2+FMA primary, SSE2 fallback, and a scalar
-//! oracle that is always available — plus one-time runtime feature
-//! detection and an explicit override. Every hot kernel (the GEMM row and
-//! register tile under [`crate::linalg`] and [`crate::conv`], the
-//! element-wise tensor ops, and the `vec_exp`/`vec_tanh`/`vec_sigmoid`
-//! transcendentals behind the softmax/activation family) is written once,
-//! generically, and lowered onto whichever backend is selected.
+//! `core::arch` x86-64 — AVX2+FMA, and a scalar oracle that is always
+//! available — plus one-time runtime feature detection and an explicit
+//! override. Every hot kernel (the GEMM row and register tile under
+//! [`crate::linalg`] and [`crate::conv`], the element-wise tensor ops, and
+//! the `vec_exp`/`vec_tanh`/`vec_sigmoid` transcendentals behind the
+//! softmax/activation family) is written once, generically, and lowered
+//! onto whichever backend is selected.
 //!
 //! # Backend selection
 //!
@@ -16,15 +16,15 @@
 //!
 //! 1. [`set_simd_backend`] — explicit programmatic override, wins over
 //!    everything, takes effect for subsequent kernel calls;
-//! 2. the `LIGHTTS_SIMD` environment variable (`avx2` | `sse2` |
-//!    `scalar`, case-insensitive; unknown values are ignored);
+//! 2. the `LIGHTTS_SIMD` environment variable (`avx2` | `scalar`,
+//!    case-insensitive; any other value is ignored);
 //! 3. runtime CPU feature detection (AVX2+FMA → [`SimdBackend::Avx2`],
-//!    otherwise SSE2 on x86-64, otherwise scalar).
+//!    otherwise scalar).
 //!
-//! A request for an unsupported backend is clamped down to the best
-//! supported one (AVX2 → SSE2 → scalar), so forcing `LIGHTTS_SIMD=avx2` on
-//! an SSE2-only host is safe. On non-x86-64 targets every request resolves
-//! to scalar. [`cpu_supports`] reports what the host can actually run.
+//! A request the CPU cannot run resolves to scalar, so forcing
+//! `LIGHTTS_SIMD=avx2` on a host without AVX2+FMA is safe. On non-x86-64
+//! targets every request resolves to scalar. [`cpu_supports`] reports what
+//! the host can actually run.
 //!
 //! # Determinism
 //!
@@ -34,36 +34,36 @@
 //!   [`mul_assign`], [`scale`], [`sub_scalar`], [`axpy`], [`relu`],
 //!   [`vec_exp`], [`vec_tanh`], [`vec_sigmoid`], [`sum_exp`],
 //!   [`log_softmax_row`] — single-rounding ops (or a fixed polynomial
-//!   algorithm) applied per element, so scalar, SSE2, and AVX2 produce
-//!   identical bits for every shape, including remainder lanes.
+//!   algorithm) applied per element, so scalar and AVX2 produce identical
+//!   bits for every shape, including remainder lanes.
 //! * **Backend-invariant, striped**: [`reduce_sum`], [`reduce_sum_sq`],
 //!   [`dot`] — eight fixed stripes folded by one canonical pairing tree on
 //!   every backend (degenerating to a plain serial sum for `n < 8`).
 //! * **Backend-sensitive (FMA)**: [`gemm_row`] and [`gemm_tile`] (the one
-//!   kernel under every conv pass) — scalar and SSE2 are bitwise identical
-//!   (multiply then add, two roundings); AVX2 fuses each multiply-add into
-//!   one rounding, producing different, but equally deterministic, bits:
+//!   kernel under every conv pass) — scalar multiplies then adds (two
+//!   roundings); AVX2 fuses each multiply-add into one rounding,
+//!   producing different, but equally deterministic, bits:
 //!   for a fixed backend the result is independent of batch fusion and
 //!   call context.
 //! * **Integer-exact (quantized)**: [`qdot_i8`], [`qgemm_i8t`] — i8×i8
 //!   products accumulated in i32. Two's-complement addition is
-//!   associative, so all three backends are bitwise identical for every
+//!   associative, so both backends are bitwise identical for every
 //!   input and every shape, remainder lanes included — the strongest
 //!   class (see "Quantized inference" in `docs/NUMERICS.md`).
 //!
 //! Each public kernel has a `*_with(backend, …)` twin that runs under an
-//! explicit (clamped) backend without consulting or mutating process-wide
+//! explicit backend without consulting or mutating process-wide
 //! state — that is what the `simd_equivalence` suite uses to compare
 //! backends concurrently from many test threads.
 #![allow(unsafe_code)]
 // SAFETY AUDIT: this module (with its `vec`/`x86`/`kernels` submodules) is
 // the crate's only `unsafe` island. All `unsafe` here is `core::arch`
-// intrinsic plumbing: the vector types in `x86.rs` wrap `__m128`/`__m256`
+// intrinsic plumbing: the vector type in `x86.rs` wraps `__m256`
 // intrinsics, and `kernels.rs` instantiates the generic loop bodies behind
 // `#[target_feature]` wrappers. Soundness
 // rests on one invariant, enforced in exactly one place: `effective()`
 // below never returns a vector backend unless `cpu_supports` confirmed the
-// CPU features during detection (requests are clamped down, never up).
+// CPU features (a request the CPU cannot run resolves to scalar).
 // Slice accesses in the kernels are all bounds-checked or
 // `debug_assert`-guarded against lengths the loops themselves maintain.
 
@@ -87,45 +87,46 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A SIMD instruction-set backend for the f32 kernels.
 ///
-/// Ordering is by capability: `Scalar < Sse2 < Avx2`. Unsupported requests
-/// clamp down this ladder (see [`set_simd_backend`]).
+/// Ordering is by capability: `Scalar < Avx2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdBackend {
-    /// Plain `f32` arithmetic — the oracle every vector path is tested
+    /// Plain `f32` arithmetic — the oracle the vector path is tested
     /// against. Always available.
     Scalar,
-    /// SSE2 `xmm` vectors (4 × f32), no FMA — part of the x86-64 baseline.
-    /// Bitwise identical to [`SimdBackend::Scalar`] for every kernel.
-    Sse2,
     /// AVX2 `ymm` vectors (8 × f32) with FMA. The GEMM/conv family fuses
     /// multiply-adds, so its bits differ (deterministically) from the
-    /// scalar/SSE2 oracle; everything else stays bitwise identical.
+    /// scalar oracle; everything else stays bitwise identical.
     Avx2,
 }
 
 impl SimdBackend {
-    /// Stable lower-case name (`"scalar"` / `"sse2"` / `"avx2"`), as
-    /// accepted by `LIGHTTS_SIMD` and recorded in bench output.
+    /// Stable lower-case name (`"scalar"` / `"avx2"`), as accepted by
+    /// `LIGHTTS_SIMD` and recorded in bench output.
     pub fn name(self) -> &'static str {
         match self {
             SimdBackend::Scalar => "scalar",
-            SimdBackend::Sse2 => "sse2",
             SimdBackend::Avx2 => "avx2",
         }
     }
 
+    /// The backend a `LIGHTTS_SIMD` value names, case-insensitively;
+    /// `None` for any other value.
+    fn parse(value: &str) -> Option<SimdBackend> {
+        [SimdBackend::Scalar, SimdBackend::Avx2]
+            .into_iter()
+            .find(|bk| value.eq_ignore_ascii_case(bk.name()))
+    }
+
     fn from_u8(v: u8) -> SimdBackend {
         match v {
-            3 => SimdBackend::Avx2,
-            2 => SimdBackend::Sse2,
+            2 => SimdBackend::Avx2,
             _ => SimdBackend::Scalar,
         }
     }
 
     fn as_u8(self) -> u8 {
         match self {
-            SimdBackend::Avx2 => 3,
-            SimdBackend::Sse2 => 2,
+            SimdBackend::Avx2 => 2,
             SimdBackend::Scalar => 1,
         }
     }
@@ -136,43 +137,38 @@ static BACKEND: AtomicU8 = AtomicU8::new(0);
 
 /// Whether the running CPU can execute `bk`.
 ///
-/// [`SimdBackend::Scalar`] is always supported; on x86-64 so is
-/// [`SimdBackend::Sse2`]; [`SimdBackend::Avx2`] additionally requires the
-/// AVX2 *and* FMA feature flags.
+/// [`SimdBackend::Scalar`] is always supported; [`SimdBackend::Avx2`]
+/// requires an x86-64 CPU with the AVX2 *and* FMA feature flags.
 pub fn cpu_supports(bk: SimdBackend) -> bool {
     match bk {
         SimdBackend::Scalar => true,
         #[cfg(target_arch = "x86_64")]
-        SimdBackend::Sse2 => true,
-        #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
         #[cfg(not(target_arch = "x86_64"))]
-        _ => false,
+        SimdBackend::Avx2 => false,
     }
 }
 
-/// Clamps a requested backend down to the best supported one.
-pub(crate) fn effective(bk: SimdBackend) -> SimdBackend {
-    if cpu_supports(bk) {
-        bk
-    } else if bk == SimdBackend::Avx2 && cpu_supports(SimdBackend::Sse2) {
-        SimdBackend::Sse2
+/// The backend that runs for `request` on a CPU that does (`avx2_fma`) or
+/// does not run AVX2+FMA. No request (`LIGHTTS_SIMD` unset or naming no
+/// backend) takes the native choice; a request the CPU cannot run resolves
+/// to scalar.
+fn resolve(request: Option<SimdBackend>, avx2_fma: bool) -> SimdBackend {
+    if avx2_fma && request != Some(SimdBackend::Scalar) {
+        SimdBackend::Avx2
     } else {
         SimdBackend::Scalar
     }
 }
 
+/// `bk` if the CPU can run it, else scalar.
+pub(crate) fn effective(bk: SimdBackend) -> SimdBackend {
+    resolve(Some(bk), cpu_supports(SimdBackend::Avx2))
+}
+
 fn detect() -> SimdBackend {
-    if let Ok(v) = std::env::var("LIGHTTS_SIMD") {
-        match v.to_ascii_lowercase().as_str() {
-            "scalar" => return SimdBackend::Scalar,
-            "sse2" => return effective(SimdBackend::Sse2),
-            "avx2" => return effective(SimdBackend::Avx2),
-            // Unknown values fall through to native detection.
-            _ => {}
-        }
-    }
-    effective(SimdBackend::Avx2)
+    let request = std::env::var("LIGHTTS_SIMD").ok().and_then(|v| SimdBackend::parse(&v));
+    resolve(request, cpu_supports(SimdBackend::Avx2))
 }
 
 /// The process-wide SIMD backend all dispatched kernels currently use.
@@ -193,8 +189,8 @@ pub fn backend() -> SimdBackend {
 }
 
 /// Overrides the process-wide SIMD backend for all subsequent kernel
-/// calls, clamping to what the CPU supports (AVX2 → SSE2 → scalar).
-/// Returns the backend actually installed.
+/// calls; a backend the CPU cannot run installs scalar instead. Returns
+/// the backend actually installed.
 ///
 /// This is a process-wide toggle intended for startup configuration and
 /// benchmarks; concurrent kernels pick up the change at their next
@@ -221,7 +217,8 @@ pub fn log_softmax_row(row: &mut [f32]) {
     log_softmax_row_with(backend(), row);
 }
 
-/// [`log_softmax_row`] under an explicit backend (clamped to CPU support).
+/// [`log_softmax_row`] under an explicit backend (scalar if the CPU
+/// cannot run it).
 pub fn log_softmax_row_with(bk: SimdBackend, row: &mut [f32]) {
     if row.is_empty() {
         return;
@@ -230,4 +227,36 @@ pub fn log_softmax_row_with(bk: SimdBackend, row: &mut [f32]) {
     sub_scalar_with(bk, row, mx);
     let lse = sum_exp_with(bk, row).ln();
     sub_scalar_with(bk, row, lse);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sse2_is_an_unknown_value_and_takes_the_native_choice() {
+        for value in ["sse2", "SSE2", "Sse2", "", "avx512", "neon"] {
+            assert_eq!(SimdBackend::parse(value), None, "{value:?}");
+            assert_eq!(resolve(SimdBackend::parse(value), true), SimdBackend::Avx2, "{value:?}");
+            assert_eq!(resolve(SimdBackend::parse(value), false), SimdBackend::Scalar, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn backend_names_parse_in_any_case() {
+        for value in ["avx2", "AVX2", "Avx2"] {
+            assert_eq!(SimdBackend::parse(value), Some(SimdBackend::Avx2), "{value:?}");
+        }
+        for value in ["scalar", "SCALAR", "Scalar"] {
+            assert_eq!(SimdBackend::parse(value), Some(SimdBackend::Scalar), "{value:?}");
+        }
+    }
+
+    #[test]
+    fn a_request_the_cpu_cannot_run_resolves_to_scalar() {
+        assert_eq!(resolve(Some(SimdBackend::Avx2), false), SimdBackend::Scalar);
+        assert_eq!(resolve(Some(SimdBackend::Avx2), true), SimdBackend::Avx2);
+        assert_eq!(resolve(Some(SimdBackend::Scalar), true), SimdBackend::Scalar);
+        assert_eq!(resolve(Some(SimdBackend::Scalar), false), SimdBackend::Scalar);
+    }
 }

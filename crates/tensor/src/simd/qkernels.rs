@@ -5,7 +5,7 @@
 //! f32 kernels, every instantiation here accumulates in **exact integer
 //! arithmetic** — two's-complement i32 addition is associative, so the
 //! lane width, the load order, and the horizontal-sum tree cannot change
-//! the result. All three backends are therefore **bitwise identical for
+//! the result. Both backends are therefore **bitwise identical for
 //! every input and every shape**, remainder lanes included: a fourth,
 //! strongest determinism class (see `docs/NUMERICS.md`, "Quantized
 //! inference").
@@ -13,9 +13,6 @@
 //! Instruction selection:
 //!
 //! * **scalar** — plain `i32` multiply-accumulate, the oracle.
-//! * **sse2** — 16 lanes of i8 per step: sign-extend each half to i16
-//!   with the `unpack`+`srai` idiom (SSE2 has no `cvtepi8_epi16`; that is
-//!   SSE4.1), then `pmaddwd` pairs into 4×i32 accumulators.
 //! * **avx2** — 32 lanes of i8 per step: two `vpmovsxbw` widenings feed
 //!   two `vpmaddwd`, accumulating into one 8×i32 register.
 //!
@@ -44,46 +41,6 @@ fn qdot_scalar(a: &[i8], b: &[i8]) -> i32 {
     let mut s = 0i32;
     for (&x, &y) in a.iter().zip(b.iter()) {
         s = s.wrapping_add(i32::from(x) * i32::from(y));
-    }
-    s
-}
-
-/// Sign-extends the low 8 bytes of `v` to 8×i16 (SSE2-only idiom:
-/// interleave the register with itself so each i16 lane holds `x·257`
-/// bit-patterns, then arithmetic-shift the high copy down).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn sx_lo_epi8(v: __m128i) -> __m128i {
-    _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn sx_hi_epi8(v: __m128i) -> __m128i {
-    _mm_srai_epi16(_mm_unpackhi_epi8(v, v), 8)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn qdot_sse2(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len() <= QDOT_MAX_K);
-    let n = a.len();
-    let mut acc = _mm_setzero_si128();
-    let mut i = 0;
-    while i + 16 <= n {
-        let va = _mm_loadu_si128(a.as_ptr().add(i).cast());
-        let vb = _mm_loadu_si128(b.as_ptr().add(i).cast());
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(sx_lo_epi8(va), sx_lo_epi8(vb)));
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(sx_hi_epi8(va), sx_hi_epi8(vb)));
-        i += 16;
-    }
-    let mut lanes = [0i32; 4];
-    _mm_storeu_si128(lanes.as_mut_ptr().cast(), acc);
-    let mut s = lanes[0].wrapping_add(lanes[1]).wrapping_add(lanes[2]).wrapping_add(lanes[3]);
-    while i < n {
-        s = s.wrapping_add(i32::from(a[i]) * i32::from(b[i]));
-        i += 1;
     }
     s
 }
@@ -120,27 +77,26 @@ unsafe fn qdot_avx2(a: &[i8], b: &[i8]) -> i32 {
     s
 }
 
-macro_rules! qgemm_body {
-    ($name:ident, $dot:ident) => {
-        #[inline(always)]
-        unsafe fn $name(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-            debug_assert_eq!(out.len(), m * n);
-            debug_assert_eq!(a.len(), m * k);
-            debug_assert_eq!(b.len(), n * k);
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    *o = $dot(a_row, &b[j * k..(j + 1) * k]);
-                }
-            }
+/// The scalar GEMM oracle: one [`qdot_scalar`] per output element.
+///
+/// # Safety
+///
+/// None: an `unsafe fn` only to match the calling convention the
+/// dispatcher expects (the scalar instantiation has no hardware
+/// preconditions).
+#[inline(always)]
+unsafe fn qgemm_scalar(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
+    debug_assert_eq!(out.len(), m * n);
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), n * k);
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let out_row = &mut out[i * n..(i + 1) * n];
+        for (j, o) in out_row.iter_mut().enumerate() {
+            *o = qdot_scalar(a_row, &b[j * k..(j + 1) * k]);
         }
-    };
+    }
 }
-
-qgemm_body!(qgemm_scalar, qdot_scalar);
-#[cfg(target_arch = "x86_64")]
-qgemm_body!(qgemm_sse2, qdot_sse2);
 
 /// In-register reduction of 8×i32 to one i32 (wrapping). The tree shape
 /// differs from a left-to-right scalar sum, but i32 addition is
@@ -169,7 +125,7 @@ const QGEMM_WIDEN_MAX_K: usize = 512;
 /// pre-widened to i16 once per block (reused across all `n` columns), so
 /// the inner loop issues exactly one `cvtepi8_epi16` per 16 bytes of B.
 /// Integer addition is associative, so none of this is observable: results
-/// stay bitwise identical to the dot-at-a-time backends.
+/// stay bitwise identical to the dot-at-a-time scalar oracle.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn qgemm_avx2(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
@@ -265,7 +221,7 @@ dispatch_kernel!(
     /// on every backend** (integer addition is associative); requires
     /// `a.len() ≤ 2^16` so the sum cannot wrap (see [`QDOT_MAX_K`]).
     qdot_i8 / qdot_i8_with(a: &[i8], b: &[i8]) -> i32,
-    avx2: qdot_avx2, sse2: qdot_sse2, scalar: qdot_scalar_w
+    avx2: qdot_avx2, scalar: qdot_scalar_w
 );
 dispatch_kernel!(
     /// Quantized GEMM against a **transposed** right-hand side:
@@ -275,7 +231,7 @@ dispatch_kernel!(
     /// its widening multiply-add directly. **Bitwise identical on every
     /// backend**; requires `k ≤ 2^16` (see [`QDOT_MAX_K`]).
     qgemm_i8t / qgemm_i8t_with(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize),
-    avx2: qgemm_avx2, sse2: qgemm_sse2, scalar: qgemm_scalar
+    avx2: qgemm_avx2, scalar: qgemm_scalar
 );
 
 #[cfg(test)]
@@ -289,7 +245,7 @@ mod tests {
         for len in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 100] {
             let want: i32 =
                 a[..len].iter().zip(&b[..len]).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
-            for bk in [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2] {
+            for bk in [SimdBackend::Scalar, SimdBackend::Avx2] {
                 assert_eq!(qdot_i8_with(bk, &a[..len], &b[..len]), want, "len={len} bk={bk:?}");
             }
         }
@@ -302,7 +258,7 @@ mod tests {
         let a = vec![-128i8; 33];
         let b = vec![-128i8; 33];
         let want = 33 * 128 * 128;
-        for bk in [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2] {
+        for bk in [SimdBackend::Scalar, SimdBackend::Avx2] {
             assert_eq!(qdot_i8_with(bk, &a, &b), want, "bk={bk:?}");
         }
     }
@@ -319,7 +275,7 @@ mod tests {
                     (0..k).map(|p| i32::from(a[i * k + p]) * i32::from(b[j * k + p])).sum();
             }
         }
-        for bk in [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2] {
+        for bk in [SimdBackend::Scalar, SimdBackend::Avx2] {
             let mut out = vec![0i32; m * n];
             qgemm_i8t_with(bk, &mut out, &a, &b, m, k, n);
             assert_eq!(out, want, "bk={bk:?}");

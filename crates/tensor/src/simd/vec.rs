@@ -3,7 +3,7 @@
 //! [`SimdF32`] is a minimal portable-vector trait: just enough single-
 //! rounding IEEE-754 operations, bit manipulation, and lane plumbing to
 //! express the kernels in [`super::kernels`] once, generically, and have
-//! each backend (scalar / SSE2 / AVX2+FMA) instantiate them with its own
+//! each backend (scalar / AVX2+FMA) instantiate them with its own
 //! register type. [`ScalarVec`] is the 1-lane instantiation: it mirrors the
 //! x86 instruction semantics (`minps`/`maxps` operand ordering on NaN,
 //! full-width compare masks, bitwise selects) exactly, so a generic kernel
@@ -97,12 +97,12 @@ pub(super) trait SimdF32: Copy {
     unsafe fn exp2_scale(self) -> Self;
 
     /// Horizontal sum with the *canonical pairing tree* of the striped
-    /// reductions (see [`super::kernels`]): for 4 lanes `[q0..q3]` the
-    /// result is `(q0+q2) + (q1+q3)`; for 8 lanes the 128-bit halves are
-    /// added first (`s_i = q_i + q_{i+4}`) and the 4-lane rule applied to
-    /// `s`. Single-lane vectors return their value. Every backend reduces
-    /// 8 stripes through the identical tree, which is what makes
-    /// [`super::reduce_sum`] bitwise backend-invariant.
+    /// reductions (see [`super::kernels`]): for 8 lanes `[q0..q7]` the
+    /// 128-bit halves are added first (`s_i = q_i + q_{i+4}`), then the
+    /// result is `(s0+s2) + (s1+s3)`. Single-lane vectors return their
+    /// value. Both backends reduce 8 stripes through the identical tree,
+    /// which is what makes [`super::reduce_sum`] bitwise
+    /// backend-invariant.
     unsafe fn hsum(self) -> f32;
 }
 

@@ -1,120 +1,26 @@
-//! x86-64 implementations of [`SimdF32`]: [`F32x4`] (SSE2) and [`F32x8`]
-//! (AVX2 + FMA).
+//! The x86-64 implementation of [`SimdF32`]: [`F32x8`] (AVX2 + FMA).
 //!
-//! Both are thin `#[repr(transparent)]` wrappers over the architectural
-//! register types with `#[inline(always)]` methods, so when a generic
-//! kernel from [`super::kernels`] is instantiated inside a
+//! A thin `#[repr(transparent)]` wrapper over the architectural register
+//! type with `#[inline(always)]` methods, so when a generic kernel from
+//! [`super::kernels`] is instantiated inside a
 //! `#[target_feature]`-annotated dispatcher the whole call tree collapses
 //! into straight-line vector code.
 //!
 //! # Safety
 //!
-//! Every method lowers to `core::arch::x86_64` intrinsics. SSE2 is part of
-//! the x86-64 baseline, so [`F32x4`] is unconditionally sound on this
-//! architecture; [`F32x8`] requires AVX2 and FMA and must only be
-//! instantiated after [`super::cpu_supports`](super::cpu_supports) has
-//! confirmed them (the dispatchers in [`super::kernels`] are the single
-//! place that does this).
+//! Every method lowers to `core::arch::x86_64` intrinsics that need AVX2
+//! and FMA, so [`F32x8`] must only be instantiated after
+//! [`super::cpu_supports`](super::cpu_supports) has confirmed them (the
+//! dispatchers in [`super::kernels`] are the single place that does this).
 
 use core::arch::x86_64::*;
 
 use super::vec::SimdF32;
 
-/// Four `f32` lanes in an `xmm` register (SSE2 baseline; no FMA).
-#[derive(Copy, Clone)]
-#[repr(transparent)]
-pub(super) struct F32x4(__m128);
-
 /// Eight `f32` lanes in a `ymm` register (AVX2 + FMA).
 #[derive(Copy, Clone)]
 #[repr(transparent)]
 pub(super) struct F32x8(__m256);
-
-impl SimdF32 for F32x4 {
-    const LANES: usize = 4;
-    const FUSED: bool = false;
-
-    #[inline(always)]
-    unsafe fn splat(v: f32) -> Self {
-        F32x4(_mm_set1_ps(v))
-    }
-    #[inline(always)]
-    unsafe fn load(src: &[f32]) -> Self {
-        debug_assert!(src.len() >= 4);
-        F32x4(_mm_loadu_ps(src.as_ptr()))
-    }
-    #[inline(always)]
-    unsafe fn store(self, dst: &mut [f32]) {
-        debug_assert!(dst.len() >= 4);
-        _mm_storeu_ps(dst.as_mut_ptr(), self.0)
-    }
-    #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
-        F32x4(_mm_add_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        F32x4(_mm_sub_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        F32x4(_mm_mul_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        F32x4(_mm_div_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn min(self, o: Self) -> Self {
-        F32x4(_mm_min_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn max(self, o: Self) -> Self {
-        F32x4(_mm_max_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self {
-        // SSE2 has no FMA: two roundings, matching the scalar oracle.
-        F32x4(_mm_add_ps(_mm_mul_ps(self.0, b.0), acc.0))
-    }
-    #[inline(always)]
-    unsafe fn and_bits(self, o: Self) -> Self {
-        F32x4(_mm_and_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn or_bits(self, o: Self) -> Self {
-        F32x4(_mm_or_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn xor_bits(self, o: Self) -> Self {
-        F32x4(_mm_xor_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn andnot_bits(self, o: Self) -> Self {
-        F32x4(_mm_andnot_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn lt(self, o: Self) -> Self {
-        F32x4(_mm_cmplt_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn is_nan(self) -> Self {
-        F32x4(_mm_cmpunord_ps(self.0, self.0))
-    }
-    #[inline(always)]
-    unsafe fn exp2_scale(self) -> Self {
-        let n = _mm_sub_epi32(_mm_castps_si128(self.0), _mm_set1_epi32(0x4B40_0000));
-        F32x4(_mm_castsi128_ps(_mm_slli_epi32::<23>(_mm_add_epi32(n, _mm_set1_epi32(127)))))
-    }
-    #[inline(always)]
-    unsafe fn hsum(self) -> f32 {
-        // Canonical tree: (q0+q2) + (q1+q3).
-        let hi = _mm_movehl_ps(self.0, self.0); // [q2, q3, q2, q3]
-        let t = _mm_add_ps(self.0, hi); // [q0+q2, q1+q3, ..]
-        let t1 = _mm_shuffle_ps::<0b01>(t, t); // lane0 = q1+q3
-        _mm_cvtss_f32(_mm_add_ss(t, t1))
-    }
-}
 
 impl SimdF32 for F32x8 {
     const LANES: usize = 8;
@@ -161,7 +67,7 @@ impl SimdF32 for F32x8 {
     #[inline(always)]
     unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self {
         // Fused: a·b+acc in a single rounding. The one place the AVX2
-        // backend's bits diverge from the SSE2/scalar oracle.
+        // backend's bits diverge from the scalar oracle.
         F32x8(_mm256_fmadd_ps(self.0, b.0, acc.0))
     }
     #[inline(always)]
@@ -198,9 +104,12 @@ impl SimdF32 for F32x8 {
     }
     #[inline(always)]
     unsafe fn hsum(self) -> f32 {
-        // Halves first (s_i = q_i + q_{i+4}), then the 4-lane tree — the
-        // same canonical pairing the scalar and SSE2 reductions use.
+        // Halves first (s_i = q_i + q_{i+4}), then (s0+s2) + (s1+s3) — the
+        // same canonical pairing tree the scalar reduction folds.
         let s = _mm_add_ps(_mm256_castps256_ps128(self.0), _mm256_extractf128_ps::<1>(self.0));
-        F32x4(s).hsum()
+        let hi = _mm_movehl_ps(s, s); // [s2, s3, s2, s3]
+        let t = _mm_add_ps(s, hi); // [s0+s2, s1+s3, ..]
+        let t1 = _mm_shuffle_ps::<0b01>(t, t); // lane0 = s1+s3
+        _mm_cvtss_f32(_mm_add_ss(t, t1))
     }
 }

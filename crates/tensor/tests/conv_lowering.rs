@@ -8,8 +8,8 @@
 //! of `add_assign_with`, which state each association independently of the
 //! tile's layout — the forward chained over `(ci, j)`; the input gradient's
 //! `G` chained over `co`, then summed in ascending `j`; one chain over
-//! `(b, t)` per weight. This covers AVX2 and SSE2, where the golden
-//! training fixture (scalar) cannot see the bits. Agreement with the math
+//! `(b, t)` per weight. This covers AVX2, where the golden training
+//! fixture (scalar) cannot see the bits. Agreement with the math
 //! is checked separately, against f64 brute-force references and finite
 //! differences, in `kernel_reference.rs`.
 //!
@@ -171,9 +171,8 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) {
 fn lowered_passes_match_slab_references_bitwise_on_every_backend() {
     let _guard = backend_lock();
     let before = backend();
-    let backends = [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2]
-        .into_iter()
-        .filter(|&bk| cpu_supports(bk));
+    let backends =
+        [SimdBackend::Scalar, SimdBackend::Avx2].into_iter().filter(|&bk| cpu_supports(bk));
     for bk in backends {
         assert_eq!(set_simd_backend(bk), bk);
         for cout in 1..=13usize {

@@ -1,7 +1,7 @@
 //! Differential tests for the SIMD backend layer (`lightts_tensor::simd`).
 //!
 //! Every dispatched kernel has a scalar oracle (`SimdBackend::Scalar`) and
-//! up to two vector instantiations (SSE2, AVX2+FMA). `docs/NUMERICS.md`
+//! one vector instantiation (AVX2+FMA). `docs/NUMERICS.md`
 //! sorts the kernels into three determinism classes; this suite checks each
 //! class's claim, via the `*_with` kernel variants so backends can be
 //! compared concurrently from many test threads without touching the
@@ -9,12 +9,12 @@
 //!
 //! 1. **Backend-invariant kernels** (element-wise ops, transcendentals,
 //!    striped reductions, `log_softmax_row`) must agree *bitwise* across
-//!    scalar / SSE2 / AVX2 on every shape — including remainder lanes,
+//!    scalar and AVX2 on every shape — including remainder lanes,
 //!    empty and single-element inputs — and on NaN/±inf/±0 specials.
 //! 2. **FMA-sensitive kernels** (`gemm_row`, `gemm_tile`) must be bitwise
-//!    identical between scalar and SSE2 (both unfused), and bitwise
-//!    identical between AVX2 and a scalar reference that uses
-//!    `f32::mul_add` (both fused, same accumulation order).
+//!    identical between the scalar oracle and an unfused reference, and
+//!    between AVX2 and a scalar reference that uses `f32::mul_add` (both
+//!    fused, same accumulation order).
 //! 3. The transcendental approximations must stay within their documented
 //!    ULP budgets of the correctly rounded result (`vec_exp` ≤ 2 ULP,
 //!    `vec_tanh` ≤ 2 ULP, `vec_sigmoid` ≤ 3 ULP over the tested ranges;
@@ -31,12 +31,12 @@ use lightts_tensor::simd::{
 };
 use proptest::prelude::*;
 
-/// All three backends; `*_with` clamps unsupported requests down, so on a
-/// non-AVX2 host the AVX2 entries degenerate to (already covered) SSE2
-/// comparisons rather than failing.
-const BACKENDS: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2];
+/// Both backends; `*_with` runs a request the CPU cannot run on scalar, so
+/// on a host without AVX2+FMA the AVX2 entries repeat the (already
+/// covered) scalar comparisons rather than failing.
+const BACKENDS: [SimdBackend; 2] = [SimdBackend::Scalar, SimdBackend::Avx2];
 
-/// Lengths that hit every remainder-lane case for 4- and 8-wide vectors.
+/// Lengths that hit every remainder-lane case for 8-wide vectors.
 const EDGE_LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33];
 
 fn vec_data(len: usize, seed: u32) -> Vec<f32> {
@@ -84,33 +84,24 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Class 1: backend-invariant kernels, bitwise across all backends
+// Class 1: backend-invariant kernels, bitwise across both backends
 // ---------------------------------------------------------------------
 
-/// Runs an in-place kernel under every backend and asserts all outputs are
-/// bitwise identical to the scalar oracle's.
+/// Runs an in-place kernel under AVX2 and asserts the output is bitwise
+/// identical to the scalar oracle's.
 fn check_invariant_inplace(xs: &[f32], what: &str, f: impl Fn(SimdBackend, &mut [f32])) {
     let mut oracle = xs.to_vec();
     f(SimdBackend::Scalar, &mut oracle);
-    for bk in [SimdBackend::Sse2, SimdBackend::Avx2] {
-        let mut out = xs.to_vec();
-        f(bk, &mut out);
-        assert_bits_eq(&out, &oracle, &format!("{what} [{}]", bk.name()));
-    }
+    let mut out = xs.to_vec();
+    f(SimdBackend::Avx2, &mut out);
+    assert_bits_eq(&out, &oracle, &format!("{what} [avx2]"));
 }
 
 /// Same for scalar-returning reductions.
 fn check_invariant_reduce(xs: &[f32], what: &str, f: impl Fn(SimdBackend, &[f32]) -> f32) {
     let oracle = f(SimdBackend::Scalar, xs);
-    for bk in [SimdBackend::Sse2, SimdBackend::Avx2] {
-        let got = f(bk, xs);
-        assert_eq!(
-            got.to_bits(),
-            oracle.to_bits(),
-            "{what} [{}]: {got:?} != {oracle:?}",
-            bk.name()
-        );
-    }
+    let got = f(SimdBackend::Avx2, xs);
+    assert_eq!(got.to_bits(), oracle.to_bits(), "{what} [avx2]: {got:?} != {oracle:?}");
 }
 
 #[test]
@@ -214,7 +205,7 @@ fn reductions_match_serial_sum_for_short_inputs() {
 // ---------------------------------------------------------------------
 
 /// Scalar GEMM-row reference parameterized over the madd: `fused=false`
-/// mirrors the scalar/SSE2 contract, `fused=true` the AVX2 one. Matches
+/// mirrors the scalar contract, `fused=true` the AVX2 one. Matches
 /// the kernels' k-ascending accumulation order and zero-skip.
 fn gemm_row_ref(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, fused: bool) {
     for (p, &av) in a.iter().enumerate().take(k) {
@@ -496,8 +487,6 @@ fn set_simd_backend_clamps_and_installs() {
 #[test]
 fn backend_names_are_stable() {
     assert_eq!(SimdBackend::Scalar.name(), "scalar");
-    assert_eq!(SimdBackend::Sse2.name(), "sse2");
     assert_eq!(SimdBackend::Avx2.name(), "avx2");
-    assert!(SimdBackend::Scalar < SimdBackend::Sse2);
-    assert!(SimdBackend::Sse2 < SimdBackend::Avx2);
+    assert!(SimdBackend::Scalar < SimdBackend::Avx2);
 }

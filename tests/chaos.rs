@@ -178,7 +178,7 @@ fn shard_death_is_isolated_to_its_models_and_siblings_stay_bit_identical() {
         max_wait: Duration::from_millis(1),
         shards: 2,
         replicas: 1,
-        restart_budget: Some(0),
+        restart_budget: 0,
         ..ServeConfig::default()
     };
     let server = Server::start(registry, cfg);
@@ -351,7 +351,7 @@ fn dead_primary_reroutes_keyed_requests_to_the_surviving_sibling() {
         max_wait: Duration::from_millis(1),
         shards: 2,
         replicas: 2,
-        restart_budget: Some(0),
+        restart_budget: 0,
         ..ServeConfig::default()
     };
     let server = Server::start(registry, cfg);
@@ -417,7 +417,7 @@ fn restart_budget_exhaustion_fails_the_shard_permanently_and_degrades_health() {
         max_wait: Duration::from_millis(1),
         shards: 2,
         replicas: 1,
-        restart_budget: Some(1), // one respawn, then permanent failure
+        restart_budget: 1, // one respawn, then permanent failure
         ..ServeConfig::default()
     };
     let server = Server::start(registry, cfg);
@@ -604,7 +604,7 @@ fn randomized_shard_kill_soak_heals_and_stays_bit_identical() {
         max_wait: Duration::from_millis(1),
         shards: 2,
         replicas: 2,
-        restart_budget: Some(1_000), // the soak must never exhaust it
+        restart_budget: 1_000, // the soak must never exhaust it
         restart_window: Duration::from_secs(60),
         ..ServeConfig::default()
     };
