@@ -1,16 +1,15 @@
 //! Machine-readable kernel benchmark artifact (`BENCH_kernels.json`).
 //!
-//! The criterion stand-in records a [`Measurement`] per completed benchmark;
-//! the bench mains (`benches/kernels.rs`, `benches/serve.rs`) drain those
-//! and call [`write_records`] to merge them into one JSON array at the
-//! repository root. Each record carries `(op, shape, median_ns, threads,
-//! scale, backend)`; merging is keyed on everything but `median_ns`, so
-//! re-running a bench updates its timing in place while other benches'
-//! rows survive. CI uploads the file as an
+//! The criterion stand-in records a [`Measurement`](criterion::Measurement)
+//! per completed benchmark; the bench mains (`benches/kernels.rs`,
+//! `benches/serve.rs`) drain those and call [`write_records`] to merge them
+//! into one JSON array at the repository root. Each record carries
+//! `(op, shape, median_ns, threads, scale, backend)`; merging is keyed on
+//! everything but `median_ns`, so re-running a bench updates its timing in
+//! place while other benches' rows survive. CI uploads the file as an
 //! artifact, which is how the conv kernel timings and the ≥2×
 //! AVX2-vs-scalar SIMD acceptance numbers are recorded.
 
-use criterion::Measurement;
 use lightts_obs::jsonl::{parse, Json};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -37,19 +36,6 @@ pub struct KernelRecord {
 }
 
 impl KernelRecord {
-    /// Builds a record from a drained criterion [`Measurement`], stamped
-    /// with the currently active SIMD backend.
-    pub fn from_measurement(m: &Measurement, shape: &str, threads: usize, scale: &str) -> Self {
-        KernelRecord {
-            op: m.name.clone(),
-            shape: shape.to_string(),
-            median_ns: m.median_ns,
-            threads,
-            scale: scale.to_string(),
-            backend: lightts_tensor::simd::backend().name().to_string(),
-        }
-    }
-
     fn key(&self) -> (String, String, usize, String, String) {
         (
             self.op.clone(),

@@ -1,17 +1,18 @@
-//! A quantizable convolutional forecaster — the regression sibling of
-//! [`InceptionTime`](crate::inception::InceptionTime).
+//! A quantizable convolutional forecaster: the [`InceptionTime`] network
+//! with a regression head.
 //!
 //! The paper (Section 3.2.1) claims AED "can be applied to forecasting by
 //! replacing the cross entropy term in Equation 2 by a forecasting error
 //! term, e.g., mean square error"; this model is the student/teacher family
-//! for that extension. It reuses the same block structure (parallel convs
-//! with halving filter lengths → batch-norm → ReLU) but ends in a linear
-//! regression head over the global-average-pooled features.
+//! for that extension. It runs the classifier's network (parallel convs
+//! with halving filter lengths → batch-norm → ReLU, global average pooling,
+//! a linear head), reads the head's `out_len` outputs as forecasts, and
+//! trains them with MSE. Its exports are their own container kind, so a
+//! forecaster never loads or serves as a classifier.
 
-use crate::inception::{config_bytes, export, read_config, restore, Block, InceptionConfig};
-use crate::{ModelError, Result};
+use crate::inception::{config_bytes, read_config, InceptionConfig, InceptionTime};
+use crate::Result;
 use lightts_data::forecast::ForecastDataset;
-use lightts_nn::layers::{BatchNorm1d, Conv1d, Linear};
 use lightts_nn::optim::{Adam, Optimizer};
 use lightts_nn::serialize::StoreForm;
 use lightts_nn::{Bindings, Mode, ParamStore};
@@ -21,12 +22,13 @@ use lightts_tensor::tape::{Tape, Var};
 use lightts_tensor::Tensor;
 use rand::Rng;
 
-/// Configuration of a convolutional forecaster: an InceptionTime-style
+/// Configuration of a convolutional forecaster: an InceptionTime
 /// backbone plus the forecast head size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForecastConfig {
     /// Backbone blocks (layers/filter-length/bits per block, as in the
-    /// classification search space).
+    /// classification search space). Its `num_classes` is stored with the
+    /// model but unused: the head has `out_len` outputs.
     pub backbone: InceptionConfig,
     /// Output values per window: `dims × horizon`.
     pub out_len: usize,
@@ -57,43 +59,17 @@ const KIND: &str = "forecaster";
 /// A trainable, quantizable convolutional forecaster.
 pub struct Forecaster {
     config: ForecastConfig,
-    store: ParamStore,
-    blocks: Vec<Block>,
-    head: Linear,
+    /// The backbone with an `out_len`-wide head.
+    net: InceptionTime,
 }
 
 impl Forecaster {
-    /// Builds a randomly initialized forecaster.
+    /// Builds a randomly initialized forecaster. The backbone must pass the
+    /// same validation as an [`InceptionTime`] classifier's config.
     pub fn new<R: Rng>(config: ForecastConfig, rng: &mut R) -> Result<Self> {
-        if config.out_len == 0 {
-            return Err(ModelError::BadConfig { what: "forecaster: zero outputs".into() });
-        }
-        let bc = &config.backbone;
-        let mut store = ParamStore::new();
-        let mut blocks = Vec::with_capacity(bc.blocks.len());
-        let mut cin = bc.in_dims;
-        for (i, spec) in bc.blocks.iter().enumerate() {
-            let mut convs = Vec::with_capacity(spec.layers);
-            for j in 0..spec.layers {
-                let k = spec.kernel(j, bc.in_len);
-                convs.push(Conv1d::new(
-                    &mut store,
-                    rng,
-                    &format!("fblock{i}.conv{j}"),
-                    cin,
-                    bc.filters,
-                    k,
-                    spec.bits,
-                )?);
-            }
-            let bn =
-                BatchNorm1d::new(&mut store, &format!("fblock{i}.bn"), spec.layers * bc.filters)?;
-            blocks.push(Block { convs, bn });
-            cin = spec.layers * bc.filters;
-        }
-        let head_bits = bc.blocks.last().map_or(32, |b| b.bits);
-        let head = Linear::with_name(&mut store, rng, "head", cin, config.out_len, head_bits)?;
-        Ok(Forecaster { config, store, blocks, head })
+        let net_config = InceptionConfig { num_classes: config.out_len, ..config.backbone.clone() };
+        let net = InceptionTime::build(net_config, "fblock", "head", rng)?;
+        Ok(Forecaster { config, net })
     }
 
     /// The model configuration.
@@ -103,12 +79,12 @@ impl Forecaster {
 
     /// Model size in bits (quantized accounting).
     pub fn size_bits(&self) -> u64 {
-        self.store.size_bits()
+        self.net.size_bits()
     }
 
     /// Mutable parameter store (for optimizers).
     pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
+        self.net.store_mut()
     }
 
     /// Training forward: predictions `[batch, out_len]` on the tape.
@@ -119,35 +95,12 @@ impl Forecaster {
         inputs: &Tensor,
         mode: Mode,
     ) -> Result<Var> {
-        let mut x = tape.constant(inputs.clone());
-        let store = &self.store;
-        for block in &mut self.blocks {
-            let mut outs = Vec::with_capacity(block.convs.len());
-            for conv in &block.convs {
-                outs.push(conv.forward(tape, bind, store, x)?);
-            }
-            let cat = tape.concat_channels(&outs)?;
-            let normed = block.bn.forward(tape, bind, store, cat, mode)?;
-            x = tape.relu(normed)?;
-        }
-        let pooled = tape.gap(x)?;
-        Ok(self.head.forward(tape, bind, store, pooled)?)
+        self.net.forward_train(tape, bind, inputs, mode)
     }
 
     /// Inference predictions on plain tensors.
     pub fn predict(&self, inputs: &Tensor) -> Result<Tensor> {
-        let mut x = inputs.clone();
-        for block in &self.blocks {
-            let mut outs = Vec::with_capacity(block.convs.len());
-            for conv in &block.convs {
-                outs.push(conv.eval_forward(&self.store, &x)?);
-            }
-            let cat = crate::inception::concat_channels_plain(&outs)?;
-            let normed = block.bn.eval_forward(&self.store, &cat)?;
-            x = normed.map(|v| v.max(0.0));
-        }
-        let pooled = crate::inception::gap_plain(&x)?;
-        Ok(self.head.eval_forward(&self.store, &pooled)?)
+        self.net.logits(inputs)
     }
 
     /// Supervised MSE training (teacher forecasters).
@@ -185,7 +138,7 @@ impl Forecaster {
                 batches += 1;
                 let grads = tape.backward(loss)?;
                 let pairs = bind.collect_grads(grads);
-                opt.step(&mut self.store, &pairs)?;
+                opt.step(self.net.store_mut(), &pairs)?;
             }
             last = loss_sum / batches.max(1) as f32;
         }
@@ -203,7 +156,7 @@ impl Forecaster {
     /// container of kind `forecaster`.
     pub fn save_bytes(&self) -> Result<Vec<u8>> {
         let config = config_bytes(&self.config.backbone, Some(self.config.out_len));
-        export(KIND, &config, &self.blocks, &self.store, StoreForm::Packed)
+        self.net.export(KIND, &config, StoreForm::Packed)
     }
 
     /// Loads a forecaster saved by [`Forecaster::save_bytes`].
@@ -211,7 +164,7 @@ impl Forecaster {
         let r = SectionReader::parse(bytes, KIND)?;
         let (backbone, out_len) = read_config(r.require("config")?, true)?;
         let mut model = Forecaster::new(ForecastConfig { backbone, out_len }, &mut seeded(0))?;
-        restore(&r, &mut model.blocks, &mut model.store, StoreForm::Packed)?;
+        model.net.restore(&r, StoreForm::Packed)?;
         Ok(model)
     }
 }
@@ -288,5 +241,17 @@ mod tests {
         cfg.out_len = 0;
         let mut rng = seeded(8);
         assert!(Forecaster::new(cfg, &mut rng).is_err());
+    }
+
+    #[test]
+    fn rejects_backbones_the_classifier_refuses() {
+        let s = task(12);
+        let mut rng = seeded(13);
+        let mut no_blocks = ForecastConfig::for_task(&s.train, 4, 32);
+        no_blocks.backbone.blocks.clear();
+        assert!(Forecaster::new(no_blocks, &mut rng).is_err());
+        let mut no_length = ForecastConfig::for_task(&s.train, 4, 32);
+        no_length.backbone.in_len = 0;
+        assert!(Forecaster::new(no_length, &mut rng).is_err());
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! The same type serves as the full-precision teacher (32-bit everywhere)
 //! and the quantized student: every block carries its own bit-width, exactly
-//! the `(L_j, F_j, W_j)` per-block search space of Section 3.3.1.
+//! the `(L_j, F_j, W_j)` per-block search space of Section 3.3.1. With its
+//! head read as regression outputs it is also the network of the
+//! [`Forecaster`](crate::forecaster::Forecaster).
 
 use crate::{Classifier, ModelError, Result};
 use lightts_data::LabeledDataset;
@@ -225,61 +227,6 @@ pub(crate) fn read_config(bytes: &[u8], with_head: bool) -> Result<(InceptionCon
     Ok((config, head_out))
 }
 
-/// Writes a model export of `kind`: the `config` section, each block's
-/// batch-norm running mean and variance (`bn`), and the parameter store in
-/// `form` (`params`).
-pub(crate) fn export(
-    kind: &str,
-    config: &[u8],
-    blocks: &[Block],
-    store: &ParamStore,
-    form: StoreForm,
-) -> Result<Vec<u8>> {
-    let mut bn = Vec::new();
-    for block in blocks {
-        let (mean, var) = block.bn.running_stats();
-        for &v in mean.iter().chain(var) {
-            bn.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    let mut w = SectionWriter::new(kind);
-    w.section("config", config);
-    w.section("bn", &bn);
-    w.section("params", &encode_store(store, form)?);
-    Ok(w.finish())
-}
-
-/// Restores the `bn` and `params` sections of an export into a model
-/// freshly built from its `config`, refusing parameters that differ from
-/// the built ones in name, shape or bit-width.
-pub(crate) fn restore(
-    r: &SectionReader<'_>,
-    blocks: &mut [Block],
-    store: &mut ParamStore,
-    form: StoreForm,
-) -> Result<()> {
-    let mut c = r.cursor("bn")?;
-    for block in blocks {
-        let n = block.bn.channels();
-        let mean = (0..n).map(|_| c.f32()).collect::<std::result::Result<Vec<_>, _>>()?;
-        let var = (0..n).map(|_| c.f32()).collect::<std::result::Result<Vec<_>, _>>()?;
-        block.bn.set_running_stats(&mean, &var)?;
-    }
-    c.finish()?;
-    let loaded = decode_store(r.require("params")?, form)?;
-    let same_layout = loaded.len() == store.len()
-        && store.iter().zip(loaded.iter()).all(|((_, a), (_, b))| {
-            a.name == b.name && a.value.dims() == b.value.dims() && a.bits == b.bits
-        });
-    if !same_layout {
-        return Err(ModelError::BadConfig {
-            what: "load: stored parameters do not match the configuration".into(),
-        });
-    }
-    *store = loaded;
-    Ok(())
-}
-
 /// Hyper-parameters for supervised training (used for teachers; students are
 /// trained by the distillation crate with composite losses).
 #[derive(Debug, Clone, Copy)]
@@ -302,12 +249,11 @@ impl Default for TrainConfig {
     }
 }
 
-/// One block's parallel convolutions and batch norm (shared with the
-/// forecaster, which stacks the same blocks).
+/// One block's parallel convolutions and batch norm.
 #[derive(Debug, Clone)]
-pub(crate) struct Block {
-    pub(crate) convs: Vec<Conv1d>,
-    pub(crate) bn: BatchNorm1d,
+struct Block {
+    convs: Vec<Conv1d>,
+    bn: BatchNorm1d,
 }
 
 /// An InceptionTime classifier instance.
@@ -323,6 +269,19 @@ pub struct InceptionTime {
 impl InceptionTime {
     /// Builds a randomly initialized model.
     pub fn new<R: Rng>(config: InceptionConfig, rng: &mut R) -> Result<Self> {
+        Self::build(config, "block", "fc", rng)
+    }
+
+    /// Builds a randomly initialized network with a `config.num_classes`-wide
+    /// linear head. Block `i` names its parameters `{prefix}{i}.conv{j}` and
+    /// `{prefix}{i}.bn`, and the head is named `head`; the names are part of
+    /// every export, so each model family keeps its own.
+    pub(crate) fn build<R: Rng>(
+        config: InceptionConfig,
+        prefix: &str,
+        head: &str,
+        rng: &mut R,
+    ) -> Result<Self> {
         config.validate()?;
         let mut store = ParamStore::new();
         let mut blocks = Vec::with_capacity(config.blocks.len());
@@ -334,7 +293,7 @@ impl InceptionTime {
                 convs.push(Conv1d::new(
                     &mut store,
                     rng,
-                    &format!("block{i}.conv{j}"),
+                    &format!("{prefix}{i}.conv{j}"),
                     cin,
                     config.filters,
                     k,
@@ -343,14 +302,14 @@ impl InceptionTime {
             }
             let bn = BatchNorm1d::new(
                 &mut store,
-                &format!("block{i}.bn"),
+                &format!("{prefix}{i}.bn"),
                 spec.layers * config.filters,
             )?;
             blocks.push(Block { convs, bn });
         }
         let last_c = config.blocks.last().map_or(0, |b| b.layers * config.filters);
         let fc_bits = config.blocks.last().map_or(32, |b| b.bits);
-        let fc = Linear::with_name(&mut store, rng, "fc", last_c, config.num_classes, fc_bits)?;
+        let fc = Linear::with_name(&mut store, rng, head, last_c, config.num_classes, fc_bits)?;
         Ok(InceptionTime { config, store, blocks, fc, name: "InceptionTime".to_string() })
     }
 
@@ -598,7 +557,7 @@ impl InceptionTime {
     /// (see [`lightts_nn::serialize`]); the loaded model's inference path is
     /// bit-identical to the saved one.
     pub fn save_bytes(&self) -> Result<Vec<u8>> {
-        self.save_as(KIND, StoreForm::Packed)
+        self.export(KIND, &config_bytes(&self.config, None), StoreForm::Packed)
     }
 
     /// Serializes the model at **full precision** — same sections as
@@ -611,11 +570,25 @@ impl InceptionTime {
     /// Loading via [`load_bytes_exact`](Self::load_bytes_exact) is
     /// bit-identical; the two kinds reject each other's bytes.
     pub fn save_bytes_exact(&self) -> Result<Vec<u8>> {
-        self.save_as(KIND_EXACT, StoreForm::Exact)
+        self.export(KIND_EXACT, &config_bytes(&self.config, None), StoreForm::Exact)
     }
 
-    fn save_as(&self, kind: &str, form: StoreForm) -> Result<Vec<u8>> {
-        export(kind, &config_bytes(&self.config, None), &self.blocks, &self.store, form)
+    /// Writes an export of `kind`: the given `config` section, each block's
+    /// batch-norm running mean and variance (`bn`), and the parameter store
+    /// in `form` (`params`).
+    pub(crate) fn export(&self, kind: &str, config: &[u8], form: StoreForm) -> Result<Vec<u8>> {
+        let mut bn = Vec::new();
+        for block in &self.blocks {
+            let (mean, var) = block.bn.running_stats();
+            for &v in mean.iter().chain(var) {
+                bn.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let mut w = SectionWriter::new(kind);
+        w.section("config", config);
+        w.section("bn", &bn);
+        w.section("params", &encode_store(&self.store, form)?);
+        Ok(w.finish())
     }
 
     /// Loads a model saved by [`InceptionTime::save_bytes`].
@@ -634,8 +607,34 @@ impl InceptionTime {
         let (config, _) = read_config(r.require("config")?, false)?;
         // rebuild the structure deterministically, then overwrite its state
         let mut model = InceptionTime::new(config, &mut seeded(0))?;
-        restore(&r, &mut model.blocks, &mut model.store, form)?;
+        model.restore(&r, form)?;
         Ok(model)
+    }
+
+    /// Restores the `bn` and `params` sections of an export into a network
+    /// freshly built from its `config`, refusing parameters that differ
+    /// from the built ones in name, shape or bit-width.
+    pub(crate) fn restore(&mut self, r: &SectionReader<'_>, form: StoreForm) -> Result<()> {
+        let mut c = r.cursor("bn")?;
+        for block in &mut self.blocks {
+            let n = block.bn.channels();
+            let mean = (0..n).map(|_| c.f32()).collect::<std::result::Result<Vec<_>, _>>()?;
+            let var = (0..n).map(|_| c.f32()).collect::<std::result::Result<Vec<_>, _>>()?;
+            block.bn.set_running_stats(&mean, &var)?;
+        }
+        c.finish()?;
+        let loaded = decode_store(r.require("params")?, form)?;
+        let same_layout = loaded.len() == self.store.len()
+            && self.store.iter().zip(loaded.iter()).all(|((_, a), (_, b))| {
+                a.name == b.name && a.value.dims() == b.value.dims() && a.bits == b.bits
+            });
+        if !same_layout {
+            return Err(ModelError::BadConfig {
+                what: "load: stored parameters do not match the configuration".into(),
+            });
+        }
+        self.store = loaded;
+        Ok(())
     }
 }
 
@@ -654,7 +653,7 @@ impl Classifier for InceptionTime {
 }
 
 /// Channel-wise concatenation of `[b, c_i, l]` tensors (inference path).
-pub(crate) fn concat_channels_plain(parts: &[Tensor]) -> Result<Tensor> {
+fn concat_channels_plain(parts: &[Tensor]) -> Result<Tensor> {
     let first =
         parts.first().ok_or_else(|| ModelError::BadConfig { what: "concat of nothing".into() })?;
     let (b, l) = (first.dims()[0], first.dims()[2]);
@@ -674,7 +673,7 @@ pub(crate) fn concat_channels_plain(parts: &[Tensor]) -> Result<Tensor> {
 }
 
 /// Global average pooling `[b,c,l] → [b,c]` (inference path).
-pub(crate) fn gap_plain(x: &Tensor) -> Result<Tensor> {
+fn gap_plain(x: &Tensor) -> Result<Tensor> {
     let (b, c, l) = (x.dims()[0], x.dims()[1], x.dims()[2]);
     let mut out = vec![0.0f32; b * c];
     for bi in 0..b {

@@ -380,11 +380,6 @@ impl Span {
         Span(None)
     }
 
-    /// Whether this span will emit on drop.
-    pub fn active(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Attaches a field after creation (results computed inside the span).
     /// No-op on an inert span.
     pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {

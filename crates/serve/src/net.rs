@@ -30,7 +30,7 @@
 //! scheduler shards *before* closing the front door's sockets.
 
 use crate::wire::{self, Reply, WireError};
-use crate::{Pending, Result, ServeError, Server, ServerHandle};
+use crate::{Pending, ServeError, Server, ServerHandle};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -597,32 +597,4 @@ impl<S: Read + Write> NetClient<S> {
         }
         Err(last.unwrap_or(NetError::Serve(ServeError::DeadlineExceeded)))
     }
-}
-
-/// Convenience conversion for tests comparing remote vs in-process
-/// results: unwraps [`NetError::Serve`] into the inner [`ServeError`].
-impl NetError {
-    /// The typed [`ServeError`] if this is a server-side failure.
-    pub fn serve_error(self) -> Option<ServeError> {
-        match self {
-            NetError::Serve(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// As a `crate::Result`-shaped error for direct comparison with
-    /// in-process submission results (transport/protocol failures map to
-    /// [`ServeError::Inference`] with the rendering).
-    pub fn into_serve_error(self) -> ServeError {
-        match self {
-            NetError::Serve(e) => e,
-            other => ServeError::Inference { what: other.to_string() },
-        }
-    }
-}
-
-/// Maps a remote predict result into the same shape as
-/// [`ServerHandle::predict`] for equivalence assertions.
-pub fn as_serve_result(r: std::result::Result<Vec<f32>, NetError>) -> Result<Vec<f32>> {
-    r.map_err(NetError::into_serve_error)
 }

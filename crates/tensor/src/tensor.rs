@@ -178,18 +178,6 @@ impl Tensor {
     // Shape manipulation
     // ------------------------------------------------------------------
 
-    /// Returns the same data under a new shape of equal volume.
-    pub fn reshape(&self, dims: &[usize]) -> Result<Self> {
-        let shape = Shape::new(dims);
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                len: self.data.len(),
-                expected: shape.volume(),
-            });
-        }
-        Ok(Tensor { shape, data: crate::pool::take_copy(&self.data) })
-    }
-
     /// Transposes a rank-2 tensor.
     pub fn transpose2(&self) -> Result<Self> {
         if self.rank() != 2 {
