@@ -1,22 +1,31 @@
-//! Golden-training regression test: a tiny seeded AED run must keep
-//! producing the same student, byte for byte, across commits.
+//! Golden-training regression tests: tiny seeded training runs must keep
+//! producing the same bits across commits.
 //!
 //! `tests/golden_model.rs` pins inference on a fixed export, and
 //! `tests/reproducibility.rs` compares two runs of one build. This file
-//! pins *training*: data generation, the conv / batch-norm / fake-quant
-//! forward and backward passes, the losses, Adam and one outer λ step of
-//! Algorithm 1 all feed the student's full-precision snapshot
-//! (`save_bytes_exact`), which is compared against a committed fixture.
-//! Any change to a kernel's reduction order, to the optimizer or to the
-//! AED loop shows up here as a byte difference.
+//! pins *training*, with two recipes:
 //!
-//! The binary forces the scalar SIMD backend, so the fixture does not
+//! - **Student:** data generation, the conv / batch-norm / fake-quant
+//!   forward and backward passes, the losses, Adam and one outer λ step of
+//!   Algorithm 1 all feed the student's full-precision snapshot
+//!   (`save_bytes_exact`), which is compared against a committed fixture.
+//! - **Teachers:** `train_ensemble` trains a two-member InceptionTime
+//!   ensemble (per-member seeds through `derive_seed`, `InceptionTime::fit`
+//!   with Adam), and `TeacherProbs::compute` evaluates it on the train and
+//!   validation splits; the probabilities' bit patterns are compared against
+//!   a second fixture.
+//!
+//! Any change to a kernel's reduction order, to the optimizer, to the seed
+//! derivation or to the AED loop shows up here as a byte difference.
+//!
+//! The binary forces the scalar SIMD backend, so the fixtures do not
 //! depend on whether the host has FMA (`docs/NUMERICS.md`).
 //!
 //! To regenerate after an *intentional* change to the training numerics:
 //!
 //! ```text
 //! cargo test --test golden_training -- --ignored regenerate_golden_training_fixture
+//! cargo test --test golden_training -- --ignored regenerate_golden_teacher_fixture
 //! ```
 
 use lightts::data::synth::{Generator, SynthConfig};
@@ -25,7 +34,8 @@ use lightts::distill::aed::{run_aed, AedConfig};
 use lightts::distill::trainer::StudentTrainOpts;
 use lightts::distill::weights::WeightTransform;
 use lightts::distill::TeacherProbs;
-use lightts::models::inception::{BlockSpec, InceptionConfig};
+use lightts::models::ensemble::{train_ensemble, BaseModelKind, EnsembleTrainConfig};
+use lightts::models::inception::{BlockSpec, InceptionConfig, TrainConfig};
 use lightts::runtime::{set_simd_backend, SimdBackend};
 use lightts::tensor::Tensor;
 
@@ -105,4 +115,51 @@ fn regenerate_golden_training_fixture() {
     let bytes = train_golden_student();
     std::fs::write(dir.join("golden_training_student.bin"), &bytes).unwrap();
     assert_eq!(bytes, train_golden_student(), "the recipe must be deterministic");
+}
+
+/// Runs the teacher recipe: a two-member InceptionTime ensemble (4 filters,
+/// 3 epochs, batch 8, Adam) trained on the train split, then both members'
+/// class distributions over the train and validation splits. Returns the
+/// little-endian bit patterns of the train probabilities (member by member)
+/// followed by the validation ones.
+fn teacher_prob_bytes() -> Vec<u8> {
+    set_simd_backend(SimdBackend::Scalar);
+    let s = splits();
+    let cfg = EnsembleTrainConfig {
+        n_members: 2,
+        seed: 11,
+        filters: 4,
+        inception: TrainConfig { epochs: 3, batch_size: 8, lr: 0.01, adam: true, seed: 0 },
+        ..EnsembleTrainConfig::default()
+    };
+    let ensemble = train_ensemble(BaseModelKind::InceptionTime, &s.train, &cfg).unwrap();
+    let probs = TeacherProbs::compute(&ensemble, &s).unwrap();
+    probs
+        .train
+        .iter()
+        .chain(&probs.val)
+        .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
+        .collect()
+}
+
+#[test]
+fn seeded_teacher_ensemble_reproduces_committed_probabilities() {
+    let expected: &[u8] = include_bytes!("fixtures/golden_teacher_probs.bin");
+    let got = teacher_prob_bytes();
+    assert_eq!(got.len(), expected.len(), "teacher probability length changed");
+    if let Some(i) = got.iter().zip(expected).position(|(a, b)| a != b) {
+        panic!("teacher probabilities differ from the committed fixture first at byte {i}");
+    }
+}
+
+/// Rewrites the committed teacher fixture from the recipe above. Ignored by
+/// default; run explicitly after an intentional numerics change.
+#[test]
+#[ignore = "writes the committed fixture file"]
+fn regenerate_golden_teacher_fixture() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bytes = teacher_prob_bytes();
+    std::fs::write(dir.join("golden_teacher_probs.bin"), &bytes).unwrap();
+    assert_eq!(bytes, teacher_prob_bytes(), "the recipe must be deterministic");
 }
