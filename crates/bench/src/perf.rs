@@ -10,6 +10,7 @@
 //! artifact, which is how the conv kernel timings and the ≥2×
 //! AVX2-vs-scalar SIMD acceptance numbers are recorded.
 
+use lightts_obs::json_string;
 use lightts_obs::jsonl::{parse, Json};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -49,30 +50,14 @@ impl KernelRecord {
     fn to_json_line(&self) -> String {
         format!(
             "{{\"op\":{},\"shape\":{},\"median_ns\":{:.1},\"threads\":{},\"scale\":{},\"backend\":{}}}",
-            escape(&self.op),
-            escape(&self.shape),
+            json_string(&self.op),
+            json_string(&self.shape),
             self.median_ns,
             self.threads,
-            escape(&self.scale),
-            escape(&self.backend)
+            json_string(&self.scale),
+            json_string(&self.backend)
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The measurement scale in effect: `smoke` under `LIGHTTS_BENCH_SMOKE`
@@ -181,10 +166,10 @@ impl ServeRecord {
         format!(
             "{{\"bench\":{},\"shards\":{},\"concurrency\":{},\"scale\":{},\
              \"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p99_us\":{:.1},\"shed_rate\":{:.4}}}",
-            escape(&self.bench),
+            json_string(&self.bench),
             self.shards,
             self.concurrency,
-            escape(&self.scale),
+            json_string(&self.scale),
             self.throughput_rps,
             self.p50_us,
             self.p99_us,
@@ -352,6 +337,23 @@ mod tests {
         assert_eq!(back.iter().find(|r| r.shards == 2).unwrap().p99_us, 450.0);
         assert_eq!(back.iter().find(|r| r.shards == 1).unwrap().p99_us, 900.0);
         std::fs::remove_file(&p).unwrap();
+    }
+
+    /// The committed artifacts are the writers' own output: re-writing
+    /// them with no new rows reproduces them byte for byte.
+    #[test]
+    fn committed_artifacts_rewrite_unchanged() {
+        let kernels = temp_path("committed_kernels");
+        std::fs::copy(default_path(), &kernels).unwrap();
+        write_records(&kernels, &[]).unwrap();
+        let serve = temp_path("committed_serve");
+        std::fs::copy(default_serve_path(), &serve).unwrap();
+        write_serve_records(&serve, &[]).unwrap();
+        for (rewritten, committed) in [(kernels, default_path()), (serve, default_serve_path())] {
+            let same = std::fs::read(&rewritten).unwrap() == std::fs::read(&committed).unwrap();
+            std::fs::remove_file(&rewritten).unwrap();
+            assert!(same, "{} changes when re-written", committed.display());
+        }
     }
 
     #[test]

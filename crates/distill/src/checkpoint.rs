@@ -168,7 +168,8 @@ mod tests {
         let opts = StudentTrainOpts { epochs: 1, batch_size: 12, ..Default::default() };
         let path = tmp("wrongcfg.ckpt");
         let _ = std::fs::remove_file(&path);
-        train_student_checkpointed(&tiny_student(2, 8), &train, &[q.clone()], &[1.0], &opts, &path)
+        let teachers = std::slice::from_ref(&q);
+        train_student_checkpointed(&tiny_student(2, 8), &train, teachers, &[1.0], &opts, &path)
             .unwrap();
         // resuming with a different bit-width must refuse
         let err =

@@ -122,19 +122,6 @@ impl Ensemble {
     pub fn member_probs_dataset(&self, ds: &LabeledDataset) -> Result<Vec<Tensor>> {
         self.members.iter().map(|m| m.predict_proba_dataset(ds)).collect()
     }
-
-    /// Builds a sub-ensemble keeping only the members at `keep` (used by
-    /// teacher removal).
-    pub fn subset_probs(member_probs: &[Tensor], keep: &[usize]) -> Result<Vec<Tensor>> {
-        keep.iter()
-            .map(|&i| {
-                member_probs
-                    .get(i)
-                    .cloned()
-                    .ok_or(ModelError::BadConfig { what: format!("no member {i}") })
-            })
-            .collect()
-    }
 }
 
 impl Classifier for Ensemble {
@@ -283,15 +270,5 @@ mod tests {
         let train = data(2, 16, 73);
         let cfg = EnsembleTrainConfig { n_members: 0, ..quick_cfg(1) };
         assert!(train_ensemble(BaseModelKind::Forest, &train, &cfg).is_err());
-    }
-
-    #[test]
-    fn subset_probs_selects_members() {
-        let t = |v: f32| Tensor::full(&[2, 2], v);
-        let all = vec![t(0.1), t(0.2), t(0.3)];
-        let sub = Ensemble::subset_probs(&all, &[2, 0]).unwrap();
-        assert_eq!(sub[0].data()[0], 0.3);
-        assert_eq!(sub[1].data()[0], 0.1);
-        assert!(Ensemble::subset_probs(&all, &[5]).is_err());
     }
 }

@@ -44,119 +44,6 @@ pub fn top_k_accuracy(probs: &Tensor, labels: &[usize], k: usize) -> Result<f64>
     Ok(hits as f64 / b as f64)
 }
 
-/// A confusion matrix: `counts[true][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from predicted distributions and true labels.
-    pub fn from_probs(probs: &Tensor, labels: &[usize]) -> Result<Self> {
-        if probs.rank() != 2 {
-            return Err(ModelError::BadConfig { what: "confusion expects [batch, k]".into() });
-        }
-        let (b, k) = (probs.dims()[0], probs.dims()[1]);
-        if labels.len() != b {
-            return Err(ModelError::BadConfig {
-                what: format!("labels length {} != batch {b}", labels.len()),
-            });
-        }
-        let mut counts = vec![vec![0usize; k]; k];
-        for (bi, &label) in labels.iter().enumerate() {
-            if label >= k {
-                return Err(ModelError::BadConfig {
-                    what: format!("label {label} out of {k} classes"),
-                });
-            }
-            let row = Tensor::from_vec(probs.data()[bi * k..(bi + 1) * k].to_vec(), &[k])?;
-            counts[label][row.argmax()?] += 1;
-        }
-        Ok(ConfusionMatrix { counts })
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Count of series with true class `t` predicted as class `p`.
-    pub fn get(&self, t: usize, p: usize) -> usize {
-        self.counts[t][p]
-    }
-
-    /// Per-class recall (diagonal over row sums; 0 for absent classes).
-    pub fn recall(&self) -> Vec<f64> {
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(t, row)| {
-                let total: usize = row.iter().sum();
-                if total == 0 {
-                    0.0
-                } else {
-                    row[t] as f64 / total as f64
-                }
-            })
-            .collect()
-    }
-
-    /// Per-class precision (diagonal over column sums; 0 for never-predicted
-    /// classes).
-    pub fn precision(&self) -> Vec<f64> {
-        let k = self.counts.len();
-        (0..k)
-            .map(|p| {
-                let col: usize = self.counts.iter().map(|row| row[p]).sum();
-                if col == 0 {
-                    0.0
-                } else {
-                    self.counts[p][p] as f64 / col as f64
-                }
-            })
-            .collect()
-    }
-
-    /// Overall accuracy (trace over total).
-    pub fn accuracy(&self) -> f64 {
-        let total: usize = self.counts.iter().map(|r| r.iter().sum::<usize>()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let trace: usize = self.counts.iter().enumerate().map(|(i, r)| r[i]).sum();
-        trace as f64 / total as f64
-    }
-}
-
-/// Mean per-class (balanced) accuracy; robust to class imbalance.
-pub fn balanced_accuracy(probs: &Tensor, labels: &[usize]) -> Result<f64> {
-    let (b, classes) = (probs.dims()[0], probs.dims()[1]);
-    if labels.len() != b {
-        return Err(ModelError::BadConfig {
-            what: format!("labels length {} != batch {b}", labels.len()),
-        });
-    }
-    let mut correct = vec![0usize; classes];
-    let mut total = vec![0usize; classes];
-    for (bi, &label) in labels.iter().enumerate() {
-        total[label] += 1;
-        let row =
-            Tensor::from_vec(probs.data()[bi * classes..(bi + 1) * classes].to_vec(), &[classes])?;
-        if row.argmax()? == label {
-            correct[label] += 1;
-        }
-    }
-    let mut acc = 0.0f64;
-    let mut seen = 0usize;
-    for c in 0..classes {
-        if total[c] > 0 {
-            acc += correct[c] as f64 / total[c] as f64;
-            seen += 1;
-        }
-    }
-    Ok(if seen > 0 { acc / seen as f64 } else { 0.0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,43 +85,5 @@ mod tests {
         assert!(top_k_accuracy(&p, &[0, 0], 1).is_err());
         assert!(top_k_accuracy(&p, &[0, 0, 9], 1).is_err());
         assert!(top_k_accuracy(&p, &[0, 0, 0], 0).is_err());
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_derived_metrics() {
-        // rows: true 0 predicted 0; true 0 predicted 1; true 1 predicted 1
-        let p = Tensor::from_vec(vec![0.9, 0.1, 0.2, 0.8, 0.3, 0.7], &[3, 2]).unwrap();
-        let cm = ConfusionMatrix::from_probs(&p, &[0, 0, 1]).unwrap();
-        assert_eq!(cm.get(0, 0), 1);
-        assert_eq!(cm.get(0, 1), 1);
-        assert_eq!(cm.get(1, 1), 1);
-        assert_eq!(cm.get(1, 0), 0);
-        assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-12);
-        let recall = cm.recall();
-        assert!((recall[0] - 0.5).abs() < 1e-12);
-        assert!((recall[1] - 1.0).abs() < 1e-12);
-        let precision = cm.precision();
-        assert!((precision[0] - 1.0).abs() < 1e-12);
-        assert!((precision[1] - 0.5).abs() < 1e-12);
-        // consistency with the accuracy() metric
-        assert!((cm.accuracy() - accuracy(&p, &[0, 0, 1]).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_matrix_rejects_bad_input() {
-        let p = Tensor::full(&[2, 2], 0.5);
-        assert!(ConfusionMatrix::from_probs(&p, &[0]).is_err());
-        assert!(ConfusionMatrix::from_probs(&p, &[0, 5]).is_err());
-    }
-
-    #[test]
-    fn balanced_accuracy_weights_classes_equally() {
-        // 3 rows of class 0 (all correct), 1 row of class 1 (wrong)
-        let p = Tensor::from_vec(vec![0.9, 0.1, 0.9, 0.1, 0.9, 0.1, 0.9, 0.1], &[4, 2]).unwrap();
-        let labels = [0usize, 0, 0, 1];
-        let plain = accuracy(&p, &labels).unwrap();
-        let balanced = balanced_accuracy(&p, &labels).unwrap();
-        assert!((plain - 0.75).abs() < 1e-12);
-        assert!((balanced - 0.5).abs() < 1e-12);
     }
 }

@@ -14,18 +14,6 @@ pub fn he_normal<R: Rng>(rng: &mut R, dims: &[usize], fan_in: usize) -> Tensor {
     Tensor::randn(rng, dims, std)
 }
 
-/// Glorot (Xavier) uniform initialization:
-/// `U(−a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn glorot_uniform<R: Rng>(
-    rng: &mut R,
-    dims: &[usize],
-    fan_in: usize,
-    fan_out: usize,
-) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Tensor::rand_uniform(rng, dims, -a, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,13 +27,5 @@ mod tests {
         let std = |t: &Tensor| (t.map(|x| x * x).mean() - t.mean() * t.mean()).sqrt();
         assert!(std(&wide) < std(&narrow));
         assert!((std(&narrow) - (2.0f32 / 10.0).sqrt()).abs() < 0.02);
-    }
-
-    #[test]
-    fn glorot_uniform_is_bounded() {
-        let mut rng = seeded(2);
-        let t = glorot_uniform(&mut rng, &[1000], 8, 8);
-        let a = (6.0f32 / 16.0).sqrt();
-        assert!(t.max() <= a && t.min() >= -a);
     }
 }

@@ -38,7 +38,6 @@
 mod error;
 mod param;
 
-pub mod act;
 pub mod init;
 pub mod layers;
 pub mod loss;

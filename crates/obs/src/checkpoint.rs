@@ -343,7 +343,7 @@ mod tests {
         atomic_write(&path, b"state-v2").unwrap();
         assert_eq!(read_checkpoint(&path).unwrap().as_deref(), Some(&b"state-v2"[..]));
         assert!(writes.get() >= w0 + 2);
-        assert!(resumes.get() >= r0 + 1);
+        assert!(resumes.get() > r0);
         assert!(!temp_path(&path).exists(), "temp file left behind");
         std::fs::remove_file(&path).unwrap();
     }

@@ -46,6 +46,7 @@
 //! `Ok(())` — after one relaxed load and nothing else — when no spec is
 //! armed.
 
+use crate::splitmix64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -147,13 +148,6 @@ fn parse_spec(spec: &str) -> Result<HashMap<String, Point>, String> {
         map.insert(name.trim().to_string(), Point { action, trigger, hits: 0 });
     }
     Ok(map)
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// FNV-1a, mixing a point's name into its probabilistic-trigger stream so

@@ -445,7 +445,7 @@ mod tests {
 
     #[test]
     fn trace_linkage_accepts_nested_stages() {
-        let lines = vec![
+        let lines = [
             span_line("serve.queue_wait", 7, 1_050.0, 50.0),
             span_line("serve.fuse", 7, 1_060.0, 10.0),
             span_line("serve.forward", 7, 1_160.0, 100.0),

@@ -131,3 +131,14 @@ pub use span::{
     take_memory, FieldValue, Fields, SinkTarget, Span,
 };
 pub use trace::TraceCtx;
+
+/// The SplitMix64 mixer: adds the golden-ratio increment
+/// `0x9E37_79B9_7F4A_7C15` to `z` and finalizes the sum, so nearby inputs
+/// give decorrelated outputs. Every deterministic hash of the workspace
+/// (seeds, trace ids, failpoint schedules, routing, retry jitter) calls it.
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -260,17 +260,6 @@ impl HistogramSnapshot {
         }
         bucket_upper(HISTOGRAM_BUCKETS - 1) as f64
     }
-
-    /// Upper bound of the highest non-empty bucket (0 if empty) — a cheap
-    /// over-approximation of the maximum observation.
-    pub fn max_bound(&self) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &c)| c > 0)
-            .map_or(0, |(i, _)| bucket_upper(i))
-    }
 }
 
 /// One registered metric: a shared handle plus its kind.
@@ -628,7 +617,6 @@ mod tests {
         let p99 = s.quantile(0.99);
         assert!((8192.0..=16384.0).contains(&p99), "p99 {p99}");
         assert!(s.quantile(0.0) <= s.quantile(1.0));
-        assert!(s.max_bound() >= 10_000);
     }
 
     #[test]
@@ -637,7 +625,6 @@ mod tests {
         assert_eq!(s.count, 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.quantile(0.99), 0.0);
-        assert_eq!(s.max_bound(), 0);
     }
 
     #[test]

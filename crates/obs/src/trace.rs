@@ -19,6 +19,7 @@
 //! live spans even when no JSONL sink is configured. When the ring is off
 //! (the default) it costs nothing.
 
+use crate::splitmix64;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -26,13 +27,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Default ring capacity used by the telemetry HTTP server.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Returns a fresh process-unique, non-zero trace id.
 ///

@@ -132,10 +132,7 @@ fn openmetrics_negotiation_over_the_wire() {
     let srv = http::spawn(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
     let addr = srv.addr();
 
-    let classic = get_raw(
-        addr,
-        format!("GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
-    );
+    let classic = get_raw(addr, b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
     assert!(classic.contains("text/plain; version=0.0.4"), "{classic}");
     assert!(!classic.contains("trace_id"), "classic exposition must not carry exemplars");
 

@@ -143,15 +143,6 @@ impl TwoPhaseEncoder {
         Ok(self.encode_batch(&oh)?.into_vec())
     }
 
-    /// Reconstructs a batch of one-hot settings through the autoencoder
-    /// (`Γ(Φ(x))`), for inspecting reconstruction quality.
-    pub fn reconstruct(&self, onehot: &Tensor) -> Result<Tensor> {
-        let z = self.encode_batch(onehot)?;
-        let h = self.dec1.eval_forward(&self.store, &z)?;
-        let h = h.map(|v| v.max(0.0));
-        Ok(self.dec2.eval_forward(&self.store, &h)?)
-    }
-
     /// Predicted accuracy of a setting via `Ψ(Φ(x))`.
     pub fn predict_accuracy(&self, space: &SearchSpace, setting: &StudentSetting) -> Result<f32> {
         let oh = Tensor::from_vec(space.encode_onehot(setting), &[1, self.input_dim])?;

@@ -422,6 +422,12 @@ impl From<WireError> for NetError {
     }
 }
 
+impl From<ServeError> for NetError {
+    fn from(e: ServeError) -> NetError {
+        NetError::Serve(e)
+    }
+}
+
 /// A blocking `LTSP` client over any byte stream (TCP, Unix socket, or an
 /// in-memory pipe in tests).
 ///
@@ -518,6 +524,11 @@ impl<S: Read + Write> NetClient<S> {
         input: &[f32],
     ) -> std::result::Result<Vec<f32>, NetError> {
         let id = self.send(model, input, None)?;
+        self.recv_reply_to(id)
+    }
+
+    /// Receives the next reply, which must answer request `id`.
+    fn recv_reply_to(&mut self, id: u64) -> std::result::Result<Vec<f32>, NetError> {
         match self.recv()? {
             Reply::Ok { request_id, probs } if request_id == id => Ok(probs),
             Reply::Ok { request_id, .. } => Err(NetError::Io(io::Error::new(
@@ -555,46 +566,14 @@ impl<S: Read + Write> NetClient<S> {
     ) -> std::result::Result<Vec<f32>, NetError> {
         let id = self.next_id;
         self.next_id += 1;
-        let overall = deadline.map(|d| std::time::Instant::now() + d);
-        let mut last: Option<NetError> = None;
-        for attempt in 1..=policy.attempts() {
-            let left = match overall {
-                Some(dl) => {
-                    let left = dl.saturating_duration_since(std::time::Instant::now());
-                    if left.is_zero() {
-                        return Err(last.unwrap_or(NetError::Serve(ServeError::DeadlineExceeded)));
-                    }
-                    Some(left)
-                }
-                None => None,
-            };
-            self.send_with_id(id, model, input, left)?;
-            match self.recv()? {
-                Reply::Ok { request_id, probs } if request_id == id => return Ok(probs),
-                Reply::Ok { request_id, .. } => {
-                    return Err(NetError::Io(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("reply id {request_id} does not match request id {id}"),
-                    )))
-                }
-                Reply::Err { error, .. } => {
-                    if error.is_retryable() && attempt < policy.attempts() {
-                        let sleep = policy.backoff(attempt, id);
-                        if let Some(dl) = overall {
-                            if std::time::Instant::now() + sleep >= dl {
-                                return Err(NetError::Serve(error));
-                            }
-                        }
-                        if !sleep.is_zero() {
-                            std::thread::sleep(sleep);
-                        }
-                        last = Some(NetError::Serve(error));
-                    } else {
-                        return Err(NetError::Serve(error));
-                    }
-                }
-            }
-        }
-        Err(last.unwrap_or(NetError::Serve(ServeError::DeadlineExceeded)))
+        policy.run(
+            id,
+            deadline,
+            |left| {
+                self.send_with_id(id, model, input, left)?;
+                self.recv_reply_to(id)
+            },
+            |e| matches!(e, NetError::Serve(s) if s.is_retryable()),
+        )
     }
 }

@@ -21,13 +21,16 @@
 //! submission inherits only the *remaining* budget, and a backoff sleep
 //! that would cross the deadline is never taken — the last error returns
 //! instead. Retries can therefore never make a caller wait longer than
-//! its deadline (the chaos suite asserts this).
+//! its deadline (the chaos suite asserts this). Both clients run this one
+//! loop, `RetryPolicy::run`; each supplies only its attempt and its
+//! retryable class.
 //!
 //! [`ServerHandle::predict_with_retry`]: crate::ServerHandle::predict_with_retry
 //! [`NetClient::predict_with_retry`]: crate::NetClient::predict_with_retry
 
-use crate::server::splitmix64;
-use std::time::Duration;
+use crate::ServeError;
+use lightts_obs::splitmix64;
+use std::time::{Duration, Instant};
 
 /// Hard cap on a single backoff sleep, whatever the exponent says.
 pub const MAX_BACKOFF: Duration = Duration::from_secs(1);
@@ -80,6 +83,46 @@ impl RetryPolicy {
         let frac = (splitmix64(key ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
         full.mul_f64(1.0 - frac * jitter as f64 / 100.0)
     }
+
+    /// Runs `attempt` until it succeeds, fails with an error `retryable`
+    /// rejects, or the attempts run out, sleeping [`backoff`](Self::backoff)
+    /// (jittered by `key`) between tries.
+    ///
+    /// Each call of `attempt` gets the remaining slice of `deadline`
+    /// (`None` without one). A backoff that would end at or past the
+    /// deadline is not slept: the error that prompted it returns at once.
+    /// When the deadline has already passed before an attempt, the last
+    /// error returns, or [`ServeError::DeadlineExceeded`] if there was none.
+    pub(crate) fn run<T, E: From<ServeError>>(
+        &self,
+        key: u64,
+        deadline: Option<Duration>,
+        mut attempt: impl FnMut(Option<Duration>) -> Result<T, E>,
+        retryable: impl Fn(&E) -> bool,
+    ) -> Result<T, E> {
+        let overall = deadline.map(|d| Instant::now() + d);
+        let mut last = None;
+        for n in 1..=self.attempts() {
+            let left = overall.map(|dl| dl.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|l| l.is_zero()) {
+                break;
+            }
+            match attempt(left) {
+                Err(e) if retryable(&e) && n < self.attempts() => {
+                    let sleep = self.backoff(n, key);
+                    if overall.is_some_and(|dl| Instant::now() + sleep >= dl) {
+                        return Err(e);
+                    }
+                    if !sleep.is_zero() {
+                        std::thread::sleep(sleep);
+                    }
+                    last = Some(e);
+                }
+                outcome => return outcome,
+            }
+        }
+        Err(last.unwrap_or_else(|| ServeError::DeadlineExceeded.into()))
+    }
 }
 
 #[cfg(test)]
@@ -102,6 +145,68 @@ mod tests {
         // Pure: same (attempt, key) → same backoff; different keys differ.
         assert_eq!(b, j.backoff(2, 9));
         assert_ne!(j.backoff(2, 9), j.backoff(2, 10));
+    }
+
+    fn overloaded() -> ServeError {
+        ServeError::Overloaded { model: "m".into(), max_queue: 1 }
+    }
+
+    /// Runs `policy` over a scripted attempt that answers from `script` in
+    /// order; returns the outcome and the deadline slices the attempts saw.
+    fn scripted(
+        policy: RetryPolicy,
+        deadline: Option<Duration>,
+        script: Vec<Result<u32, ServeError>>,
+    ) -> (Result<u32, ServeError>, Vec<Option<Duration>>) {
+        let mut script = script.into_iter();
+        let mut seen = Vec::new();
+        let out = policy.run(
+            7,
+            deadline,
+            |left| {
+                seen.push(left);
+                script.next().expect("attempted more often than scripted")
+            },
+            ServeError::is_retryable,
+        );
+        (out, seen)
+    }
+
+    #[test]
+    fn run_retries_retryable_failures_until_success() {
+        let p = RetryPolicy { max_attempts: 3, base_backoff: Duration::from_millis(1), jitter: 0 };
+        let (out, seen) = scripted(p, None, vec![Err(overloaded()), Err(overloaded()), Ok(5)]);
+        assert_eq!(out, Ok(5));
+        assert_eq!(seen, vec![None; 3]);
+    }
+
+    #[test]
+    fn run_stops_at_a_non_retryable_error() {
+        let p = RetryPolicy { max_attempts: 3, base_backoff: Duration::from_millis(1), jitter: 0 };
+        let (out, seen) = scripted(p, None, vec![Err(ServeError::Shutdown)]);
+        assert_eq!(out, Err(ServeError::Shutdown));
+        assert_eq!(seen.len(), 1);
+    }
+
+    #[test]
+    fn run_never_sleeps_past_the_deadline() {
+        // The first backoff (1 s) outlasts the whole 200 ms budget: the
+        // error returns at once instead of sleeping.
+        let p = RetryPolicy { max_attempts: 3, base_backoff: Duration::from_secs(1), jitter: 0 };
+        let deadline = Duration::from_millis(200);
+        let start = Instant::now();
+        let (out, seen) = scripted(p, Some(deadline), vec![Err(overloaded())]);
+        assert!(start.elapsed() < deadline, "slept {:?}", start.elapsed());
+        assert_eq!(out, Err(overloaded()));
+        assert_eq!(seen.len(), 1);
+        assert!(seen[0].is_some_and(|left| left <= deadline));
+    }
+
+    #[test]
+    fn run_under_none_tries_once() {
+        let (out, seen) = scripted(RetryPolicy::none(), None, vec![Err(overloaded())]);
+        assert_eq!(out, Err(overloaded()));
+        assert_eq!(seen.len(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::stats::{ServeStats, StatsInner};
 use crate::supervisor;
 use crate::{Result, ServeError};
 use lightts_obs as obs;
-use obs::TraceCtx;
+use obs::{splitmix64, TraceCtx};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -125,13 +125,6 @@ impl Default for ServeConfig {
             circuit_cooldown: Duration::from_millis(250),
         }
     }
-}
-
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Picks which of a model's `replicas` a request id routes to.
@@ -842,42 +835,18 @@ impl ServerHandle {
         deadline: Option<Duration>,
     ) -> Result<Vec<f32>> {
         let key = TraceCtx::mint().trace_id;
-        let overall = deadline.map(|d| Instant::now() + d);
-        let mut last: Option<ServeError> = None;
-        for attempt in 1..=policy.attempts() {
-            let left = match overall {
-                Some(dl) => {
-                    let left = dl.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(last.unwrap_or(ServeError::DeadlineExceeded));
-                    }
-                    Some(left)
+        policy.run(
+            key,
+            deadline,
+            |left| {
+                let pending = self.submit_keyed(model, input.to_vec(), key, left)?;
+                match left {
+                    Some(l) => pending.wait_timeout(l),
+                    None => pending.wait(),
                 }
-                None => None,
-            };
-            let outcome =
-                self.submit_keyed(model, input.to_vec(), key, left).and_then(|p| match left {
-                    Some(l) => p.wait_timeout(l),
-                    None => p.wait(),
-                });
-            match outcome {
-                Ok(row) => return Ok(row),
-                Err(e) if e.is_retryable() && attempt < policy.attempts() => {
-                    let sleep = policy.backoff(attempt, key);
-                    if let Some(dl) = overall {
-                        if Instant::now() + sleep >= dl {
-                            return Err(e);
-                        }
-                    }
-                    if !sleep.is_zero() {
-                        std::thread::sleep(sleep);
-                    }
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.unwrap_or(ServeError::DeadlineExceeded))
+            },
+            ServeError::is_retryable,
+        )
     }
 
     /// Current counter snapshot.

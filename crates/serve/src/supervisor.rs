@@ -37,10 +37,8 @@
 //! flagging shards down, so a respawn never races the drain.
 
 use crate::registry::AnyPlan;
-use crate::server::{
-    self, elapsed_us, epoch_us, lock_state, splitmix64, Shared, PHASE_FAILED, PHASE_LIVE,
-};
-use lightts_obs as obs;
+use crate::server::{self, elapsed_us, epoch_us, lock_state, Shared, PHASE_FAILED, PHASE_LIVE};
+use lightts_obs::{self as obs, splitmix64};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, PoisonError};

@@ -136,7 +136,7 @@ pub fn conv1d_forward_into(y: &mut [f32], x: &[f32], batch: usize, w: &Tensor) -
     if batch == 0 || cin == 0 || k == 0 {
         return Err(TensorError::Empty { op: "conv1d_forward_into" });
     }
-    if x.len() < batch * cin || x.len() % (batch * cin) != 0 {
+    if x.len() < batch * cin || !x.len().is_multiple_of(batch * cin) {
         return Err(TensorError::LengthMismatch { len: x.len(), expected: batch * cin });
     }
     let l = x.len() / (batch * cin);

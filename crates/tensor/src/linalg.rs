@@ -138,34 +138,6 @@ impl Cholesky {
         }
         Ok(y.into_iter().map(|v| v as f32).collect())
     }
-
-    /// Log-determinant of `A`: `2 Σ ln L_ii`. Used for GP log-marginal
-    /// likelihood when tuning kernel hyper-parameters.
-    pub fn log_det(&self) -> f64 {
-        (0..self.n).map(|i| self.l[i * self.n + i].ln()).sum::<f64>() * 2.0
-    }
-}
-
-/// Solves a symmetric positive-definite system, adding `jitter` to the
-/// diagonal and retrying (up to 6 doublings) if factorization fails.
-///
-/// This mirrors the standard GP practice of jittering the kernel matrix when
-/// observations are noise-free and nearly duplicated.
-pub fn solve_spd_with_jitter(a: &Tensor, b: &[f32], jitter: f32) -> Result<Vec<f32>> {
-    let n = a.dims()[0];
-    let mut eps = jitter;
-    for _ in 0..7 {
-        let mut aj = a.clone();
-        for i in 0..n {
-            let d = aj.data()[i * n + i] + eps;
-            aj.data_mut()[i * n + i] = d;
-        }
-        match Cholesky::new(&aj) {
-            Ok(ch) => return ch.solve(b),
-            Err(_) => eps = if eps == 0.0 { 1e-6 } else { eps * 10.0 },
-        }
-    }
-    Err(TensorError::NotPositiveDefinite { pivot: 0 })
 }
 
 /// Dot product of two equal-length slices.
@@ -252,21 +224,12 @@ mod tests {
         let ch = Cholesky::new(&a).unwrap();
         let x = ch.solve(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
-        assert!(ch.log_det().abs() < 1e-9);
     }
 
     #[test]
     fn non_spd_is_rejected() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 2.0, 1.0], &[2, 2]).unwrap(); // eigenvalues 3, -1
         assert!(matches!(Cholesky::new(&a), Err(TensorError::NotPositiveDefinite { .. })));
-    }
-
-    #[test]
-    fn jitter_rescues_near_singular() {
-        // rank-1 matrix: [1 1; 1 1] is PSD but singular.
-        let a = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[2, 2]).unwrap();
-        let x = solve_spd_with_jitter(&a, &[1.0, 1.0], 1e-6).unwrap();
-        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -171,18 +171,6 @@ pub fn recycle(v: Vec<f32>) {
     LOCAL_HIGH_WATER_BYTES.set(LOCAL_HIGH_WATER_BYTES.get().max(local));
 }
 
-/// Grows `v` to exactly `n` zeroed elements, swapping in a pooled slab when
-/// the current capacity is short (the old slab is recycled). Existing
-/// contents are discarded; on return `v.len() == n` and every element is 0.
-pub fn ensure_zeroed(v: &mut Vec<f32>, n: usize) {
-    if v.capacity() < n {
-        let old = std::mem::replace(v, take_empty(n));
-        recycle(old);
-    }
-    v.clear();
-    v.resize(n, 0.0);
-}
-
 /// Number of pool requests served from a free list since process start.
 pub fn pool_hits() -> u64 {
     POOL_HITS.load(Ordering::Relaxed)
@@ -329,16 +317,5 @@ mod tests {
         .unwrap();
         // ...without charging the miss to this thread.
         assert_eq!(thread_pool_misses(), here);
-    }
-
-    #[test]
-    fn ensure_zeroed_grows_and_resets() {
-        let mut v = take_copy(&[1.0, 2.0]);
-        ensure_zeroed(&mut v, 300);
-        assert_eq!(v.len(), 300);
-        assert!(v.iter().all(|&x| x == 0.0));
-        ensure_zeroed(&mut v, 3);
-        assert_eq!(v.len(), 3);
-        recycle(v);
     }
 }

@@ -13,10 +13,10 @@
 //! Determinism contract (see `docs/NUMERICS.md` for the full statement):
 //!
 //! * Element-wise kernels ([`add_assign`], [`sub_assign`], [`mul_assign`],
-//!   [`scale`], [`sub_scalar`], [`axpy`], [`relu`]) and the transcendentals
-//!   ([`vec_exp`], [`vec_tanh`], [`vec_sigmoid`], [`sum_exp`]) perform the
-//!   identical single-rounding operation sequence per element on every
-//!   backend ⇒ **bitwise backend-invariant**.
+//!   [`scale`], [`sub_scalar`], [`axpy`], [`relu`]) and the exponentials
+//!   ([`vec_exp`], [`sum_exp`]) perform the identical single-rounding
+//!   operation sequence per element on every backend ⇒ **bitwise
+//!   backend-invariant**.
 //! * The striped reductions ([`reduce_sum`], [`reduce_sum_sq`], [`dot`])
 //!   accumulate into 8 fixed stripes combined by one canonical pairing
 //!   tree ⇒ **bitwise backend-invariant**, though *not* equal to a plain
@@ -142,21 +142,21 @@ unsafe fn relu_g<V: SimdF32>(out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Transcendentals (fixed polynomial algorithm ⇒ backend-invariant bits)
+// Exponential (fixed polynomial algorithm ⇒ backend-invariant bits)
 // ---------------------------------------------------------------------------
 
 /// Input clamp range of [`exp_v`]. The lower bound keeps `2ⁿ` normal
 /// (`n ≥ -126`); the upper bound keeps `n ≤ 127`, so the kernel *saturates*
-/// at `exp(88.02) ≈ 1.68e38` instead of overflowing to `+inf` (softmax and
-/// sigmoid only ever feed it non-positive or moderate inputs).
+/// at `exp(88.02) ≈ 1.68e38` instead of overflowing to `+inf` (softmax only
+/// ever feeds it non-positive inputs).
 const EXP_LO: f32 = -87.336_54;
 /// See [`EXP_LO`].
 const EXP_HI: f32 = 88.02;
 /// `1.5 · 2²³`: adding it rounds `x·log2(e)` to the nearest integer
 /// (ties-to-even) in the low mantissa bits.
 const EXP_MAGIC: f32 = 12_582_912.0;
-/// High part of `ln 2` (exact in `f32`).
-const LN2_HI: f32 = 0.693_359_375;
+/// High part of `ln 2`: 355/512, exact in `f32`.
+const LN2_HI: f32 = f32::from_bits(0x3F31_8000);
 /// Low part: `LN2_HI + LN2_LO = ln 2` to extended precision.
 const LN2_LO: f32 = -2.121_944_4e-4;
 /// Degree-5 minimax polynomial for `exp(r) - 1 - r` on `|r| ≤ ln2/2`
@@ -192,72 +192,21 @@ unsafe fn exp_v<V: SimdF32>(x: V) -> V {
     V::select(nan, x, e.mul(pow2n))
 }
 
-/// `|x|` threshold between the small-`x` polynomial and the `exp`-based
-/// branch of [`tanh_v`] (Cephes `tanhf` crossover).
-const TANH_CUTOFF: f32 = 0.625;
-/// Odd minimax polynomial for `tanh(x)/x - 1` in `z = x²`, `|x| < 0.625`.
-const TANH_P: [f32; 5] =
-    [-5.704_988_7e-3, 2.063_908_9e-2, -5.373_971_6e-2, 1.333_144_2e-1, -3.333_328_2e-1];
-/// Sign-bit mask (`-0.0`).
-const SIGN_BIT: f32 = -0.0;
-/// All-but-sign mask for `|x|`.
-const ABS_MASK: f32 = f32::from_bits(0x7FFF_FFFF);
-
-/// One vector of `tanh(x)`: branch-free blend of the small-`x` polynomial
-/// (`x + x·z·P(z)`, avoiding cancellation near 0) and
-/// `sign(x)·(1 − 2/(e^{2|x|} + 1))`. Single-rounding ops only ⇒
-/// backend-invariant bits. NaN propagates; `±inf → ±1.0` exactly.
+/// In-place `exp(x)` through [`exp_v`].
 #[inline(always)]
-unsafe fn tanh_v<V: SimdF32>(x: V) -> V {
-    let ax = x.and_bits(V::splat(ABS_MASK));
-    // Small branch.
-    let z = x.mul(x);
-    let mut p = V::splat(TANH_P[0]);
-    p = p.mul(z).add(V::splat(TANH_P[1]));
-    p = p.mul(z).add(V::splat(TANH_P[2]));
-    p = p.mul(z).add(V::splat(TANH_P[3]));
-    p = p.mul(z).add(V::splat(TANH_P[4]));
-    let small = x.add(x.mul(z).mul(p));
-    // Large branch (also covers NaN: exp_v passes it through).
-    let e = exp_v(ax.add(ax));
-    let big_abs = V::splat(1.0).sub(V::splat(2.0).div(e.add(V::splat(1.0))));
-    let big = big_abs.or_bits(x.and_bits(V::splat(SIGN_BIT)));
-    // NaN lanes compare false ⇒ take the big branch ⇒ NaN propagates.
-    V::select(ax.lt(V::splat(TANH_CUTOFF)), small, big)
+unsafe fn exp_g<V: SimdF32>(out: &mut [f32]) {
+    let n = out.len();
+    let mut i = 0;
+    while i + V::LANES <= n {
+        exp_v(V::load(&out[i..])).store(&mut out[i..]);
+        i += V::LANES;
+    }
+    // Remainder lanes run the identical algorithm at width 1.
+    while i < n {
+        out[i] = exp_v(ScalarVec(out[i])).0;
+        i += 1;
+    }
 }
-
-/// One vector of `σ(x) = 1/(1 + exp(−x))`. Single-rounding ops only ⇒
-/// backend-invariant bits; the clamped [`exp_v`] makes the tails saturate
-/// to exactly `0.0`/`1.0` without special cases.
-#[inline(always)]
-unsafe fn sigmoid_v<V: SimdF32>(x: V) -> V {
-    let e = exp_v(x.xor_bits(V::splat(SIGN_BIT)));
-    let one = V::splat(1.0);
-    one.div(one.add(e))
-}
-
-macro_rules! map_inplace {
-    ($name:ident, $lane:ident) => {
-        #[inline(always)]
-        unsafe fn $name<V: SimdF32>(out: &mut [f32]) {
-            let n = out.len();
-            let mut i = 0;
-            while i + V::LANES <= n {
-                $lane(V::load(&out[i..])).store(&mut out[i..]);
-                i += V::LANES;
-            }
-            // Remainder lanes run the identical algorithm at width 1.
-            while i < n {
-                out[i] = $lane(ScalarVec(out[i])).0;
-                i += 1;
-            }
-        }
-    };
-}
-
-map_inplace!(exp_g, exp_v);
-map_inplace!(tanh_g, tanh_v);
-map_inplace!(sigmoid_g, sigmoid_v);
 
 /// `Σ exp(xᵢ)` accumulated strictly left-to-right (the exponentials come
 /// from [`exp_v`], the sum is scalar in index order) — the log-sum-exp
@@ -738,20 +687,6 @@ dispatch_kernel!(
     /// producing `±inf`/denormals at the range edges.
     vec_exp / vec_exp_with(out: &mut [f32]),
     avx2: exp_g::<F32x8>, scalar: exp_g::<ScalarVec>
-);
-dispatch_kernel!(
-    /// In-place vectorized `tanh(x)` (polynomial + exp kernel, ≤ 2 ulp).
-    /// Bitwise backend-invariant; NaN propagates, `±inf → ±1.0`.
-    vec_tanh / vec_tanh_with(out: &mut [f32]),
-    avx2: tanh_g::<F32x8>, scalar: tanh_g::<ScalarVec>
-);
-dispatch_kernel!(
-    /// In-place vectorized logistic sigmoid `1/(1+exp(−x))` (≤ 3 ulp).
-    /// Bitwise backend-invariant; NaN propagates; the positive tail
-    /// saturates to exactly `1.0`, the negative tail to a subnormal
-    /// `≈ 5.9e-39` (because [`vec_exp`] saturates rather than overflow).
-    vec_sigmoid / vec_sigmoid_with(out: &mut [f32]),
-    avx2: sigmoid_g::<F32x8>, scalar: sigmoid_g::<ScalarVec>
 );
 dispatch_kernel!(
     /// `Σ exp(xᵢ)`, exponentials from the [`vec_exp`] kernel, summed

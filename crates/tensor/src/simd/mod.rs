@@ -6,9 +6,8 @@
 //! available — plus one-time runtime feature detection and an explicit
 //! override. Every hot kernel (the GEMM row and register tile under
 //! [`crate::linalg`] and [`crate::conv`], the element-wise tensor ops, and
-//! the `vec_exp`/`vec_tanh`/`vec_sigmoid` transcendentals behind the
-//! softmax/activation family) is written once, generically, and lowered
-//! onto whichever backend is selected.
+//! the `vec_exp` exponential behind the softmax family) is written once,
+//! generically, and lowered onto whichever backend is selected.
 //!
 //! # Backend selection
 //!
@@ -28,14 +27,13 @@
 //!
 //! # Determinism
 //!
-//! `docs/NUMERICS.md` states the full contract; in brief, three classes:
+//! `docs/NUMERICS.md` states the full contract; in brief, four classes:
 //!
 //! * **Backend-invariant, element-wise**: [`add_assign`], [`sub_assign`],
 //!   [`mul_assign`], [`scale`], [`sub_scalar`], [`axpy`], [`relu`],
-//!   [`vec_exp`], [`vec_tanh`], [`vec_sigmoid`], [`sum_exp`],
-//!   [`log_softmax_row`] — single-rounding ops (or a fixed polynomial
-//!   algorithm) applied per element, so scalar and AVX2 produce identical
-//!   bits for every shape, including remainder lanes.
+//!   [`vec_exp`], [`sum_exp`], [`log_softmax_row`] — single-rounding ops
+//!   (or a fixed polynomial algorithm) applied per element, so scalar and
+//!   AVX2 produce identical bits for every shape, including remainder lanes.
 //! * **Backend-invariant, striped**: [`reduce_sum`], [`reduce_sum_sq`],
 //!   [`dot`] — eight fixed stripes folded by one canonical pairing tree on
 //!   every backend (degenerating to a plain serial sum for `n < 8`).
@@ -80,7 +78,7 @@ pub use kernels::{
     gemm_tile, gemm_tile_with, mul_assign, mul_assign_with, reduce_sum, reduce_sum_sq,
     reduce_sum_sq_with, reduce_sum_with, relu, relu_with, scale, scale_with, sub_assign,
     sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp, vec_exp_with,
-    vec_sigmoid, vec_sigmoid_with, vec_tanh, vec_tanh_with, Tile, TileUpdate,
+    Tile, TileUpdate,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -26,10 +26,10 @@
 /// * [`min`](SimdF32::min) / [`max`](SimdF32::max) follow `minps`/`maxps`:
 ///   `a.min(b)` is `if a < b { a } else { b }` per lane, so a NaN in `a`
 ///   yields `b` (and a NaN in `b` yields `b`). This asymmetry is what the
-///   transcendental kernels rely on for NaN handling.
-/// * [`lt`](SimdF32::lt) and [`is_nan`](SimdF32::is_nan) produce full-width
-///   masks (all-ones or all-zeros per lane) suitable for
-///   [`select`](SimdF32::select), which is a pure bitwise blend.
+///   `exp` kernel relies on for NaN handling.
+/// * [`is_nan`](SimdF32::is_nan) produces a full-width mask (all-ones or
+///   all-zeros per lane) suitable for [`select`](SimdF32::select), which is
+///   a pure bitwise blend.
 /// * [`mul_add_fast`](SimdF32::mul_add_fast) is the *only* operation whose
 ///   rounding differs between backends: fused (single rounding) when
 ///   [`FUSED`](SimdF32::FUSED) is `true` (AVX2+FMA), an ordinary
@@ -62,8 +62,6 @@ pub(super) trait SimdF32: Copy {
     unsafe fn sub(self, o: Self) -> Self;
     /// Lane-wise `self * o` (single rounding).
     unsafe fn mul(self, o: Self) -> Self;
-    /// Lane-wise `self / o` (single rounding).
-    unsafe fn div(self, o: Self) -> Self;
     /// Lane-wise `minps` semantics: `if self < o { self } else { o }`.
     unsafe fn min(self, o: Self) -> Self;
     /// Lane-wise `maxps` semantics: `if self > o { self } else { o }`.
@@ -75,17 +73,12 @@ pub(super) trait SimdF32: Copy {
     unsafe fn and_bits(self, o: Self) -> Self;
     /// Lane-wise bitwise OR.
     unsafe fn or_bits(self, o: Self) -> Self;
-    /// Lane-wise bitwise XOR.
-    unsafe fn xor_bits(self, o: Self) -> Self;
     /// Lane-wise `(!self) & o` (`andnps` semantics).
     unsafe fn andnot_bits(self, o: Self) -> Self;
-    /// Full-width mask of `self < o` (ordered compare: NaN lanes give 0).
-    unsafe fn lt(self, o: Self) -> Self;
     /// Full-width mask of lanes that are NaN (`cmpunord(self, self)`).
     unsafe fn is_nan(self) -> Self;
     /// Bitwise blend: lanes of `a` where `mask` is all-ones, else `b`.
-    /// Masks must be full-width (from [`lt`](SimdF32::lt) /
-    /// [`is_nan`](SimdF32::is_nan)).
+    /// Masks must be full-width (from [`is_nan`](SimdF32::is_nan)).
     unsafe fn select(mask: Self, a: Self, b: Self) -> Self {
         mask.and_bits(a).or_bits(mask.andnot_bits(b))
     }
@@ -145,10 +138,6 @@ impl SimdF32 for ScalarVec {
         ScalarVec(self.0 * o.0)
     }
     #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        ScalarVec(self.0 / o.0)
-    }
-    #[inline(always)]
     unsafe fn min(self, o: Self) -> Self {
         // `minps` semantics, NOT `f32::min`: NaN in either operand → o.
         if self.0 < o.0 {
@@ -178,16 +167,8 @@ impl SimdF32 for ScalarVec {
         ScalarVec(f32::from_bits(self.0.to_bits() | o.0.to_bits()))
     }
     #[inline(always)]
-    unsafe fn xor_bits(self, o: Self) -> Self {
-        ScalarVec(f32::from_bits(self.0.to_bits() ^ o.0.to_bits()))
-    }
-    #[inline(always)]
     unsafe fn andnot_bits(self, o: Self) -> Self {
         ScalarVec(f32::from_bits(!self.0.to_bits() & o.0.to_bits()))
-    }
-    #[inline(always)]
-    unsafe fn lt(self, o: Self) -> Self {
-        ScalarVec(f32::from_bits(if self.0 < o.0 { MASK_TRUE } else { 0 }))
     }
     #[inline(always)]
     unsafe fn is_nan(self) -> Self {

@@ -53,10 +53,6 @@ impl SimdF32 for F32x8 {
         F32x8(_mm256_mul_ps(self.0, o.0))
     }
     #[inline(always)]
-    unsafe fn div(self, o: Self) -> Self {
-        F32x8(_mm256_div_ps(self.0, o.0))
-    }
-    #[inline(always)]
     unsafe fn min(self, o: Self) -> Self {
         F32x8(_mm256_min_ps(self.0, o.0))
     }
@@ -79,16 +75,8 @@ impl SimdF32 for F32x8 {
         F32x8(_mm256_or_ps(self.0, o.0))
     }
     #[inline(always)]
-    unsafe fn xor_bits(self, o: Self) -> Self {
-        F32x8(_mm256_xor_ps(self.0, o.0))
-    }
-    #[inline(always)]
     unsafe fn andnot_bits(self, o: Self) -> Self {
         F32x8(_mm256_andnot_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn lt(self, o: Self) -> Self {
-        F32x8(_mm256_cmp_ps::<_CMP_LT_OQ>(self.0, o.0))
     }
     #[inline(always)]
     unsafe fn is_nan(self) -> Self {

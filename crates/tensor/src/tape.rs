@@ -61,18 +61,10 @@ pub enum Op {
     Leaf,
     /// Element-wise `a + b`.
     Add(usize, usize),
-    /// Element-wise `a − b`.
-    Sub(usize, usize),
-    /// Element-wise `a ⊙ b`.
-    Mul(usize, usize),
     /// `a · s` for a constant `s`.
     Scale(usize, f32),
     /// `max(a, 0)` element-wise.
     Relu(usize),
-    /// Logistic sigmoid `1 / (1 + e^{−a})` element-wise.
-    Sigmoid(usize),
-    /// Hyperbolic tangent element-wise.
-    Tanh(usize),
     /// Rank-2 matrix product `a[m,k] @ b[k,n]`.
     MatMul(usize, usize),
     /// "Same" 1-D convolution of `x` with filters `w`.
@@ -289,24 +281,6 @@ impl Tape {
         Ok(self.push(v, Op::Add(a.0, b.0), rg))
     }
 
-    /// Element-wise difference.
-    pub fn sub(&mut self, a: Var, b: Var) -> Result<Var> {
-        self.check(a)?;
-        self.check(b)?;
-        let v = self.nodes[a.0].value.sub(&self.nodes[b.0].value)?;
-        let rg = self.rg(a) || self.rg(b);
-        Ok(self.push(v, Op::Sub(a.0, b.0), rg))
-    }
-
-    /// Element-wise product.
-    pub fn mul(&mut self, a: Var, b: Var) -> Result<Var> {
-        self.check(a)?;
-        self.check(b)?;
-        let v = self.nodes[a.0].value.mul(&self.nodes[b.0].value)?;
-        let rg = self.rg(a) || self.rg(b);
-        Ok(self.push(v, Op::Mul(a.0, b.0), rg))
-    }
-
     /// Multiplication by a constant scalar.
     pub fn scale(&mut self, a: Var, s: f32) -> Result<Var> {
         self.check(a)?;
@@ -321,24 +295,6 @@ impl Tape {
         let v = self.nodes[a.0].value.relu();
         let rg = self.rg(a);
         Ok(self.push(v, Op::Relu(a.0), rg))
-    }
-
-    /// Logistic sigmoid, computed by the [`crate::simd::vec_sigmoid`]
-    /// kernel (bitwise backend-invariant; see `docs/NUMERICS.md`).
-    pub fn sigmoid(&mut self, a: Var) -> Result<Var> {
-        self.check(a)?;
-        let v = self.nodes[a.0].value.sigmoid();
-        let rg = self.rg(a);
-        Ok(self.push(v, Op::Sigmoid(a.0), rg))
-    }
-
-    /// Hyperbolic tangent, computed by the [`crate::simd::vec_tanh`]
-    /// kernel (bitwise backend-invariant; see `docs/NUMERICS.md`).
-    pub fn tanh(&mut self, a: Var) -> Result<Var> {
-        self.check(a)?;
-        let v = self.nodes[a.0].value.tanh();
-        let rg = self.rg(a);
-        Ok(self.push(v, Op::Tanh(a.0), rg))
     }
 
     /// Rank-2 matrix product.
@@ -749,22 +705,6 @@ impl Tape {
                     Self::acc(grads, *b, gy.clone())?;
                 }
             }
-            Op::Sub(a, b) => {
-                if self.nodes[*a].requires_grad {
-                    Self::acc(grads, *a, gy.clone())?;
-                }
-                if self.nodes[*b].requires_grad {
-                    Self::acc(grads, *b, gy.scale(-1.0))?;
-                }
-            }
-            Op::Mul(a, b) => {
-                if self.nodes[*a].requires_grad {
-                    Self::acc(grads, *a, gy.mul(&self.nodes[*b].value)?)?;
-                }
-                if self.nodes[*b].requires_grad {
-                    Self::acc(grads, *b, gy.mul(&self.nodes[*a].value)?)?;
-                }
-            }
             Op::Scale(a, s) => {
                 if self.nodes[*a].requires_grad {
                     Self::acc(grads, *a, gy.scale(*s))?;
@@ -774,21 +714,6 @@ impl Tape {
                 if self.nodes[*a].requires_grad {
                     let mask = self.nodes[*a].value.map(|x| if x > 0.0 { 1.0 } else { 0.0 });
                     Self::acc(grads, *a, gy.mul(&mask)?)?;
-                }
-            }
-            Op::Sigmoid(a) => {
-                if self.nodes[*a].requires_grad {
-                    // gx = gy · y · (1 − y), reusing the forward output y.
-                    let y = &node.value;
-                    let one_minus_y = y.map(|v| 1.0 - v);
-                    Self::acc(grads, *a, gy.mul(y)?.mul(&one_minus_y)?)?;
-                }
-            }
-            Op::Tanh(a) => {
-                if self.nodes[*a].requires_grad {
-                    // gx = gy · (1 − y²), reusing the forward output y.
-                    let d = node.value.map(|v| 1.0 - v * v);
-                    Self::acc(grads, *a, gy.mul(&d)?)?;
                 }
             }
             Op::MatMul(a, b) => {
@@ -1017,7 +942,7 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_mul_scale_grads() {
+    fn add_scale_grads() {
         let mut rng = StdRng::seed_from_u64(1);
         let xa = Tensor::randn(&mut rng, &[4], 1.0);
         let xb = Tensor::randn(&mut rng, &[4], 1.0);
@@ -1025,15 +950,15 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.leaf(xa.clone(), true);
         let b = tape.leaf(xb.clone(), true);
-        let ab = tape.mul(a, b).unwrap();
+        let ab = tape.add(a, b).unwrap();
         let s = tape.scale(ab, 3.0).unwrap();
-        let d = tape.sub(s, a).unwrap();
+        let d = tape.add(s, a).unwrap();
         let loss = tape.sum(d).unwrap();
         let grads = tape.backward(loss).unwrap();
 
-        let f_a = |t: &Tensor| t.mul(&xb).unwrap().scale(3.0).sub(t).unwrap().sum();
+        let f_a = |t: &Tensor| t.add(&xb).unwrap().scale(3.0).add(t).unwrap().sum();
         check_grad(f_a, &xa, grads.get(a).unwrap(), 1e-2);
-        let f_b = |t: &Tensor| xa.mul(t).unwrap().scale(3.0).sub(&xa).unwrap().sum();
+        let f_b = |t: &Tensor| xa.add(t).unwrap().scale(3.0).add(&xa).unwrap().sum();
         check_grad(f_b, &xb, grads.get(b).unwrap(), 1e-2);
     }
 
@@ -1295,7 +1220,7 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.constant(Tensor::ones(&[2]));
         let b = tape.leaf(Tensor::ones(&[2]), true);
-        let y = tape.mul(a, b).unwrap();
+        let y = tape.add(a, b).unwrap();
         let loss = tape.sum(y).unwrap();
         let grads = tape.backward(loss).unwrap();
         assert!(grads.get(a).is_none());

@@ -91,15 +91,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// A tensor with elements drawn i.i.d. from `U(lo, hi)`.
-    pub fn rand_uniform<R: Rng>(rng: &mut R, dims: &[usize], lo: f32, hi: f32) -> Self {
-        let shape = Shape::new(dims);
-        let n = shape.volume();
-        let mut data = crate::pool::take_empty(n);
-        data.extend((0..n).map(|_| rng.gen_range(lo..hi)));
-        Tensor { shape, data }
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -351,33 +342,6 @@ impl Tensor {
     pub fn relu(&self) -> Self {
         let mut out = crate::pool::take_copy(&self.data);
         crate::simd::relu(&mut out);
-        Tensor { shape: self.shape.clone(), data: out }
-    }
-
-    /// Element-wise exponential through the vectorized polynomial kernel
-    /// [`crate::simd::vec_exp`] (~2 ulp, bitwise identical across SIMD
-    /// backends; `NaN` passes through, range edges saturate instead of
-    /// overflowing).
-    pub fn exp(&self) -> Self {
-        let mut out = crate::pool::take_copy(&self.data);
-        crate::simd::vec_exp(&mut out);
-        Tensor { shape: self.shape.clone(), data: out }
-    }
-
-    /// Element-wise logistic sigmoid `1/(1+exp(−x))` through
-    /// [`crate::simd::vec_sigmoid`] (~3 ulp, bitwise identical across SIMD
-    /// backends; tails saturate to exactly `0.0`/`1.0`).
-    pub fn sigmoid(&self) -> Self {
-        let mut out = crate::pool::take_copy(&self.data);
-        crate::simd::vec_sigmoid(&mut out);
-        Tensor { shape: self.shape.clone(), data: out }
-    }
-
-    /// Element-wise hyperbolic tangent through [`crate::simd::vec_tanh`]
-    /// (~3 ulp, bitwise identical across SIMD backends; `±inf → ±1.0`).
-    pub fn tanh(&self) -> Self {
-        let mut out = crate::pool::take_copy(&self.data);
-        crate::simd::vec_tanh(&mut out);
         Tensor { shape: self.shape.clone(), data: out }
     }
 

@@ -7,7 +7,7 @@
 //! compared concurrently from many test threads without touching the
 //! process-wide toggle:
 //!
-//! 1. **Backend-invariant kernels** (element-wise ops, transcendentals,
+//! 1. **Backend-invariant kernels** (element-wise ops, exponentials,
 //!    striped reductions, `log_softmax_row`) must agree *bitwise* across
 //!    scalar and AVX2 on every shape — including remainder lanes,
 //!    empty and single-element inputs — and on NaN/±inf/±0 specials.
@@ -15,10 +15,9 @@
 //!    identical between the scalar oracle and an unfused reference, and
 //!    between AVX2 and a scalar reference that uses `f32::mul_add` (both
 //!    fused, same accumulation order).
-//! 3. The transcendental approximations must stay within their documented
-//!    ULP budgets of the correctly rounded result (`vec_exp` ≤ 2 ULP,
-//!    `vec_tanh` ≤ 2 ULP, `vec_sigmoid` ≤ 3 ULP over the tested ranges;
-//!    measured worst cases are 1 / 1 / 2).
+//! 3. The `vec_exp` approximation must stay within its documented ULP
+//!    budget of the correctly rounded result (≤ 2 ULP over the tested
+//!    range; the measured worst case is 1).
 //!
 //! Only `set_simd_backend_clamps_and_installs` touches the process-wide
 //! backend, and no other test reads it.
@@ -27,7 +26,7 @@ use lightts_tensor::simd::{
     add_assign_with, axpy_with, cpu_supports, dot_with, gemm_row_with, gemm_tile_with,
     log_softmax_row_with, mul_assign_with, reduce_sum_sq_with, reduce_sum_with, relu_with,
     scale_with, set_simd_backend, sub_assign_with, sub_scalar_with, sum_exp_with, vec_exp_with,
-    vec_sigmoid_with, vec_tanh_with, SimdBackend, Tile, TileUpdate,
+    SimdBackend, Tile, TileUpdate,
 };
 use proptest::prelude::*;
 
@@ -115,11 +114,9 @@ fn elementwise_kernels_bitwise_invariant_on_edge_lengths() {
         check_invariant_inplace(&xs, "scale", |bk, o| scale_with(bk, o, 1.7));
         check_invariant_inplace(&xs, "sub_scalar", |bk, o| sub_scalar_with(bk, o, 0.3));
         check_invariant_inplace(&xs, "axpy", |bk, o| axpy_with(bk, o, &rhs, -2.5));
-        check_invariant_inplace(&xs, "relu", |bk, o| relu_with(bk, o));
-        check_invariant_inplace(&xs, "vec_exp", |bk, o| vec_exp_with(bk, o));
-        check_invariant_inplace(&xs, "vec_tanh", |bk, o| vec_tanh_with(bk, o));
-        check_invariant_inplace(&xs, "vec_sigmoid", |bk, o| vec_sigmoid_with(bk, o));
-        check_invariant_inplace(&xs, "log_softmax_row", |bk, o| log_softmax_row_with(bk, o));
+        check_invariant_inplace(&xs, "relu", relu_with);
+        check_invariant_inplace(&xs, "vec_exp", vec_exp_with);
+        check_invariant_inplace(&xs, "log_softmax_row", log_softmax_row_with);
         check_invariant_reduce(&xs, "sum_exp", sum_exp_with);
         check_invariant_reduce(&xs, "reduce_sum", reduce_sum_with);
         check_invariant_reduce(&xs, "reduce_sum_sq", reduce_sum_sq_with);
@@ -149,10 +146,8 @@ fn transcendental_specials_bitwise_invariant() {
         f32::MAX,
         f32::MIN,
     ];
-    check_invariant_inplace(&specials, "vec_exp/specials", |bk, o| vec_exp_with(bk, o));
-    check_invariant_inplace(&specials, "vec_tanh/specials", |bk, o| vec_tanh_with(bk, o));
-    check_invariant_inplace(&specials, "vec_sigmoid/specials", |bk, o| vec_sigmoid_with(bk, o));
-    check_invariant_inplace(&specials, "relu/specials", |bk, o| relu_with(bk, o));
+    check_invariant_inplace(&specials, "vec_exp/specials", vec_exp_with);
+    check_invariant_inplace(&specials, "relu/specials", relu_with);
 
     // Pinned special-value semantics (scalar oracle; the loop above proved
     // the other backends identical).
@@ -166,20 +161,6 @@ fn transcendental_specials_bitwise_invariant() {
         v[2]
     );
     assert_eq!(v[3], 1.0);
-
-    let mut v = specials.to_vec();
-    vec_tanh_with(SimdBackend::Scalar, &mut v);
-    assert!(v[0].is_nan(), "tanh(NaN) must stay NaN");
-    assert_eq!(v[1], 1.0, "tanh(+inf) == 1");
-    assert_eq!(v[2], -1.0, "tanh(-inf) == -1");
-    assert_eq!(v[3].to_bits(), 0.0f32.to_bits(), "tanh(0) == +0");
-
-    let mut v = specials.to_vec();
-    vec_sigmoid_with(SimdBackend::Scalar, &mut v);
-    assert!(v[0].is_nan(), "sigmoid(NaN) must stay NaN");
-    assert_eq!(v[1], 1.0, "sigmoid(+inf) == 1 exactly");
-    assert!(v[2] > 0.0 && v[2] < 1e-38, "sigmoid(-inf) saturates to a subnormal, got {:e}", v[2]);
-    assert_eq!(v[3], 0.5);
 }
 
 #[test]
@@ -367,7 +348,7 @@ fn gemm_tile_rejects_layouts_past_its_operands() {
 }
 
 // ---------------------------------------------------------------------
-// Class 3: accuracy of the transcendental approximations
+// Class 3: accuracy of the exponential approximation
 // ---------------------------------------------------------------------
 
 #[test]
@@ -383,25 +364,6 @@ fn vec_exp_ulp_budget_holds_over_dense_sweep() {
         x += 0.000_9;
     }
     assert!(worst <= 2, "vec_exp worst-case {worst} ULP, budget 2");
-}
-
-#[test]
-fn vec_tanh_and_sigmoid_ulp_budgets_hold() {
-    let mut worst_t = 0u64;
-    let mut worst_s = 0u64;
-    let mut x = -20.0f32;
-    while x < 20.0 {
-        let mut t = [x];
-        vec_tanh_with(SimdBackend::Scalar, &mut t);
-        worst_t = worst_t.max(ulp_diff(t[0], f64::from(x).tanh() as f32));
-        let mut s = [x];
-        vec_sigmoid_with(SimdBackend::Scalar, &mut s);
-        let want_s = (1.0 / (1.0 + (-f64::from(x)).exp())) as f32;
-        worst_s = worst_s.max(ulp_diff(s[0], want_s));
-        x += 0.000_21;
-    }
-    assert!(worst_t <= 2, "vec_tanh worst-case {worst_t} ULP, budget 2");
-    assert!(worst_s <= 3, "vec_sigmoid worst-case {worst_s} ULP, budget 3");
 }
 
 #[test]
@@ -435,9 +397,7 @@ proptest! {
         let rhs = &rhs[..n];
         check_invariant_inplace(xs, "p/add", |bk, o| add_assign_with(bk, o, rhs));
         check_invariant_inplace(xs, "p/mul", |bk, o| mul_assign_with(bk, o, rhs));
-        check_invariant_inplace(xs, "p/relu", |bk, o| relu_with(bk, o));
-        check_invariant_inplace(xs, "p/tanh", |bk, o| vec_tanh_with(bk, o));
-        check_invariant_inplace(xs, "p/sigmoid", |bk, o| vec_sigmoid_with(bk, o));
+        check_invariant_inplace(xs, "p/relu", relu_with);
         check_invariant_reduce(xs, "p/sum", reduce_sum_with);
         check_invariant_reduce(xs, "p/sumsq", reduce_sum_sq_with);
         check_invariant_reduce(xs, "p/dot", |bk, x| dot_with(bk, x, rhs));
@@ -449,8 +409,8 @@ proptest! {
         n in 1usize..MAX_N,
     ) {
         let xs = &xs[..n];
-        check_invariant_inplace(xs, "p/exp", |bk, o| vec_exp_with(bk, o));
-        check_invariant_inplace(xs, "p/lsm", |bk, o| log_softmax_row_with(bk, o));
+        check_invariant_inplace(xs, "p/exp", vec_exp_with);
+        check_invariant_inplace(xs, "p/lsm", log_softmax_row_with);
         check_invariant_reduce(xs, "p/sum_exp", sum_exp_with);
     }
 

@@ -669,10 +669,10 @@ fn randomized_shard_kill_soak_heals_and_stays_bit_identical() {
     // The storm is over: the supervisor heals the server back to full
     // strength, and fresh answers still carry oracle bits.
     wait_all_alive(&server, 2);
-    for i in 0..8 {
+    for (i, want) in oracle.iter().enumerate() {
         let got: Vec<u32> =
             handle.predict("m", sample(i)).unwrap().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, oracle[i], "sample {i}: post-soak answer drifted from oracle");
+        assert_eq!(&got, want, "sample {i}: post-soak answer drifted from oracle");
     }
     let stats = handle.stats();
     assert!(stats.restarts >= 1, "the fixed seed must kill at least one shard");

@@ -30,6 +30,9 @@ const GOLDEN: &[u8] = include_bytes!("fixtures/golden_student.bin");
 /// Loads `bytes` as one kind; `Ok` means it was accepted.
 type Loader = fn(&[u8]) -> Result<(), String>;
 
+/// A stored kind: its name, its loader, and how to make a sample.
+type Kind = (&'static str, Loader, fn() -> Vec<u8>);
+
 /// A temp path of this test thread's own (tests run on parallel threads).
 fn tmp(name: &str) -> PathBuf {
     let (pid, thread) = (std::process::id(), std::thread::current().id());
@@ -136,8 +139,8 @@ fn load_mobo(bytes: &[u8]) -> Result<(), String> {
     ok(r)
 }
 
-/// Every stored kind: its name, its loader, and how to make a sample.
-const KINDS: [(&str, Loader, fn() -> Vec<u8>); 7] = [
+/// Every stored kind.
+const KINDS: [Kind; 7] = [
     ("inception", |b| ok(InceptionTime::load_bytes(b)), || GOLDEN.to_vec()),
     (
         "inception.exact",

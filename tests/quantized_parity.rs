@@ -17,9 +17,10 @@
 //!   own logits are pinned to a committed fixture at 1e-6 like the f32
 //!   golden logits, and batching must be bitwise invisible.
 //!
-//! CI runs this file in both feature configs and once more with
-//! `LIGHTTS_SIMD=scalar`, so the fixture comparison also proves the forced
-//! scalar backend agrees bitwise with the SIMD backends end to end.
+//! CI runs this file inside its three whole-workspace test steps (plain,
+//! with `LIGHTTS_OBS=1`, and with `LIGHTTS_SIMD=scalar`), so the fixture
+//! comparison also proves the forced scalar backend agrees bitwise with
+//! the SIMD backends end to end.
 //!
 //! To regenerate the fixture after an *intentional* quantizer change:
 //!
