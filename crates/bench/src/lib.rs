@@ -1,8 +1,9 @@
 //! # lightts-bench
 //!
 //! The experiment harness of the LightTS reproduction: one binary per table
-//! and figure of the paper's evaluation (Section 4), plus Criterion
-//! micro-benchmarks (`benches/micro.rs`).
+//! and figure of the paper's evaluation (Section 4), plus the Criterion
+//! kernel and serving benchmarks (`benches/kernels.rs`, `benches/serve.rs`)
+//! that write `BENCH_kernels.json`.
 //!
 //! Every binary accepts `--scale quick|full` (default `quick`), prints its
 //! table/series as TSV to stdout, and is deterministic for a fixed seed.

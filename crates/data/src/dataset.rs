@@ -1,9 +1,7 @@
 //! Labeled datasets, splits, and batching (paper Sections 2.1.2–2.1.3).
 
 use crate::{DataError, Result, TimeSeries};
-use lightts_tensor::Tensor;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use lightts_tensor::{pool, Tensor};
 
 /// A batch of series ready for a classifier: a `[batch, dims, length]`
 /// tensor plus the ground-truth label per row.
@@ -123,7 +121,7 @@ impl LabeledDataset {
             return Err(DataError::Empty { op: "batch" });
         }
         let (m, l) = (self.dims(), self.series_len());
-        let mut data = Vec::with_capacity(indices.len() * m * l);
+        let mut data = pool::take_empty(indices.len() * m * l);
         let mut labels = Vec::with_capacity(indices.len());
         for &i in indices {
             let s = self.series(i)?;
@@ -137,16 +135,6 @@ impl LabeledDataset {
     pub fn full_batch(&self) -> Result<Batch> {
         let idx: Vec<usize> = (0..self.len()).collect();
         self.batch(&idx)
-    }
-
-    /// Yields shuffled mini-batches covering the dataset once.
-    pub fn minibatches<R: Rng>(&self, rng: &mut R, batch_size: usize) -> Result<Vec<Batch>> {
-        if batch_size == 0 {
-            return Err(DataError::Inconsistent { what: "batch_size must be > 0".into() });
-        }
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        idx.chunks(batch_size).map(|c| self.batch(c)).collect()
     }
 
     /// Returns a copy with every series z-normalized per dimension.
@@ -195,7 +183,6 @@ impl Splits {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lightts_tensor::rng::seeded;
 
     fn toy(n: usize, classes: usize) -> LabeledDataset {
         let series = (0..n)
@@ -229,16 +216,6 @@ mod tests {
         assert_eq!(b.inputs.dims(), &[2, 1, 4]);
         assert_eq!(b.labels, vec![0, 0]);
         assert_eq!(b.inputs.get(&[1, 0, 0]).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn minibatches_cover_everything_once() {
-        let ds = toy(10, 2);
-        let mut rng = seeded(3);
-        let batches = ds.minibatches(&mut rng, 3).unwrap();
-        let total: usize = batches.iter().map(Batch::len).sum();
-        assert_eq!(total, 10);
-        assert_eq!(batches.len(), 4); // 3+3+3+1
     }
 
     #[test]

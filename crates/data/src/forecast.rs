@@ -9,7 +9,7 @@
 
 use crate::{DataError, Result};
 use lightts_tensor::rng::{derive_seed, seeded};
-use lightts_tensor::Tensor;
+use lightts_tensor::{pool, Tensor};
 use rand::Rng;
 
 /// A supervised forecasting dataset: inputs `[n, dims, history]` paired
@@ -73,8 +73,8 @@ impl ForecastDataset {
         }
         let (m, h) = (self.dims, self.history);
         let t_len = self.targets.dims()[1];
-        let mut xin = Vec::with_capacity(indices.len() * m * h);
-        let mut tout = Vec::with_capacity(indices.len() * t_len);
+        let mut xin = pool::take_empty(indices.len() * m * h);
+        let mut tout = pool::take_empty(indices.len() * t_len);
         for &i in indices {
             if i >= self.len() {
                 return Err(DataError::OutOfRange { index: i, len: self.len() });

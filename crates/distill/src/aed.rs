@@ -16,7 +16,7 @@
 //! overfitting the same data the student trains on, as the paper argues.
 
 use crate::teacher::TeacherProbs;
-use crate::trainer::{eval_student, train_student_epochs, StudentTrainOpts};
+use crate::trainer::{check_teachers, eval_student, train_student_epochs, StudentTrainOpts};
 use crate::weights::{weight_entropy, WeightState, WeightTransform};
 use crate::Result;
 use lightts_data::Splits;
@@ -25,6 +25,8 @@ use lightts_models::Classifier;
 use lightts_nn::loss::kl_mean;
 use lightts_obs as obs;
 use lightts_tensor::rng::seeded;
+use lightts_tensor::Tensor;
+use rand::rngs::StdRng;
 
 /// Configuration of one AED run.
 #[derive(Debug, Clone, Copy)]
@@ -73,33 +75,63 @@ pub fn run_aed(
     config: &InceptionConfig,
     cfg: &AedConfig,
 ) -> Result<AedResult> {
-    let n = teachers.len();
     let mut rng = seeded(cfg.train.seed);
     let mut student = InceptionTime::new(config.clone(), &mut rng)?;
     let mut optimizer = cfg.train.make_optimizer();
+    let schedule = (cfg.train.epochs, cfg.v, cfg.lambda_lr, cfg.transform);
+    let (lambda, weights) = bilevel(
+        schedule,
+        [(&teachers.train, splits.train.len()), (&teachers.val, splits.validation.len())],
+        &mut student,
+        &mut rng,
+        |student, weights, rng, epochs| {
+            let (train, opts) = (&splits.train, &cfg.train);
+            let opt = optimizer.as_mut();
+            train_student_epochs(student, train, &teachers.train, weights, opts, opt, rng, epochs)
+        },
+        |student| {
+            let p_val = student.predict_proba_dataset(&splits.validation)?;
+            teachers.val.iter().map(|q| Ok(kl_mean(q, &p_val)?)).collect()
+        },
+    )?;
+    let (val_accuracy, val_top5) = eval_student(&student, &splits.validation)?;
+    Ok(AedResult { student, lambda, weights, val_accuracy, val_top5 })
+}
+
+/// Algorithm 1's bi-level loop, shared by [`run_aed`] and forecasting's
+/// [`run_forecast_aed`](crate::forecast::run_forecast_aed).
+///
+/// `teachers` holds the train and validation teacher tensors with their
+/// split's row count; they are checked once here. Starting from uniform
+/// weights, `inner` trains the student with frozen weights for `v`-epoch
+/// slices of `epochs`, and between slices `distances` measures each
+/// teacher's distance to the student on the validation split, from which
+/// λ takes one `lambda_lr` step through `transform`. Returns the final
+/// logits λ and weights λ̂.
+pub(crate) fn bilevel<S>(
+    (epochs, v, lambda_lr, transform): (usize, usize, f32, WeightTransform),
+    teachers: [(&[Tensor], usize); 2],
+    student: &mut S,
+    rng: &mut StdRng,
+    mut inner: impl FnMut(&mut S, &[f32], &mut StdRng, usize) -> Result<f32>,
+    mut distances: impl FnMut(&S) -> Result<Vec<f32>>,
+) -> Result<(Vec<f32>, Vec<f32>)> {
+    let n = teachers[0].0.len();
+    check_teachers(&teachers, n)?;
 
     // line 2: uniform initialization (zero logits ⇒ σ(λ) = 1/N)
     let mut lambda = vec![0.0f32; n];
-    let mut state: WeightState = cfg.transform.weights(&lambda, &mut rng);
+    let mut state: WeightState = transform.weights(&lambda, rng);
 
-    let v = cfg.v.max(1);
-    let mut remaining = cfg.train.epochs;
+    let v = v.max(1);
+    let mut remaining = epochs;
     let outer_counter = obs::global().counter("aed.outer_steps");
     while remaining > 0 {
         let slice = v.min(remaining);
         // line 6: inner-level steps with frozen weights
         {
             let mut sp = obs::span!("aed.inner", { teachers: n, epochs: slice });
-            let loss = train_student_epochs(
-                &mut student,
-                &splits.train,
-                &teachers.train,
-                &state.weights,
-                &cfg.train,
-                optimizer.as_mut(),
-                &mut rng,
-                slice,
-            )?;
+            let loss = inner(student, &state.weights, rng, slice)?;
             sp.record("loss", loss);
         }
         remaining -= slice;
@@ -108,23 +140,15 @@ pub fn run_aed(
         }
         // line 8: outer-level λ step on the validation split
         let mut sp = obs::span!("aed.outer", { teachers: n });
-        let p_val = student.predict_proba_dataset(&splits.validation)?;
-        let distances: Vec<f32> = teachers
-            .val
-            .iter()
-            .map(|q| kl_mean(q, &p_val))
-            .collect::<std::result::Result<_, _>>()?;
-        let grad = cfg.transform.grad(&state, &distances);
+        let grad = transform.grad(&state, &distances(student)?);
         for (l, g) in lambda.iter_mut().zip(grad.iter()) {
-            *l -= cfg.lambda_lr * g;
+            *l -= lambda_lr * g;
         }
-        state = cfg.transform.weights(&lambda, &mut rng);
+        state = transform.weights(&lambda, rng);
         outer_counter.inc();
         sp.record("weight_entropy", weight_entropy(&state.weights));
     }
-
-    let (val_accuracy, val_top5) = eval_student(&student, &splits.validation)?;
-    Ok(AedResult { student, lambda, weights: state.weights, val_accuracy, val_top5 })
+    Ok((lambda, state.weights))
 }
 
 #[cfg(test)]
@@ -219,5 +243,19 @@ mod tests {
         let res = run_aed(&s, &t, &student_cfg(2, 32), &cfg).unwrap();
         assert_eq!(res.weights.len(), 1);
         assert!((res.weights[0] - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn validation_teachers_must_match_training_teachers() {
+        let s = splits(2, 103);
+        let mut t = synthetic_teachers(&s, 0.9);
+        t.val.pop();
+        let cfg = AedConfig {
+            train: StudentTrainOpts { epochs: 4, batch_size: 16, ..Default::default() },
+            v: 2,
+            lambda_lr: 2.0,
+            transform: WeightTransform::Softmax,
+        };
+        assert!(run_aed(&s, &t, &student_cfg(2, 8), &cfg).is_err());
     }
 }

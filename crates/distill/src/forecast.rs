@@ -9,22 +9,26 @@
 //! L = α·MSE(p_w, y) + (1 − α)·Σ_i λ̂_i · MSE(q_i, p_w)
 //! ```
 //!
-//! with the same bi-level λ optimization (inner on train, outer on
-//! validation) and the same confident Gumbel teacher-removal loop, except
-//! that "accuracy" becomes *negative validation MSE*.
+//! through classification's own loops: the network's mini-batch loop
+//! (`InceptionTime::train_epochs`), the Eq.-2 loss of `trainer` with MSE in
+//! place of cross-entropy and KL, the bi-level λ loop behind
+//! [`run_aed`](crate::aed::run_aed) (inner on train, outer on validation)
+//! and the confident teacher-removal loop behind
+//! [`lightts_removal`](crate::removal::lightts_removal), where the
+//! selection score is *negative validation MSE* instead of accuracy.
 
-use crate::weights::{argmin_weight, WeightTransform};
+use crate::aed::bilevel;
+use crate::removal::remove_teachers;
+use crate::trainer::eq2_loss;
+use crate::weights::WeightTransform;
 use crate::{DistillError, Result};
-use lightts_data::forecast::{ForecastDataset, ForecastSplits};
+use lightts_data::forecast::ForecastSplits;
 use lightts_models::forecaster::{ForecastConfig, Forecaster};
 use lightts_nn::loss::mse;
 use lightts_nn::optim::Adam;
-use lightts_nn::optim::Optimizer;
-use lightts_nn::{Bindings, Mode};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::tape::Tape;
 use lightts_tensor::Tensor;
-use rand::seq::SliceRandom;
 
 /// Per-teacher forecast predictions on the train and validation windows.
 #[derive(Debug, Clone)]
@@ -126,49 +130,6 @@ pub struct ForecastAedResult {
     pub val_mse: f32,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn train_slice(
-    student: &mut Forecaster,
-    train: &ForecastDataset,
-    q_train: &[Tensor],
-    weights: &[f32],
-    cfg: &ForecastAedConfig,
-    opt: &mut Adam,
-    rng: &mut rand::rngs::StdRng,
-    epochs: usize,
-) -> Result<()> {
-    let all: Vec<usize> = (0..train.len()).collect();
-    // Reused tape/bindings: reset per mini-batch keeps the steady-state step
-    // allocation-free (see `lightts_tensor::pool`).
-    let mut tape = Tape::new();
-    let mut bind = Bindings::new();
-    for _ in 0..epochs {
-        let mut order = all.clone();
-        order.shuffle(rng);
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let (x, y) = train.batch(chunk)?;
-            tape.reset();
-            bind.reset();
-            let pred = student.forward_train(&mut tape, &mut bind, &x, Mode::Train)?;
-            let gt = tape.mse_to_target(pred, &y)?;
-            let mut loss = tape.scale(gt, cfg.alpha)?;
-            for (q, &w) in q_train.iter().zip(weights.iter()) {
-                if w <= 1e-6 {
-                    continue;
-                }
-                let q_rows = q.gather_rows(chunk)?;
-                let d = tape.mse_to_target(pred, &q_rows)?;
-                let term = tape.scale(d, (1.0 - cfg.alpha) * w)?;
-                loss = tape.add(loss, term)?;
-            }
-            let grads = tape.backward(loss)?;
-            let pairs = bind.collect_grads(grads);
-            opt.step(student.store_mut(), &pairs)?;
-        }
-    }
-    Ok(())
-}
-
 /// Runs bi-level forecast AED (Algorithm 1 with MSE terms).
 pub fn run_forecast_aed(
     splits: &ForecastSplits,
@@ -176,47 +137,39 @@ pub fn run_forecast_aed(
     config: &ForecastConfig,
     cfg: &ForecastAedConfig,
 ) -> Result<ForecastAedResult> {
-    if teachers.is_empty() {
-        return Err(DistillError::BadInput { what: "no forecast teachers".into() });
-    }
-    let n = teachers.len();
     let mut rng = seeded(cfg.seed);
     let mut student = Forecaster::new(config.clone(), &mut rng)?;
-    let mut opt = Adam::new(cfg.lr);
-    let mut lambda = vec![0.0f32; n];
-    let mut state = cfg.transform.weights(&lambda, &mut rng);
-
-    let v = cfg.v.max(1);
-    let mut remaining = cfg.epochs;
-    while remaining > 0 {
-        let slice = v.min(remaining);
-        train_slice(
-            &mut student,
-            &splits.train,
-            &teachers.train,
-            &state.weights,
-            cfg,
-            &mut opt,
-            &mut rng,
-            slice,
-        )?;
-        remaining -= slice;
-        if remaining == 0 {
-            break;
-        }
-        // outer λ step: distances are MSEs between teacher and student
-        // predictions on the validation windows
-        let p_val = student.predict(splits.validation.inputs())?;
-        let distances: Vec<f32> =
-            teachers.val.iter().map(|q| mse(q, &p_val)).collect::<std::result::Result<_, _>>()?;
-        let grad = cfg.transform.grad(&state, &distances);
-        for (l, g) in lambda.iter_mut().zip(grad.iter()) {
-            *l -= cfg.lambda_lr * g;
-        }
-        state = cfg.transform.weights(&lambda, &mut rng);
-    }
+    let mut optimizer = Adam::new(cfg.lr);
+    let train = &splits.train;
+    let (_, weights) = bilevel(
+        (cfg.epochs, cfg.v, cfg.lambda_lr, cfg.transform),
+        [(&teachers.train, train.len()), (&teachers.val, splits.validation.len())],
+        &mut student,
+        &mut rng,
+        |student, weights, rng, epochs| {
+            Ok(student.net_mut().train_epochs(
+                train.len(),
+                cfg.batch_size,
+                epochs,
+                &mut optimizer,
+                rng,
+                |rows| Ok(train.batch(rows)?),
+                |tape, pred, rows, y| {
+                    let gt = tape.mse_to_target(pred, y)?;
+                    let dist = |t: &mut Tape, q: &Tensor| t.mse_to_target(pred, q);
+                    Ok(eq2_loss(tape, cfg.alpha, gt, &teachers.train, weights, rows, dist)?)
+                },
+            )?)
+        },
+        |student| {
+            // distances are MSEs between teacher and student predictions on
+            // the validation windows
+            let p_val = student.predict(splits.validation.inputs())?;
+            teachers.val.iter().map(|q| Ok(mse(q, &p_val)?)).collect()
+        },
+    )?;
     let val_mse = student.mse_on(&splits.validation)?;
-    Ok(ForecastAedResult { student, weights: state.weights, val_mse })
+    Ok(ForecastAedResult { student, weights, val_mse })
 }
 
 /// Forecast LightTS: AED with confident teacher removal, selecting the
@@ -227,22 +180,11 @@ pub fn forecast_lightts(
     config: &ForecastConfig,
     cfg: &ForecastAedConfig,
 ) -> Result<ForecastAedResult> {
-    let mut kept: Vec<usize> = (0..teachers.len()).collect();
-    let mut best: Option<ForecastAedResult> = None;
-    loop {
-        let sub = teachers.subset(&kept)?;
-        let res = run_forecast_aed(splits, &sub, config, cfg)?;
-        let weights = res.weights.clone();
-        if best.as_ref().is_none_or(|b| res.val_mse < b.val_mse) {
-            best = Some(res);
-        }
-        if kept.len() == 1 {
-            break;
-        }
-        let victim = argmin_weight(&weights).expect("non-empty weights");
-        kept.remove(victim);
-    }
-    Ok(best.expect("at least one round"))
+    let (best, _, _) = remove_teachers(teachers.len(), true, |kept| {
+        let res = run_forecast_aed(splits, &teachers.subset(kept)?, config, cfg)?;
+        Ok((res.weights.clone(), -f64::from(res.val_mse), res))
+    })?;
+    Ok(best)
 }
 
 #[cfg(test)]
@@ -337,5 +279,41 @@ mod tests {
         let student_cfg = ForecastConfig::for_task(&splits.train, 4, 8);
         assert!(run_forecast_aed(&splits, &empty, &student_cfg, &Default::default()).is_err());
         assert!(ForecastTeachers::compute(&[], &splits).is_err());
+    }
+
+    /// Zero predictions from `n` teachers, with `extra_rows` more training
+    /// rows than the train split has.
+    fn zero_teachers(splits: &ForecastSplits, n: usize, extra_rows: usize) -> ForecastTeachers {
+        let out = splits.train.targets().dims()[1];
+        ForecastTeachers {
+            train: vec![Tensor::zeros(&[splits.train.len() + extra_rows, out]); n],
+            val: vec![Tensor::zeros(&[splits.validation.len(), out]); n],
+        }
+    }
+
+    fn quick_cfg() -> ForecastAedConfig {
+        ForecastAedConfig {
+            epochs: 4,
+            v: 2,
+            transform: WeightTransform::Softmax,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn teacher_predictions_must_cover_exactly_the_train_split() {
+        let splits = task(5);
+        let student_cfg = ForecastConfig::for_task(&splits.train, 4, 8);
+        let long = zero_teachers(&splits, 2, 3);
+        assert!(run_forecast_aed(&splits, &long, &student_cfg, &quick_cfg()).is_err());
+    }
+
+    #[test]
+    fn validation_predictions_must_match_training_teachers() {
+        let splits = task(6);
+        let student_cfg = ForecastConfig::for_task(&splits.train, 4, 8);
+        let mut short = zero_teachers(&splits, 2, 0);
+        short.val.pop();
+        assert!(run_forecast_aed(&splits, &short, &student_cfg, &quick_cfg()).is_err());
     }
 }

@@ -13,9 +13,10 @@
 use crate::aed::{run_aed, AedConfig};
 use crate::teacher::TeacherProbs;
 use crate::weights::{argmin_weight, WeightTransform};
-use crate::{DistillError, Result};
+use crate::Result;
 use lightts_data::Splits;
 use lightts_models::inception::{InceptionConfig, InceptionTime};
+use lightts_obs as obs;
 
 /// How teachers are removed between AED rounds (Table 3 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,48 +76,62 @@ pub fn lightts_removal(
     aed_cfg: &AedConfig,
     strategy: RemovalStrategy,
 ) -> Result<RemovalResult> {
-    if teachers.is_empty() {
-        return Err(DistillError::BadInput { what: "no teachers".into() });
-    }
     let mut cfg = *aed_cfg;
     cfg.transform = transform_for(strategy, aed_cfg.transform);
+    let remove = strategy != RemovalStrategy::None;
+    let (best, kept, history) = remove_teachers(teachers.len(), remove, |kept| {
+        let res = run_aed(splits, &teachers.subset(kept)?, config, &cfg)?;
+        Ok((res.weights.clone(), res.val_accuracy, res))
+    })?;
+    Ok(RemovalResult {
+        student: best.student,
+        kept,
+        val_accuracy: best.val_accuracy,
+        val_top5: best.val_top5,
+        aed_runs: history.len(),
+        history,
+    })
+}
 
-    let mut kept: Vec<usize> = (0..teachers.len()).collect();
+/// The removal loop shared by [`lightts_removal`] and forecasting's
+/// [`forecast_lightts`](crate::forecast::forecast_lightts).
+///
+/// Starting from all `n` teachers, `round` runs on the kept teachers'
+/// original indices and returns its final weights λ̂ (aligned with the kept
+/// indices), a validation score, where higher is better, and its result.
+/// After each round the teacher with the smallest λ̂ is dropped, down to
+/// one teacher; with `remove` false only the first round runs. Each round
+/// emits a `removal.round` event. Returns the first round with the best
+/// score, its kept indices, and every round's record (`val_accuracy`
+/// holds the score).
+pub(crate) fn remove_teachers<R>(
+    n: usize,
+    remove: bool,
+    mut round: impl FnMut(&[usize]) -> Result<(Vec<f32>, f64, R)>,
+) -> Result<(R, Vec<usize>, Vec<RemovalRound>)> {
+    let mut kept: Vec<usize> = (0..n).collect();
     let mut history = Vec::new();
-    let mut best: Option<RemovalResult> = None;
-    let mut aed_runs = 0usize;
-
+    let mut best: Option<(R, Vec<usize>, f64)> = None;
     loop {
-        let sub = teachers.subset(&kept)?;
-        let res = run_aed(splits, &sub, config, &cfg)?;
-        aed_runs += 1;
-        history.push(RemovalRound {
-            kept: kept.clone(),
-            val_accuracy: res.val_accuracy,
-            weights: res.weights.clone(),
+        let (weights, score, res) = round(&kept)?;
+        let victim =
+            (remove && kept.len() > 1).then(|| argmin_weight(&weights).expect("non-empty weights"));
+        obs::event!("removal.round", {
+            round: history.len(),
+            kept: format!("{kept:?}"),
+            removed: victim.map_or_else(|| "none".into(), |v| kept[v].to_string()),
+            score: score,
+            weights: format!("{weights:?}"),
         });
-        let candidate_better = best.as_ref().is_none_or(|b| res.val_accuracy > b.val_accuracy);
-        if candidate_better {
-            best = Some(RemovalResult {
-                student: res.student,
-                kept: kept.clone(),
-                val_accuracy: res.val_accuracy,
-                val_top5: res.val_top5,
-                history: Vec::new(),
-                aed_runs: 0,
-            });
+        history.push(RemovalRound { kept: kept.clone(), val_accuracy: score, weights });
+        if best.as_ref().is_none_or(|b| score > b.2) {
+            best = Some((res, kept.clone(), score));
         }
-        if strategy == RemovalStrategy::None || kept.len() == 1 {
-            break;
-        }
-        let victim = argmin_weight(&res.weights).expect("non-empty weights");
-        kept.remove(victim);
+        let Some(v) = victim else { break };
+        kept.remove(v);
     }
-
-    let mut best = best.expect("at least one round ran");
-    best.history = history;
-    best.aed_runs = aed_runs;
-    Ok(best)
+    let (best, best_kept, _) = best.expect("at least one round ran");
+    Ok((best, best_kept, history))
 }
 
 #[cfg(test)]

@@ -12,6 +12,10 @@
 //! during training. Routing all methods through this one trainer keeps the
 //! comparison honest: accuracy differences in the experiment tables come
 //! from the weighting strategy, not from trainer implementation drift.
+//!
+//! The trainer is the network's one mini-batch loop,
+//! [`InceptionTime::train_epochs`], with the Eq.-2 loss built per batch;
+//! forecasting ([`crate::forecast`]) builds the same loss with MSE terms.
 
 use crate::{DistillError, Result};
 use lightts_data::LabeledDataset;
@@ -19,13 +23,11 @@ use lightts_models::inception::{InceptionConfig, InceptionTime};
 use lightts_models::metrics::{accuracy, top_k_accuracy};
 use lightts_models::Classifier;
 use lightts_nn::optim::{Adam, Optimizer, Sgd};
-use lightts_nn::{Bindings, Mode};
 use lightts_obs as obs;
 use lightts_tensor::rng::seeded;
-use lightts_tensor::tape::Tape;
+use lightts_tensor::tape::{Tape, Var};
 use lightts_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use std::time::Instant;
 
 /// Hyper-parameters of student training (paper Section 4.1.5).
@@ -64,30 +66,59 @@ impl StudentTrainOpts {
     }
 }
 
-/// Validates that teacher tensors align with the dataset and each other.
-fn check_teachers(train: &LabeledDataset, q_train: &[Tensor], weights: &[f32]) -> Result<()> {
-    if q_train.len() != weights.len() {
-        return Err(DistillError::BadInput {
-            what: format!("{} teachers but {} weights", q_train.len(), weights.len()),
-        });
+/// Validates teacher tensors: there is at least one teacher, and each
+/// `(tensors, rows)` split holds one `[rows, _]` tensor per teacher,
+/// `teachers` in all.
+pub(crate) fn check_teachers(splits: &[(&[Tensor], usize)], teachers: usize) -> Result<()> {
+    if teachers == 0 {
+        return Err(DistillError::BadInput { what: "no teachers".into() });
     }
-    for (i, q) in q_train.iter().enumerate() {
-        if q.rank() != 2 || q.dims()[0] != train.len() {
+    for &(qs, rows) in splits {
+        if qs.len() != teachers {
             return Err(DistillError::BadInput {
-                what: format!(
-                    "teacher {i} probs shape {:?} does not cover {} training rows",
-                    q.dims(),
-                    train.len()
-                ),
+                what: format!("{} teacher tensors for {teachers} teachers", qs.len()),
             });
+        }
+        for (i, q) in qs.iter().enumerate() {
+            if q.rank() != 2 || q.dims()[0] != rows {
+                return Err(DistillError::BadInput {
+                    what: format!("teacher {i} shape {:?} does not cover {rows} rows", q.dims()),
+                });
+            }
         }
     }
     Ok(())
 }
 
+/// Eq. 2 on the tape for one mini-batch,
+/// `α·gt + (1−α)·Σ_i w_i·dist(q_i[rows])`, over the teachers whose weight
+/// exceeds 1e-6. Classification passes cross-entropy and KL, forecasting
+/// MSE and MSE.
+pub(crate) fn eq2_loss(
+    tape: &mut Tape,
+    alpha: f32,
+    gt: Var,
+    teachers: &[Tensor],
+    weights: &[f32],
+    rows: &[usize],
+    dist: impl Fn(&mut Tape, &Tensor) -> lightts_tensor::Result<Var>,
+) -> lightts_tensor::Result<Var> {
+    let mut loss = tape.scale(gt, alpha)?;
+    for (q, &w) in teachers.iter().zip(weights) {
+        if w <= 1e-6 {
+            continue;
+        }
+        let d = dist(tape, &q.gather_rows(rows)?)?;
+        let term = tape.scale(d, (1.0 - alpha) * w)?;
+        loss = tape.add(loss, term)?;
+    }
+    Ok(loss)
+}
+
 /// Runs `epochs` epochs of Eq.-2 training with *fixed* teacher weights,
 /// preserving optimizer state across calls (the AED inner level runs this in
-/// `v`-epoch slices between λ updates).
+/// `v`-epoch slices between λ updates). Each epoch is one pass of the
+/// network's shared mini-batch loop, [`InceptionTime::train_epochs`].
 ///
 /// Returns the mean loss of the final epoch.
 #[allow(clippy::too_many_arguments)]
@@ -101,53 +132,32 @@ pub fn train_student_epochs(
     rng: &mut StdRng,
     epochs: usize,
 ) -> Result<f32> {
-    check_teachers(train, q_train, weights)?;
-    let alpha = opts.alpha;
+    check_teachers(&[(q_train, train.len())], weights.len())?;
     let mut last_loss = f32::INFINITY;
-    let all: Vec<usize> = (0..train.len()).collect();
     let epoch_counter = obs::global().counter("distill.epochs");
     let epoch_ns = obs::global().histogram("distill.epoch_ns");
-    // One tape + binding set reused across every mini-batch of every epoch;
-    // `reset` retains node storage so steady-state steps are allocation-free
-    // (buffer traffic is absorbed by `lightts_tensor::pool`).
-    let mut tape = Tape::new();
-    let mut bind = Bindings::new();
     for epoch in 0..epochs {
         obs::failpoint::hit("trainer.epoch").map_err(|what| DistillError::Fault { what })?;
         let mut sp = obs::span!("trainer.epoch", { epoch: epoch, samples: train.len() });
         let t0 = Instant::now();
-        let mut order = all.clone();
-        order.shuffle(rng);
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-        for chunk in order.chunks(opts.batch_size.max(1)) {
-            let batch = train.batch(chunk)?;
-            tape.reset();
-            bind.reset();
-            let logits = student.forward_train(&mut tape, &mut bind, &batch.inputs, Mode::Train)?;
-            let logp = tape.log_softmax(logits)?;
-            let ce = tape.nll_mean(logp, &batch.labels)?;
-            let mut loss = tape.scale(ce, alpha)?;
-            for (q, &w) in q_train.iter().zip(weights.iter()) {
-                if w <= 1e-6 {
-                    continue;
-                }
-                let q_rows = q.gather_rows(chunk)?;
-                let kl = tape.kl_to_target(logp, &q_rows)?;
-                let term = tape.scale(kl, (1.0 - alpha) * w)?;
-                loss = tape.add(loss, term)?;
-            }
-            epoch_loss += tape.value(loss)?.item()?;
-            batches += 1;
-            let grads = tape.backward(loss)?;
-            let pairs = bind.collect_grads(grads);
-            optimizer.step(student.store_mut(), &pairs)?;
-        }
-        last_loss = epoch_loss / batches.max(1) as f32;
+        last_loss = student.train_epochs(
+            train.len(),
+            opts.batch_size,
+            1,
+            optimizer,
+            rng,
+            |rows| Ok(train.batch(rows).map(|b| (b.inputs, b.labels))?),
+            |tape, logits, rows, labels| {
+                let logp = tape.log_softmax(logits)?;
+                let ce = tape.nll_mean(logp, labels)?;
+                let kl = |t: &mut Tape, q: &Tensor| t.kl_to_target(logp, q);
+                Ok(eq2_loss(tape, opts.alpha, ce, q_train, weights, rows, kl)?)
+            },
+        )?;
         epoch_counter.inc();
         epoch_ns.record_duration(t0.elapsed());
         sp.record("loss", last_loss);
-        sp.record("batches", batches);
+        sp.record("batches", train.len().div_ceil(opts.batch_size));
     }
     Ok(last_loss)
 }
@@ -249,6 +259,14 @@ mod tests {
         let train = data(2, 24, 92);
         let q = Tensor::full(&[10, 2], 0.5); // wrong row count
         let opts = StudentTrainOpts::default();
+        assert!(train_student(&tiny_student(2, 32), &train, &[q], &[1.0], &opts).is_err());
+    }
+
+    #[test]
+    fn zero_batch_size_is_an_error() {
+        let train = data(2, 24, 95);
+        let q = oracle_probs(&train, 0.9);
+        let opts = StudentTrainOpts { epochs: 1, batch_size: 0, ..Default::default() };
         assert!(train_student(&tiny_student(2, 32), &train, &[q], &[1.0], &opts).is_err());
     }
 

@@ -13,12 +13,10 @@
 use crate::inception::{config_bytes, read_config, InceptionConfig, InceptionTime};
 use crate::Result;
 use lightts_data::forecast::ForecastDataset;
-use lightts_nn::optim::{Adam, Optimizer};
+use lightts_nn::optim::Adam;
 use lightts_nn::serialize::StoreForm;
-use lightts_nn::{Bindings, Mode, ParamStore};
 use lightts_obs::checkpoint::SectionReader;
 use lightts_tensor::rng::seeded;
-use lightts_tensor::tape::{Tape, Var};
 use lightts_tensor::Tensor;
 use rand::Rng;
 
@@ -82,20 +80,10 @@ impl Forecaster {
         self.net.size_bits()
     }
 
-    /// Mutable parameter store (for optimizers).
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        self.net.store_mut()
-    }
-
-    /// Training forward: predictions `[batch, out_len]` on the tape.
-    pub fn forward_train(
-        &mut self,
-        tape: &mut Tape,
-        bind: &mut Bindings,
-        inputs: &Tensor,
-        mode: Mode,
-    ) -> Result<Var> {
-        self.net.forward_train(tape, bind, inputs, mode)
+    /// The network, for trainers that run its mini-batch loop
+    /// ([`InceptionTime::train_epochs`]) with their own loss.
+    pub fn net_mut(&mut self) -> &mut InceptionTime {
+        &mut self.net
     }
 
     /// Inference predictions on plain tensors.
@@ -103,7 +91,7 @@ impl Forecaster {
         self.net.logits(inputs)
     }
 
-    /// Supervised MSE training (teacher forecasters).
+    /// Supervised MSE training (teacher forecasters), in batches of 32.
     ///
     /// Returns the final-epoch training loss.
     pub fn fit(
@@ -113,36 +101,15 @@ impl Forecaster {
         lr: f32,
         seed: u64,
     ) -> Result<f32> {
-        let mut rng = seeded(seed);
-        let mut opt = Adam::new(lr);
-        let mut last = f32::INFINITY;
-        let n = train.len();
-        let all: Vec<usize> = (0..n).collect();
-        // Tape + bindings reused across mini-batches (reset per step) so the
-        // steady-state loop is allocation-free; see `lightts_tensor::pool`.
-        let mut tape = Tape::new();
-        let mut bind = Bindings::new();
-        for _ in 0..epochs {
-            use rand::seq::SliceRandom;
-            let mut order = all.clone();
-            order.shuffle(&mut rng);
-            let mut loss_sum = 0.0;
-            let mut batches = 0;
-            for chunk in order.chunks(32) {
-                let (x, y) = train.batch(chunk)?;
-                tape.reset();
-                bind.reset();
-                let pred = self.forward_train(&mut tape, &mut bind, &x, Mode::Train)?;
-                let loss = tape.mse_to_target(pred, &y)?;
-                loss_sum += tape.value(loss)?.item()?;
-                batches += 1;
-                let grads = tape.backward(loss)?;
-                let pairs = bind.collect_grads(grads);
-                opt.step(self.net.store_mut(), &pairs)?;
-            }
-            last = loss_sum / batches.max(1) as f32;
-        }
-        Ok(last)
+        self.net.train_epochs(
+            train.len(),
+            32,
+            epochs,
+            &mut Adam::new(lr),
+            &mut seeded(seed),
+            |rows| Ok(train.batch(rows)?),
+            |tape, pred, _, y| Ok(tape.mse_to_target(pred, y)?),
+        )
     }
 
     /// Mean squared forecast error on a dataset.

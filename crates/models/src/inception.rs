@@ -24,6 +24,8 @@ use lightts_obs::checkpoint::{Cursor, SectionReader, SectionWriter};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::tape::{Tape, Var};
 use lightts_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Configuration of one InceptionTime block: the `(L_j, F_j, W_j)` tuple of
@@ -227,8 +229,9 @@ pub(crate) fn read_config(bytes: &[u8], with_head: bool) -> Result<(InceptionCon
     Ok((config, head_out))
 }
 
-/// Hyper-parameters for supervised training (used for teachers; students are
-/// trained by the distillation crate with composite losses).
+/// Hyper-parameters of supervised teacher training, [`InceptionTime::fit`].
+/// Students run the same mini-batch loop, [`InceptionTime::train_epochs`],
+/// from the distillation crate with the composite Eq.-2 loss.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
@@ -321,11 +324,6 @@ impl InceptionTime {
     /// The parameter store (for optimizers and size accounting).
     pub fn store(&self) -> &ParamStore {
         &self.store
-    }
-
-    /// Mutable parameter store.
-    pub fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
     }
 
     /// Instantiated model size in bits.
@@ -510,38 +508,71 @@ impl InceptionTime {
     ///
     /// Returns the mean training loss of the final epoch.
     pub fn fit(&mut self, train: &LabeledDataset, cfg: &TrainConfig) -> Result<f32> {
-        let mut rng = seeded(cfg.seed);
-        let mut adam = Adam::new(cfg.lr);
-        let mut sgd = Sgd::new(cfg.lr, 0.9);
-        let mut last_loss = f32::INFINITY;
-        // One tape and one binding set for the whole fit: `reset` between
-        // mini-batches re-records into the retained node storage, so the
-        // steady-state step allocates nothing (see `lightts_tensor::pool`).
+        let mut optimizer: Box<dyn Optimizer> =
+            if cfg.adam { Box::new(Adam::new(cfg.lr)) } else { Box::new(Sgd::new(cfg.lr, 0.9)) };
+        self.train_epochs(
+            train.len(),
+            cfg.batch_size,
+            cfg.epochs,
+            optimizer.as_mut(),
+            &mut seeded(cfg.seed),
+            |rows| Ok(train.batch(rows).map(|b| (b.inputs, b.labels))?),
+            |tape, logits, _, labels| {
+                let logp = tape.log_softmax(logits)?;
+                Ok(tape.nll_mean(logp, labels)?)
+            },
+        )
+    }
+
+    /// The mini-batch loop behind every trainer: teacher [`fit`](Self::fit),
+    /// [`Forecaster::fit`](crate::forecaster::Forecaster::fit) and the
+    /// distillation crate's student loops.
+    ///
+    /// Each of `epochs` epochs shuffles a fresh `0..n` with `rng` and cuts it
+    /// into batches of `batch_size` rows. Per batch, `batch` builds
+    /// `(inputs, target)` from the row indices, the network runs
+    /// [`forward_train`](Self::forward_train) in [`Mode::Train`], `loss`
+    /// builds the scalar loss from the tape, the network output, the rows and
+    /// the target, and `optimizer` steps on its gradients. One tape and one
+    /// binding set are `reset` per batch, so steady-state steps allocate
+    /// nothing (see `lightts_tensor::pool`).
+    ///
+    /// Returns the mean batch loss of the final epoch (infinite when `epochs`
+    /// is 0). A zero `batch_size` is an error.
+    #[allow(clippy::too_many_arguments)]
+    pub fn train_epochs<T>(
+        &mut self,
+        n: usize,
+        batch_size: usize,
+        epochs: usize,
+        optimizer: &mut dyn Optimizer,
+        rng: &mut StdRng,
+        mut batch: impl FnMut(&[usize]) -> Result<(Tensor, T)>,
+        mut loss: impl FnMut(&mut Tape, Var, &[usize], &T) -> Result<Var>,
+    ) -> Result<f32> {
+        if batch_size == 0 {
+            return Err(ModelError::BadConfig { what: "batch_size must be > 0".into() });
+        }
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
-        for _epoch in 0..cfg.epochs {
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for batch in train.minibatches(&mut rng, cfg.batch_size)? {
+        let mut last = f32::INFINITY;
+        for _ in 0..epochs {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(rng);
+            let mut sum = 0.0f32;
+            for rows in order.chunks(batch_size) {
+                let (inputs, target) = batch(rows)?;
                 tape.reset();
                 bind.reset();
-                let logits =
-                    self.forward_train(&mut tape, &mut bind, &batch.inputs, Mode::Train)?;
-                let logp = tape.log_softmax(logits)?;
-                let loss = tape.nll_mean(logp, &batch.labels)?;
-                epoch_loss += tape.value(loss)?.item()?;
-                batches += 1;
-                let grads = tape.backward(loss)?;
-                let pairs = bind.collect_grads(grads);
-                if cfg.adam {
-                    adam.step(&mut self.store, &pairs)?;
-                } else {
-                    sgd.step(&mut self.store, &pairs)?;
-                }
+                let out = self.forward_train(&mut tape, &mut bind, &inputs, Mode::Train)?;
+                let l = loss(&mut tape, out, rows, &target)?;
+                sum += tape.value(l)?.item()?;
+                let grads = tape.backward(l)?;
+                optimizer.step(&mut self.store, &bind.collect_grads(grads))?;
             }
-            last_loss = epoch_loss / batches.max(1) as f32;
+            last = sum / n.div_ceil(batch_size).max(1) as f32;
         }
-        Ok(last_loss)
+        Ok(last)
     }
 
     /// Overrides the display name (e.g. `"teacher-3"`).

@@ -190,9 +190,10 @@ pub fn thread_tapes_created() -> u64 {
 
 /// A define-by-run reverse-mode autodiff tape.
 ///
-/// A tape is built per forward pass (per mini-batch) and discarded after
-/// [`Tape::backward`]; this keeps lifetimes simple and matches how the
-/// training loops in `lightts-nn` are structured.
+/// A tape records one forward pass (one mini-batch) and its
+/// [`Tape::backward`]. The training loop in `lightts-models`
+/// (`InceptionTime::train_epochs`) keeps one tape for a whole call and
+/// [`Tape::reset`]s it before each batch, so the node storage is reused.
 #[derive(Debug)]
 pub struct Tape {
     nodes: Vec<Node>,

@@ -1,7 +1,5 @@
 #!/bin/bash
 # Runs every experiment binary at quick scale, recording TSV outputs.
-# (The extra `calibrate` binary is a host-sizing utility, not a paper
-# artifact, so it is not part of this sweep.)
 set -u
 cd "$(dirname "$0")"
 mkdir -p results

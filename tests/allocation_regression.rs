@@ -1,22 +1,32 @@
 //! Allocation regression: steady-state training steps must be served
 //! entirely from the tensor buffer pool.
 //!
-//! The training loops hoist one `Tape` + `Bindings` pair and `reset` them
-//! per mini-batch, and every transient kernel buffer (padded conv inputs
-//! and gradients, matmul outputs, elementwise results) is drawn from the
-//! thread-local grow-only pool in `lightts_tensor::pool`. After one warm-up
-//! pass has populated the size buckets, further epochs over same-shaped
-//! mini-batches must therefore hit the pool every single time — **zero**
-//! new `Vec` allocations per step.
+//! The training loop (`InceptionTime::train_epochs`) hoists one `Tape` +
+//! `Bindings` pair and `reset`s them per mini-batch, and every transient
+//! kernel buffer (padded conv inputs and gradients, matmul outputs,
+//! elementwise results) is drawn from the thread-local grow-only pool in
+//! `lightts_tensor::pool`. After one warm-up pass has populated the size
+//! buckets, further epochs over same-shaped mini-batches must therefore hit
+//! the pool every single time — **zero** new `Vec` allocations per step.
 //!
-//! The assertion uses `thread_pool_misses()`, the *thread-local* miss
-//! counter, so it measures only this test's thread. The test still lives in
-//! its own integration binary (one `#[test]`, run with no sibling tests) so
-//! no concurrent test can interleave pool traffic on this thread either.
+//! Batch buffers come from the pool too. A batch allocated with a plain
+//! `Vec` is still recycled into the grow-only pool when its tensor drops,
+//! so when its element count is not a power of two (no pooled slab of
+//! exactly its capacity is ever handed out again) every step parks one more
+//! slab: the miss counter stays flat while the pool's held bytes grow by
+//! one batch per step. The second half of the test trains a classifier and
+//! a forecaster on such batches and requires the held bytes to stay put.
+//!
+//! The assertions use the *thread-local* counters, so they measure only
+//! this test's thread. The test still lives in its own integration binary
+//! (one `#[test]`, run with no sibling tests) so no concurrent test can
+//! interleave pool traffic on this thread either.
 
+use lightts::models::forecaster::{ForecastConfig, Forecaster};
 use lightts::models::inception::{InceptionConfig, InceptionTime, TrainConfig};
 use lightts::tensor::pool;
 use lightts::tensor::rng::seeded;
+use lightts_data::forecast::{synthetic_series, windows_from_series};
 use lightts_data::synth::{Generator, SynthConfig};
 
 #[test]
@@ -57,5 +67,32 @@ fn steady_state_training_epochs_are_pool_miss_free() {
         pool::pool_hits() > warm_hits,
         "training epochs recorded no pool hits at all — the loop is not \
          routing buffers through the pool, so the miss check is vacuous"
+    );
+
+    // Batch 12 of 32 rows: 12 × 1 × 32 = 384 input values, not a power of
+    // two. One warm-up epoch, then the held bytes must not move.
+    let odd = TrainConfig { batch_size: 12, ..cfg };
+    model.fit(&train, &odd).unwrap();
+    let held = pool::thread_pool_held_bytes();
+    model.fit(&train, &TrainConfig { epochs: 3, ..odd }).unwrap();
+    assert_eq!(
+        pool::thread_pool_held_bytes(),
+        held,
+        "the pool grew across steady classifier epochs on 384-value batches"
+    );
+
+    // Forecast windows of 24 steps, horizon 3: 32 × 24 inputs and 32 × 3
+    // targets per batch.
+    let series = synthetic_series(1, 200, 0.05, 7);
+    let splits = windows_from_series("allocreg", &series, 24, 3, 2, 0.15, 0.15).unwrap();
+    let mut forecaster =
+        Forecaster::new(ForecastConfig::for_task(&splits.train, 4, 32), &mut rng).unwrap();
+    forecaster.fit(&splits.train, 1, 0.01, 3).unwrap();
+    let held = pool::thread_pool_held_bytes();
+    forecaster.fit(&splits.train, 3, 0.01, 3).unwrap();
+    assert_eq!(
+        pool::thread_pool_held_bytes(),
+        held,
+        "the pool grew across steady forecaster epochs"
     );
 }

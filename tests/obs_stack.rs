@@ -1,17 +1,22 @@
 //! Whole-stack observability integration test: with the in-memory sink
 //! active, a tiny AED run, a tiny MOBO search, and a serving round must
 //! together emit schema-valid JSONL covering trainer epochs, MOBO trials,
-//! and serve batches — the acceptance scenario of the observability PR.
+//! and serve batches. A tiny forecast LightTS run, traced on its own
+//! afterwards, must show the outer λ steps and one `removal.round` decision
+//! per round.
 //!
 //! Everything runs inside ONE `#[test]` because the sink is process-global
 //! state; a second concurrent test in this binary would race it.
 
 use lightts::distill::aed::{run_aed, AedConfig};
+use lightts::distill::forecast::{forecast_lightts, ForecastAedConfig, ForecastTeachers};
 use lightts::distill::trainer::StudentTrainOpts;
 use lightts::distill::weights::WeightTransform;
+use lightts::models::forecaster::ForecastConfig;
 use lightts::models::inception::InceptionTime;
 use lightts::prelude::*;
 use lightts::search::mobo::run_mobo;
+use lightts_data::forecast::{synthetic_series, windows_from_series, ForecastDataset};
 use lightts_data::synth::{Generator, SynthConfig};
 use lightts_data::LabeledDataset;
 use lightts_obs::{self as obs, SinkTarget};
@@ -117,4 +122,35 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
     assert!(snap.counter("search.trials").unwrap_or(0) >= 2);
     assert!(stats.batches >= 1);
     assert!(stats.total_latency.as_nanos() > 0);
+
+    // --- forecasting: two teachers (the targets shifted by 0.1 and by 1.0),
+    //     two removal rounds of two inner slices each, traced on their own ---
+    let series = synthetic_series(1, 120, 0.05, 902);
+    let fs = windows_from_series("obs-forecast", &series, 16, 2, 2, 0.15, 0.15).unwrap();
+    let shifted =
+        |ds: &ForecastDataset| vec![ds.targets().add_scalar(0.1), ds.targets().add_scalar(1.0)];
+    let teachers = ForecastTeachers { train: shifted(&fs.train), val: shifted(&fs.validation) };
+    let forecast_cfg = ForecastAedConfig { epochs: 4, v: 2, ..ForecastAedConfig::default() };
+    let student = ForecastConfig::for_task(&fs.train, 2, 8);
+    forecast_lightts(&fs, &teachers, &student, &forecast_cfg).unwrap();
+    let mut outer = 0;
+    let mut removed = Vec::new();
+    for line in obs::take_memory() {
+        obs::jsonl::validate_event_line(&line)
+            .unwrap_or_else(|e| panic!("invalid event line {line:?}: {e}"));
+        let obj = obs::jsonl::parse(&line).unwrap();
+        let obj = obj.as_obj().unwrap();
+        match obj["path"].as_str().unwrap() {
+            "aed.outer" => outer += 1,
+            "removal.round" => {
+                let fields = obj["fields"].as_obj().unwrap();
+                removed.push(fields["removed"].as_str().unwrap().to_string());
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(outer, 2, "one outer λ step per removal round");
+    assert_eq!(removed.len(), 2, "one removal.round event per round: {removed:?}");
+    assert_ne!(removed[0], "none", "the first round removes a teacher");
+    assert_eq!(removed[1], "none", "the last round keeps its one teacher");
 }
