@@ -23,7 +23,7 @@ use lightts_tensor::conv::{conv1d_backward_input, conv1d_backward_weight, conv1d
 use lightts_tensor::qint::{qconv1d_same_into, QuantizedMatrix};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::simd::{
-    cpu_supports, gemm_tile_with, qgemm_i8t_with, vec_exp_with, SimdBackend, Tile, TileUpdate,
+    cpu_supports, gemm_tile_with, qgemm_i8t_with, vec_exp_with, SimdBackend, Tile,
 };
 use lightts_tensor::Tensor;
 use std::hint::black_box;
@@ -96,11 +96,9 @@ fn bench_simd(c: &mut Criterion) {
         n: GEMM_N,
         ldc: GEMM_N,
         lda: GEMM_K,
-        a_step: 1,
         b_step: GEMM_N,
         b_run: GEMM_K,
         b_jump: 0,
-        update: TileUpdate::Chain,
     };
 
     for &bk in backends() {

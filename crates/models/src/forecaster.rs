@@ -93,7 +93,8 @@ impl Forecaster {
 
     /// Supervised MSE training (teacher forecasters), in batches of 32.
     ///
-    /// Returns the final-epoch training loss.
+    /// Returns the final-epoch training loss. Each call is one
+    /// `teacher.fit` span, as [`InceptionTime::fit`](crate::inception::InceptionTime::fit).
     pub fn fit(
         &mut self,
         train: &ForecastDataset,
@@ -101,15 +102,23 @@ impl Forecaster {
         lr: f32,
         seed: u64,
     ) -> Result<f32> {
-        self.net.train_epochs(
+        let batch = 32;
+        let mut sp = lightts_obs::span!("teacher.fit", {
+            samples: train.len(),
+            epochs: epochs,
+            batch: batch,
+        });
+        let loss = self.net.train_epochs(
             train.len(),
-            32,
+            batch,
             epochs,
             &mut Adam::new(lr),
             &mut seeded(seed),
             |rows| Ok(train.batch(rows)?),
             |tape, pred, _, y| Ok(tape.mse_to_target(pred, y)?),
-        )
+        )?;
+        sp.record("loss", loss);
+        Ok(loss)
     }
 
     /// Mean squared forecast error on a dataset.

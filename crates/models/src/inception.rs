@@ -506,11 +506,18 @@ impl InceptionTime {
 
     /// Supervised training with cross-entropy (used for teachers).
     ///
-    /// Returns the mean training loss of the final epoch.
+    /// Returns the mean training loss of the final epoch. Each call is one
+    /// `teacher.fit` span (`samples`, `epochs`, `batch`, and the returned
+    /// `loss`).
     pub fn fit(&mut self, train: &LabeledDataset, cfg: &TrainConfig) -> Result<f32> {
+        let mut sp = lightts_obs::span!("teacher.fit", {
+            samples: train.len(),
+            epochs: cfg.epochs,
+            batch: cfg.batch_size,
+        });
         let mut optimizer: Box<dyn Optimizer> =
             if cfg.adam { Box::new(Adam::new(cfg.lr)) } else { Box::new(Sgd::new(cfg.lr, 0.9)) };
-        self.train_epochs(
+        let loss = self.train_epochs(
             train.len(),
             cfg.batch_size,
             cfg.epochs,
@@ -521,7 +528,9 @@ impl InceptionTime {
                 let logp = tape.log_softmax(logits)?;
                 Ok(tape.nll_mean(logp, labels)?)
             },
-        )
+        )?;
+        sp.record("loss", loss);
+        Ok(loss)
     }
 
     /// The mini-batch loop behind every trainer: teacher [`fit`](Self::fit),

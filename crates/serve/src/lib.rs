@@ -32,11 +32,10 @@
 //!   replicas share one compiled copy of each model's weights: a plan
 //!   clone owns only its scratch.
 //! * [`wire`] / [`net`] — the `LTSP` length-prefixed binary protocol and
-//!   its TCP / Unix-socket front door ([`Server::serve_net`],
-//!   [`Server::serve_unix`] + [`NetClient`]): remote callers get the same
-//!   admission, batching, deadline, and shed semantics as in-process ones,
-//!   rendered as typed status codes, with probability rows crossing the
-//!   wire bit-exactly.
+//!   its TCP front door ([`Server::serve_net`] + [`NetClient`]): remote
+//!   callers get the same admission, batching, deadline, and shed
+//!   semantics as in-process ones, rendered as typed status codes, with
+//!   probability rows crossing the wire bit-exactly.
 //! * [`ServeStats`] — per-request latency and per-batch throughput
 //!   counters, exposed as a consistent snapshot (plus per-shard
 //!   `serve.shard{i}.*` series in [`Server::metrics`]).

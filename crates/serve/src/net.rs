@@ -1,5 +1,5 @@
-//! The serving network front door: `LTSP` frames over TCP or Unix
-//! sockets, in front of the sharded scheduler.
+//! The serving network front door: `LTSP` frames over TCP, in front of
+//! the sharded scheduler.
 //!
 //! The shape mirrors `lightts_obs::http`: a small blocking accept loop
 //! (`std::net` only, no async runtime) that hands each connection to a
@@ -32,7 +32,7 @@
 use crate::wire::{self, Reply, WireError};
 use crate::{Pending, ServeError, Server, ServerHandle};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -45,45 +45,10 @@ pub const MAX_CONNS: usize = 256;
 /// own writer thread, and only this long per frame.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// One bidirectional connection stream the front door can serve: cloneable
-/// into independently owned read/write halves, with half-close support.
-/// (`Sync` because the retained close handle is shared with the accept
-/// loop; `TcpStream`/`UnixStream` are both `Sync`.)
-trait Conn: Read + Write + Send + Sync + Sized + 'static {
-    fn split(&self) -> io::Result<Self>;
-    fn close_read(&self);
-    fn close_write(&self);
-}
-
-impl Conn for TcpStream {
-    fn split(&self) -> io::Result<TcpStream> {
-        self.try_clone()
-    }
-    fn close_read(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Read);
-    }
-    fn close_write(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Write);
-    }
-}
-
-#[cfg(unix)]
-impl Conn for std::os::unix::net::UnixStream {
-    fn split(&self) -> io::Result<std::os::unix::net::UnixStream> {
-        self.try_clone()
-    }
-    fn close_read(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Read);
-    }
-    fn close_write(&self) {
-        let _ = self.shutdown(std::net::Shutdown::Write);
-    }
-}
-
-/// One served connection's bookkeeping: how to force its reader off the
-/// socket, and both thread handles to join.
+/// One served connection's bookkeeping: the socket, whose read side is
+/// shut to force its reader off, and both thread handles to join.
 struct ConnEntry {
-    closer: Box<dyn Fn() + Send + Sync>,
+    stream: TcpStream,
     reader: Option<JoinHandle<()>>,
     writer: Option<JoinHandle<()>>,
 }
@@ -95,7 +60,7 @@ impl ConnEntry {
     }
 
     fn close_and_join(mut self) {
-        (self.closer)();
+        let _ = self.stream.shutdown(Shutdown::Read);
         if let Some(t) = self.reader.take() {
             let _ = t.join();
         }
@@ -112,10 +77,9 @@ impl ConnEntry {
 pub(crate) struct DoorInner {
     stop: AtomicBool,
     done: AtomicBool,
-    /// Unblocks the accept loop (a throwaway self-connection).
-    wake: Box<dyn Fn() + Send + Sync>,
-    /// Runs after all threads are joined (e.g. unlinking a Unix socket).
-    cleanup: Option<Box<dyn Fn() + Send + Sync>>,
+    /// The bound address; a throwaway connection to it unblocks the accept
+    /// loop.
+    addr: SocketAddr,
     accept: Mutex<Option<JoinHandle<()>>>,
     conns: Mutex<Vec<ConnEntry>>,
 }
@@ -128,7 +92,7 @@ impl DoorInner {
             return;
         }
         self.stop.store(true, Ordering::SeqCst);
-        (self.wake)();
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
         if let Some(t) = self.accept.lock().unwrap_or_else(PoisonError::into_inner).take() {
             let _ = t.join();
         }
@@ -139,28 +103,23 @@ impl DoorInner {
         for c in conns {
             c.close_and_join();
         }
-        if let Some(cleanup) = &self.cleanup {
-            cleanup();
-        }
     }
 }
 
-/// A running network front door; obtained from [`Server::serve_net`] /
-/// [`Server::serve_unix`]. Dropping it (or calling
-/// [`shutdown`](Self::shutdown)) closes the listener and every
-/// connection — but the owning [`Server`]'s shutdown also retires the
-/// door at the right point in its drain sequence, so usually you just
-/// keep this handle alive alongside the server.
+/// A running network front door; obtained from [`Server::serve_net`].
+/// Dropping it (or calling [`shutdown`](Self::shutdown)) closes the
+/// listener and every connection — but the owning [`Server`]'s shutdown
+/// also retires the door at the right point in its drain sequence, so
+/// usually you just keep this handle alive alongside the server.
 pub struct NetServer {
     door: Arc<DoorInner>,
-    tcp_addr: Option<SocketAddr>,
 }
 
 impl NetServer {
     /// The bound TCP address (resolves port 0 to the real ephemeral
-    /// port). Panics for a Unix-socket door.
+    /// port).
     pub fn addr(&self) -> SocketAddr {
-        self.tcp_addr.expect("not a TCP front door")
+        self.door.addr
     }
 
     /// Stops accepting, closes every connection, joins every thread.
@@ -183,7 +142,7 @@ enum Item {
     Wait(u64, Pending),
 }
 
-fn conn_reader<S: Conn>(stream: S, handle: ServerHandle, tx: mpsc::Sender<Item>) {
+fn conn_reader(stream: TcpStream, handle: ServerHandle, tx: mpsc::Sender<Item>) {
     let mut r = BufReader::new(stream);
     match wire::read_handshake(&mut r) {
         Ok(Ok(())) => {}
@@ -223,7 +182,7 @@ fn conn_reader<S: Conn>(stream: S, handle: ServerHandle, tx: mpsc::Sender<Item>)
     }
 }
 
-fn conn_writer<S: Conn>(stream: S, rx: mpsc::Receiver<Item>) {
+fn conn_writer(stream: TcpStream, rx: mpsc::Receiver<Item>) {
     let mut w = BufWriter::new(stream);
     let mut broken = false;
     for item in rx {
@@ -246,13 +205,13 @@ fn conn_writer<S: Conn>(stream: S, rx: mpsc::Receiver<Item>) {
     // All replies written: half-close so the client's reader sees EOF
     // only after the last frame.
     if let Ok(s) = w.into_inner() {
-        s.close_write();
+        let _ = s.shutdown(Shutdown::Write);
     }
 }
 
-fn spawn_conn<S: Conn>(stream: S, handle: ServerHandle, tag: usize) -> io::Result<ConnEntry> {
-    let read_half = stream.split()?;
-    let write_half = stream.split()?;
+fn spawn_conn(stream: TcpStream, handle: ServerHandle, tag: usize) -> io::Result<ConnEntry> {
+    let read_half = stream.try_clone()?;
+    let write_half = stream.try_clone()?;
     let (tx, rx) = mpsc::channel();
     let reader = std::thread::Builder::new()
         .name(format!("lightts-net-r{tag}"))
@@ -260,25 +219,19 @@ fn spawn_conn<S: Conn>(stream: S, handle: ServerHandle, tag: usize) -> io::Resul
     let writer = std::thread::Builder::new()
         .name(format!("lightts-net-w{tag}"))
         .spawn(move || conn_writer(write_half, rx))?;
-    Ok(ConnEntry {
-        closer: Box::new(move || stream.close_read()),
-        reader: Some(reader),
-        writer: Some(writer),
-    })
+    Ok(ConnEntry { stream, reader: Some(reader), writer: Some(writer) })
 }
 
-fn accept_loop<S: Conn>(
-    accept: impl Fn() -> io::Result<S>,
-    door: &DoorInner,
-    handle: ServerHandle,
-) {
+fn accept_loop(listener: TcpListener, door: &DoorInner, handle: ServerHandle) {
     let mut tag = 0usize;
     loop {
-        let stream = accept();
+        let accepted = listener.accept();
         if door.stop.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok((stream, _)) = accepted else { continue };
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let mut conns = door.conns.lock().unwrap_or_else(PoisonError::into_inner);
         // Reap finished connections so the bookkeeping (and the
         // connection cap) tracks live ones.
@@ -312,77 +265,23 @@ impl Server {
     /// replies.
     pub fn serve_net(&self, addr: impl ToSocketAddrs) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let door = Arc::new(DoorInner {
             stop: AtomicBool::new(false),
             done: AtomicBool::new(false),
-            wake: Box::new(move || {
-                let _ = TcpStream::connect_timeout(&local, Duration::from_millis(250));
-            }),
-            cleanup: None,
+            addr: listener.local_addr()?,
             accept: Mutex::new(None),
             conns: Mutex::new(Vec::new()),
         });
         let handle = self.handle();
         let accept_thread = {
             let door = Arc::clone(&door);
-            std::thread::Builder::new().name("lightts-net-accept".into()).spawn(move || {
-                accept_loop(
-                    || {
-                        let (stream, _) = listener.accept()?;
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-                        Ok(stream)
-                    },
-                    &door,
-                    handle,
-                )
-            })?
+            std::thread::Builder::new()
+                .name("lightts-net-accept".into())
+                .spawn(move || accept_loop(listener, &door, handle))?
         };
         *door.accept.lock().unwrap_or_else(PoisonError::into_inner) = Some(accept_thread);
         self.doors.lock().unwrap_or_else(PoisonError::into_inner).push(Arc::clone(&door));
-        Ok(NetServer { door, tcp_addr: Some(local) })
-    }
-
-    /// Binds a Unix-domain-socket front door at `path` — same protocol and
-    /// semantics as [`serve_net`](Self::serve_net), minus the TCP stack.
-    /// The socket file is unlinked on shutdown.
-    #[cfg(unix)]
-    pub fn serve_unix(&self, path: impl AsRef<std::path::Path>) -> io::Result<NetServer> {
-        use std::os::unix::net::{UnixListener, UnixStream};
-        let path = path.as_ref().to_path_buf();
-        let listener = UnixListener::bind(&path)?;
-        let wake_path = path.clone();
-        let cleanup_path = path.clone();
-        let door = Arc::new(DoorInner {
-            stop: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            wake: Box::new(move || {
-                let _ = UnixStream::connect(&wake_path);
-            }),
-            cleanup: Some(Box::new(move || {
-                let _ = std::fs::remove_file(&cleanup_path);
-            })),
-            accept: Mutex::new(None),
-            conns: Mutex::new(Vec::new()),
-        });
-        let handle = self.handle();
-        let accept_thread = {
-            let door = Arc::clone(&door);
-            std::thread::Builder::new().name("lightts-net-accept".into()).spawn(move || {
-                accept_loop(
-                    || {
-                        let (stream, _) = listener.accept()?;
-                        Ok(stream)
-                    },
-                    &door,
-                    handle,
-                )
-            })?
-        };
-        *door.accept.lock().unwrap_or_else(PoisonError::into_inner) = Some(accept_thread);
-        self.doors.lock().unwrap_or_else(PoisonError::into_inner).push(Arc::clone(&door));
-        Ok(NetServer { door, tcp_addr: None })
+        Ok(NetServer { door })
     }
 }
 
@@ -428,8 +327,8 @@ impl From<ServeError> for NetError {
     }
 }
 
-/// A blocking `LTSP` client over any byte stream (TCP, Unix socket, or an
-/// in-memory pipe in tests).
+/// A blocking `LTSP` client over any byte stream (TCP, or an in-memory
+/// pipe in tests).
 ///
 /// Supports both one-shot request/response ([`predict`](Self::predict))
 /// and pipelined use: [`send`](Self::send) many requests, then
@@ -445,17 +344,6 @@ impl NetClient<TcpStream> {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<NetClient<TcpStream>> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        NetClient::from_stream(stream)
-    }
-}
-
-#[cfg(unix)]
-impl NetClient<std::os::unix::net::UnixStream> {
-    /// Connects to a Unix-socket front door and performs the handshake.
-    pub fn connect_unix(
-        path: impl AsRef<std::path::Path>,
-    ) -> io::Result<NetClient<std::os::unix::net::UnixStream>> {
-        let stream = std::os::unix::net::UnixStream::connect(path)?;
         NetClient::from_stream(stream)
     }
 }

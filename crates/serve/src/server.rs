@@ -357,8 +357,8 @@ pub struct Server {
     /// until their restart budget runs out. Joined first on shutdown so no
     /// respawn races the drain.
     supervisor: Option<JoinHandle<()>>,
-    /// Network front doors attached via [`serve_net`](Self::serve_net) /
-    /// `serve_unix`; retired *after* the shard drain on shutdown.
+    /// Network front doors attached via [`serve_net`](Self::serve_net);
+    /// retired *after* the shard drain on shutdown.
     pub(crate) doors: Mutex<Vec<Arc<crate::net::DoorInner>>>,
 }
 

@@ -1,5 +1,5 @@
 //! The `LTSP` wire format: length-prefixed binary frames for remote
-//! inference over TCP or Unix sockets.
+//! inference over TCP.
 //!
 //! ## Framing
 //!

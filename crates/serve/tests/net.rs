@@ -1,4 +1,4 @@
-//! Front-door integration: the TCP/Unix `LTSP` path must be semantically
+//! Front-door integration: the TCP `LTSP` path must be semantically
 //! *and bitwise* identical to in-process submission — same golden answers,
 //! same typed errors, same shed/drain behavior — for any shard count.
 //!
@@ -82,33 +82,6 @@ fn shard_counts_one_and_four_answer_bitwise_identically_over_tcp() {
     }
     s1.shutdown();
     s4.shutdown();
-}
-
-#[cfg(unix)]
-#[test]
-fn unix_socket_answers_identically_to_tcp() {
-    let server = start_server(2);
-    let net_tcp = server.serve_net("127.0.0.1:0").unwrap();
-    let path =
-        std::env::temp_dir().join(format!("lightts-serve-net-test-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let net_unix = server.serve_unix(&path).unwrap();
-    let mut tcp = NetClient::connect(net_tcp.addr()).unwrap();
-    let mut unix = NetClient::connect_unix(&path).unwrap();
-
-    for i in 0..6 {
-        let a = tcp.predict("golden", &sample(i)).unwrap();
-        let b = unix.predict("golden", &sample(i)).unwrap();
-        assert_eq!(
-            a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            b.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "sample {i}: unix-socket reply drifted from TCP"
-        );
-    }
-    drop(unix);
-    net_unix.shutdown();
-    assert!(!path.exists(), "unix socket file must be unlinked on shutdown");
-    server.shutdown();
 }
 
 #[test]

@@ -13,35 +13,38 @@
 //! # Lowered kernels without unfold slabs
 //!
 //! Every pass is a GEMM on the register tile [`simd::gemm_tile`], whose
-//! `b` rows are addressed by offset. Per sample, the input (or the input
-//! gradient) lives in one pooled zero-padded copy `pad[cin][l + k − 1]`,
-//! and the GEMM reads its unfold straight from there: row `(ci, j)` of the
-//! im2col matrix is `pad[ci][j..j + l]`. No `[cin·k, l]` slab is built.
+//! `b` rows are addressed by offset. Per sample, the input (or, for the
+//! input gradient, `dy`) lives in one pooled zero-padded copy
+//! `pad[c][l + k − 1]`, and the GEMM reads its unfold straight from there:
+//! row `(c, j)` of the im2col matrix is `pad[c][j..j + l]`. No `[c·k, l]`
+//! slab is built.
 //!
 //! * **Forward**: `y_b = W[cout, cin·k] · X_col`, one tile call per sample.
 //!   Each output element accumulates `p = (ci, j)` ascending from `+0.0`.
+//! * **Input gradient**: the input gradient of a "same" convolution is
+//!   itself one: `dx_b = conv(dy_b, W')` with `W'[ci, co, j] =
+//!   w[co, ci, k−1−j]` and the padding mirrored (`pr` zeros on the left
+//!   instead of `pl`). It runs the forward kernel, one tile call per
+//!   sample, so each `dx` element is one chain over `(co, j)` ascending
+//!   from `+0.0`.
 //! * **Weight gradient**: per (sample, `ci`), `dW[:, ci, :] += dY_b · H_ci`
 //!   with `H_ci[t, j] = pad[ci][t + j]`, into a pooled accumulator whose
 //!   rows are padded to a multiple of 8 columns. Each `dw` element is one
 //!   chain over `(bi, t)` ascending.
-//! * **Input gradient**: per (sample, `j` ascending), the tile computes
-//!   `G[(ci, j), t] = Σ_co w[co, ci, j] · dy[co, t]` in registers (a chain
-//!   over `co` from `+0.0`) and adds it into the zero-padded `dx` rows at
-//!   offset `j`. Each `dx` element sums its `G` terms in ascending `j`.
 //!
 //! The padding cannot move bits: a padded input position adds a `±0.0`
 //! term, which leaves a chain that is never `-0.0` unchanged, and a padded
-//! output column or `dx` position is discarded.
+//! weight-gradient column is discarded.
 //!
-//! Each pass runs this one kernel on every shape, and the per-element
-//! orders above do not depend on the batch size, so fused and per-sample
-//! runs agree bitwise under any fixed SIMD backend. The brute-force
-//! oracles live in the tests (`tests/kernel_reference.rs` and the unit
-//! tests below), and `tests/conv_lowering.rs` pins each pass's bits on
-//! every backend against slab references.
+//! Each pass runs one kernel on every shape, and the per-element orders
+//! above do not depend on the batch size, so fused and per-sample runs
+//! agree bitwise under any fixed SIMD backend. The brute-force oracles
+//! live in the tests (`tests/kernel_reference.rs` and the unit tests
+//! below), and `tests/conv_lowering.rs` pins each pass's bits on every
+//! backend against slab references.
 
 use crate::{pool, simd, Result, Tensor, TensorError};
-use simd::{Tile, TileUpdate};
+use simd::Tile;
 
 /// Padding for "same"-length convolution with a kernel of size `k`:
 /// `(pad_left, pad_right)`.
@@ -115,8 +118,9 @@ fn pad_sample(pad: &mut [f32], x_b: &[f32], l: usize, lp: usize, pl: usize) {
 /// learning convention): `y[b,co,t] = Σ_ci Σ_j x[b,ci,t+j-pl] · w[co,ci,j]`.
 pub fn conv1d_forward(x: &Tensor, w: &Tensor) -> Result<Tensor> {
     let (b, cin, l, cout, k) = check_conv_dims(x.dims(), w.dims(), "conv1d")?;
+    let _prof = lightts_obs::prof::scope("conv.lowered_fwd");
     let mut y = pool::take_zeroed(b * cout * l);
-    conv1d_forward_kernel(&mut y, x.data(), w.data(), b, cin, l, cout, k);
+    conv1d_forward_kernel(&mut y, x.data(), w.data(), b, cin, l, cout, k, same_padding(k).0);
     Tensor::from_vec(y, &[b, cout, l])
 }
 
@@ -143,16 +147,17 @@ pub fn conv1d_forward_into(y: &mut [f32], x: &[f32], batch: usize, w: &Tensor) -
     if y.len() != batch * cout * l {
         return Err(TensorError::LengthMismatch { len: y.len(), expected: batch * cout * l });
     }
+    let _prof = lightts_obs::prof::scope("conv.lowered_fwd");
     y.fill(0.0);
-    conv1d_forward_kernel(y, x, w.data(), batch, cin, l, cout, k);
+    conv1d_forward_kernel(y, x, w.data(), batch, cin, l, cout, k, same_padding(k).0);
     Ok(())
 }
 
 /// The lowered forward kernel: per sample, `y_b += W[cout, cin·k] · X_col`
 /// on the register tile, with row `(ci, j)` of `X_col` read in place from
-/// the padded copy (`pad[ci·lp + j ..]`). The flattened weight tensor is
-/// the `a` operand as is. `y` must be zeroed: each element's chain runs
-/// `p = (ci, j)` ascending from `+0.0`.
+/// the copy padded by `pl` zeros on the left (`pad[ci·lp + j ..]`). The
+/// flattened weight tensor is the `a` operand as is. `y` must be zeroed:
+/// each element's chain runs `p = (ci, j)` ascending from `+0.0`.
 #[allow(clippy::too_many_arguments)]
 fn conv1d_forward_kernel(
     y: &mut [f32],
@@ -163,23 +168,11 @@ fn conv1d_forward_kernel(
     l: usize,
     cout: usize,
     k: usize,
+    pl: usize,
 ) {
-    let _prof = lightts_obs::prof::scope("conv.lowered_fwd");
-    let (pl, _pr) = same_padding(k);
     let lp = l + k - 1;
     let ck = cin * k;
-    let tile = Tile {
-        rows: cout,
-        k: ck,
-        n: l,
-        ldc: l,
-        lda: ck,
-        a_step: 1,
-        b_step: 1,
-        b_run: k,
-        b_jump: lp,
-        update: TileUpdate::Chain,
-    };
+    let tile = Tile { rows: cout, k: ck, n: l, ldc: l, lda: ck, b_step: 1, b_run: k, b_jump: lp };
     let mut xpad = pool::take_zeroed(cin * lp);
     for bi in 0..b {
         pad_sample(&mut xpad, &xd[bi * cin * l..(bi + 1) * cin * l], l, lp, pl);
@@ -195,51 +188,25 @@ fn conv1d_forward_kernel(
 /// Gradient of the convolution output w.r.t. the input:
 /// `dx[b,ci,s] = Σ_co Σ_j dy[b,co,s-j+pl] · w[co,ci,j]`.
 ///
-/// Per sample and per `j` ascending, one tile call computes
-/// `G[(ci, j), t] = Σ_co w[co, ci, j] · dy_b[co, t]` for every `ci` in
-/// registers (a chain over `co` from `+0.0`, reading `w` in place with
-/// stride `cin·k`) and adds it into the zero-padded rows `dxpad[ci][t + j]`;
-/// the middle `l` values of each row are `dx_b`. Per `dx` element that is
-/// the `G` terms summed in ascending `j`, the order of a col2im pass,
-/// independent of the batch size. Terms that fall on the padding belong to
-/// no `dx` element and are discarded.
+/// With `j' = k−1−j` this is `Σ_co Σ_j' dy[b,co,s+j'-pr] · W'[ci,co,j']`
+/// for `W'[ci,co,j'] = w[co,ci,k−1−j']`: a "same" convolution of `dy` with
+/// the weights transposed and flipped, and the padding mirrored (`pr` zeros
+/// on the left). `W'` is packed once per call, then the forward kernel runs
+/// with `cin` and `cout` swapped, so each `dx` element is one chain over
+/// `(co, j')` ascending from `+0.0`, independent of the batch size.
 pub fn conv1d_backward_input(dy: &Tensor, w: &Tensor, input_dims: &[usize]) -> Result<Tensor> {
     let (b, cin, l, cout, k) =
         check_backward_dims(dy, input_dims, w.dims(), "conv1d_backward_input")?;
     let _prof = lightts_obs::prof::scope("conv.lowered_bwd_input");
-    let (pl, _pr) = same_padding(k);
-    let lp = l + k - 1;
-    let ck = cin * k;
-    let tile = Tile {
-        rows: cin,
-        k: cout,
-        n: l,
-        ldc: lp,
-        lda: k,
-        a_step: ck,
-        b_step: l,
-        b_run: cout,
-        b_jump: 0,
-        update: TileUpdate::AddTotal,
-    };
-    let (dyd, wd) = (dy.data(), w.data());
-    if cin == 0 || cout == 0 {
-        // No channel to slice the per-`j` operands from: the gradient is 0.
-        return Tensor::from_vec(pool::take_zeroed(b * cin * l), &[b, cin, l]);
-    }
-    let mut dxpad = pool::take_zeroed(cin * lp);
-    let mut dx = pool::take_empty(b * cin * l);
-    for bi in 0..b {
-        dxpad.fill(0.0);
-        let dy_b = &dyd[bi * cout * l..(bi + 1) * cout * l];
-        for j in 0..k {
-            simd::gemm_tile(&mut dxpad[j..], &wd[j..], dy_b, &tile);
-        }
-        for row in dxpad.chunks_exact(lp) {
-            dx.extend_from_slice(&row[pl..pl + l]);
+    let mut wt = pool::take_empty(cin * cout * k);
+    for ci in 0..cin {
+        for co in 0..cout {
+            wt.extend(w.data()[(co * cin + ci) * k..][..k].iter().rev());
         }
     }
-    pool::recycle(dxpad);
+    let mut dx = pool::take_zeroed(b * cin * l);
+    conv1d_forward_kernel(&mut dx, dy.data(), &wt, b, cout, l, cin, k, same_padding(k).1);
+    pool::recycle(wt);
     Tensor::from_vec(dx, &[b, cin, l])
 }
 
@@ -264,18 +231,8 @@ pub fn conv1d_backward_weight(dy: &Tensor, x: &Tensor, weight_dims: &[usize]) ->
     let (pl, _pr) = same_padding(k);
     let lp = l + k - 1;
     let kp = k.next_multiple_of(8);
-    let tile = Tile {
-        rows: cout,
-        k: l,
-        n: kp,
-        ldc: cin * kp,
-        lda: l,
-        a_step: 1,
-        b_step: 1,
-        b_run: l,
-        b_jump: 0,
-        update: TileUpdate::Chain,
-    };
+    let tile =
+        Tile { rows: cout, k: l, n: kp, ldc: cin * kp, lda: l, b_step: 1, b_run: l, b_jump: 0 };
     if cin == 0 || cout == 0 {
         // No channel to slice the per-`ci` operands from: the gradient is 0.
         return Tensor::from_vec(pool::take_zeroed(cout * cin * k), &[cout, cin, k]);

@@ -273,23 +273,14 @@ unsafe fn gemm_row_g<V: SimdF32>(c: &mut [f32], a: &[f32], b: &[f32], k: usize, 
 /// room for the two `b` vectors and one broadcast.
 const TILE_ROWS: usize = 6;
 
-/// How [`gemm_tile`] combines each output element's product chain with `c`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TileUpdate {
-    /// `c` seeds the chain: `c ← (…((c + a₀b₀) + a₁b₁) + …)`. Splitting the
-    /// `k` range over several calls continues one chain through memory.
-    Chain,
-    /// The chain starts at `+0.0` and its total is added to `c` once:
-    /// `c ← c + (…((+0.0 + a₀b₀) + a₁b₁) + …)`.
-    AddTotal,
-}
-
 /// Operand layout of one [`gemm_tile`] call:
 ///
-/// `c[r·ldc + t] ⊕= Σ_p a[r·lda + p·a_step] · b[off(p) + t]` for
-/// `r < rows`, `t < n`, `p < k`, where row `p` of `b` starts at
-/// `off(p) = (p / b_run)·b_jump + (p % b_run)·b_step` and `⊕` is the
-/// [`TileUpdate`].
+/// `c[r·ldc + t] += Σ_p a[r·lda + p] · b[off(p) + t]` for `r < rows`,
+/// `t < n`, `p < k`, where row `p` of `b` starts at
+/// `off(p) = (p / b_run)·b_jump + (p % b_run)·b_step`. Each element is one
+/// chain seeded by `c`, `c ← (…((c + a₀b₀) + a₁b₁) + …)`: a zeroed `c`
+/// starts it at `+0.0`, and splitting the `k` range over several calls
+/// continues one chain through memory.
 ///
 /// The two-level `b` addressing lets a convolution read its unfold
 /// straight from a zero-padded copy of the input: rows may overlap
@@ -308,16 +299,12 @@ pub struct Tile {
     pub ldc: usize,
     /// Distance between consecutive rows of `a`.
     pub lda: usize,
-    /// Distance between consecutive reduction steps within a row of `a`.
-    pub a_step: usize,
     /// Distance between consecutive rows of `b` within a run.
     pub b_step: usize,
     /// Rows of `b` per run.
     pub b_run: usize,
     /// Distance between the first rows of consecutive runs of `b`.
     pub b_jump: usize,
-    /// How the chain meets `c`.
-    pub update: TileUpdate,
 }
 
 impl Tile {
@@ -334,7 +321,7 @@ impl Tile {
             })
         };
         let c_end = end(&[(self.rows, self.ldc)], self.n);
-        let a_end = end(&[(self.rows, self.lda), (self.k, self.a_step)], 1);
+        let a_end = end(&[(self.rows, self.lda)], self.k);
         let b_end = end(&[(self.k / self.b_run, self.b_jump), (self.b_run, self.b_step)], self.n);
         assert!(c_end.is_some_and(|e| e <= c), "gemm_tile: c too short");
         assert!(a_end.is_some_and(|e| e <= a), "gemm_tile: a too short");
@@ -405,8 +392,8 @@ unsafe fn tile_rows<V: SimdF32, const NV: usize, const R: usize>(
     }
 }
 
-/// Whether the `R` values of `a` at reduction step offset `ap`
-/// (`p · a_step`) are all `±0.0`, so the step is skipped.
+/// Whether the `R` values of `a` at reduction step `p` are all `±0.0`, so
+/// the step is skipped.
 ///
 /// The test ORs the integer bits, read with volatile loads so the compiler
 /// cannot reuse them for the row broadcasts: those then load straight from
@@ -414,14 +401,14 @@ unsafe fn tile_rows<V: SimdF32, const NV: usize, const R: usize>(
 /// AVX2 cost more than the multiply-adds.
 ///
 /// # Safety
-/// `(R - 1)·lda + ap` must be in bounds of `a` ([`Tile::check`]).
+/// `(R - 1)·lda + p` must be in bounds of `a` ([`Tile::check`]).
 #[inline(always)]
-unsafe fn tile_step_is_zero<const R: usize>(a: &[f32], lda: usize, ap: usize) -> bool {
+unsafe fn tile_step_is_zero<const R: usize>(a: &[f32], lda: usize, p: usize) -> bool {
     let mut bits = 0u32;
     for r in 0..R {
         // SAFETY: in bounds by the caller's contract; `u32` has the size
         // and alignment of `f32`.
-        bits |= std::ptr::read_volatile(a.as_ptr().add(r * lda + ap).cast::<u32>());
+        bits |= std::ptr::read_volatile(a.as_ptr().add(r * lda + p).cast::<u32>());
     }
     bits << 1 == 0
 }
@@ -444,44 +431,38 @@ unsafe fn tile_block<V: SimdF32, const NV: usize, const R: usize>(
     j0: usize,
 ) {
     let mut acc = [[V::zero(); NV]; R];
-    if t.update == TileUpdate::Chain {
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            for (v, acc_rv) in acc_r.iter_mut().enumerate() {
-                *acc_rv = V::load(&c[r * t.ldc + j0 + v * V::LANES..]);
-            }
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        for (v, acc_rv) in acc_r.iter_mut().enumerate() {
+            *acc_rv = V::load(&c[r * t.ldc + j0 + v * V::LANES..]);
         }
     }
-    let (mut ap, mut run) = (0, 0);
+    let (mut p, mut run) = (0, 0);
     for _ in 0..t.k / t.b_run {
         let mut bp = run + j0;
         for _ in 0..t.b_run {
-            // SAFETY: `Tile::check` bounds every `r·lda + p·a_step` in `a`
-            // and every `off(p) + t` (`t < n`) in `b`; here `t` runs
+            // SAFETY: `Tile::check` bounds every `r·lda + p` in `a` and
+            // every `off(p) + t` (`t < n`) in `b`; here `t` runs
             // `j0 .. j0 + NV·LANES ≤ n`.
-            if !tile_step_is_zero::<R>(a, t.lda, ap) {
+            if !tile_step_is_zero::<R>(a, t.lda, p) {
                 let mut bv = [V::zero(); NV];
                 for v in 0..NV {
                     bv[v] = V::load(b.get_unchecked(bp + v * V::LANES..));
                 }
                 for r in 0..R {
-                    let s = V::splat(*a.get_unchecked(r * t.lda + ap));
+                    let s = V::splat(*a.get_unchecked(r * t.lda + p));
                     for v in 0..NV {
                         acc[r][v] = s.mul_add_fast(bv[v], acc[r][v]);
                     }
                 }
             }
-            ap += t.a_step;
+            p += 1;
             bp += t.b_step;
         }
         run += t.b_jump;
     }
     for (r, acc_r) in acc.iter().enumerate() {
         for (v, &acc_rv) in acc_r.iter().enumerate() {
-            let dst = &mut c[r * t.ldc + j0 + v * V::LANES..];
-            match t.update {
-                TileUpdate::Chain => acc_rv.store(dst),
-                TileUpdate::AddTotal => V::load(dst).add(acc_rv).store(dst),
-            }
+            acc_rv.store(&mut c[r * t.ldc + j0 + v * V::LANES..]);
         }
     }
 }
@@ -501,33 +482,27 @@ unsafe fn tile_column<V: SimdF32, const R: usize>(
     j: usize,
 ) {
     let mut acc = [0.0f32; R];
-    if t.update == TileUpdate::Chain {
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            *acc_r = c[r * t.ldc + j];
-        }
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        *acc_r = c[r * t.ldc + j];
     }
-    let (mut ap, mut run) = (0, 0);
+    let (mut p, mut run) = (0, 0);
     for _ in 0..t.k / t.b_run {
         let mut bp = run + j;
         for _ in 0..t.b_run {
             // SAFETY: as in `tile_block`, with `t = j < n`.
-            if !tile_step_is_zero::<R>(a, t.lda, ap) {
+            if !tile_step_is_zero::<R>(a, t.lda, p) {
                 let bv = *b.get_unchecked(bp);
                 for r in 0..R {
-                    acc[r] = scalar_madd::<V>(*a.get_unchecked(r * t.lda + ap), bv, acc[r]);
+                    acc[r] = scalar_madd::<V>(*a.get_unchecked(r * t.lda + p), bv, acc[r]);
                 }
             }
-            ap += t.a_step;
+            p += 1;
             bp += t.b_step;
         }
         run += t.b_jump;
     }
     for (r, &acc_r) in acc.iter().enumerate() {
-        let dst = &mut c[r * t.ldc + j];
-        *dst = match t.update {
-            TileUpdate::Chain => acc_r,
-            TileUpdate::AddTotal => *dst + acc_r,
-        };
+        c[r * t.ldc + j] = acc_r;
     }
 }
 
@@ -702,7 +677,7 @@ dispatch_kernel!(
     avx2: gemm_row_g::<F32x8>, scalar: gemm_row_g::<ScalarVec>
 );
 dispatch_kernel!(
-    /// The register-tiled GEMM micro-kernel: `c ⊕= a · b` with strided
+    /// The register-tiled GEMM micro-kernel: `c += a · b` with strided
     /// rows and offset-addressed `b` rows (see [`Tile`]). Per element,
     /// `k`-ascending, one multiply-add per term. AVX2 fuses each
     /// multiply-add.

@@ -78,7 +78,7 @@ pub use kernels::{
     gemm_tile, gemm_tile_with, mul_assign, mul_assign_with, reduce_sum, reduce_sum_sq,
     reduce_sum_sq_with, reduce_sum_with, relu, relu_with, scale, scale_with, sub_assign,
     sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp, vec_exp_with,
-    Tile, TileUpdate,
+    Tile,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

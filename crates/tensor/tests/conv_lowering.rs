@@ -1,16 +1,18 @@
 //! Bitwise tests for the GEMM-lowered conv kernels.
 //!
-//! Each conv pass has one kernel: a lowering onto the register tile
-//! `simd::gemm_tile` (see `src/conv.rs`). This suite pins the bits of all
-//! three passes, under every SIMD backend the CPU supports, to slab
-//! references written here from public primitives: an explicit
-//! im2col/im2row unfold, `gemm_row_with` per output row and a col2im pass
-//! of `add_assign_with`, which state each association independently of the
-//! tile's layout — the forward chained over `(ci, j)`; the input gradient's
-//! `G` chained over `co`, then summed in ascending `j`; one chain over
-//! `(b, t)` per weight. This covers AVX2, where the golden training
-//! fixture (scalar) cannot see the bits. Agreement with the math
-//! is checked separately, against f64 brute-force references and finite
+//! The three conv passes run two kernels, both lowerings onto the register
+//! tile `simd::gemm_tile` (see `src/conv.rs`): the input gradient is the
+//! forward kernel run on `dy` with the weights transposed and flipped and
+//! the padding mirrored. This suite pins the bits of all three passes,
+//! under every SIMD backend the CPU supports, to slab references written
+//! here from public primitives: an explicit im2col/im2row unfold and
+//! `gemm_row_with` per output row, which state each association
+//! independently of the tile's layout — the forward chained over
+//! `(ci, j)`; the input gradient chained over `(co, j')` for the flipped
+//! tap `j' = k−1−j`, with `pr` zeros on the left; one chain over `(b, t)`
+//! per weight. This covers AVX2, where the golden training fixture
+//! (scalar) cannot see the bits. Agreement with the math is checked
+//! separately, against f64 brute-force references and finite
 //! differences, in `kernel_reference.rs`.
 //!
 //! Shapes deliberately include kernels **longer than the sequence**
@@ -21,9 +23,7 @@
 use lightts_tensor::conv::{
     conv1d_backward_input, conv1d_backward_weight, conv1d_forward, same_padding,
 };
-use lightts_tensor::simd::{
-    add_assign_with, backend, cpu_supports, gemm_row_with, set_simd_backend, SimdBackend,
-};
+use lightts_tensor::simd::{backend, cpu_supports, gemm_row_with, set_simd_backend, SimdBackend};
 use lightts_tensor::Tensor;
 use std::sync::{Mutex, MutexGuard};
 
@@ -38,12 +38,13 @@ fn backend_lock() -> MutexGuard<'static, ()> {
 // Slab references: the lowered passes, bit for bit, on every backend
 // ---------------------------------------------------------------------
 
-/// Forward through an explicit `[cin·k, l]` im2col slab and one
-/// `gemm_row_with` per output row: `y_b[co] = w[co, :] · X_col`.
-fn slab_forward(bk: SimdBackend, x: &Tensor, w: &Tensor) -> Vec<f32> {
+/// A "same" convolution with `pl` zeros on the left, through an explicit
+/// `[cin·k, l]` im2col slab of `x` and one `gemm_row_with` per output row:
+/// `y_b[co] = w[co, :] · X_col`, chained over `(ci, j)` from `+0.0`.
+fn slab_conv(bk: SimdBackend, x: &Tensor, w: &Tensor, pl: usize) -> Vec<f32> {
     let (b, cin, l) = (x.dims()[0], x.dims()[1], x.dims()[2]);
     let (cout, k) = (w.dims()[0], w.dims()[2]);
-    let (pl, ck) = (same_padding(k).0, cin * k);
+    let ck = cin * k;
     let mut y = vec![0.0f32; b * cout * l];
     let mut xcol = vec![0.0f32; ck * l];
     for bi in 0..b {
@@ -64,45 +65,22 @@ fn slab_forward(bk: SimdBackend, x: &Tensor, w: &Tensor) -> Vec<f32> {
     y
 }
 
-/// Input gradient through a packed `Wᵀ`, the `[cin·k, l]` slab
-/// `G = Wᵀ · dy_b` (one `gemm_row_with` per row, each chained over `co`
-/// from `+0.0`) and a col2im pass adding `G` rows onto `dx` in ascending
-/// `j` with `add_assign_with`.
-fn slab_backward_input(bk: SimdBackend, dy: &Tensor, w: &Tensor, l: usize) -> Vec<f32> {
-    let (b, cout) = (dy.dims()[0], dy.dims()[1]);
-    let (cin, k) = (w.dims()[1], w.dims()[2]);
-    let (pl, ck) = (same_padding(k).0, cin * k);
-    let mut wt = vec![0.0f32; ck * cout];
-    for co in 0..cout {
-        for p in 0..ck {
-            wt[p * cout + co] = w.data()[co * ck + p];
-        }
-    }
-    let mut dx = vec![0.0f32; b * cin * l];
-    for bi in 0..b {
-        let dy_b = &dy.data()[bi * cout * l..(bi + 1) * cout * l];
-        let mut g = vec![0.0f32; ck * l];
-        for (p, g_row) in g.chunks_exact_mut(l).enumerate() {
-            gemm_row_with(bk, g_row, &wt[p * cout..(p + 1) * cout], dy_b, cout, l);
-        }
-        for ci in 0..cin {
-            let dx_row = &mut dx[(bi * cin + ci) * l..(bi * cin + ci + 1) * l];
+/// Input gradient as the "same" convolution of `dy` with the hand-packed
+/// `W'[ci, co, j] = w[co, ci, k−1−j]` and the padding mirrored (`pr` zeros
+/// on the left): an explicit `[cout·k, l]` unfold of `dy` and one
+/// `gemm_row_with` per `dx` row, chained over `(co, j)` from `+0.0`.
+fn slab_backward_input(bk: SimdBackend, dy: &Tensor, w: &Tensor) -> Vec<f32> {
+    let (cout, cin, k) = (w.dims()[0], w.dims()[1], w.dims()[2]);
+    let mut wt = vec![0.0f32; cin * cout * k];
+    for ci in 0..cin {
+        for co in 0..cout {
             for j in 0..k {
-                // t + j - pl in [0, l) ⇒ t in [pl - j, l + pl - j).
-                let t_lo = pl.saturating_sub(j).min(l);
-                let t_hi = (l + pl).saturating_sub(j).min(l);
-                if t_lo < t_hi {
-                    let g_row = &g[(ci * k + j) * l..(ci * k + j + 1) * l];
-                    add_assign_with(
-                        bk,
-                        &mut dx_row[t_lo + j - pl..t_hi + j - pl],
-                        &g_row[t_lo..t_hi],
-                    );
-                }
+                wt[(ci * cout + co) * k + j] = w.data()[(co * cin + ci) * k + k - 1 - j];
             }
         }
     }
-    dx
+    let wt = Tensor::from_vec(wt, &[cin, cout, k]).unwrap();
+    slab_conv(bk, dy, &wt, same_padding(k).1)
 }
 
 /// Weight gradient through an explicit `[l, cin·k]` im2row slab per sample
@@ -195,9 +173,10 @@ fn lowered_passes_match_slab_references_bitwise_on_every_backend() {
                 let what = format!("b={b} cin={cin} cout={cout} l={l} k={k} [{}]", bk.name());
 
                 let y = conv1d_forward(&x, &w).unwrap();
-                assert_bits(y.data(), &slab_forward(bk, &x, &w), &format!("forward {what}"));
+                let want = slab_conv(bk, &x, &w, same_padding(k).0);
+                assert_bits(y.data(), &want, &format!("forward {what}"));
                 let dx = conv1d_backward_input(&dy, &w, x.dims()).unwrap();
-                let want = slab_backward_input(bk, &dy, &w, l);
+                let want = slab_backward_input(bk, &dy, &w);
                 assert_bits(dx.data(), &want, &format!("backward_input {what}"));
                 let dw = conv1d_backward_weight(&dy, &x, w.dims()).unwrap();
                 let want = slab_backward_weight(bk, &dy, &x, k);

@@ -26,7 +26,7 @@ use lightts_tensor::simd::{
     add_assign_with, axpy_with, cpu_supports, dot_with, gemm_row_with, gemm_tile_with,
     log_softmax_row_with, mul_assign_with, reduce_sum_sq_with, reduce_sum_with, relu_with,
     scale_with, set_simd_backend, sub_assign_with, sub_scalar_with, sum_exp_with, vec_exp_with,
-    SimdBackend, Tile, TileUpdate,
+    SimdBackend, Tile,
 };
 use proptest::prelude::*;
 
@@ -243,18 +243,8 @@ fn check_tile(bk: SimdBackend, t: &Tile, a: &[f32], b: &[f32], c: &[f32], what: 
         })
         .collect();
     for r in 0..t.rows {
-        let a_r: Vec<f32> = (0..t.k).map(|p| a[r * t.lda + p * t.a_step]).collect();
-        let c_r = &mut want[r * t.ldc..r * t.ldc + t.n];
-        match t.update {
-            TileUpdate::Chain => gemm_row_with(bk, c_r, &a_r, &dense_b, t.k, t.n),
-            TileUpdate::AddTotal => {
-                let mut total = vec![0.0f32; t.n];
-                gemm_row_with(bk, &mut total, &a_r, &dense_b, t.k, t.n);
-                for (cv, tv) in c_r.iter_mut().zip(&total) {
-                    *cv += tv;
-                }
-            }
-        }
+        let a_r = &a[r * t.lda..r * t.lda + t.k];
+        gemm_row_with(bk, &mut want[r * t.ldc..r * t.ldc + t.n], a_r, &dense_b, t.k, t.n);
     }
     let mut got = c.to_vec();
     gemm_tile_with(bk, &mut got, a, b, t);
@@ -266,48 +256,40 @@ fn gemm_tile_matches_gemm_row_per_backend() {
     // The register tile must produce exactly the bits of independent row
     // kernels under the same backend (same madd per element, same k-order)
     // for every row count of its 6-row block (and multi-block counts),
-    // both update modes, every column case of its NV-vector tiles,
-    // single-vector tiles and scalar tail, dense and offset-addressed `b`
-    // rows (overlapping windows jumping per run) and strided `a`.
+    // every column case of its NV-vector tiles, single-vector tiles and
+    // scalar tail, dense and offset-addressed `b` rows (overlapping
+    // windows jumping per run) and padded `a` rows (`lda > k`). `c` is
+    // not zero, so each chain must start from it.
     for rows in [1usize, 2, 3, 4, 5, 6, 7, 13] {
         for &(k, n) in &[(5usize, 1usize), (9, 7), (16, 16), (21, 17), (33, 31), (40, 64)] {
-            for update in [TileUpdate::Chain, TileUpdate::AddTotal] {
-                // Exact zeros: one whole reduction step (skipped) and
-                // scattered single values (added as ±0 terms).
-                let mut a = vec_data(rows * k, 51 + rows as u32);
-                for (i, v) in a.iter_mut().enumerate() {
-                    if i % k == 2 || i % 5 == 1 {
-                        *v = 0.0;
-                    }
+            // Exact zeros: one whole reduction step (skipped) and
+            // scattered single values (added as ±0 terms).
+            let mut a = vec_data(rows * k, 51 + rows as u32);
+            for (i, v) in a.iter_mut().enumerate() {
+                if i % k == 2 || i % 5 == 1 {
+                    *v = 0.0;
                 }
-                let dense = Tile {
-                    rows,
-                    k,
-                    n,
-                    ldc: n + 3,
-                    lda: k,
-                    a_step: 1,
-                    b_step: n,
-                    b_run: k,
-                    b_jump: 0,
-                    update,
-                };
-                let c = vec_data(rows * (n + 3), 61);
-                let b = vec_data(k * n, 57);
-                // `a` transposed (reduction steps strided by `rows`), `b`
-                // as sliding windows (`b_step = 1`) over `runs` channels
-                // of `k / runs` rows each, placed `b_jump` apart.
-                let runs = if k % 3 == 0 { 3 } else { 1 };
-                let b_jump = n + k / runs + 2;
-                let offset =
-                    Tile { lda: 1, a_step: rows, b_step: 1, b_run: k / runs, b_jump, ..dense };
-                let at: Vec<f32> = (0..k * rows).map(|i| a[(i % rows) * k + i / rows]).collect();
-                let bw = vec_data(runs * b_jump, 59);
-                let what = format!("rows={rows} k={k} n={n} {update:?}");
-                for bk in BACKENDS {
-                    check_tile(bk, &dense, &a, &b, &c, &format!("gemm_tile dense {what}"));
-                    check_tile(bk, &offset, &at, &bw, &c, &format!("gemm_tile offset {what}"));
-                }
+            }
+            let dense = Tile { rows, k, n, ldc: n + 3, lda: k, b_step: n, b_run: k, b_jump: 0 };
+            let c = vec_data(rows * (n + 3), 61);
+            let b = vec_data(k * n, 57);
+            // `a` rows padded by 4 values (`lda = k + 4`), `b` as sliding
+            // windows (`b_step = 1`) over `runs` channels of `k / runs`
+            // rows each, placed `b_jump` apart.
+            let runs = if k % 3 == 0 { 3 } else { 1 };
+            let b_jump = n + k / runs + 2;
+            let offset = Tile { lda: k + 4, b_step: 1, b_run: k / runs, b_jump, ..dense };
+            let pad = vec_data(rows * 4, 53);
+            let ap: Vec<f32> = a
+                .chunks_exact(k)
+                .zip(pad.chunks_exact(4))
+                .flat_map(|(r, p)| [r, p].concat())
+                .collect();
+            let bw = vec_data(runs * b_jump, 59);
+            let what = format!("rows={rows} k={k} n={n}");
+            for bk in BACKENDS {
+                check_tile(bk, &dense, &a, &b, &c, &format!("gemm_tile dense {what}"));
+                check_tile(bk, &offset, &ap, &bw, &c, &format!("gemm_tile offset {what}"));
             }
         }
     }
@@ -318,18 +300,7 @@ fn gemm_tile_rejects_layouts_past_its_operands() {
     // The tile loads `a` and `b` unchecked past one up-front check of the
     // layout; a layout reaching one element too far, or overflowing, must
     // panic instead.
-    let t = Tile {
-        rows: 2,
-        k: 3,
-        n: 4,
-        ldc: 4,
-        lda: 3,
-        a_step: 1,
-        b_step: 4,
-        b_run: 3,
-        b_jump: 0,
-        update: TileUpdate::Chain,
-    };
+    let t = Tile { rows: 2, k: 3, n: 4, ldc: 4, lda: 3, b_step: 4, b_run: 3, b_jump: 0 };
     let runs = |bk: SimdBackend, c: usize, a: usize, b: usize, t: Tile| {
         std::panic::catch_unwind(move || {
             gemm_tile_with(bk, &mut vec![0.0; c], &vec![1.0; a], &vec![1.0; b], &t)

@@ -1,7 +1,7 @@
 //! Whole-stack observability integration test: with the in-memory sink
-//! active, a tiny AED run, a tiny MOBO search, and a serving round must
-//! together emit schema-valid JSONL covering trainer epochs, MOBO trials,
-//! and serve batches. A tiny forecast LightTS run, traced on its own
+//! active, one tiny teacher fit, a tiny AED run, a tiny MOBO search, and a
+//! serving round must together emit schema-valid JSONL covering the
+//! teacher fit, trainer epochs, MOBO trials, and serve batches. A tiny forecast LightTS run, traced on its own
 //! afterwards, must show the outer λ steps and one `removal.round` decision
 //! per round.
 //!
@@ -56,10 +56,15 @@ fn synthetic_teachers(s: &Splits, sharp: f32) -> TeacherProbs {
 fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
     obs::set_sink(SinkTarget::Memory);
 
-    // --- training: a tiny AED run (2 inner slices, ≥1 outer λ step) ---
+    // --- teacher training: one tiny fit, one `teacher.fit` span ---
     let s = splits(900);
-    let teachers = synthetic_teachers(&s, 0.85);
     let student_cfg = InceptionConfig::student(1, 24, 3, 2, 8);
+    let mut teacher = InceptionTime::new(student_cfg.clone(), &mut seeded(903)).unwrap();
+    let fit_cfg = TrainConfig { epochs: 1, batch_size: 16, ..TrainConfig::default() };
+    teacher.fit(&s.train, &fit_cfg).unwrap();
+
+    // --- training: a tiny AED run (2 inner slices, ≥1 outer λ step) ---
+    let teachers = synthetic_teachers(&s, 0.85);
     let aed_cfg = AedConfig {
         train: StudentTrainOpts { epochs: 8, batch_size: 16, ..Default::default() },
         v: 4,
@@ -105,13 +110,21 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
     let lines = obs::take_memory();
     assert!(!lines.is_empty(), "memory sink captured nothing");
     let mut paths: BTreeSet<String> = BTreeSet::new();
+    let mut fits = 0;
     for line in &lines {
         obs::jsonl::validate_event_line(line)
             .unwrap_or_else(|e| panic!("invalid event line {line:?}: {e}"));
         let obj = obs::jsonl::parse(line).unwrap();
-        let path = obj.as_obj().unwrap()["path"].as_str().unwrap().to_string();
+        let obj = obj.as_obj().unwrap();
+        let path = obj["path"].as_str().unwrap().to_string();
+        if path == "teacher.fit" {
+            let fields = obj["fields"].as_obj().unwrap();
+            assert!(fields.contains_key("loss"), "teacher.fit without a loss: {line}");
+            fits += 1;
+        }
         paths.insert(path);
     }
+    assert_eq!(fits, 1, "one teacher.fit span per fit call");
     for expected in ["trainer.epoch", "aed.inner", "aed.outer", "mobo.trial", "serve.batch"] {
         assert!(paths.contains(expected), "no {expected:?} event among paths {paths:?}");
     }
