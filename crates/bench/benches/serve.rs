@@ -100,7 +100,7 @@ fn bench_serve(c: &mut Criterion) {
         server.shutdown();
     }
 
-    // The same two lanes through the `plan = i8` knob: the student is
+    // The same two lanes with `PlanKind::I8`: the student is
     // compiled into the true-int8 `QuantizedPlan` at registration, so these
     // rows measure the end-to-end serving win of integer inference.
     {

@@ -147,6 +147,7 @@ pub(crate) fn bilevel<S>(
         state = transform.weights(&lambda, rng);
         outer_counter.inc();
         sp.record("weight_entropy", weight_entropy(&state.weights));
+        sp.record("weights", format!("{:?}", state.weights));
     }
     Ok((lambda, state.weights))
 }

@@ -332,7 +332,9 @@ impl InceptionTime {
     }
 
     /// Training-path forward pass producing logits `[batch, classes]` on the
-    /// tape. `mode` selects batch vs. running statistics for batch norm.
+    /// tape. `mode` selects batch vs. running statistics for batch norm;
+    /// [`Mode::Eval`] is the reference the compiled plan is tested against
+    /// bit for bit, and no library caller passes it.
     pub fn forward_train(
         &mut self,
         tape: &mut Tape,
@@ -356,28 +358,24 @@ impl InceptionTime {
         Ok(self.fc.forward(tape, bind, store, pooled)?)
     }
 
-    /// Inference logits on plain tensors (running statistics, quantized
-    /// weights).
+    /// Inference logits `[batch, classes]` of a `[batch, in_dims, in_len]`
+    /// input: the model is [compiled](Self::compile) and the plan's
+    /// [`logits`](crate::inference::InferencePlan::logits) run, so every
+    /// evaluation computes what the deployed model serves. A zero-row batch
+    /// or any other input shape is an error.
     pub fn logits(&self, inputs: &Tensor) -> Result<Tensor> {
-        let mut x = inputs.clone();
-        for block in &self.blocks {
-            let mut outs = Vec::with_capacity(block.convs.len());
-            for conv in &block.convs {
-                outs.push(conv.eval_forward(&self.store, &x)?);
-            }
-            let cat = concat_channels_plain(&outs)?;
-            let normed = block.bn.eval_forward(&self.store, &cat)?;
-            x = normed.map(|v| v.max(0.0));
-        }
-        let pooled = gap_plain(&x)?;
-        Ok(self.fc.eval_forward(&self.store, &pooled)?)
+        self.compile()?.logits(inputs)
     }
 
     /// Compiles the model into a tape-free [`InferencePlan`](crate::inference::InferencePlan)
     /// (pre-quantized weights, folded batch-norm, reusable scratch).
     ///
-    /// The plan's outputs are bitwise identical to [`Self::logits`] /
-    /// [`Classifier::predict_proba`]; see [`crate::inference`] for why.
+    /// The plan's logits are bitwise identical to
+    /// [`forward_train`](Self::forward_train) in [`Mode::Eval`]; see
+    /// [`crate::inference`] for why. [`logits`](Self::logits) compiles on
+    /// every call, so the `inference.compile` span and the
+    /// `inference.plans_compiled` counter count evaluations as well as
+    /// served models.
     pub fn compile(&self) -> Result<crate::inference::InferencePlan> {
         use crate::inference::{InferencePlan, PlanBlock, PlanConv, PlanWeights};
         let mut sp = lightts_obs::span!("inference.compile", {
@@ -385,12 +383,15 @@ impl InceptionTime {
             size_bits: self.size_bits(),
         });
         lightts_obs::global().counter("inference.plans_compiled").inc();
+        // The plan keeps its vectors in plain allocations and lets the pooled
+        // tensors drop back into the pool: every evaluation compiles, and
+        // `into_vec` would take a slab out of the pool per call.
         let mut blocks = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
             let mut convs = Vec::with_capacity(block.convs.len());
             for conv in &block.convs {
                 let (w, b) = conv.quantized_params(&self.store)?;
-                convs.push(PlanConv { weight: w, bias: b.into_vec() });
+                convs.push(PlanConv { weight: w, bias: b.data().to_vec() });
             }
             let (bn_scale, bn_shift) = block.bn.folded_affine(&self.store)?;
             blocks.push(PlanBlock { convs, bn_scale, bn_shift });
@@ -399,8 +400,8 @@ impl InceptionTime {
         sp.record("classes", self.config.num_classes);
         Ok(InferencePlan::new(PlanWeights {
             blocks,
-            fc_weight: fw.into_vec(),
-            fc_bias: fb.into_vec(),
+            fc_weight: fw.data().to_vec(),
+            fc_bias: fb.data().to_vec(),
             fc_in: self.fc.in_features(),
             in_dims: self.config.in_dims,
             in_len: self.config.in_len,
@@ -688,41 +689,8 @@ impl Classifier for InceptionTime {
     }
 
     fn predict_proba(&self, inputs: &Tensor) -> Result<Tensor> {
-        Ok(self.logits(inputs)?.softmax_rows()?)
+        self.compile()?.predict_proba(inputs)
     }
-}
-
-/// Channel-wise concatenation of `[b, c_i, l]` tensors (inference path).
-fn concat_channels_plain(parts: &[Tensor]) -> Result<Tensor> {
-    let first =
-        parts.first().ok_or_else(|| ModelError::BadConfig { what: "concat of nothing".into() })?;
-    let (b, l) = (first.dims()[0], first.dims()[2]);
-    let c_total: usize = parts.iter().map(|p| p.dims()[1]).sum();
-    let mut out = vec![0.0f32; b * c_total * l];
-    for bi in 0..b {
-        let mut c_off = 0usize;
-        for p in parts {
-            let ci = p.dims()[1];
-            let src = &p.data()[bi * ci * l..(bi + 1) * ci * l];
-            let dst = (bi * c_total + c_off) * l;
-            out[dst..dst + ci * l].copy_from_slice(src);
-            c_off += ci;
-        }
-    }
-    Ok(Tensor::from_vec(out, &[b, c_total, l])?)
-}
-
-/// Global average pooling `[b,c,l] → [b,c]` (inference path).
-fn gap_plain(x: &Tensor) -> Result<Tensor> {
-    let (b, c, l) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-    let mut out = vec![0.0f32; b * c];
-    for bi in 0..b {
-        for ci in 0..c {
-            let off = (bi * c + ci) * l;
-            out[bi * c + ci] = x.data()[off..off + l].iter().sum::<f32>() / l as f32;
-        }
-    }
-    Ok(Tensor::from_vec(out, &[b, c])?)
 }
 
 #[cfg(test)]
@@ -790,6 +758,16 @@ mod tests {
         for r in 0..3 {
             let s: f32 = probs.row(r).unwrap().data().iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn logits_refuse_inputs_the_plan_cannot_run() {
+        let model = InceptionTime::new(tiny_config(5), &mut seeded(13)).unwrap();
+        // a wrong series length, a wrong input dimensionality, zero rows
+        for dims in [[2, 1, 48], [2, 2, 24], [0, 1, 24]] {
+            let err = model.logits(&Tensor::zeros(&dims)).unwrap_err();
+            assert!(matches!(err, ModelError::BadConfig { .. }), "{dims:?}: {err}");
         }
     }
 

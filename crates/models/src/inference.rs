@@ -1,15 +1,17 @@
 //! Tape-free compiled inference for InceptionTime models.
 //!
-//! [`InferencePlan`] is the serving-side counterpart of
-//! [`InceptionTime::logits`](crate::inception::InceptionTime::logits): the
-//! same arithmetic, but with everything that does not depend on the request
-//! hoisted to compile time and every per-request allocation replaced by a
-//! reusable scratch buffer.
+//! [`InferencePlan`] is the one f32 inference forward of the workspace. The
+//! serving layer holds one per model, and
+//! [`InceptionTime::logits`](crate::inception::InceptionTime::logits)
+//! compiles one per call, so every evaluation — `predict_proba`, teacher
+//! probabilities, the validation accuracies AED, teacher removal and the
+//! search decide on, `Forecaster::predict` — runs the code that serves.
+//! Everything that does not depend on the request is hoisted to compile
+//! time, and every per-request allocation is a reusable scratch buffer.
 //!
 //! At compile time ([`InceptionTime::compile`](crate::inception::InceptionTime::compile)) the plan:
 //!
-//! * fake-quantizes every convolution / linear weight once (the per-call
-//!   `fake_quantize` in `eval_forward` re-does this for every request);
+//! * fake-quantizes every convolution / linear weight once;
 //! * folds each batch-norm layer's γ/β and running statistics into
 //!   per-channel `(scale, shift)` vectors;
 //! * owns ping-pong activation buffers that grow to the largest batch seen
@@ -21,13 +23,14 @@
 //! which is how the serving layer runs one compiled copy of a model on
 //! many threads.
 //!
-//! Numerics are **bitwise identical** to the uncompiled path: each hoisted
-//! quantity is produced by the very same f32 expressions the per-call path
-//! evaluates (see `quantized_params` / `folded_affine` in `lightts_nn`), and
-//! every kernel fills each output row with a batch-size-independent
-//! accumulation order. This is what lets the serving layer prove that a
-//! dynamically formed micro-batch returns exactly the bytes a single-sample
-//! call would have returned — and the instrumented
+//! Numerics are **bitwise identical** to the training network's forward,
+//! [`forward_train`](crate::inception::InceptionTime::forward_train) in
+//! `Mode::Eval`: each hoisted quantity is produced by the very same f32
+//! expressions the tape evaluates (see `quantized_params` / `folded_affine`
+//! in `lightts_nn`), and every kernel fills each output row with a
+//! batch-size-independent accumulation order. This is what lets the serving
+//! layer prove that a dynamically formed micro-batch returns exactly the
+//! bytes a single-sample call would have returned — and the instrumented
 //! [`tapes_created`](lightts_tensor::tape::tapes_created) counter proves the
 //! plan never touches the autodiff tape.
 
@@ -100,8 +103,9 @@ impl InferencePlan {
     /// `out` (resized to `batch · num_classes`).
     ///
     /// Bitwise identical to
-    /// [`InceptionTime::logits`](crate::inception::InceptionTime::logits) on
-    /// the same rows, for any batch size.
+    /// [`forward_train`](crate::inception::InceptionTime::forward_train) in
+    /// `Mode::Eval` on the same rows, for any batch size. Each call records
+    /// its time in `inference.forward_ns`, evaluations included.
     pub fn logits_into(&mut self, inputs: &[f32], batch: usize, out: &mut Vec<f32>) -> Result<()> {
         let t0 = Instant::now();
         let _prof = lightts_obs::prof::scope("plan.forward");
@@ -136,7 +140,7 @@ impl InferencePlan {
                 )?;
                 // Scatter this layer's [batch, filters, l] rows into the
                 // channel-concatenated layout, adding the bias exactly as
-                // Conv1d::eval_forward does (conv sum first, then + bias).
+                // the tape's add_bias does (conv sum first, then + bias).
                 for bi in 0..batch {
                     for ci in 0..filters {
                         let src = (bi * filters + ci) * l;
@@ -158,8 +162,7 @@ impl InferencePlan {
         global_avg_pool(&mut scratch.pooled[..batch * cin], &scratch.a[..batch * cin * l], l);
 
         // FC head: zeroed output region + the shared matmul kernel + bias,
-        // the exact sequence Linear::eval_forward performs via
-        // Tensor::matmul.
+        // the exact sequence the tape's matmul and add_bias perform.
         let nc = w.num_classes;
         out.resize(batch * nc, 0.0);
         out[..batch * nc].fill(0.0);
@@ -184,27 +187,35 @@ impl InferencePlan {
 #[cfg(test)]
 mod tests {
     use crate::plan::fixtures::{build_model, test_inputs};
-    use crate::Classifier;
-    use lightts_tensor::tape::thread_tapes_created;
+    use lightts_nn::{Bindings, Mode};
+    use lightts_tensor::tape::{thread_tapes_created, Tape};
+    use lightts_tensor::Tensor;
     use std::sync::Arc;
 
+    fn assert_bitwise(reference: &Tensor, got: &Tensor, what: &str) {
+        assert_eq!(reference.dims(), got.dims(), "{what}");
+        for (i, (a, b)) in reference.data().iter().zip(got.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} elem {i}: {a} vs {b}");
+        }
+    }
+
+    /// The reference is the training network itself: `forward_train` in
+    /// `Mode::Eval` on a tape, and the tensor softmax over its logits.
     #[test]
     fn compiled_plan_matches_eval_path_bitwise() {
         for bits in [4u8, 8, 32] {
-            let model = build_model(bits);
+            let mut model = build_model(bits);
             let mut plan = model.compile().unwrap();
             for batch in [1usize, 2, 3, 7] {
                 let x = test_inputs(batch, 2, 20);
-                let reference = model.predict_proba(&x).unwrap();
-                let got = plan.predict_proba(&x).unwrap();
-                assert_eq!(reference.dims(), got.dims());
-                for (i, (a, b)) in reference.data().iter().zip(got.data().iter()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "bits={bits} batch={batch} elem {i}: {a} vs {b}"
-                    );
-                }
+                let mut tape = Tape::new();
+                let out =
+                    model.forward_train(&mut tape, &mut Bindings::new(), &x, Mode::Eval).unwrap();
+                let reference = tape.value(out).unwrap();
+                let what = format!("bits={bits} batch={batch}");
+                assert_bitwise(reference, &plan.logits(&x).unwrap(), &what);
+                let probs = reference.softmax_rows().unwrap();
+                assert_bitwise(&probs, &plan.predict_proba(&x).unwrap(), &what);
             }
         }
     }

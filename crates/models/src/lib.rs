@@ -10,9 +10,11 @@
 //!   the Temporal Dictionary Ensemble (TDE), the Canonical Interval Forest
 //!   (CIF), and the Time Series Forest (Forest), built on a from-scratch
 //!   decision-tree substrate.
-//! * [`inference`] — compiled, tape-free inference plans for serving:
+//! * [`inference`] — the compiled, tape-free f32 inference plan:
 //!   pre-quantized weights, folded batch-norm, reusable scratch buffers,
-//!   bitwise identical to the training-crate eval path.
+//!   bitwise identical to the training network's forward in `Mode::Eval`.
+//!   It is the one f32 inference forward: the serving layer runs it, and
+//!   `InceptionTime::logits` compiles and runs it for every evaluation.
 //! * [`qinference`] — the true-int8 sibling of [`inference`]: weights
 //!   stored as `i8` codes, conv/linear executed in `i8×i8→i32` integer
 //!   kernels, gated by a golden-fixture parity test against the f32 plan.

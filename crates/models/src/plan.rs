@@ -2,8 +2,10 @@
 //! the int8 [`QuantizedPlan`](crate::qinference::QuantizedPlan) share: the
 //! pool-backed scratch, the input check, the f32 elementwise tail of each
 //! layer (folded batch-norm + ReLU, global average pooling, softmax) and
-//! the public accessors. Both plans call the same code, which is what keeps
-//! that tail bitwise identical between them.
+//! the public accessors, slice and tensor entry points alike. Both plans
+//! call the same code, which is what keeps that tail bitwise identical
+//! between them. `InceptionTime::logits` returns the f32 plan's tensor
+//! [`logits`](crate::inference::InferencePlan::logits).
 //!
 //! Both plans have the same layout: an `Arc` on immutable compiled weights,
 //! which every clone shares, plus the handle's own [`Scratch`], which a
@@ -77,8 +79,8 @@ pub(crate) fn check_input(inputs: &[f32], batch: usize, in_dims: usize, l: usize
 }
 
 /// Folded batch-norm affine followed by ReLU, in place over `[batch, c, l]`:
-/// the same two element-wise steps as `BatchNorm1d::eval_forward` +
-/// `max(0.0)`.
+/// the same two element-wise steps as `BatchNorm1d::forward` in `Mode::Eval`
+/// and the tape's `relu`.
 pub(crate) fn bn_relu(x: &mut [f32], l: usize, scale: &[f32], shift: &[f32]) {
     for sample in x.chunks_exact_mut(scale.len() * l) {
         for ((row, &scale), &shift) in sample.chunks_exact_mut(l).zip(scale).zip(shift) {
@@ -91,7 +93,7 @@ pub(crate) fn bn_relu(x: &mut [f32], l: usize, scale: &[f32], shift: &[f32]) {
 }
 
 /// Global average pooling `[batch, c, l] → [batch, c]` into `pooled`, with
-/// the summation order of `gap_plain`.
+/// the summation order of the tape's `gap`.
 pub(crate) fn global_avg_pool(pooled: &mut [f32], x: &[f32], l: usize) {
     for (p, row) in pooled.iter_mut().zip(x.chunks_exact(l)) {
         *p = row.iter().sum::<f32>() / l as f32;
@@ -112,11 +114,11 @@ pub(crate) fn softmax_rows(out: &mut [f32], nc: usize) {
 
 /// The handle half of a compiled plan, written once for both plans: a
 /// [`Clone`] that shares the weights and starts with empty scratch, the
-/// constructor, the shape accessors and the probability entry points. The
-/// plan has the fields `weights: Arc<$weights>`, `scratch` (of a `Default`
-/// type) and `forward_ns: Arc<Histogram>` (resolved from `$histogram`),
-/// and a `logits_into` method; `$weights` has the fields `in_dims`,
-/// `in_len` and `num_classes`.
+/// constructor, the shape accessors, the probability entry points and the
+/// tensor entry points. The plan has the fields `weights: Arc<$weights>`,
+/// `scratch` (of a `Default` type) and `forward_ns: Arc<Histogram>`
+/// (resolved from `$histogram`), and a `logits_into` method; `$weights` has
+/// the fields `in_dims`, `in_len` and `num_classes`.
 macro_rules! plan_api {
     ($plan:ident, $weights:ty, $histogram:literal) => {
         impl Clone for $plan {
@@ -174,25 +176,41 @@ macro_rules! plan_api {
                 Ok(())
             }
 
-            /// Convenience wrapper returning probabilities as a
-            /// `[batch, classes]` tensor (allocates; tests and non-hot-path
-            /// callers).
+            /// [`logits_into`](Self::logits_into) on a `[batch, in_dims,
+            /// in_len]` tensor, returning `[batch, classes]` logits; what
+            /// `InceptionTime::logits` runs for every evaluation. Any other
+            /// input shape is an error. The output buffer comes from the tensor
+            /// pool, which takes back every buffer of a dropped tensor: a plain
+            /// `Vec` here would park one more slab per evaluation.
+            pub fn logits(
+                &mut self,
+                inputs: &lightts_tensor::Tensor,
+            ) -> $crate::Result<lightts_tensor::Tensor> {
+                let (dims, w) = (inputs.dims(), &*self.weights);
+                if dims.len() != 3 || dims[1..] != [w.in_dims, w.in_len] {
+                    return Err($crate::ModelError::BadConfig {
+                        what: format!(
+                            "inference: input {dims:?} is not [batch, {}, {}]",
+                            w.in_dims, w.in_len
+                        ),
+                    });
+                }
+                let (batch, nc) = (dims[0], w.num_classes);
+                let mut out = lightts_tensor::pool::take_empty(batch * nc);
+                self.logits_into(inputs.data(), batch, &mut out)?;
+                Ok(lightts_tensor::Tensor::from_vec(out, &[batch, nc])?)
+            }
+
+            /// Class probabilities as a `[batch, classes]` tensor: the softmax
+            /// of [`logits`](Self::logits), with the arithmetic of
+            /// [`predict_proba_into`](Self::predict_proba_into).
             pub fn predict_proba(
                 &mut self,
                 inputs: &lightts_tensor::Tensor,
             ) -> $crate::Result<lightts_tensor::Tensor> {
-                if inputs.rank() != 3 {
-                    return Err($crate::ModelError::BadConfig {
-                        what: format!(
-                            "inference: expected [batch, dims, len] input, rank {}",
-                            inputs.rank()
-                        ),
-                    });
-                }
-                let batch = inputs.dims()[0];
-                let mut out = Vec::new();
-                self.predict_proba_into(inputs.data(), batch, &mut out)?;
-                Ok(lightts_tensor::Tensor::from_vec(out, &[batch, self.weights.num_classes])?)
+                let mut probs = self.logits(inputs)?;
+                $crate::plan::softmax_rows(probs.data_mut(), self.weights.num_classes);
+                Ok(probs)
             }
         }
     };

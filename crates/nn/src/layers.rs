@@ -1,24 +1,24 @@
 //! Neural-network layers: quantizable 1-D convolution, quantizable linear,
 //! and batch normalization with running statistics.
 //!
-//! Each layer owns [`ParamRef`]s into a [`ParamStore`] and offers two paths:
+//! Each layer owns [`ParamRef`]s into a [`ParamStore`]. Its `forward`
+//! records onto an autodiff [`Tape`]; quantized layers wrap their parameters
+//! in fake-quantization nodes (QAT). For inference a layer hands out its
+//! parameters in the form a compiled plan runs: the conv and linear layers
+//! their fake-quantized `(weight, bias)` through `quantized_params`, batch
+//! norm its running statistics folded into a per-channel affine through
+//! [`BatchNorm1d::folded_affine`]. So the deployed (quantized) model is
+//! exactly what was trained. `Linear::eval_forward` also runs a linear
+//! layer on plain tensors, for the search encoder's MLP.
 //!
-//! * `forward` — records onto an autodiff [`Tape`] for training; quantized
-//!   layers wrap their parameters in fake-quantization nodes (QAT).
-//! * `eval_forward` — plain tensor math for inference, using running
-//!   statistics for batch norm and the same fake-quantized weights, so the
-//!   deployed (quantized) model is exactly what was trained.
-//!
-//! Both paths route convolutions through [`lightts_tensor::conv`], whose
-//! forward and backward passes each run one GEMM-lowered kernel, whatever
-//! the layer shape or batch size. All transient buffers (fake-quantized
-//! weights, activation tensors) come from the thread-local
-//! [`lightts_tensor::pool`], which makes steady-state QAT training steps
-//! allocation-free.
+//! Convolutions run through [`lightts_tensor::conv`], whose forward and
+//! backward passes each run one GEMM-lowered kernel, whatever the layer
+//! shape or batch size. All transient buffers (fake-quantized weights,
+//! activation tensors) come from the thread-local [`lightts_tensor::pool`],
+//! which makes steady-state QAT training steps allocation-free.
 
 use crate::init::he_normal;
 use crate::{Bindings, Mode, NnError, ParamRef, ParamStore, Result};
-use lightts_tensor::conv::conv1d_forward;
 use lightts_tensor::quant::fake_quantize;
 use lightts_tensor::tape::{Tape, Var};
 use lightts_tensor::Tensor;
@@ -105,34 +105,16 @@ impl Conv1d {
         Ok(tape.add_bias(y, b)?)
     }
 
-    /// The (fake-)quantized `(weight, bias)` pair used by `eval_forward`.
+    /// The (fake-)quantized `(weight, bias)` pair the forward computes with.
     ///
     /// Inference engines call this once at model-compile time so the
     /// per-request hot path skips re-quantizing parameters on every call.
-    /// The returned tensors are bitwise identical to the ones
-    /// [`eval_forward`](Self::eval_forward) computes internally.
+    /// The returned tensors are bitwise identical to the values the tape's
+    /// fake-quantization nodes give [`forward`](Self::forward).
     pub fn quantized_params(&self, store: &ParamStore) -> Result<(Tensor, Tensor)> {
         let w = fake_quantize(&store.get(self.weight)?.value, self.bits)?;
         let b = fake_quantize(&store.get(self.bias)?.value, self.bits)?;
         Ok((w, b))
-    }
-
-    /// Inference forward on plain tensors with (fake-)quantized weights.
-    pub fn eval_forward(&self, store: &ParamStore, x: &Tensor) -> Result<Tensor> {
-        let (w, b) = self.quantized_params(store)?;
-        let y = conv1d_forward(x, &w)?;
-        let (batch, c, l) = (y.dims()[0], y.dims()[1], y.dims()[2]);
-        let mut out = y.into_vec();
-        for bi in 0..batch {
-            for ci in 0..c {
-                let off = (bi * c + ci) * l;
-                let bias_v = b.data()[ci];
-                for v in &mut out[off..off + l] {
-                    *v += bias_v;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[batch, c, l])?)
     }
 }
 
@@ -217,7 +199,7 @@ impl Linear {
         Ok(tape.add_bias(y, b)?)
     }
 
-    /// The (fake-)quantized `(weight, bias)` pair used by `eval_forward`.
+    /// The (fake-)quantized `(weight, bias)` pair the forward computes with.
     ///
     /// Same contract as [`Conv1d::quantized_params`]: compile-time hoisting
     /// of the per-call quantization, bitwise identical results.
@@ -336,27 +318,25 @@ impl BatchNorm1d {
                 Ok(y)
             }
             Mode::Eval => {
-                // Affine transform with frozen statistics; recorded on the
-                // tape as constant scale/shift so this path is also usable
-                // mid-training for validation losses.
-                let xv = tape.value(x)?.clone();
-                let y = self.eval_transform(store, &xv)?;
+                // The folded affine, `x * scale[c] + shift[c]`, recorded as
+                // a constant: the compiled plan applies the same two steps.
+                let (scale, shift) = self.folded_affine(store)?;
+                let mut y = tape.value(x)?.clone();
+                let l = y.dims()[2];
+                let rows = y.data_mut().chunks_exact_mut(l);
+                for (row, c) in rows.zip((0..self.channels).cycle()) {
+                    for v in row {
+                        *v = *v * scale[c] + shift[c];
+                    }
+                }
                 Ok(tape.constant(y))
             }
         }
     }
 
-    /// Inference forward on plain tensors using running statistics.
-    pub fn eval_forward(&self, store: &ParamStore, x: &Tensor) -> Result<Tensor> {
-        self.eval_transform(store, x)
-    }
-
     /// Folds γ/β and the running statistics into per-channel `(scale,
-    /// shift)` vectors: `y = x * scale[c] + shift[c]`.
-    ///
-    /// Computed with exactly the same f32 expressions as `eval_forward`,
-    /// so applying the folded affine is bitwise identical to the unfolded
-    /// path — inference engines hoist this out of the per-request loop.
+    /// shift)` vectors: `y = x * scale[c] + shift[c]`, what [`Mode::Eval`]
+    /// applies. Inference engines hoist this out of the per-request loop.
     pub fn folded_affine(&self, store: &ParamStore) -> Result<(Vec<f32>, Vec<f32>)> {
         let g = &store.get(self.gamma)?.value;
         let be = &store.get(self.beta)?.value;
@@ -368,25 +348,6 @@ impl BatchNorm1d {
             shift[ci] = be.data()[ci] - self.running_mean[ci] * scale[ci];
         }
         Ok((scale, shift))
-    }
-
-    fn eval_transform(&self, store: &ParamStore, x: &Tensor) -> Result<Tensor> {
-        let g = &store.get(self.gamma)?.value;
-        let be = &store.get(self.beta)?.value;
-        let (b, c, l) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-        let mut out = vec![0.0f32; b * c * l];
-        for bi in 0..b {
-            for ci in 0..c {
-                let inv = 1.0 / (self.running_var[ci] + self.eps).sqrt();
-                let scale = g.data()[ci] * inv;
-                let shift = be.data()[ci] - self.running_mean[ci] * scale;
-                let off = (bi * c + ci) * l;
-                for (o, &v) in out[off..off + l].iter_mut().zip(&x.data()[off..off + l]) {
-                    *o = v * scale + shift;
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[b, c, l])?)
     }
 }
 
@@ -403,9 +364,27 @@ mod tests {
         assert_eq!(conv.num_params(), 4 * 2 * 5 + 4);
         assert_eq!(store.size_bits(), (4 * 2 * 5 + 4) * 8);
 
-        let x = Tensor::ones(&[3, 2, 7]);
-        let y = conv.eval_forward(&store, &x).unwrap();
-        assert_eq!(y.dims(), &[3, 4, 7]);
+        let (w, b) = conv.quantized_params(&store).unwrap();
+        assert_eq!((w.dims(), b.dims()), (&[4, 2, 5][..], &[4][..]));
+        let mut tape = Tape::new();
+        let x = tape.constant(Tensor::ones(&[3, 2, 7]));
+        let y = conv.forward(&mut tape, &mut Bindings::new(), &store, x).unwrap();
+        assert_eq!(tape.value(y).unwrap().dims(), &[3, 4, 7]);
+    }
+
+    /// The tape forward of `conv` on `x`, and the same conv computed from
+    /// [`Conv1d::quantized_params`]: kernel output plus bias.
+    fn tape_and_quantized_conv(conv: &Conv1d, store: &ParamStore, x: &Tensor) -> [Tensor; 2] {
+        let mut tape = Tape::new();
+        let xv = tape.constant(x.clone());
+        let yv = conv.forward(&mut tape, &mut Bindings::new(), store, xv).unwrap();
+        let (w, b) = conv.quantized_params(store).unwrap();
+        let mut y = lightts_tensor::conv::conv1d_forward(x, &w).unwrap();
+        let l = y.dims()[2];
+        for (row, &bias) in y.data_mut().chunks_exact_mut(l).zip(b.data().iter().cycle()) {
+            row.iter_mut().for_each(|v| *v += bias);
+        }
+        [tape.value(yv).unwrap().clone(), y]
     }
 
     #[test]
@@ -424,15 +403,12 @@ mod tests {
         let conv = Conv1d::new(&mut store, &mut rng, "c", 1, 2, 3, 32).unwrap();
         let x = Tensor::randn(&mut rng, &[2, 1, 6], 1.0);
 
-        let mut tape = Tape::new();
-        let mut bind = Bindings::new();
-        let xv = tape.constant(x.clone());
-        let yv = conv.forward(&mut tape, &mut bind, &store, xv).unwrap();
-        let y_train = tape.value(yv).unwrap().clone();
-        let y_eval = conv.eval_forward(&store, &x).unwrap();
-        for (a, b) in y_train.data().iter().zip(y_eval.data().iter()) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        // at 32 bits the inference parameters are the stored ones
+        let (w, b) = conv.quantized_params(&store).unwrap();
+        assert_eq!(&w, &store.get(conv.weight).unwrap().value);
+        assert_eq!(&b, &store.get(conv.bias).unwrap().value);
+        let [y_train, y_eval] = tape_and_quantized_conv(&conv, &store, &x);
+        assert_eq!(y_train, y_eval);
     }
 
     #[test]
@@ -442,15 +418,12 @@ mod tests {
         let conv = Conv1d::new(&mut store, &mut rng, "c", 1, 2, 3, 4).unwrap();
         let x = Tensor::randn(&mut rng, &[1, 1, 5], 1.0);
 
-        let mut tape = Tape::new();
-        let mut bind = Bindings::new();
-        let xv = tape.constant(x.clone());
-        let yv = conv.forward(&mut tape, &mut bind, &store, xv).unwrap();
-        let y_train = tape.value(yv).unwrap().clone();
-        let y_eval = conv.eval_forward(&store, &x).unwrap();
-        for (a, b) in y_train.data().iter().zip(y_eval.data().iter()) {
-            assert!((a - b).abs() < 1e-5, "train/eval quantized paths diverge");
-        }
+        // at 4 bits the inference weights are the quantized ones, not the
+        // stored shadow weights, and the tape forward computes with them
+        let (w, _) = conv.quantized_params(&store).unwrap();
+        assert_ne!(&w, &store.get(conv.weight).unwrap().value);
+        let [y_train, y_eval] = tape_and_quantized_conv(&conv, &store, &x);
+        assert_eq!(y_train, y_eval, "train/eval quantized paths diverge");
     }
 
     #[test]
@@ -496,10 +469,16 @@ mod tests {
             let xv = tape.constant(x);
             let _ = bn.forward(&mut tape, &mut bind, &store, xv, Mode::Train).unwrap();
         }
-        // eval on data with the same distribution: output mean ≈ 0
+        // eval on data with the same distribution: output mean ≈ 0, and the
+        // running statistics stay put
         let x = Tensor::randn(&mut rng, &[8, 1, 16], 1.0).add_scalar(5.0);
-        let y = bn.eval_forward(&store, &x).unwrap();
+        let stats = (bn.running_mean.clone(), bn.running_var.clone());
+        let mut tape = Tape::new();
+        let xv = tape.constant(x);
+        let yv = bn.forward(&mut tape, &mut Bindings::new(), &store, xv, Mode::Eval).unwrap();
+        let y = tape.value(yv).unwrap();
         assert!(y.mean().abs() < 0.5, "eval mean was {}", y.mean());
+        assert_eq!((bn.running_mean, bn.running_var), stats);
     }
 
     #[test]

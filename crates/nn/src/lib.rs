@@ -58,6 +58,10 @@ pub enum Mode {
     /// Training mode: batch-norm uses batch statistics and updates running
     /// averages.
     Train,
-    /// Evaluation mode: batch-norm uses running statistics.
+    /// Evaluation mode: batch-norm applies its running statistics as the
+    /// folded affine of [`layers::BatchNorm1d::folded_affine`]. Inference
+    /// runs the compiled plans of `lightts-models`, not the tape; a network
+    /// taped in this mode is the reference those plans are tested against,
+    /// bit for bit.
     Eval,
 }

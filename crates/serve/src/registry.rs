@@ -12,8 +12,9 @@ use lightts_models::qinference::QuantizedPlan;
 /// Which compiled plan kind a model is served with, chosen per model by
 /// [`ModelRegistry::register_as`] / [`ModelRegistry::load_packed_as`].
 ///
-/// * [`PlanKind::F32`]: the classic [`InferencePlan`] — f32
-///   arithmetic, bitwise identical to the uncompiled eval path.
+/// * [`PlanKind::F32`]: the [`InferencePlan`] — f32 arithmetic, the same
+///   forward `InceptionTime::logits` runs for every evaluation, bitwise
+///   identical to the training network's forward in `Mode::Eval`.
 /// * [`PlanKind::I8`]: the [`QuantizedPlan`] — i8 weights, integer
 ///   conv/GEMM, ~4× smaller weight storage; approximate vs f32 within the
 ///   parity gate of `tests/quantized_parity.rs`, and bitwise reproducible

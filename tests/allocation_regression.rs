@@ -17,6 +17,14 @@
 //! one batch per step. The second half of the test trains a classifier and
 //! a forecaster on such batches and requires the held bytes to stay put.
 //!
+//! Evaluation is held to the same rule. `InceptionTime::logits` compiles
+//! the model and runs the plan, whose scratch is pooled and whose logits
+//! tensor takes its buffer from the pool. The last phase evaluates a
+//! 300-row dataset (chunks of 256 and 44 rows) once to warm the pool, and
+//! three more evaluations must leave the held bytes where they were. An
+//! evaluation that allocated its activations with plain `Vec`s parked them
+//! in the pool on every call.
+//!
 //! The assertions use the *thread-local* counters, so they measure only
 //! this test's thread. The test still lives in its own integration binary
 //! (one `#[test]`, run with no sibling tests) so no concurrent test can
@@ -24,6 +32,7 @@
 
 use lightts::models::forecaster::{ForecastConfig, Forecaster};
 use lightts::models::inception::{InceptionConfig, InceptionTime, TrainConfig};
+use lightts::models::Classifier;
 use lightts::tensor::pool;
 use lightts::tensor::rng::seeded;
 use lightts_data::forecast::{synthetic_series, windows_from_series};
@@ -94,5 +103,17 @@ fn steady_state_training_epochs_are_pool_miss_free() {
         pool::thread_pool_held_bytes(),
         held,
         "the pool grew across steady forecaster epochs"
+    );
+
+    let eval = gen.split("allocreg-eval", 300, 6).unwrap();
+    model.predict_proba_dataset(&eval).unwrap();
+    let held = pool::thread_pool_held_bytes();
+    for _ in 0..3 {
+        model.predict_proba_dataset(&eval).unwrap();
+    }
+    assert_eq!(
+        pool::thread_pool_held_bytes(),
+        held,
+        "the pool grew across evaluations of a 300-row dataset"
     );
 }

@@ -1,9 +1,10 @@
 //! Whole-stack observability integration test: with the in-memory sink
 //! active, one tiny teacher fit, a tiny AED run, a tiny MOBO search, and a
 //! serving round must together emit schema-valid JSONL covering the
-//! teacher fit, trainer epochs, MOBO trials, and serve batches. A tiny forecast LightTS run, traced on its own
-//! afterwards, must show the outer λ steps and one `removal.round` decision
-//! per round.
+//! teacher fit, trainer epochs, MOBO trials, and serve batches. A tiny
+//! forecast LightTS run, traced on its own afterwards, must show the outer
+//! λ steps and one `removal.round` decision per round. Every `aed.outer`
+//! step records the weights λ̂ it leaves, one entry per teacher.
 //!
 //! Everything runs inside ONE `#[test]` because the sink is process-global
 //! state; a second concurrent test in this binary would race it.
@@ -22,7 +23,7 @@ use lightts_data::LabeledDataset;
 use lightts_obs::{self as obs, SinkTarget};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::Tensor;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn splits(seed: u64) -> Splits {
     let gen = Generator::new(
@@ -50,6 +51,17 @@ fn synthetic_teachers(s: &Splits, sharp: f32) -> TeacherProbs {
         s.validation.labels(),
     )
     .unwrap()
+}
+
+/// Requires an `aed.outer` span's `weights` field to render one λ̂ entry
+/// per teacher of the step, as `removal.round` renders them.
+fn check_outer_weights(fields: &BTreeMap<String, obs::jsonl::Json>, line: &str) {
+    let teachers = fields["teachers"].as_num().unwrap() as usize;
+    let weights = fields.get("weights").and_then(|w| w.as_str());
+    let weights = weights.unwrap_or_else(|| panic!("aed.outer without weights: {line}"));
+    let entries = weights.trim_matches(['[', ']']).split(", ").map(str::parse::<f32>);
+    let entries = entries.collect::<Result<Vec<_>, _>>();
+    assert_eq!(entries.map(|e| e.len()), Ok(teachers), "aed.outer weights: {line}");
 }
 
 #[test]
@@ -117,10 +129,14 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
         let obj = obs::jsonl::parse(line).unwrap();
         let obj = obj.as_obj().unwrap();
         let path = obj["path"].as_str().unwrap().to_string();
-        if path == "teacher.fit" {
-            let fields = obj["fields"].as_obj().unwrap();
-            assert!(fields.contains_key("loss"), "teacher.fit without a loss: {line}");
-            fits += 1;
+        match path.as_str() {
+            "teacher.fit" => {
+                let fields = obj["fields"].as_obj().unwrap();
+                assert!(fields.contains_key("loss"), "teacher.fit without a loss: {line}");
+                fits += 1;
+            }
+            "aed.outer" => check_outer_weights(obj["fields"].as_obj().unwrap(), line),
+            _ => {}
         }
         paths.insert(path);
     }
@@ -154,7 +170,10 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
         let obj = obs::jsonl::parse(&line).unwrap();
         let obj = obj.as_obj().unwrap();
         match obj["path"].as_str().unwrap() {
-            "aed.outer" => outer += 1,
+            "aed.outer" => {
+                check_outer_weights(obj["fields"].as_obj().unwrap(), &line);
+                outer += 1;
+            }
             "removal.round" => {
                 let fields = obj["fields"].as_obj().unwrap();
                 removed.push(fields["removed"].as_str().unwrap().to_string());
