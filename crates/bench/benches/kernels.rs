@@ -8,7 +8,9 @@
 //!   `simd_gemm_panel/*`: one 4-row block over a dense `k=256, n=256`
 //!   panel) and the `vec_exp` transcendental must be ≥ 2× faster under the
 //!   native vector backend (AVX2+FMA where available) than under the
-//!   forced scalar oracle.
+//!   forced scalar oracle;
+//! * the int8 conv `qint::qconv1d_same_into` at the `k=9` conv shape
+//!   (row `quant_qconv1d_same`), against `conv1d_forward_lowered`.
 //!
 //! Results are merged into `BENCH_kernels.json` at the repository root —
 //! SIMD rows carry the backend in both the bench name and the record's
@@ -22,9 +24,7 @@ use lightts_bench::perf::{self, KernelRecord};
 use lightts_tensor::conv::{conv1d_backward_input, conv1d_backward_weight, conv1d_forward};
 use lightts_tensor::qint::{qconv1d_same_into, QuantizedMatrix};
 use lightts_tensor::rng::seeded;
-use lightts_tensor::simd::{
-    cpu_supports, gemm_tile_with, qgemm_i8t_with, vec_exp_with, SimdBackend, Tile,
-};
+use lightts_tensor::simd::{cpu_supports, gemm_tile_with, vec_exp_with, SimdBackend, Tile};
 use lightts_tensor::Tensor;
 use std::hint::black_box;
 use std::time::Duration;
@@ -124,27 +124,14 @@ fn bench_simd(c: &mut Criterion) {
     g.finish();
 }
 
-/// Int8 kernel family (PR 7): the i8 GEMM at the same 4-row panel shape as
-/// `simd/gemm_panel` (so the speedup below is a like-for-like f32-vs-i8
-/// comparison), and the quantized conv at the conv acceptance shape
-/// against `kernels/forward_lowered`.
+/// The int8 conv at the conv acceptance shape, against
+/// `kernels/forward_lowered`.
 fn bench_quant(c: &mut Criterion) {
     let mut g = c.benchmark_group("quant");
 
-    // Deterministic i8 operands (value-independent integer kernels, but
+    // Deterministic i8 codes (the integer kernel is value-independent, but
     // keep the data fixed anyway).
     let code = |i: usize| ((i as u64).wrapping_mul(2_654_435_761) >> 24) as u8 as i8;
-    let qa: Vec<i8> = (0..4 * GEMM_K).map(code).collect();
-    let qb: Vec<i8> = (0..GEMM_N * GEMM_K).map(code).collect();
-    let mut qout = vec![0i32; 4 * GEMM_N];
-    for &bk in backends() {
-        g.bench_function(BenchmarkId::new("qgemm_i8t", bk.name()), |bch| {
-            bch.iter(|| {
-                qgemm_i8t_with(bk, &mut qout, &qa, &qb, 4, GEMM_K, GEMM_N);
-                black_box(qout[0]);
-            })
-        });
-    }
 
     // Quantized conv at the conv acceptance shape (per-sample kernel, so
     // one iteration sweeps the same B samples as the f32 benches). Runs
@@ -155,12 +142,12 @@ fn bench_quant(c: &mut Criterion) {
     let qw = QuantizedMatrix::quantize_rows_symmetric(w.data(), COUT, CIN * k).unwrap();
     let qx: Vec<i8> = (0..B * CIN * L).map(code).collect();
     let mut conv_out = vec![0i32; COUT * L];
-    let mut patch = Vec::new();
+    let mut pairs = Vec::new();
     g.bench_function(BenchmarkId::new("qconv1d_same", format!("k{k}")), |bch| {
         bch.iter(|| {
             for s in 0..B {
                 let x = &qx[s * CIN * L..(s + 1) * CIN * L];
-                qconv1d_same_into(&mut conv_out, &mut patch, x, CIN, L, &qw, k, 0).unwrap();
+                qconv1d_same_into(&mut conv_out, &mut pairs, x, CIN, L, &qw, k, 0).unwrap();
             }
             black_box(conv_out[0]);
         })
@@ -203,29 +190,14 @@ fn main() {
                     scale: scale.to_string(),
                     backend: tail.to_string(),
                 }
-            } else if group == "quant" {
-                // "quant/qgemm_i8t/avx2" carries the forced backend;
-                // "quant/qconv1d_same/k9" runs under the native backend at
-                // the f32 conv acceptance shape.
-                let (shape, backend) = if op == "qgemm_i8t" {
-                    (format!("rows4_k{GEMM_K}_n{GEMM_N}"), tail.to_string())
-                } else {
-                    (format!("b{B}_cin{CIN}_cout{COUT}_l{L}_{tail}"), native.clone())
-                };
-                KernelRecord {
-                    op: format!("quant_{op}"),
-                    shape,
-                    median_ns: m.median_ns,
-                    threads: 1,
-                    scale: scale.to_string(),
-                    backend,
-                }
             } else {
-                // "kernels/forward_lowered/k9" → op "conv1d_forward_lowered",
+                // "kernels/forward_lowered/k9" → op "conv1d_forward_lowered"
+                // and "quant/qconv1d_same/k9" → op "quant_qconv1d_same",
                 // shape "b16_cin32_cout32_l128_k9"; these run under the
                 // process-default (native) backend.
+                let prefix = if group == "quant" { "quant" } else { "conv1d" };
                 KernelRecord {
-                    op: format!("conv1d_{op}"),
+                    op: format!("{prefix}_{op}"),
                     shape: format!("b{B}_cin{CIN}_cout{COUT}_l{L}_{tail}"),
                     median_ns: m.median_ns,
                     threads: 1,
@@ -250,24 +222,15 @@ fn main() {
         }
     }
 
-    // Int8-vs-f32 summary: the i8 GEMM against the f32 panel at the same
-    // shape (per backend), and the quantized conv against the f32 lowered
-    // conv at the acceptance shape.
+    // Int8-vs-f32 summary: the quantized conv against the f32 lowered conv
+    // at the acceptance shape, both under the native backend.
     let any_median =
         |name: String| measurements.iter().find(|m| m.name == name).map(|m| m.median_ns);
-    println!("\nint8 speedups vs f32 (rows4_k{GEMM_K}_n{GEMM_N} panel):");
-    for bk in ["scalar", "avx2"] {
-        if let (Some(f), Some(q)) = (
-            any_median(format!("simd/gemm_panel/{bk}")),
-            any_median(format!("quant/qgemm_i8t/{bk}")),
-        ) {
-            println!("  qgemm_i8t  {bk:<6} {:>6.2}x", f / q);
-        }
-    }
     if let (Some(f), Some(q)) = (
         any_median(format!("kernels/forward_lowered/k{}", KS[0])),
         any_median(format!("quant/qconv1d_same/k{}", KS[0])),
     ) {
+        println!("\nint8 speedup vs f32 ({native}):");
         println!("  qconv1d_same vs forward_lowered k{}: {:>6.2}x", KS[0], f / q);
     }
 }

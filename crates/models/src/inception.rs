@@ -364,7 +364,7 @@ impl InceptionTime {
     /// evaluation computes what the deployed model serves. A zero-row batch
     /// or any other input shape is an error.
     pub fn logits(&self, inputs: &Tensor) -> Result<Tensor> {
-        self.compile()?.logits(inputs)
+        self.plan()?.logits(inputs)
     }
 
     /// Compiles the model into a tape-free [`InferencePlan`](crate::inference::InferencePlan)
@@ -372,17 +372,24 @@ impl InceptionTime {
     ///
     /// The plan's logits are bitwise identical to
     /// [`forward_train`](Self::forward_train) in [`Mode::Eval`]; see
-    /// [`crate::inference`] for why. [`logits`](Self::logits) compiles on
-    /// every call, so the `inference.compile` span and the
-    /// `inference.plans_compiled` counter count evaluations as well as
-    /// served models.
+    /// [`crate::inference`] for why. Each call is one `inference.compile`
+    /// span and one `inference.plans_compiled` count; evaluations
+    /// ([`logits`](Self::logits), `predict_proba`) build the same plan
+    /// untraced, so both count served models and direct compiles only.
     pub fn compile(&self) -> Result<crate::inference::InferencePlan> {
-        use crate::inference::{InferencePlan, PlanBlock, PlanConv, PlanWeights};
         let mut sp = lightts_obs::span!("inference.compile", {
             blocks: self.blocks.len(),
             size_bits: self.size_bits(),
         });
         lightts_obs::global().counter("inference.plans_compiled").inc();
+        let plan = self.plan()?;
+        sp.record("classes", self.config.num_classes);
+        Ok(plan)
+    }
+
+    /// The f32 plan [`compile`](Self::compile) returns, built untraced.
+    fn plan(&self) -> Result<crate::inference::InferencePlan> {
+        use crate::inference::{InferencePlan, PlanBlock, PlanConv, PlanWeights};
         // The plan keeps its vectors in plain allocations and lets the pooled
         // tensors drop back into the pool: every evaluation compiles, and
         // `into_vec` would take a slab out of the pool per call.
@@ -397,7 +404,6 @@ impl InceptionTime {
             blocks.push(PlanBlock { convs, bn_scale, bn_shift });
         }
         let (fw, fb) = self.fc.quantized_params(&self.store)?;
-        sp.record("classes", self.config.num_classes);
         Ok(InferencePlan::new(PlanWeights {
             blocks,
             fc_weight: fw.data().to_vec(),
@@ -465,9 +471,8 @@ impl InceptionTime {
             blocks.push(QPlanBlock { convs, bn_scale, bn_shift });
         }
         let (fw, fb) = self.fc.quantized_params(&self.store)?;
-        // The stored FC weight is `[fc_in, num_classes]`; the integer GEMM
-        // wants class rows with a contiguous reduction axis, so transpose
-        // once here.
+        // The stored FC weight is `[fc_in, num_classes]`; the head runs as
+        // a 1×1 conv with one filter per class, so transpose once here.
         let fin = self.fc.in_features();
         let nc = self.config.num_classes;
         let fwd = fw.data();
@@ -477,13 +482,11 @@ impl InceptionTime {
                 fwt[c * fin + i] = fwd[i * nc + c];
             }
         }
-        let fc_weight = QuantizedMatrix::quantize_rows_symmetric(&fwt, nc, fin)?;
+        let weight = QuantizedMatrix::quantize_rows_symmetric(&fwt, nc, fin)?;
         sp.record("classes", nc);
         Ok(QuantizedPlan::new(QPlanWeights {
             blocks,
-            fc_weight,
-            fc_bias: fb.into_vec(),
-            fc_in: fin,
+            fc: QPlanConv { weight, kernel: 1, bias: fb.into_vec() },
             in_dims: self.config.in_dims,
             in_len: self.config.in_len,
             num_classes: nc,
@@ -689,7 +692,7 @@ impl Classifier for InceptionTime {
     }
 
     fn predict_proba(&self, inputs: &Tensor) -> Result<Tensor> {
-        self.compile()?.predict_proba(inputs)
+        self.plan()?.predict_proba(inputs)
     }
 }
 

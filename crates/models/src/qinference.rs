@@ -5,8 +5,10 @@
 //! hoists fake-quantized f32 weights, this plan stores every conv / FC
 //! weight as real `i8` codes with per-output-channel scales
 //! ([`QuantizedMatrix`]) and executes the convolutions and the FC head in
-//! pure integer arithmetic (`i8×i8→i32` via
-//! [`lightts_tensor::simd::qgemm_i8t`]), dequantizing once per layer.
+//! pure integer arithmetic on one kernel, [`qconv1d_same_into`] (`i8×i8→i32`
+//! on the integer register tile `lightts_tensor::simd::qgemm_tile`; the FC
+//! head is a 1×1 conv over `fc_in` channels of length 1), dequantizing once
+//! per layer.
 //!
 //! Per forward pass and per sample, activations are re-quantized
 //! dynamically: an [`ActQuant`] affine is fitted to each sample's activation
@@ -41,19 +43,64 @@ use crate::plan::{bn_relu, check_input, ensure, global_avg_pool, plan_api, Scrat
 use crate::Result;
 use lightts_obs::Histogram;
 use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QuantizedMatrix};
-use lightts_tensor::simd;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One compiled int8 convolution layer.
+/// One compiled int8 convolution layer; the FC head is one too, a 1×1
+/// conv over `fc_in` channels of length 1.
 #[derive(Debug)]
 pub(crate) struct QPlanConv {
     /// Quantized filter bank, flattened `[filters, cin·kernel]`.
     pub(crate) weight: QuantizedMatrix,
-    /// Filter length (needed to rebuild patch rows).
+    /// Filter length.
     pub(crate) kernel: usize,
     /// Bias in f32, one entry per output channel (added after dequant).
     pub(crate) bias: Vec<f32>,
+}
+
+impl QPlanConv {
+    /// Runs the conv on one sample's codes `qx` (`[cin, l]`, quantized by
+    /// `aq`) and writes the dequantized output plus bias to `dst`
+    /// (`[filters, l]`). Fixed scalar rounding sequence: combined scale,
+    /// subtract the zero-point correction, multiply, add bias.
+    #[allow(clippy::too_many_arguments)]
+    fn forward(
+        &self,
+        dst: &mut [f32],
+        qx: &[i8],
+        aq: ActQuant,
+        cin: usize,
+        l: usize,
+        pairs: &mut Vec<i32>,
+        acc: &mut Vec<i32>,
+    ) -> Result<()> {
+        let w = &self.weight;
+        if acc.len() < w.rows() * l {
+            acc.resize(w.rows() * l, 0);
+        }
+        let acc = &mut acc[..w.rows() * l];
+        qconv1d_same_into(acc, pairs, qx, cin, l, w, self.kernel, aq.zero_point)?;
+        let zp = i32::from(aq.zero_point);
+        for (ci, (o, a)) in dst.chunks_exact_mut(l).zip(acc.chunks_exact(l)).enumerate() {
+            let s = aq.scale * w.scales()[ci];
+            let corr = zp * w.row_sums()[ci];
+            for (o, &a) in o.iter_mut().zip(a) {
+                *o = (a - corr) as f32 * s + self.bias[ci];
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Fits a per-sample activation quantizer to `x` and writes its codes to
+/// the front of `qx` (grown as needed), which it returns.
+fn quantize<'q>(x: &[f32], qx: &'q mut Vec<i8>) -> (ActQuant, &'q [i8]) {
+    if qx.len() < x.len() {
+        qx.resize(x.len(), 0);
+    }
+    let aq = ActQuant::fit(x);
+    aq.quantize_into(x, &mut qx[..x.len()]);
+    (aq, &qx[..x.len()])
 }
 
 /// One compiled int8 Inception block: parallel quantized convolutions plus
@@ -74,8 +121,8 @@ struct QScratch {
     f32s: Scratch,
     /// One sample's quantized activation codes (grow-only).
     qx: Vec<i8>,
-    /// im2row patch rows for one sample (grow-only).
-    patch: Vec<i8>,
+    /// One conv's i16 operand pairs, filters and padded input (grow-only).
+    pairs: Vec<i32>,
     /// Integer accumulators for one sample's conv / FC output (grow-only).
     acc: Vec<i32>,
 }
@@ -87,11 +134,9 @@ struct QScratch {
 #[derive(Debug)]
 pub(crate) struct QPlanWeights {
     pub(crate) blocks: Vec<QPlanBlock>,
-    /// Quantized FC weight `[num_classes, fc_in]` (transposed at compile so
-    /// the reduction axis is contiguous for the integer kernels).
-    pub(crate) fc_weight: QuantizedMatrix,
-    pub(crate) fc_bias: Vec<f32>,
-    pub(crate) fc_in: usize,
+    /// The FC head: `[num_classes, fc_in]` (transposed at compile), run as
+    /// a 1×1 conv with one filter per class.
+    pub(crate) fc: QPlanConv,
     pub(crate) in_dims: usize,
     pub(crate) in_len: usize,
     pub(crate) num_classes: usize,
@@ -125,14 +170,10 @@ impl QuantizedPlan {
     /// parameter-count` in the README size table.
     pub fn weight_bytes(&self) -> usize {
         let w = &self.weights;
-        let conv: usize = w
-            .blocks
-            .iter()
-            .flat_map(|b| b.convs.iter())
-            .map(|c| c.weight.size_bytes() + c.bias.len() * 4)
-            .sum();
+        let convs = w.blocks.iter().flat_map(|b| b.convs.iter()).chain([&w.fc]);
+        let conv: usize = convs.map(|c| c.weight.size_bytes() + c.bias.len() * 4).sum();
         let bn: usize = w.blocks.iter().map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4).sum();
-        conv + bn + w.fc_weight.size_bytes() + w.fc_bias.len() * 4
+        conv + bn
     }
 
     /// Computes logits for a `[batch, in_dims, in_len]` slice of inputs into
@@ -148,7 +189,7 @@ impl QuantizedPlan {
         let l = w.in_len;
         check_input(inputs, batch, w.in_dims, l)?;
 
-        let QScratch { f32s: scratch, qx, patch, acc } = &mut self.scratch;
+        let QScratch { f32s: scratch, qx, pairs, acc } = &mut self.scratch;
         let mut cin = w.in_dims;
         ensure(&mut scratch.a, batch * cin * l);
         scratch.a[..batch * cin * l].copy_from_slice(inputs);
@@ -157,46 +198,15 @@ impl QuantizedPlan {
             let filters = block.convs[0].weight.rows();
             let c_total = block.convs.len() * filters;
             ensure(&mut scratch.b, batch * c_total * l);
-            if qx.len() < cin * l {
-                qx.resize(cin * l, 0);
-            }
-            if acc.len() < filters * l {
-                acc.resize(filters * l, 0);
-            }
             for bi in 0..batch {
                 // Per-sample dynamic activation quantization: codes depend
                 // only on this sample's bytes, never on batch neighbours.
-                let x_b = &scratch.a[bi * cin * l..(bi + 1) * cin * l];
-                let aq = ActQuant::fit(x_b);
-                aq.quantize_into(x_b, &mut qx[..cin * l]);
-                for (j, conv) in block.convs.iter().enumerate() {
-                    qconv1d_same_into(
-                        &mut acc[..filters * l],
-                        patch,
-                        &qx[..cin * l],
-                        cin,
-                        l,
-                        &conv.weight,
-                        conv.kernel,
-                        aq.zero_point,
-                    )?;
-                    // Dequantize + bias, scattered into the channel-
-                    // concatenated layout — the i8 analogue of the f32
-                    // plan's conv-scatter loop. Fixed scalar rounding
-                    // sequence: combined scale, subtract zero-point
-                    // correction, multiply, add bias.
-                    let zp = i32::from(aq.zero_point);
-                    for ci in 0..filters {
-                        let s = aq.scale * conv.weight.scales()[ci];
-                        let corr = zp * conv.weight.row_sums()[ci];
-                        let bias_v = conv.bias[ci];
-                        let dst = (bi * c_total + j * filters + ci) * l;
-                        for (o, &a) in
-                            scratch.b[dst..dst + l].iter_mut().zip(&acc[ci * l..(ci + 1) * l])
-                        {
-                            *o = (a - corr) as f32 * s + bias_v;
-                        }
-                    }
+                let (aq, q) = quantize(&scratch.a[bi * cin * l..(bi + 1) * cin * l], qx);
+                // Each conv's output lands in its slice of the channel-
+                // concatenated layout, as in the f32 plan.
+                let dst = &mut scratch.b[bi * c_total * l..(bi + 1) * c_total * l];
+                for (conv, dst) in block.convs.iter().zip(dst.chunks_exact_mut(filters * l)) {
+                    conv.forward(dst, q, aq, cin, l, pairs, acc)?;
                 }
             }
             bn_relu(&mut scratch.b[..batch * c_total * l], l, &block.bn_scale, &block.bn_shift);
@@ -208,27 +218,13 @@ impl QuantizedPlan {
         global_avg_pool(&mut scratch.pooled[..batch * cin], &scratch.a[..batch * cin * l], l);
 
         // Quantized FC head: per-sample quantization of the pooled features,
-        // integer matrix-vector product, dequant + bias.
+        // then the head's 1×1 conv.
         let nc = w.num_classes;
-        let fin = w.fc_in;
         out.resize(batch * nc, 0.0);
-        if qx.len() < fin {
-            qx.resize(fin, 0);
-        }
-        if acc.len() < nc {
-            acc.resize(nc, 0);
-        }
-        for bi in 0..batch {
-            let p = &scratch.pooled[bi * fin..(bi + 1) * fin];
-            let aq = ActQuant::fit(p);
-            aq.quantize_into(p, &mut qx[..fin]);
-            simd::qgemm_i8t(&mut acc[..nc], w.fc_weight.data(), &qx[..fin], nc, fin, 1);
-            let zp = i32::from(aq.zero_point);
-            for ci in 0..nc {
-                let s = aq.scale * w.fc_weight.scales()[ci];
-                let corr = zp * w.fc_weight.row_sums()[ci];
-                out[bi * nc + ci] = (acc[ci] - corr) as f32 * s + w.fc_bias[ci];
-            }
+        let pooled = &scratch.pooled[..batch * cin];
+        for (p, o) in pooled.chunks_exact(cin).zip(out.chunks_exact_mut(nc)) {
+            let (aq, q) = quantize(p, qx);
+            w.fc.forward(o, q, aq, cin, 1, pairs, acc)?;
         }
         self.forward_ns.record_duration(t0.elapsed());
         Ok(())
@@ -309,7 +305,7 @@ mod tests {
         let clone = plan.clone();
         assert!(Arc::ptr_eq(&plan.weights, &clone.weights), "the clone copied the weights");
         let s = &clone.scratch;
-        let ints = s.qx.capacity() + s.patch.capacity() + s.acc.capacity();
+        let ints = s.qx.capacity() + s.pairs.capacity() + s.acc.capacity();
         assert_eq!(s.f32s.capacity() + ints, 0, "the clone copied the scratch");
     }
 
@@ -359,20 +355,11 @@ mod tests {
         // f32 bias/BN vectors. The i8 plan's codes + per-channel metadata
         // must undercut that by at least 2× even on this tiny model
         // (larger models approach the full 4×).
-        let codes: usize = w
-            .blocks
-            .iter()
-            .flat_map(|b| b.convs.iter())
-            .map(|c| c.weight.data().len())
-            .sum::<usize>()
-            + w.fc_weight.data().len();
-        let aux: usize = w
-            .blocks
-            .iter()
-            .map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4)
-            .sum::<usize>()
-            + w.blocks.iter().flat_map(|b| b.convs.iter()).map(|c| c.bias.len() * 4).sum::<usize>()
-            + w.fc_bias.len() * 4;
+        let convs = || w.blocks.iter().flat_map(|b| b.convs.iter()).chain([&w.fc]);
+        let codes: usize = convs().map(|c| c.weight.data().len()).sum();
+        let aux: usize =
+            w.blocks.iter().map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4).sum::<usize>()
+                + convs().map(|c| c.bias.len() * 4).sum::<usize>();
         let f32_total = 4 * codes + aux;
         let i8_total = plan.weight_bytes();
         assert!(i8_total * 2 < f32_total, "no storage win: {i8_total} vs {f32_total} bytes");

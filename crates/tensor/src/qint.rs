@@ -1,12 +1,12 @@
-//! True int8 quantized storage and the integer conv/GEMM drivers built on
-//! it.
+//! True int8 quantized storage and the integer conv built on it.
 //!
 //! [`crate::quant`] implements the paper's *fake* quantization: values are
 //! snapped to a `2^b`-level grid but stay `f32`, which is what
 //! quantization-aware training needs. This module is the deployment-side
 //! counterpart: weights and activations are stored as real `i8` codes and
-//! multiplied in pure integer arithmetic (`i8×i8→i32` via
-//! [`crate::simd::qgemm_i8t`]), with one `f32` rescale at the very end.
+//! multiplied in pure integer arithmetic (`i8×i8→i32` by
+//! [`qconv1d_same_into`] on the integer register tile
+//! [`crate::simd::qgemm_tile`]), with one `f32` rescale at the very end.
 //!
 //! # Scheme
 //!
@@ -31,7 +31,8 @@
 //!
 //! computed per output element in scalar `f32` (fixed rounding sequence),
 //! so the only inexact steps are the two quantizations themselves. Code
-//! assignment uses `f32::round` (half away from zero) everywhere.
+//! assignment rounds half away from zero (`f32::round`'s rule) everywhere,
+//! and activation codes saturate ([`ActQuant::quantize_into`]).
 //!
 //! # Determinism
 //!
@@ -41,7 +42,7 @@
 //! scalar code — so quantized inference is bitwise reproducible across
 //! backends and batch splits.
 
-use crate::simd;
+use crate::simd::{self, Tile};
 use crate::{Result, TensorError};
 
 /// Quantized-code magnitude bound for symmetric weight rows (±127; −128 is
@@ -49,8 +50,7 @@ use crate::{Result, TensorError};
 pub const WEIGHT_QMAX: f32 = 127.0;
 
 /// An `i8` matrix with per-row symmetric quantization metadata, laid out
-/// row-major `[rows, k]` — the weight-side operand of
-/// [`simd::qgemm_i8t`].
+/// row-major `[rows, k]` — the filter bank of [`qconv1d_same_into`].
 ///
 /// `rows` is the output-channel axis (conv filters, FC output features);
 /// `k` is the reduction axis (`cin·kernel` or `in_features`).
@@ -161,14 +161,22 @@ impl ActQuant {
     /// the range scan; a degenerate (empty or all-zero) range yields the
     /// identity-ish quantizer `scale = 1, zero_point = 0`.
     pub fn fit(data: &[f32]) -> ActQuant {
-        let mut lo = 0.0f32;
-        let mut hi = 0.0f32;
-        for &v in data {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
+        // Eight running bounds, so the scan vectorizes; the tail is padded
+        // with 0.0, and a non-finite value counts as 0.0, which the range
+        // holds already. Min and max are exact, so the striping cannot show.
+        let (chunks, tail) = data.as_chunks::<8>();
+        let mut last = [0.0f32; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        let (mut lo, mut hi) = ([0.0f32; 8], [0.0f32; 8]);
+        for c in chunks.iter().chain([&last]) {
+            for ((l, h), &v) in lo.iter_mut().zip(&mut hi).zip(c) {
+                let v = if v.is_finite() { v } else { 0.0 };
+                *l = l.min(v);
+                *h = h.max(v);
             }
         }
+        let lo = lo.into_iter().fold(0.0f32, f32::min);
+        let hi = hi.into_iter().fold(0.0f32, f32::max);
         if hi <= lo {
             return ActQuant { scale: 1.0, zero_point: 0 };
         }
@@ -178,19 +186,25 @@ impl ActQuant {
         ActQuant { scale, zero_point: zp }
     }
 
-    /// Quantizes one value (round half away from zero, saturating clamp).
-    pub fn quantize(&self, v: f32) -> i8 {
-        let q = (v / self.scale).round() as i32 + i32::from(self.zero_point);
-        q.clamp(-128, 127) as i8
-    }
-
-    /// Quantizes a buffer into `dst` (`dst.len()` must equal `src.len()`).
+    /// Quantizes a buffer into `dst` (`dst.len()` must equal `src.len()`):
+    /// `round(v · (1/scale)) + zero_point` (half away from zero), saturated
+    /// to `[−128, 127]`. `+inf` gives 127, `−inf` −128 and NaN the zero
+    /// point.
     pub fn quantize_into(&self, src: &[f32], dst: &mut [i8]) {
         debug_assert_eq!(src.len(), dst.len());
         let inv = 1.0 / self.scale;
         let zp = i32::from(self.zero_point);
         for (d, &v) in dst.iter_mut().zip(src.iter()) {
-            *d = ((v * inv).round() as i32 + zp).clamp(-128, 127) as i8;
+            // Past ±256 every code saturates whatever the zero point, so
+            // the clamp changes no code and keeps the sum below in range.
+            let y = (v * inv).clamp(-256.0, 256.0);
+            // `f32::round` without its library call, so the loop
+            // vectorizes: `t` truncates (NaN casts to 0) and `y − t` is
+            // exact. Equal to `y.round()` on every f32.
+            let t = y as i32;
+            let f = y - t as f32;
+            let r = t + i32::from(f >= 0.5) - i32::from(f <= -0.5);
+            *d = (r + zp).clamp(-128, 127) as i8;
         }
     }
 
@@ -200,53 +214,27 @@ impl ActQuant {
     }
 }
 
-/// Quantized im2row unfold: scatters an `i8` activation map `qx: [cin, l]`
-/// into patch rows `patch: [l, cin·kernel]` where
-/// `patch[t, ci·kernel + j] = qx[ci, t + j − pl]`, out-of-range
-/// positions filled with `pad` (the activation zero-point code, so padding
-/// dequantizes to exactly 0.0).
-pub fn qim2row(
-    patch: &mut [i8],
-    qx: &[i8],
-    cin: usize,
-    l: usize,
-    kernel: usize,
-    pl: usize,
-    pad: i8,
-) {
-    let ck = cin * kernel;
-    debug_assert_eq!(patch.len(), l * ck);
-    debug_assert_eq!(qx.len(), cin * l);
-    for t in 0..l {
-        let dst_t = &mut patch[t * ck..(t + 1) * ck];
-        for ci in 0..cin {
-            let x_row = &qx[ci * l..(ci + 1) * l];
-            let dst = &mut dst_t[ci * kernel..(ci + 1) * kernel];
-            let j_lo = pl.saturating_sub(t).min(kernel);
-            let j_hi = (l + pl - t).min(kernel);
-            dst[..j_lo].fill(pad);
-            dst[j_hi.max(j_lo)..].fill(pad);
-            if j_lo < j_hi {
-                dst[j_lo..j_hi].copy_from_slice(&x_row[t + j_lo - pl..t + j_hi - pl]);
-            }
-        }
-    }
-}
-
-/// Quantized "same" 1-D convolution for one sample, lowered onto
-/// [`simd::qgemm_i8t`]: builds zero-point-padded patch rows with
-/// [`qim2row`], then computes `out[co·l + t] = Σ_ci Σ_j w[co, ci, j] ·
-/// patch[t, ci·kernel + j]` in i32.
+/// Quantized "same" 1-D convolution for one sample, on the integer
+/// register tile [`simd::qgemm_tile`]: `out[co·l + t] = Σ_ci Σ_j
+/// w[co, ci, j] · xpad[ci][t + j]` in i32, where `xpad[ci]` is row `ci` of
+/// `qx` padded with `pl = (kernel − 1)/2` codes `pad` on the left and the
+/// rest on the right.
+///
+/// The tile reads the padded codes in place, two taps per step: each
+/// channel becomes one row of i16 pairs `(xpad[s], xpad[s+1])`, each
+/// filter's taps the pairs `(w[2m], w[2m+1])` with a zero partner for odd
+/// `kernel`, and tap pair `m` of output `t` is pair `t + 2m` of the row.
 ///
 /// `w` must be a `[cout, cin·kernel]` [`QuantizedMatrix`] (the flattened
 /// conv weight), `qx` the quantized `[cin, l]` activation map, `pad` the
-/// activation zero-point code. `patch` is a caller-owned grow-only scratch
-/// buffer (resized, never shrunk); `out` must hold `cout · l` elements.
-/// Integer-exact: bitwise identical on every SIMD backend.
+/// activation zero-point code. `pairs` is a caller-owned scratch buffer
+/// for both operands' pairs, grown as needed and never shrunk; `out` must
+/// hold `cout · l` elements. Integer-exact: bitwise identical on every
+/// SIMD backend.
 #[allow(clippy::too_many_arguments)]
 pub fn qconv1d_same_into(
     out: &mut [i32],
-    patch: &mut Vec<i8>,
+    pairs: &mut Vec<i32>,
     qx: &[i8],
     cin: usize,
     l: usize,
@@ -268,11 +256,50 @@ pub fn qconv1d_same_into(
     }
     let _prof = lightts_obs::prof::scope("qconv.same");
     let (pl, _pr) = crate::conv::same_padding(kernel);
-    patch.resize(l * cin * kernel, 0);
-    qim2row(patch, qx, cin, l, kernel, pl, pad);
-    // A = weights [cout, ck], B = patches [l, ck] ⇒ out [cout, l], exactly
-    // the channel-major layout the f32 plan produces.
-    simd::qgemm_i8t(out, w.data(), patch, w.rows(), cin * kernel, l);
+    let (half, lp) = (kernel.div_ceil(2), l + kernel - 1);
+    let steps = cin * half;
+    let need = w.rows() * steps + cin * lp;
+    if pairs.len() < need {
+        pairs.resize(need, 0);
+    }
+    let (wp, xp) = pairs[..need].split_at_mut(w.rows() * steps);
+    for (dst, taps) in wp.chunks_exact_mut(half).zip(w.data().chunks_exact(kernel)) {
+        let two = taps.chunks_exact(2);
+        if let [last] = two.remainder() {
+            dst[half - 1] = simd::i16_pair(*last, 0);
+        }
+        for (d, tap) in dst.iter_mut().zip(two) {
+            *d = simd::i16_pair(tap[0], tap[1]);
+        }
+    }
+    let edge = simd::i16_pair(pad, pad);
+    for (dst, row) in xp.chunks_exact_mut(lp).zip(qx.chunks_exact(l)) {
+        let (head, rest) = dst.split_at_mut(pl);
+        let (body, tail) = rest.split_at_mut(l);
+        head.fill(edge);
+        if let Some(h) = head.last_mut() {
+            *h = simd::i16_pair(pad, row[0]);
+        }
+        for ((d, &lo), &hi) in body.iter_mut().zip(row).zip(&row[1..]) {
+            *d = simd::i16_pair(lo, hi);
+        }
+        body[l - 1] = simd::i16_pair(row[l - 1], pad);
+        tail.fill(edge);
+    }
+    // A = filter pairs [cout, cin·half], B = pair rows read in place ⇒
+    // out [cout, l], exactly the channel-major layout the f32 plan produces.
+    let tile = Tile {
+        rows: w.rows(),
+        k: steps,
+        n: l,
+        ldc: l,
+        lda: steps,
+        b_step: 2,
+        b_run: half,
+        b_jump: lp,
+    };
+    out.fill(0);
+    simd::qgemm_tile(out, wp, xp, &tile);
     Ok(())
 }
 
@@ -311,7 +338,9 @@ mod tests {
             vec![0.0f32; 3],
         ] {
             let aq = ActQuant::fit(&data);
-            assert_eq!(aq.quantize(0.0), aq.zero_point);
+            let mut code = [0i8];
+            aq.quantize_into(&[0.0], &mut code);
+            assert_eq!(code[0], aq.zero_point);
             assert_eq!(aq.dequantize(aq.zero_point), 0.0);
         }
     }
@@ -328,14 +357,48 @@ mod tests {
     }
 
     #[test]
+    fn fit_ignores_non_finite_values_in_every_stripe_and_the_tail() {
+        let finite: Vec<f32> = (0..21).map(|i| (i as f32 - 6.5) * 0.37).collect();
+        for n in 0..=finite.len() {
+            let mut data = finite[..n].to_vec();
+            for (i, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY].into_iter().enumerate() {
+                data.insert((i * 5).min(data.len()), bad);
+            }
+            assert_eq!(ActQuant::fit(&data), ActQuant::fit(&finite[..n]), "n={n}");
+        }
+    }
+
+    #[test]
+    fn quantize_saturates_non_finite_values_and_keeps_finite_codes() {
+        let aq = ActQuant::fit(&[-1.0, 0.0]);
+        assert_eq!(aq.zero_point, 127);
+        let aq_low = ActQuant::fit(&[0.0, 1.0]);
+        assert_eq!(aq_low.zero_point, -128);
+        for (q, v, want) in [
+            (aq, f32::INFINITY, 127),
+            (aq_low, f32::INFINITY, 127),
+            (aq, f32::NEG_INFINITY, -128),
+            (aq_low, f32::NEG_INFINITY, -128),
+            (aq, f32::NAN, 127),
+            (aq_low, f32::NAN, -128),
+            // Rounds to 46 through `1/scale`, to 47 through a division.
+            (ActQuant::fit(&[-1.357_932_7, 9.360_484]), 5.989_703_7, 46),
+        ] {
+            let mut code = [0i8];
+            q.quantize_into(&[v], &mut code);
+            assert_eq!(code[0], want, "{v} with {q:?}");
+        }
+    }
+
+    #[test]
     fn qconv_matches_dequantized_f32_conv_on_identity() {
         // k=1 identity kernel: quantized conv must reproduce the quantized
         // input codes times the weight scale.
         let qx: Vec<i8> = vec![-3, 0, 5, 7];
         let w = QuantizedMatrix::quantize_rows_symmetric(&[1.0], 1, 1).unwrap();
         let mut out = vec![0i32; 4];
-        let mut patch = Vec::new();
-        qconv1d_same_into(&mut out, &mut patch, &qx, 1, 4, &w, 1, 0).unwrap();
+        let mut pairs = Vec::new();
+        qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 4, &w, 1, 0).unwrap();
         let wq = i32::from(w.data()[0]);
         let want: Vec<i32> = qx.iter().map(|&q| i32::from(q) * wq).collect();
         assert_eq!(out, want);

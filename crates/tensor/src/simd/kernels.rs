@@ -310,8 +310,9 @@ pub struct Tile {
 impl Tile {
     /// Panics unless every element a layout with `rows`, `k` and `n` all
     /// non-zero addresses lies inside `c`, `a` and `b` (of these lengths):
-    /// the unchecked loads of [`gemm_tile`] rely on it.
-    fn check(&self, c: usize, a: usize, b: usize) {
+    /// the unchecked loads of [`gemm_tile`] and of the integer tile
+    /// [`qgemm_tile`](super::qgemm_tile) rely on it.
+    pub(super) fn check(&self, c: usize, a: usize, b: usize) {
         assert!(self.k.checked_rem(self.b_run) == Some(0), "gemm_tile: k not a multiple of b_run");
         assert!(self.rows < 2 || self.ldc >= self.n, "gemm_tile: rows of c overlap");
         // One past the last element each operand addresses, overflow-checked.

@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD backends for the f32 kernels.
+//! Runtime-dispatched SIMD backends for the f32 and integer kernels.
 //!
 //! This module is the single point where the crate's inner loops meet the
 //! instruction set. It provides a small portable-vector abstraction over
@@ -43,27 +43,31 @@
 //!   producing different, but equally deterministic, bits:
 //!   for a fixed backend the result is independent of batch fusion and
 //!   call context.
-//! * **Integer-exact (quantized)**: [`qdot_i8`], [`qgemm_i8t`] — i8×i8
-//!   products accumulated in i32. Two's-complement addition is
-//!   associative, so both backends are bitwise identical for every
-//!   input and every shape, remainder lanes included — the strongest
-//!   class (see "Quantized inference" in `docs/NUMERICS.md`).
+//! * **Integer-exact (quantized)**: [`qgemm_tile`], the one integer kernel
+//!   (the int8 conv and FC head) — i8×i8 products accumulated in i32.
+//!   Two's-complement addition is associative, so both backends are
+//!   bitwise identical for every input and every shape, remainder lanes
+//!   included — the strongest class (see "Quantized inference" in
+//!   `docs/NUMERICS.md`).
 //!
 //! Each public kernel has a `*_with(backend, …)` twin that runs under an
 //! explicit backend without consulting or mutating process-wide
 //! state — that is what the `simd_equivalence` suite uses to compare
 //! backends concurrently from many test threads.
 #![allow(unsafe_code)]
-// SAFETY AUDIT: this module (with its `vec`/`x86`/`kernels` submodules) is
-// the crate's only `unsafe` island. All `unsafe` here is `core::arch`
-// intrinsic plumbing: the vector type in `x86.rs` wraps `__m256`
-// intrinsics, and `kernels.rs` instantiates the generic loop bodies behind
-// `#[target_feature]` wrappers. Soundness
-// rests on one invariant, enforced in exactly one place: `effective()`
-// below never returns a vector backend unless `cpu_supports` confirmed the
-// CPU features (a request the CPU cannot run resolves to scalar).
-// Slice accesses in the kernels are all bounds-checked or
-// `debug_assert`-guarded against lengths the loops themselves maintain.
+// SAFETY AUDIT: this module (with its `vec`/`x86`/`kernels`/`qkernels`
+// submodules) is the crate's only `unsafe` island, all of it `core::arch`
+// intrinsic plumbing: the vector types in `x86.rs` and `qkernels.rs` wrap
+// `__m256` and `__m256i` intrinsics, and `kernels.rs` and `qkernels.rs`
+// instantiate the generic loop bodies behind `#[target_feature]` wrappers.
+// Soundness rests on one invariant, enforced in exactly one place:
+// `effective()` below never returns a vector backend unless `cpu_supports`
+// confirmed the CPU features (a request the CPU cannot run resolves to
+// scalar). The integer lane type's safe methods lean on it through its one
+// constructor, `load`, which only those wrappers reach. Slice accesses in
+// the kernels are all bounds-checked, `debug_assert`-guarded against
+// lengths the loops themselves maintain, or, in the two register tiles,
+// covered by one `Tile::check`.
 
 mod kernels;
 mod qkernels;
@@ -71,7 +75,7 @@ mod vec;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-pub use qkernels::{qdot_i8, qdot_i8_with, qgemm_i8t, qgemm_i8t_with, QDOT_MAX_K};
+pub use qkernels::{i16_pair, qgemm_tile, qgemm_tile_with, QDOT_MAX_K};
 
 pub use kernels::{
     add_assign, add_assign_with, axpy, axpy_with, dot, dot_with, gemm_row, gemm_row_with,

@@ -1,237 +1,233 @@
-//! Quantized integer kernels: i8×i8→i32 dot products and the transposed
-//! GEMM they compose into.
+//! The quantized integer kernel: the register tile [`qgemm_tile`] over
+//! i16 pairs, accumulating in i32.
 //!
-//! These are the arithmetic core of the int8 inference path. Unlike the
-//! f32 kernels, every instantiation here accumulates in **exact integer
-//! arithmetic** — two's-complement i32 addition is associative, so the
-//! lane width, the load order, and the horizontal-sum tree cannot change
-//! the result. Both backends are therefore **bitwise identical for
-//! every input and every shape**, remainder lanes included: a fourth,
-//! strongest determinism class (see `docs/NUMERICS.md`, "Quantized
-//! inference").
+//! This is the arithmetic core of the int8 inference path. Each `i32` of
+//! both operands holds two sign-extended i16 values (an i8 code pair, low
+//! half first), and one reduction step multiplies the pairs lane by lane
+//! and adds both products to the accumulator — one `vpmaddwd` and one
+//! `vpaddd` on AVX2. Unlike the f32 kernels, every instantiation here
+//! accumulates in **exact integer arithmetic**: two's-complement i32
+//! addition is associative, so the lane width, the tiling and the loop
+//! order cannot change the result. Both backends are therefore **bitwise
+//! identical for every input and every shape**, remainder lanes included:
+//! a fourth, strongest determinism class (see `docs/NUMERICS.md`,
+//! "Quantized inference").
 //!
-//! Instruction selection:
+//! The kernel is written once, generically over [`QLanes`], and
+//! instantiated twice: with [`ScalarI32`], the oracle, and with `I32x8`
+//! (AVX2). The widening multiply-add on sign-extended i16 (`madd`) is
+//! chosen over `maddubs` deliberately: `maddubs` is u8×i8 and saturates
+//! its i16 pair-sum, which would make the kernel value-dependent, while
+//! `madd` products of i8 codes are ≤ 2·128·128 and can never saturate.
 //!
-//! * **scalar** — plain `i32` multiply-accumulate, the oracle.
-//! * **avx2** — 32 lanes of i8 per step: two `vpmovsxbw` widenings feed
-//!   two `vpmaddwd`, accumulating into one 8×i32 register.
-//!
-//! The widening-multiply shape (`madd` on sign-extended i16) is chosen
-//! over `maddubs` deliberately: `maddubs` is u8×i8 and saturates its i16
-//! pair-sum, which would make the kernel value-dependent; sign-extended
-//! `madd` products are ≤ 2·127·128 and can never saturate.
-//!
-//! Overflow contract: the caller keeps `k ≤ 2^16` (≈ 65k accumulation
-//! terms), which bounds `|Σ aᵢ·bᵢ| ≤ k · 127·128 < 2^31`. Every shape the
-//! workspace produces (`k = cin·kernel` or `k = fc_in`) is orders of
-//! magnitude below that; the bound is `debug_assert`ed.
+//! Overflow contract: the caller keeps the reduction at `k ≤ 2^16` i8
+//! products (≈ 65k terms), which bounds `|Σ aᵢ·bᵢ| ≤ k · 128·128 ≤ 2^30`.
+//! Every shape the workspace produces (`k = cin·kernel` or `k = fc_in`)
+//! is orders of magnitude below that;
+//! [`QuantizedMatrix`](crate::qint::QuantizedMatrix) enforces it.
 
-use super::kernels::dispatch_kernel;
+use super::kernels::{dispatch_kernel, Tile};
 use super::SimdBackend;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
-/// Largest supported reduction length (see the overflow contract above).
+/// Largest supported reduction length in i8 products (see the overflow
+/// contract above).
 pub const QDOT_MAX_K: usize = 1 << 16;
 
+/// Output rows one [`qgemm_tile`] register block covers: six rows of two
+/// `ymm` vectors are 12 accumulators, which leaves the AVX2 register file
+/// room for the two `b` vectors and one broadcast.
+const QTILE_ROWS: usize = 6;
+
+/// One `i16` pair per `i32`: `lo` in the low half, `hi` in the high half,
+/// both sign-extended — the operand format of [`qgemm_tile`].
 #[inline(always)]
-fn qdot_scalar(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len() <= QDOT_MAX_K);
-    let mut s = 0i32;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        s = s.wrapping_add(i32::from(x) * i32::from(y));
-    }
-    s
+pub fn i16_pair(lo: i8, hi: i8) -> i32 {
+    (i32::from(hi) << 16) | i32::from(i16::from(lo) as u16)
 }
+
+/// `lo(a)·lo(b) + hi(a)·hi(b)` over the i16 halves of two pairs, wrapping
+/// like `vpmaddwd` (which only `(−2^15)²·2` could make wrap).
+#[inline(always)]
+fn madd_pairs(a: i32, b: i32) -> i32 {
+    let lo = i32::from(a as i16) * i32::from(b as i16);
+    lo.wrapping_add((a >> 16) * (b >> 16))
+}
+
+/// A vector of `LANES` i32 accumulators or i16 pairs.
+///
+/// Only [`load`](QLanes::load) carries the backend's precondition: a
+/// value of a vector type exists only once a load has run, so the methods
+/// on a value may assume the CPU runs that backend.
+trait QLanes: Copy {
+    /// Number of `i32` lanes.
+    const LANES: usize;
+    /// Loads `LANES` consecutive values from the front of `src`.
+    ///
+    /// # Safety
+    /// `src` must hold `LANES` values, and the CPU must run the backend
+    /// of `Self`.
+    unsafe fn load(src: &[i32]) -> Self;
+    /// `self + madd(a, b)` lane by lane, with the pair `a` broadcast.
+    fn madd(self, a: i32, b: Self) -> Self;
+    /// Stores the lanes to the front of `dst` (panics if it is shorter).
+    fn store(self, dst: &mut [i32]);
+}
+
+/// The one-lane oracle: plain `i32` arithmetic.
+#[derive(Clone, Copy)]
+struct ScalarI32(i32);
+
+impl QLanes for ScalarI32 {
+    const LANES: usize = 1;
+    #[inline(always)]
+    unsafe fn load(src: &[i32]) -> Self {
+        ScalarI32(src[0])
+    }
+    #[inline(always)]
+    fn madd(self, a: i32, b: Self) -> Self {
+        ScalarI32(self.0.wrapping_add(madd_pairs(a, b.0)))
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [i32]) {
+        dst[0] = self.0;
+    }
+}
+
+/// Eight `i32` lanes in a `ymm` register (AVX2).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct I32x8(__m256i);
 
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn qdot_avx2(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert!(a.len() <= QDOT_MAX_K);
-    let n = a.len();
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    // 32 bytes per step: two 16-byte sign-extending loads, two pmaddwd.
-    while i + 32 <= n {
-        let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i).cast()));
-        let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i).cast()));
-        let a1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i + 16).cast()));
-        let b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i + 16).cast()));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a1, b1));
-        i += 32;
+impl QLanes for I32x8 {
+    const LANES: usize = 8;
+    #[inline(always)]
+    unsafe fn load(src: &[i32]) -> Self {
+        debug_assert!(src.len() >= 8);
+        I32x8(_mm256_loadu_si256(src.as_ptr().cast()))
     }
-    if i + 16 <= n {
-        let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(i).cast()));
-        let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(i).cast()));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
-        i += 16;
+    #[inline(always)]
+    fn madd(self, a: i32, b: Self) -> Self {
+        // SAFETY: `self` came from `load`, whose caller confirmed AVX2.
+        unsafe { I32x8(_mm256_add_epi32(self.0, _mm256_madd_epi16(_mm256_set1_epi32(a), b.0))) }
     }
-    let mut s = hsum_epi32_256(acc);
-    while i < n {
-        s = s.wrapping_add(i32::from(a[i]) * i32::from(b[i]));
-        i += 1;
+    #[inline(always)]
+    fn store(self, dst: &mut [i32]) {
+        let dst = &mut dst[..8];
+        // SAFETY: as in `madd`; `dst` holds the eight lanes.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), self.0) }
     }
-    s
 }
 
-/// The scalar GEMM oracle: one [`qdot_scalar`] per output element.
+#[cfg(not(target_arch = "x86_64"))]
+type I32x8 = ScalarI32;
+
+/// The integer register tile (see [`Tile`] for the operand layout, read
+/// in `i32` elements): rows in blocks of up to [`QTILE_ROWS`], each block
+/// over every column with its accumulators in registers for the whole
+/// reduction.
+#[inline(always)]
+unsafe fn qgemm_tile_g<V: QLanes, const NV: usize>(c: &mut [i32], a: &[i32], b: &[i32], t: &Tile) {
+    if t.rows == 0 || t.n == 0 || t.k == 0 {
+        return;
+    }
+    // Past this check `qtile_block` indexes `a` and `b` unchecked.
+    t.check(c.len(), a.len(), b.len());
+    let mut r0 = 0;
+    while r0 < t.rows {
+        let rows = (t.rows - r0).min(QTILE_ROWS);
+        let (c, a) = (&mut c[r0 * t.ldc..], &a[r0 * t.lda..]);
+        match rows {
+            6 => qtile_block::<V, NV, 6>(c, a, b, t, 0),
+            5 => qtile_block::<V, NV, 5>(c, a, b, t, 0),
+            4 => qtile_block::<V, NV, 4>(c, a, b, t, 0),
+            3 => qtile_block::<V, NV, 3>(c, a, b, t, 0),
+            2 => qtile_block::<V, NV, 2>(c, a, b, t, 0),
+            _ => qtile_block::<V, NV, 1>(c, a, b, t, 0),
+        }
+        r0 += rows;
+    }
+}
+
+/// `R` rows of [`qgemm_tile`], columns `j0..n`: blocks of `NV` vectors,
+/// then the columns left over at one vector, then at one lane. Integer
+/// sums are exact, so the width a column is computed at cannot show.
+///
+/// The per-step loops index instead of iterating, as in the f32 tile:
+/// iterator adaptors cost several times more in unoptimized builds.
 ///
 /// # Safety
-///
-/// None: an `unsafe fn` only to match the calling convention the
-/// dispatcher expects (the scalar instantiation has no hardware
-/// preconditions).
+/// `t` restricted to the block's `R` rows must pass [`Tile::check`] for
+/// `c`, `a` and `b`, and the CPU must run the backend of `V`.
+#[allow(clippy::needless_range_loop)]
 #[inline(always)]
-unsafe fn qgemm_scalar(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = qdot_scalar(a_row, &b[j * k..(j + 1) * k]);
-        }
-    }
-}
-
-/// In-register reduction of 8×i32 to one i32 (wrapping). The tree shape
-/// differs from a left-to-right scalar sum, but i32 addition is
-/// associative so the value cannot.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn hsum_epi32_256(v: __m256i) -> i32 {
-    let s = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-    let s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b10_11_00_01));
-    _mm_cvtsi128_si32(s)
-}
-
-/// Reduction lengths up to this bound take the pre-widened fast path in
-/// [`qgemm_avx2`] (4 rows × 2 bytes × 512 = 4 KiB of stack panel). Every
-/// shape the inference plan produces (`k = cin·kernel`, `k = fc_in`) fits;
-/// larger `k` falls back to widen-in-loop.
-#[cfg(target_arch = "x86_64")]
-const QGEMM_WIDEN_MAX_K: usize = 512;
-
-/// AVX2 GEMM with 4-row blocking: each 16-byte panel of the (transposed)
-/// right-hand side is sign-extended **once** and fed to four independent
-/// `pmaddwd` accumulator chains — one per output row — which both
-/// amortizes the B loads and gives the multiply-add units a dependency-free
-/// stream. For `k ≤ QGEMM_WIDEN_MAX_K` the 4-row A block is additionally
-/// pre-widened to i16 once per block (reused across all `n` columns), so
-/// the inner loop issues exactly one `cvtepi8_epi16` per 16 bytes of B.
-/// Integer addition is associative, so none of this is observable: results
-/// stay bitwise identical to the dot-at-a-time scalar oracle.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn qgemm_avx2(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    let widen = k <= QGEMM_WIDEN_MAX_K;
-    let mut wide = [0i16; 4 * QGEMM_WIDEN_MAX_K];
-    let mut i = 0;
-    while i + 4 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let a2 = &a[(i + 2) * k..(i + 3) * k];
-        let a3 = &a[(i + 3) * k..(i + 4) * k];
-        if widen {
-            for (r, row) in [a0, a1, a2, a3].into_iter().enumerate() {
-                for (p, &v) in row.iter().enumerate() {
-                    wide[r * k + p] = i16::from(v);
-                }
+unsafe fn qtile_block<V: QLanes, const NV: usize, const R: usize>(
+    c: &mut [i32],
+    a: &[i32],
+    b: &[i32],
+    t: &Tile,
+    mut j0: usize,
+) {
+    let width = NV * V::LANES;
+    while j0 + width <= t.n {
+        // Seeded from `c`, which the tile adds to (the first load only
+        // fills the array).
+        let mut acc = [[V::load(&c[j0..]); NV]; R];
+        for r in 0..R {
+            for v in 0..NV {
+                acc[r][v] = V::load(&c[r * t.ldc + j0 + v * V::LANES..]);
             }
         }
-        for j in 0..n {
-            let bj = &b[j * k..(j + 1) * k];
-            let mut acc0 = _mm256_setzero_si256();
-            let mut acc1 = _mm256_setzero_si256();
-            let mut acc2 = _mm256_setzero_si256();
-            let mut acc3 = _mm256_setzero_si256();
-            let mut p = 0;
-            if widen {
-                let w = wide.as_ptr();
-                while p + 16 <= k {
-                    let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(bj.as_ptr().add(p).cast()));
-                    let v0 = _mm256_loadu_si256(w.add(p).cast());
-                    let v1 = _mm256_loadu_si256(w.add(k + p).cast());
-                    let v2 = _mm256_loadu_si256(w.add(2 * k + p).cast());
-                    let v3 = _mm256_loadu_si256(w.add(3 * k + p).cast());
-                    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(v0, vb));
-                    acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(v1, vb));
-                    acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(v2, vb));
-                    acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(v3, vb));
-                    p += 16;
+        let (mut p, mut run) = (0, 0);
+        for _ in 0..t.k / t.b_run {
+            let mut bp = run + j0;
+            for _ in 0..t.b_run {
+                // SAFETY: `Tile::check` bounds every `r·lda + p` in `a` and
+                // every `off(p) + t` (`t < n`) in `b`; here `t` runs
+                // `j0 .. j0 + width ≤ n`.
+                let mut bv = [acc[0][0]; NV];
+                for v in 0..NV {
+                    bv[v] = V::load(b.get_unchecked(bp + v * V::LANES..));
                 }
-            } else {
-                while p + 16 <= k {
-                    let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(bj.as_ptr().add(p).cast()));
-                    let v0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a0.as_ptr().add(p).cast()));
-                    let v1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a1.as_ptr().add(p).cast()));
-                    let v2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a2.as_ptr().add(p).cast()));
-                    let v3 = _mm256_cvtepi8_epi16(_mm_loadu_si128(a3.as_ptr().add(p).cast()));
-                    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(v0, vb));
-                    acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(v1, vb));
-                    acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(v2, vb));
-                    acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(v3, vb));
-                    p += 16;
+                for r in 0..R {
+                    let w = *a.get_unchecked(r * t.lda + p);
+                    for v in 0..NV {
+                        acc[r][v] = acc[r][v].madd(w, bv[v]);
+                    }
                 }
-            }
-            let mut s0 = hsum_epi32_256(acc0);
-            let mut s1 = hsum_epi32_256(acc1);
-            let mut s2 = hsum_epi32_256(acc2);
-            let mut s3 = hsum_epi32_256(acc3);
-            while p < k {
-                let y = i32::from(bj[p]);
-                s0 = s0.wrapping_add(i32::from(a0[p]) * y);
-                s1 = s1.wrapping_add(i32::from(a1[p]) * y);
-                s2 = s2.wrapping_add(i32::from(a2[p]) * y);
-                s3 = s3.wrapping_add(i32::from(a3[p]) * y);
                 p += 1;
+                bp += t.b_step;
             }
-            out[i * n + j] = s0;
-            out[(i + 1) * n + j] = s1;
-            out[(i + 2) * n + j] = s2;
-            out[(i + 3) * n + j] = s3;
+            run += t.b_jump;
         }
-        i += 4;
+        for r in 0..R {
+            for v in 0..NV {
+                acc[r][v].store(&mut c[r * t.ldc + j0 + v * V::LANES..]);
+            }
+        }
+        j0 += width;
     }
-    while i < m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            out[i * n + j] = qdot_avx2(a_row, &b[j * k..(j + 1) * k]);
+    if j0 < t.n {
+        if NV > 1 {
+            qtile_block::<V, 1, R>(c, a, b, t, j0);
+        } else {
+            qtile_block::<ScalarI32, 1, R>(c, a, b, t, j0);
         }
-        i += 1;
     }
 }
 
-// Scalar wrapper matching the unsafe-fn calling convention the dispatcher
-// expects (the scalar instantiation has no hardware preconditions).
-unsafe fn qdot_scalar_w(a: &[i8], b: &[i8]) -> i32 {
-    qdot_scalar(a, b)
-}
-
 dispatch_kernel!(
-    /// `Σ aᵢ·bᵢ` over two i8 slices, i32 accumulation. **Bitwise identical
-    /// on every backend** (integer addition is associative); requires
-    /// `a.len() ≤ 2^16` so the sum cannot wrap (see [`QDOT_MAX_K`]).
-    qdot_i8 / qdot_i8_with(a: &[i8], b: &[i8]) -> i32,
-    avx2: qdot_avx2, scalar: qdot_scalar_w
-);
-dispatch_kernel!(
-    /// Quantized GEMM against a **transposed** right-hand side:
-    /// `out[i·n + j] = Σ_p a[i·k + p] · b[j·k + p]` for `a: [m, k]` and
-    /// `b: [n, k]`, both row-major i8, accumulating in i32. Keeping both
-    /// operands' reduction axes contiguous is what lets every backend use
-    /// its widening multiply-add directly. **Bitwise identical on every
-    /// backend**; requires `k ≤ 2^16` (see [`QDOT_MAX_K`]).
-    qgemm_i8t / qgemm_i8t_with(out: &mut [i32], a: &[i8], b: &[i8], m: usize, k: usize, n: usize),
-    avx2: qgemm_avx2, scalar: qgemm_scalar
+    /// The integer register tile: `c += a · b` over i16 pairs, with the
+    /// strided rows and offset-addressed `b` rows of [`Tile`], counted in
+    /// `i32` elements. Each step `p` adds `lo·lo + hi·hi` of the pairs
+    /// `a[r·lda + p]` and `b[off(p) + t]` to `c[r·ldc + t]` in i32
+    /// ([`i16_pair`] builds the pairs). **Bitwise identical on every
+    /// backend**; the reduction must stay within [`QDOT_MAX_K`] i8
+    /// products.
+    qgemm_tile / qgemm_tile_with(c: &mut [i32], a: &[i32], b: &[i32], t: &Tile),
+    avx2: qgemm_tile_g::<I32x8, 2>, scalar: qgemm_tile_g::<ScalarI32, 1>
 );
 
 #[cfg(test)]
@@ -239,46 +235,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn qdot_matches_reference_on_all_backends() {
-        let a: Vec<i8> = (0..100).map(|i| ((i * 37 + 11) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..100).map(|i| ((i * 53 + 5) % 255 - 127) as i8).collect();
-        for len in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 100] {
-            let want: i32 =
-                a[..len].iter().zip(&b[..len]).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
-            for bk in [SimdBackend::Scalar, SimdBackend::Avx2] {
-                assert_eq!(qdot_i8_with(bk, &a[..len], &b[..len]), want, "len={len} bk={bk:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn qdot_handles_extreme_codes() {
-        // -128 · -128 per term: the case `maddubs` would mishandle and
-        // saturating i16 sums would corrupt.
-        let a = vec![-128i8; 33];
-        let b = vec![-128i8; 33];
-        let want = 33 * 128 * 128;
-        for bk in [SimdBackend::Scalar, SimdBackend::Avx2] {
-            assert_eq!(qdot_i8_with(bk, &a, &b), want, "bk={bk:?}");
+    fn pairs_multiply_and_add_both_halves() {
+        for (lo_a, hi_a, lo_b, hi_b) in
+            [(3i8, -4i8, 5i8, 7i8), (-128, -128, -128, -128), (127, 0, -1, 9)]
+        {
+            let want = i32::from(lo_a) * i32::from(lo_b) + i32::from(hi_a) * i32::from(hi_b);
+            assert_eq!(madd_pairs(i16_pair(lo_a, hi_a), i16_pair(lo_b, hi_b)), want);
         }
     }
 
     #[test]
     fn qgemm_small_shape_all_backends() {
-        let (m, k, n) = (3usize, 19usize, 5usize);
-        let a: Vec<i8> = (0..(m * k) as i32).map(|i| ((i * 41 + 3) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..(n * k) as i32).map(|i| ((i * 29 + 17) % 255 - 127) as i8).collect();
-        let mut want = vec![0i32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                want[i * n + j] =
-                    (0..k).map(|p| i32::from(a[i * k + p]) * i32::from(b[j * k + p])).sum();
+        // 7 rows (a 6-row block and a 1-row block) over 19 columns (one
+        // 16-wide block and a 3-column lane tail), 2 runs of 3 steps.
+        let t = Tile { rows: 7, k: 6, n: 19, ldc: 19, lda: 6, b_step: 2, b_run: 3, b_jump: 25 };
+        let code = |i: usize| ((i * 37 + 11) % 255) as u8 as i8;
+        let a: Vec<i32> = (0..7 * 6).map(|i| i16_pair(code(i), code(i + 100))).collect();
+        let b: Vec<i32> = (0..50).map(|i| i16_pair(code(i + 7), code(i + 8))).collect();
+        let mut want = vec![0i32; 7 * 19];
+        for r in 0..7 {
+            for j in 0..19 {
+                for p in 0..6 {
+                    let off = (p / 3) * 25 + (p % 3) * 2;
+                    want[r * 19 + j] += madd_pairs(a[r * 6 + p], b[off + j]);
+                }
             }
         }
         for bk in [SimdBackend::Scalar, SimdBackend::Avx2] {
-            let mut out = vec![0i32; m * n];
-            qgemm_i8t_with(bk, &mut out, &a, &b, m, k, n);
-            assert_eq!(out, want, "bk={bk:?}");
+            let mut c = vec![0i32; 7 * 19];
+            qgemm_tile_with(bk, &mut c, &a, &b, &t);
+            assert_eq!(c, want, "bk={bk:?}");
         }
     }
 }

@@ -1,38 +1,98 @@
-//! Property tests for the int8 kernel family (`simd::qdot_i8` /
-//! `simd::qgemm_i8t` and the `qint` conv driver).
+//! Property tests for the int8 kernel (`simd::qgemm_tile`, the integer
+//! register tile) and the `qint` conv driver built on it.
 //!
-//! The quantized kernels sit in the *integer-exact* determinism class
+//! The quantized kernel sits in the *integer-exact* determinism class
 //! (`docs/NUMERICS.md`, "Quantized inference"), so unlike the f32 suites
 //! these properties demand **exact equality**:
 //!
-//! * every backend's GEMM equals an i64 brute-force reference bit for bit
-//!   (the i64 reference also proves the i32 accumulator never wraps on
-//!   supported shapes);
-//! * both forced backends agree bitwise on remainder-lane shapes
-//!   (lengths straddling the 16- and 32-lane strides);
+//! * on both forced backends, the tile run as a "same" convolution equals
+//!   an i64 brute-force convolution bit for bit (the i64 reference also
+//!   proves the i32 accumulator never wraps on supported shapes), across
+//!   remainder columns and rows, odd and even filter lengths, reductions
+//!   past 512 products and extreme codes;
 //! * quantize→dequantize round-trips stay within half a quantization step;
-//! * the lowered quantized conv equals a direct integer convolution with
+//! * the quantized conv driver equals a direct integer convolution with
 //!   explicit zero-point padding.
 
 use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QuantizedMatrix};
-use lightts_tensor::simd::{qdot_i8_with, qgemm_i8t_with, SimdBackend};
+use lightts_tensor::simd::{i16_pair, qgemm_tile_with, SimdBackend, Tile};
 use proptest::prelude::*;
 
 const BACKENDS: [SimdBackend; 2] = [SimdBackend::Scalar, SimdBackend::Avx2];
 
-fn dot_i64(a: &[i8], b: &[i8]) -> i64 {
-    a.iter().zip(b).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum()
-}
-
-/// Brute-force i64 reference for the transposed GEMM.
-fn qgemm_ref(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i64> {
-    let mut out = vec![0i64; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            out[i * n + j] = dot_i64(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+/// The "same" convolution on [`qgemm_tile_with`], with the operands laid
+/// out here from first principles: filter tap pairs `(w[2m], w[2m+1])`
+/// (zero partner past an odd `k`) and, per channel, pairs `(xpad[s],
+/// xpad[s+1])` of the zero-point-padded codes, read with `b_step` 2.
+#[allow(clippy::too_many_arguments)]
+fn conv_on_tile(
+    bk: SimdBackend,
+    qw: &[i8],
+    qx: &[i8],
+    cout: usize,
+    cin: usize,
+    l: usize,
+    k: usize,
+    pad: i8,
+) -> Vec<i32> {
+    let (pl, half, lp) = ((k - 1) / 2, k.div_ceil(2), l + k - 1);
+    let tap = |co: usize, ci: usize, j: usize| if j < k { qw[(co * cin + ci) * k + j] } else { 0 };
+    let mut a = Vec::new();
+    for co in 0..cout {
+        for ci in 0..cin {
+            a.extend((0..half).map(|m| i16_pair(tap(co, ci, 2 * m), tap(co, ci, 2 * m + 1))));
         }
     }
+    let code =
+        |ci: usize, s: usize| if (pl..pl + l).contains(&s) { qx[ci * l + s - pl] } else { pad };
+    let mut b = Vec::new();
+    for ci in 0..cin {
+        b.extend((0..lp).map(|s| i16_pair(code(ci, s), code(ci, s + 1))));
+    }
+    let t = Tile {
+        rows: cout,
+        k: cin * half,
+        n: l,
+        ldc: l,
+        lda: cin * half,
+        b_step: 2,
+        b_run: half,
+        b_jump: lp,
+    };
+    let mut out = vec![0i32; cout * l];
+    qgemm_tile_with(bk, &mut out, &a, &b, &t);
     out
+}
+
+/// Requires [`conv_on_tile`] to equal [`qconv_ref`] on both backends.
+#[allow(clippy::too_many_arguments)]
+fn assert_tile_conv_exact(
+    qw: &[i8],
+    qx: &[i8],
+    cout: usize,
+    cin: usize,
+    l: usize,
+    k: usize,
+    pad: i8,
+) {
+    let want = qconv_ref(qw, qx, cout, cin, l, k, pad);
+    for bk in BACKENDS {
+        let got = conv_on_tile(bk, qw, qx, cout, cin, l, k, pad);
+        for (i, (&g, &e)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(i64::from(g), e, "bk={bk:?} cout={cout} cin={cin} l={l} k={k} elem {i}");
+        }
+    }
+}
+
+/// Deterministic i8 codes from a seed (an LCG's high bits).
+fn codes(n: usize, seed: u64) -> Vec<i8> {
+    let mut s = seed;
+    (0..n)
+        .map(|_| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as u8 as i8
+        })
+        .collect()
 }
 
 /// Direct integer "same" convolution with zero-point padding — the oracle
@@ -67,53 +127,21 @@ fn qconv_ref(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every backend's GEMM equals the i64 brute-force reference exactly.
+    /// On both backends the tile, run as a "same" convolution, equals the
+    /// i64 convolution exactly: filter counts off the 6-row block, output
+    /// lengths off the 8- and 16-lane widths, odd and even filter lengths.
     #[test]
     fn qgemm_matches_i64_reference_on_all_backends(
-        m in 1usize..5,
-        k in 1usize..70,
-        n in 1usize..6,
+        cin in 1usize..4,
+        cout in 1usize..14,
+        l in 1usize..40,
+        k in 1usize..12,
+        pad in -128i16..128,
         seed in 0u64..u64::MAX,
     ) {
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as u8 as i8
-        };
-        let a: Vec<i8> = (0..m * k).map(|_| next()).collect();
-        let b: Vec<i8> = (0..n * k).map(|_| next()).collect();
-        let want = qgemm_ref(&a, &b, m, k, n);
-        for bk in BACKENDS {
-            let mut out = vec![0i32; m * n];
-            qgemm_i8t_with(bk, &mut out, &a, &b, m, k, n);
-            for (i, (&got, &exp)) in out.iter().zip(&want).enumerate() {
-                prop_assert!(i64::from(got) == exp, "bk={:?} elem {}: {} vs {}", bk, i, got, exp);
-            }
-        }
-    }
-
-    /// The two forced backends agree bitwise on dot products whose
-    /// lengths straddle the SIMD strides (0/15/16/17/31/32/33/...): the
-    /// remainder-lane handling must be invisible.
-    #[test]
-    fn qdot_backends_bitwise_identical_on_remainder_shapes(
-        extra in 0usize..3,
-        seed in 0u64..u64::MAX,
-    ) {
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as u8 as i8
-        };
-        for base in [0usize, 15, 16, 17, 31, 32, 33, 47, 48, 49, 63, 64, 65] {
-            let len = base + extra;
-            let a: Vec<i8> = (0..len).map(|_| next()).collect();
-            let b: Vec<i8> = (0..len).map(|_| next()).collect();
-            let want = qdot_i8_with(SimdBackend::Scalar, &a, &b);
-            prop_assert_eq!(i64::from(want), dot_i64(&a, &b));
-            let got = qdot_i8_with(SimdBackend::Avx2, &a, &b);
-            prop_assert!(got == want, "len={} avx2: {} vs {}", len, got, want);
-        }
+        let qw = codes(cout * cin * k, seed);
+        let qx = codes(cin * l, seed ^ 0x9e37_79b9);
+        assert_tile_conv_exact(&qw, &qx, cout, cin, l, k, pad as i8);
     }
 
     /// Symmetric weight quantization round-trips within half a step per
@@ -155,9 +183,9 @@ proptest! {
         }
     }
 
-    /// The lowered quantized conv (qim2row + qgemm) equals the direct
-    /// integer convolution exactly, for kernels shorter and longer than
-    /// the series, on every backend via the process-wide entry point.
+    /// The quantized conv driver equals the direct integer convolution
+    /// exactly, for kernels shorter and longer than the series, on every
+    /// backend via the process-wide entry point.
     #[test]
     fn qconv_matches_direct_integer_reference(
         cin in 1usize..4,
@@ -176,8 +204,8 @@ proptest! {
         let w = QuantizedMatrix::quantize_rows_symmetric(&wsrc, cout, cin * k).unwrap();
         let qx: Vec<i8> = (0..cin * l).map(|_| next()).collect();
         let mut out = vec![0i32; cout * l];
-        let mut patch = Vec::new();
-        qconv1d_same_into(&mut out, &mut patch, &qx, cin, l, &w, k, pad).unwrap();
+        let mut pairs = Vec::new();
+        qconv1d_same_into(&mut out, &mut pairs, &qx, cin, l, &w, k, pad).unwrap();
         let want = qconv_ref(w.data(), &qx, cout, cin, l, k, pad);
         for (i, (&got, &exp)) in out.iter().zip(&want).enumerate() {
             prop_assert!(i64::from(got) == exp, "elem {}: {} vs {}", i, got, exp);
@@ -185,22 +213,30 @@ proptest! {
     }
 }
 
-/// Reduction lengths past the AVX2 pre-widening bound (k > 512) take a
-/// widen-in-loop fallback; it must agree with the i64 reference and the
-/// other backends just as exactly.
+/// Reductions past 512 products: the student's `cin·k = 18·40 = 720`,
+/// and `96·40 = 3840`, on 7 filters over 37 positions.
 #[test]
-fn qgemm_large_k_fallback_is_exact_on_all_backends() {
-    let (m, k, n) = (5usize, 700usize, 3usize);
-    let code = |i: usize| ((i as u64).wrapping_mul(2_654_435_761) >> 24) as u8 as i8;
-    let a: Vec<i8> = (0..m * k).map(code).collect();
-    let b: Vec<i8> = (0..n * k).map(|i| code(i + 1)).collect();
-    let want = qgemm_ref(&a, &b, m, k, n);
-    for bk in BACKENDS {
-        let mut out = vec![0i32; m * n];
-        qgemm_i8t_with(bk, &mut out, &a, &b, m, k, n);
-        for (i, (&got, &exp)) in out.iter().zip(&want).enumerate() {
-            assert_eq!(i64::from(got), exp, "bk={bk:?} elem {i}");
-        }
+fn tile_conv_is_exact_on_long_reductions() {
+    for (cin, k) in [(18usize, 40usize), (96, 40), (18, 21)] {
+        let (cout, l) = (7, 37);
+        let qw = codes(cout * cin * k, cin as u64);
+        let qx = codes(cin * l, k as u64);
+        assert_tile_conv_exact(&qw, &qx, cout, cin, l, k, -3);
+    }
+}
+
+/// Extreme codes: −128 inputs and padding against ±127 weights, the
+/// largest products the scheme produces, on both signs.
+#[test]
+fn tile_conv_is_exact_on_extreme_codes() {
+    let (cout, cin, l) = (7usize, 18usize, 29usize);
+    for k in [39usize, 40] {
+        let qw: Vec<i8> =
+            (0..cout * cin * k).map(|i| if (i / 3) % 2 == 0 { 127 } else { -127 }).collect();
+        let all_pos = vec![127i8; cout * cin * k];
+        let qx = vec![-128i8; cin * l];
+        assert_tile_conv_exact(&qw, &qx, cout, cin, l, k, -128);
+        assert_tile_conv_exact(&all_pos, &qx, cout, cin, l, k, -128);
     }
 }
 
@@ -219,8 +255,8 @@ fn zero_point_padding_cancels_exactly() {
     let mut qx = vec![0i8; 2];
     aq.quantize_into(&data, &mut qx);
     let mut out = vec![0i32; 2];
-    let mut patch = Vec::new();
-    qconv1d_same_into(&mut out, &mut patch, &qx, 1, 2, &w, 3, aq.zero_point).unwrap();
+    let mut pairs = Vec::new();
+    qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 2, &w, 3, aq.zero_point).unwrap();
     // f32 reference conv over the *dequantized* codes with literal zero
     // padding.
     let deq: Vec<f32> = qx.iter().map(|&q| aq.dequantize(q)).collect();

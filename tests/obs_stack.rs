@@ -4,7 +4,9 @@
 //! teacher fit, trainer epochs, MOBO trials, and serve batches. A tiny
 //! forecast LightTS run, traced on its own afterwards, must show the outer
 //! λ steps and one `removal.round` decision per round. Every `aed.outer`
-//! step records the weights λ̂ it leaves, one entry per teacher.
+//! step records the weights λ̂ it leaves, one entry per teacher. Only
+//! explicit compiles are traced: the registry's one `inference.compile`
+//! span, and none from the evaluations training runs.
 //!
 //! Everything runs inside ONE `#[test]` because the sink is process-global
 //! state; a second concurrent test in this binary would race it.
@@ -122,7 +124,7 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
     let lines = obs::take_memory();
     assert!(!lines.is_empty(), "memory sink captured nothing");
     let mut paths: BTreeSet<String> = BTreeSet::new();
-    let mut fits = 0;
+    let (mut fits, mut compiles) = (0, 0);
     for line in &lines {
         obs::jsonl::validate_event_line(line)
             .unwrap_or_else(|e| panic!("invalid event line {line:?}: {e}"));
@@ -136,11 +138,13 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
                 fits += 1;
             }
             "aed.outer" => check_outer_weights(obj["fields"].as_obj().unwrap(), line),
+            "inference.compile" => compiles += 1,
             _ => {}
         }
         paths.insert(path);
     }
     assert_eq!(fits, 1, "one teacher.fit span per fit call");
+    assert_eq!(compiles, 1, "one inference.compile span, the registry's load_packed");
     for expected in ["trainer.epoch", "aed.inner", "aed.outer", "mobo.trial", "serve.batch"] {
         assert!(paths.contains(expected), "no {expected:?} event among paths {paths:?}");
     }
@@ -162,7 +166,7 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
     let forecast_cfg = ForecastAedConfig { epochs: 4, v: 2, ..ForecastAedConfig::default() };
     let student = ForecastConfig::for_task(&fs.train, 2, 8);
     forecast_lightts(&fs, &teachers, &student, &forecast_cfg).unwrap();
-    let mut outer = 0;
+    let (mut outer, mut compiles) = (0, 0);
     let mut removed = Vec::new();
     for line in obs::take_memory() {
         obs::jsonl::validate_event_line(&line)
@@ -178,10 +182,12 @@ fn stack_emits_schema_valid_spans_for_training_search_and_serving() {
                 let fields = obj["fields"].as_obj().unwrap();
                 removed.push(fields["removed"].as_str().unwrap().to_string());
             }
+            "inference.compile" => compiles += 1,
             _ => {}
         }
     }
     assert_eq!(outer, 2, "one outer λ step per removal round");
+    assert_eq!(compiles, 0, "evaluations compile untraced");
     assert_eq!(removed.len(), 2, "one removal.round event per round: {removed:?}");
     assert_ne!(removed[0], "none", "the first round removes a teacher");
     assert_eq!(removed[1], "none", "the last round keeps its one teacher");
