@@ -7,8 +7,9 @@
 //! * the SIMD backends: the register tile `simd::gemm_tile` (rows
 //!   `simd_gemm_panel/*`: one 4-row block over a dense `k=256, n=256`
 //!   panel) and the `vec_exp` transcendental must be ≥ 2× faster under the
-//!   native vector backend (AVX2+FMA where available) than under the
-//!   forced scalar oracle;
+//!   native vector backend (AVX-512 or AVX2+FMA where available) than
+//!   under the forced scalar oracle; `vec_exp` runs its AVX2 code under
+//!   AVX-512, so only the tile's row differs between the two;
 //! * the int8 conv `qint::qconv1d_same_into` at the `k=9` conv shape
 //!   (row `quant_qconv1d_same`), against `conv1d_forward_lowered`.
 //!
@@ -22,7 +23,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use lightts_bench::perf::{self, KernelRecord};
 use lightts_tensor::conv::{conv1d_backward_input, conv1d_backward_weight, conv1d_forward};
-use lightts_tensor::qint::{qconv1d_same_into, QuantizedMatrix};
+use lightts_tensor::qint::{qconv1d_same_into, QFilters, QuantizedMatrix};
 use lightts_tensor::rng::seeded;
 use lightts_tensor::simd::{cpu_supports, gemm_tile_with, vec_exp_with, SimdBackend, Tile};
 use lightts_tensor::Tensor;
@@ -42,14 +43,13 @@ const GEMM_N: usize = 256;
 /// Elements per `vec_exp` call — one softmax-sized activation slab.
 const EXP_N: usize = 4096;
 
-/// The backends this host runs: the scalar oracle, plus AVX2+FMA where the
-/// CPU has it.
-fn backends() -> &'static [SimdBackend] {
-    if cpu_supports(SimdBackend::Avx2) {
-        &[SimdBackend::Scalar, SimdBackend::Avx2]
-    } else {
-        &[SimdBackend::Scalar]
-    }
+/// The backends this host runs: the scalar oracle, plus AVX2+FMA and
+/// AVX-512 where the CPU has them.
+fn backends() -> Vec<SimdBackend> {
+    [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512]
+        .into_iter()
+        .filter(|&bk| cpu_supports(bk))
+        .collect()
 }
 
 fn config() -> Criterion {
@@ -101,7 +101,7 @@ fn bench_simd(c: &mut Criterion) {
         b_jump: 0,
     };
 
-    for &bk in backends() {
+    for bk in backends() {
         g.bench_function(BenchmarkId::new("gemm_panel", bk.name()), |bch| {
             bch.iter(|| {
                 c_panel.fill(0.0);
@@ -140,6 +140,7 @@ fn bench_quant(c: &mut Criterion) {
     let mut rng = seeded(31);
     let w = Tensor::randn(&mut rng, &[COUT, CIN, k], 0.3);
     let qw = QuantizedMatrix::quantize_rows_symmetric(w.data(), COUT, CIN * k).unwrap();
+    let qw = QFilters::new(qw, k).unwrap();
     let qx: Vec<i8> = (0..B * CIN * L).map(code).collect();
     let mut conv_out = vec![0i32; COUT * L];
     let mut pairs = Vec::new();
@@ -147,7 +148,7 @@ fn bench_quant(c: &mut Criterion) {
         bch.iter(|| {
             for s in 0..B {
                 let x = &qx[s * CIN * L..(s + 1) * CIN * L];
-                qconv1d_same_into(&mut conv_out, &mut pairs, x, CIN, L, &qw, k, 0).unwrap();
+                qconv1d_same_into(&mut conv_out, &mut pairs, x, CIN, L, &qw, 0).unwrap();
             }
             black_box(conv_out[0]);
         })
@@ -211,14 +212,16 @@ fn main() {
     perf::write_records(&path, &records).expect("write BENCH_kernels.json");
     println!("\nwrote {} records to {}", records.len(), path.display());
 
-    // SIMD backend summary: scalar baseline vs the AVX2 backend.
+    // SIMD backend summary: scalar baseline vs each vector backend.
     let simd_median = |op: &str, bk: &str| {
         measurements.iter().find(|m| m.name == format!("simd/{op}/{bk}")).map(|m| m.median_ns)
     };
     println!("\nSIMD speedups vs scalar (native backend: {native}):");
     for op in ["gemm_panel", "vec_exp"] {
-        if let (Some(s), Some(v)) = (simd_median(op, "scalar"), simd_median(op, "avx2")) {
-            println!("  {op:<10} avx2   {:>6.2}x", s / v);
+        for bk in ["avx2", "avx512"] {
+            if let (Some(s), Some(v)) = (simd_median(op, "scalar"), simd_median(op, bk)) {
+                println!("  {op:<10} {bk:<6} {:>6.2}x", s / v);
+            }
         }
     }
 

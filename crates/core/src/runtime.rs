@@ -1,16 +1,16 @@
 //! Process-wide runtime configuration for the tensor kernels.
 //!
 //! The kernels (convolution, matmul, elementwise, reductions) dispatch onto
-//! a SIMD backend (AVX2+FMA or a scalar oracle), resolved once per
-//! process:
+//! a SIMD backend (AVX-512 for the register tiles, AVX2+FMA, or a scalar
+//! oracle), resolved once per process:
 //! 1. [`set_simd_backend`] — explicit override (scalar if the CPU cannot
 //!    run it);
-//! 2. the `LIGHTTS_SIMD` environment variable (`avx2`/`scalar`);
+//! 2. the `LIGHTTS_SIMD` environment variable (`avx512`/`avx2`/`scalar`);
 //! 3. runtime CPU feature detection.
 //!
 //! The backend *can* change result bits — but only for the FMA-fused
-//! GEMM/convolution family, only between AVX2 and scalar, and
-//! deterministically per backend. The full contract is in
+//! GEMM/convolution family, only between scalar and the fused backends
+//! (AVX-512 and AVX2 agree), and deterministically per backend. The full contract is in
 //! `docs/NUMERICS.md`.
 //!
 //! ```no_run

@@ -84,6 +84,7 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore, grads: &[(ParamRef, Tensor)]) -> Result<()> {
+        let _prof = lightts_obs::prof::scope("optim.step");
         for (r, g) in grads {
             let update = if self.momentum > 0.0 {
                 let v = self.velocity.entry(r.index()).or_insert_with(|| Tensor::zeros(g.dims()));
@@ -140,6 +141,7 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, store: &mut ParamStore, grads: &[(ParamRef, Tensor)]) -> Result<()> {
+        let _prof = lightts_obs::prof::scope("optim.step");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);

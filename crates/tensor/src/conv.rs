@@ -29,8 +29,8 @@
 //!   from `+0.0`.
 //! * **Weight gradient**: per (sample, `ci`), `dW[:, ci, :] += dY_b · H_ci`
 //!   with `H_ci[t, j] = pad[ci][t + j]`, into a pooled accumulator whose
-//!   rows are padded to a multiple of 8 columns. Each `dw` element is one
-//!   chain over `(bi, t)` ascending.
+//!   rows are padded to whole tile vectors (16 columns under AVX-512, 8
+//!   otherwise). Each `dw` element is one chain over `(bi, t)` ascending.
 //!
 //! The padding cannot move bits: a padded input position adds a `±0.0`
 //! term, which leaves a chain that is never `-0.0` unchanged, and a padded
@@ -220,17 +220,18 @@ pub fn conv1d_backward_input(dy: &Tensor, w: &Tensor, input_dims: &[usize]) -> R
 /// Per sample and input channel, `dW[:, ci, :] += dY_b[cout, l] · H_ci` on
 /// the register tile, where row `t` of `H_ci` is the padded input
 /// `xpad[ci][t..]` read in place. The accumulator's rows are padded to `kp`
-/// (a multiple of 8) columns so the tile runs whole vectors; the extra
-/// columns read past the kernel window and are dropped at the end. Per `dw`
-/// element the reduction is one chain over `bi` ascending then `t`
-/// ascending — fixed and fusion-independent.
+/// columns, a multiple of the tile's vector width ([`Tile::lanes`]), so
+/// each call runs whole vectors in one register block (up to 64 columns
+/// under AVX-512); the extra columns read past the kernel window and are
+/// dropped at the end. Per `dw` element the reduction is one chain over
+/// `bi` ascending then `t` ascending — fixed and fusion-independent.
 pub fn conv1d_backward_weight(dy: &Tensor, x: &Tensor, weight_dims: &[usize]) -> Result<Tensor> {
     let (b, cin, l, cout, k) =
         check_backward_dims(dy, x.dims(), weight_dims, "conv1d_backward_weight")?;
     let _prof = lightts_obs::prof::scope("conv.lowered_bwd_weight");
     let (pl, _pr) = same_padding(k);
     let lp = l + k - 1;
-    let kp = k.next_multiple_of(8);
+    let kp = k.next_multiple_of(Tile::lanes(simd::backend()));
     let tile =
         Tile { rows: cout, k: l, n: kp, ldc: cin * kp, lda: l, b_step: 1, b_run: l, b_jump: 0 };
     if cin == 0 || cout == 0 {

@@ -22,11 +22,12 @@
 //! * [`pool`] — a grow-only, size-bucketed buffer pool backing every tensor
 //!   allocation, so steady-state training and serving loops perform zero
 //!   transient heap allocations (hit/miss counters included).
-//! * [`simd`] — the runtime-dispatched vector backends (AVX2+FMA and the
-//!   scalar oracle) every inner loop above lowers onto, selected once per
-//!   process via detection, `LIGHTTS_SIMD`, or
-//!   [`simd::set_simd_backend`]; `docs/NUMERICS.md` documents exactly
-//!   which kernels stay bitwise identical across backends.
+//! * [`simd`] — the runtime-dispatched vector backends (AVX2+FMA, AVX-512
+//!   for the two register tiles, and the scalar oracle) every inner loop
+//!   above lowers onto, selected once per process via detection,
+//!   `LIGHTTS_SIMD`, or [`simd::set_simd_backend`]; `docs/NUMERICS.md`
+//!   documents exactly which kernels stay bitwise identical across
+//!   backends (AVX-512 gives AVX2's bits on every kernel).
 //!
 //! Every kernel runs on the calling thread. The students are small enough
 //! (a few filters over tens of steps) that one kernel call costs less than

@@ -1,7 +1,7 @@
 //! Generic kernel bodies and the per-backend dispatchers.
 //!
 //! Every kernel is written once, generically over [`SimdF32`], then
-//! instantiated twice by the `dispatch_kernel!` macro:
+//! instantiated by the `dispatch_kernel!` macro:
 //!
 //! * **scalar** — [`ScalarVec`], plain `f32` arithmetic, no `unsafe`
 //!   preconditions. This instantiation *is* the oracle the vector
@@ -9,6 +9,11 @@
 //! * **avx2** — [`F32x8`], guarded by runtime detection, wrapped in
 //!   `#[target_feature(enable = "avx2,fma")]` so the `#[inline(always)]`
 //!   generic body compiles with the vector ISA enabled.
+//! * **avx512** — only the register tile [`gemm_tile`] (and the integer
+//!   tile in `qkernels`) has one: [`F32x16`] behind
+//!   `avx512f,avx512bw,avx2,fma`. Every other kernel runs its avx2
+//!   instantiation under [`SimdBackend::Avx512`], and the tile keeps each
+//!   element's chain, so Avx512 gives Avx2's bits on every kernel.
 //!
 //! Determinism contract (see `docs/NUMERICS.md` for the full statement):
 //!
@@ -23,13 +28,14 @@
 //!   left-to-right sum (for `n < 8` the stripe tree degenerates to exactly
 //!   left-to-right).
 //! * The GEMM family ([`gemm_row`], and [`gemm_tile`] under every conv
-//!   pass) uses [`SimdF32::mul_add_fast`]: the scalar oracle multiplies
-//!   then adds; AVX2 fuses multiply-add (one rounding instead of two) and
-//!   therefore produces different — but equally deterministic — bits.
+//!   pass) uses [`TileLanes::mul_add_fast`]: the scalar oracle multiplies
+//!   then adds; AVX2 and AVX-512 fuse multiply-add (one rounding instead
+//!   of two) and therefore produce different — but equally deterministic,
+//!   and on both fused backends the same — bits.
 
-use super::vec::{scalar_madd, ScalarVec, SimdF32};
+use super::vec::{scalar_madd, ScalarVec, SimdF32, TileLanes};
 #[cfg(target_arch = "x86_64")]
-use super::x86::F32x8;
+use super::x86::{F32x16, F32x8};
 use super::SimdBackend;
 
 /// Number of consecutive `k`-indices per cache block in [`gemm_row`].
@@ -239,7 +245,7 @@ unsafe fn sum_exp_g<V: SimdF32>(row: &[f32]) -> f32 {
 /// One output row of the blocked GEMM: `c += a_row · b` for `a_row: [k]`,
 /// `b: [k, n]`, `c: [n]`. `k`-blocked traversal with a zero-skip on
 /// `a_row`; per output element the accumulation runs `k`-ascending, one
-/// [`SimdF32::mul_add_fast`] per term.
+/// [`TileLanes::mul_add_fast`] per term.
 #[inline(always)]
 unsafe fn gemm_row_g<V: SimdF32>(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
     debug_assert_eq!(a.len(), k);
@@ -268,9 +274,12 @@ unsafe fn gemm_row_g<V: SimdF32>(c: &mut [f32], a: &[f32], b: &[f32], k: usize, 
     }
 }
 
-/// Output rows one [`gemm_tile`] register block covers: six rows of two
-/// `ymm` vectors are 12 accumulators, which leaves the AVX2 register file
-/// room for the two `b` vectors and one broadcast.
+/// Output rows one [`gemm_tile`] register block covers, on every backend.
+/// Six rows of four `zmm` vectors are 24 accumulators, which leaves the 32
+/// AVX-512 registers room for the four `b` vectors and one broadcast (on
+/// AVX2, six rows of two `ymm` vectors take 12 of 16). The rows of a block
+/// decide which steps are skipped (see [`gemm_tile`]), so the backends
+/// must share this value to share their bits.
 const TILE_ROWS: usize = 6;
 
 /// Operand layout of one [`gemm_tile`] call:
@@ -308,6 +317,17 @@ pub struct Tile {
 }
 
 impl Tile {
+    /// Columns of one vector of the tile under `bk`: 16 under
+    /// [`SimdBackend::Avx512`], 8 otherwise. A caller that may pad its
+    /// column count rounds it up to a multiple of this, so the tile runs
+    /// whole vectors.
+    pub fn lanes(bk: SimdBackend) -> usize {
+        match super::effective(bk) {
+            SimdBackend::Avx512 => 16,
+            _ => 8,
+        }
+    }
+
     /// Panics unless every element a layout with `rows`, `k` and `n` all
     /// non-zero addresses lies inside `c`, `a` and `b` (of these lengths):
     /// the unchecked loads of [`gemm_tile`] and of the integer tile
@@ -334,17 +354,24 @@ impl Tile {
 /// pass (see [`Tile`] for the operand layout).
 ///
 /// Rows are taken in blocks of up to [`TILE_ROWS`]; each block walks
-/// column tiles of `NV` vectors, then single vectors, then a scalar tail,
-/// keeping its accumulators in registers for the whole `k` reduction.
+/// column tiles of `NV` vectors, then one tile of the whole vectors left,
+/// then one vector of [`TileLanes::Half`] (under AVX-512), then a scalar
+/// tail, keeping its accumulators in registers for the whole `k`
+/// reduction.
 /// Per output element the terms accumulate `k`-ascending, one
-/// [`SimdF32::mul_add_fast`] each, whatever the tiling. A step `p` is
+/// [`TileLanes::mul_add_fast`] each, whatever the tiling. A step `p` is
 /// skipped when the block's `a` values are all zero; when only some are,
 /// the update adds `±0.0·b` terms. For finite inputs these change no bits
 /// of a chain that never holds `-0.0`, and a chain seeded with `+0.0`
 /// never does (`+0.0 + −0.0` and `x + (−x)` round to `+0.0`, fused or
 /// not); every convolution seeds its chains with `+0.0`.
 #[inline(always)]
-unsafe fn gemm_tile_g<V: SimdF32, const NV: usize>(c: &mut [f32], a: &[f32], b: &[f32], t: &Tile) {
+unsafe fn gemm_tile_g<V: TileLanes, const NV: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    t: &Tile,
+) {
     if t.rows == 0 || t.n == 0 || t.k == 0 {
         return;
     }
@@ -372,20 +399,30 @@ unsafe fn gemm_tile_g<V: SimdF32, const NV: usize>(c: &mut [f32], a: &[f32], b: 
 /// `t` restricted to the block's `R` rows must pass [`Tile::check`] for
 /// `c`, `a` and `b`, and `V` must be supported by the CPU.
 #[inline(always)]
-unsafe fn tile_rows<V: SimdF32, const NV: usize, const R: usize>(
+unsafe fn tile_rows<V: TileLanes, const NV: usize, const R: usize>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
     t: &Tile,
 ) {
+    let w = V::LANES;
     let mut j0 = 0;
-    while j0 + NV * V::LANES <= t.n {
+    while j0 + NV * w <= t.n {
         tile_block::<V, NV, R>(c, a, b, t, j0);
-        j0 += NV * V::LANES;
+        j0 += NV * w;
     }
-    while j0 + V::LANES <= t.n {
-        tile_block::<V, 1, R>(c, a, b, t, j0);
-        j0 += V::LANES;
+    let left = (t.n - j0) / w;
+    match left {
+        0 => {}
+        1 => tile_block::<V, 1, R>(c, a, b, t, j0),
+        2 => tile_block::<V, 2, R>(c, a, b, t, j0),
+        _ => tile_block::<V, 3, R>(c, a, b, t, j0),
+    }
+    j0 += left * w;
+    let h = V::Half::LANES;
+    if h < w && j0 + h <= t.n {
+        tile_block::<V::Half, 1, R>(c, a, b, t, j0);
+        j0 += h;
     }
     while j0 < t.n {
         tile_column::<V, R>(c, a, b, t, j0);
@@ -424,7 +461,7 @@ unsafe fn tile_step_is_zero<const R: usize>(a: &[f32], lda: usize, p: usize) -> 
 /// As [`tile_rows`], and `j0 + NV·LANES ≤ n`.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
-unsafe fn tile_block<V: SimdF32, const NV: usize, const R: usize>(
+unsafe fn tile_block<V: TileLanes, const NV: usize, const R: usize>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -475,7 +512,7 @@ unsafe fn tile_block<V: SimdF32, const NV: usize, const R: usize>(
 /// As [`tile_rows`], and `j < n`.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
-unsafe fn tile_column<V: SimdF32, const R: usize>(
+unsafe fn tile_column<V: TileLanes, const R: usize>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -576,7 +613,7 @@ striped_reduce!(dot_g, (x, y), |vx, vy| vx.mul(vy), |sx, sy| sx * sy);
 
 macro_rules! dispatch_kernel {
     ($(#[$doc:meta])* $name:ident / $with:ident ( $($arg:ident : $ty:ty),* $(,)? ) $(-> $ret:ty)?,
-     avx2: $ga:expr, scalar: $gc:expr) => {
+     avx2: $ga:expr, $(avx512: $gz:expr,)? scalar: $gc:expr) => {
         $(#[$doc])*
         ///
         /// The `_with` variant runs under an explicit backend (scalar if
@@ -593,11 +630,15 @@ macro_rules! dispatch_kernel {
                 // SAFETY: ScalarVec has no hardware preconditions.
                 unsafe { ($gc)($($arg),*) }
             }
-            match super::effective(bk) {
+            let bk = super::effective(bk);
+            dispatch_kernel!(@avx512 bk, ($($arg: $ty),*) ($($ret)?), $($gz)?);
+            match bk {
                 // SAFETY: `effective` only yields a vector backend after
-                // `cpu_supports` confirmed the features at detection time.
+                // `cpu_supports` confirmed the features at detection time;
+                // Avx512 includes AVX2+FMA, and a kernel without a 512-bit
+                // instantiation runs its AVX2 one there.
                 #[cfg(target_arch = "x86_64")]
-                SimdBackend::Avx2 => unsafe { w_avx2($($arg),*) },
+                SimdBackend::Avx2 | SimdBackend::Avx512 => unsafe { w_avx2($($arg),*) },
                 _ => w_scalar($($arg),*),
             }
         }
@@ -610,6 +651,21 @@ macro_rules! dispatch_kernel {
             $with(super::backend(), $($arg),*)
         }
     };
+    // The 512-bit instantiation, for the kernels that have one: runs it
+    // and returns when `$bk` is Avx512.
+    (@avx512 $bk:ident, ($($arg:ident : $ty:ty),*) ($($ret:ty)?), $gz:expr) => {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx2", enable = "fma")]
+        unsafe fn w_avx512($($arg: $ty),*) $(-> $ret)? {
+            ($gz)($($arg),*)
+        }
+        #[cfg(target_arch = "x86_64")]
+        if $bk == SimdBackend::Avx512 {
+            // SAFETY: as for the AVX2 wrapper below.
+            return unsafe { w_avx512($($arg),*) };
+        }
+    };
+    (@avx512 $bk:ident, ($($arg:ident : $ty:ty),*) ($($ret:ty)?), ) => {};
 }
 
 // Shared with the sibling `qkernels` module, which stamps out the i8
@@ -681,9 +737,12 @@ dispatch_kernel!(
     /// The register-tiled GEMM micro-kernel: `c += a · b` with strided
     /// rows and offset-addressed `b` rows (see [`Tile`]). Per element,
     /// `k`-ascending, one multiply-add per term. AVX2 fuses each
-    /// multiply-add.
+    /// multiply-add, on blocks of 6 rows × 2 `ymm` vectors; AVX-512 runs
+    /// the same chains on blocks of 6 rows × up to 4 `zmm` vectors, so
+    /// its bits are AVX2's.
     gemm_tile / gemm_tile_with(c: &mut [f32], a: &[f32], b: &[f32], t: &Tile),
-    avx2: gemm_tile_g::<F32x8, 2>, scalar: gemm_tile_g::<ScalarVec, 2>
+    avx2: gemm_tile_g::<F32x8, 2>, avx512: gemm_tile_g::<F32x16, 4>,
+    scalar: gemm_tile_g::<ScalarVec, 2>
 );
 dispatch_kernel!(
     /// `Σ xᵢ` over 8 fixed stripes + canonical pairing tree; tail (< 8)

@@ -2,12 +2,13 @@
 //!
 //! This module is the single point where the crate's inner loops meet the
 //! instruction set. It provides a small portable-vector abstraction over
-//! `core::arch` x86-64 — AVX2+FMA, and a scalar oracle that is always
-//! available — plus one-time runtime feature detection and an explicit
-//! override. Every hot kernel (the GEMM row and register tile under
-//! [`crate::linalg`] and [`crate::conv`], the element-wise tensor ops, and
-//! the `vec_exp` exponential behind the softmax family) is written once,
-//! generically, and lowered onto whichever backend is selected.
+//! `core::arch` x86-64 — AVX2+FMA, AVX-512 for the two register tiles, and
+//! a scalar oracle that is always available — plus one-time runtime
+//! feature detection and an explicit override. Every hot kernel (the GEMM
+//! row and register tile under [`crate::linalg`] and [`crate::conv`], the
+//! element-wise tensor ops, and the `vec_exp` exponential behind the
+//! softmax family) is written once, generically, and lowered onto
+//! whichever backend is selected.
 //!
 //! # Backend selection
 //!
@@ -15,15 +16,21 @@
 //!
 //! 1. [`set_simd_backend`] — explicit programmatic override, wins over
 //!    everything, takes effect for subsequent kernel calls;
-//! 2. the `LIGHTTS_SIMD` environment variable (`avx2` | `scalar`,
-//!    case-insensitive; any other value is ignored);
-//! 3. runtime CPU feature detection (AVX2+FMA → [`SimdBackend::Avx2`],
-//!    otherwise scalar).
+//! 2. the `LIGHTTS_SIMD` environment variable (`avx512` | `avx2` |
+//!    `scalar`, case-insensitive; any other value is ignored);
+//! 3. runtime CPU feature detection (AVX-512F+BW with AVX2+FMA →
+//!    [`SimdBackend::Avx512`], AVX2+FMA → [`SimdBackend::Avx2`], otherwise
+//!    scalar).
 //!
 //! A request the CPU cannot run resolves to scalar, so forcing
-//! `LIGHTTS_SIMD=avx2` on a host without AVX2+FMA is safe. On non-x86-64
+//! `LIGHTTS_SIMD=avx512` on a host without AVX-512 is safe. On non-x86-64
 //! targets every request resolves to scalar. [`cpu_supports`] reports what
 //! the host can actually run.
+//!
+//! Avx512 widens only the two register tiles, [`gemm_tile`] and
+//! [`qgemm_tile`], to `zmm` blocks; every other kernel runs its AVX2 code
+//! there. The tiles keep each output element's chain, so Avx512 and Avx2
+//! give the same bits on every kernel.
 //!
 //! # Determinism
 //!
@@ -39,10 +46,10 @@
 //!   every backend (degenerating to a plain serial sum for `n < 8`).
 //! * **Backend-sensitive (FMA)**: [`gemm_row`] and [`gemm_tile`] (the one
 //!   kernel under every conv pass) — scalar multiplies then adds (two
-//!   roundings); AVX2 fuses each multiply-add into one rounding,
-//!   producing different, but equally deterministic, bits:
-//!   for a fixed backend the result is independent of batch fusion and
-//!   call context.
+//!   roundings); AVX2 and AVX-512 fuse each multiply-add into one
+//!   rounding, producing different, but equally deterministic, bits
+//!   (the same on both fused backends): for a fixed backend the result is
+//!   independent of batch fusion and call context.
 //! * **Integer-exact (quantized)**: [`qgemm_tile`], the one integer kernel
 //!   (the int8 conv and FC head) — i8×i8 products accumulated in i32.
 //!   Two's-complement addition is associative, so both backends are
@@ -58,8 +65,8 @@
 // SAFETY AUDIT: this module (with its `vec`/`x86`/`kernels`/`qkernels`
 // submodules) is the crate's only `unsafe` island, all of it `core::arch`
 // intrinsic plumbing: the vector types in `x86.rs` and `qkernels.rs` wrap
-// `__m256` and `__m256i` intrinsics, and `kernels.rs` and `qkernels.rs`
-// instantiate the generic loop bodies behind `#[target_feature]` wrappers.
+// `__m256`/`__m512` and `__m256i`/`__m512i` intrinsics, and `kernels.rs`
+// and `qkernels.rs` instantiate the generic loop bodies behind `#[target_feature]` wrappers.
 // Soundness rests on one invariant, enforced in exactly one place:
 // `effective()` below never returns a vector backend unless `cpu_supports`
 // confirmed the CPU features (a request the CPU cannot run resolves to
@@ -87,9 +94,10 @@ pub use kernels::{
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// A SIMD instruction-set backend for the f32 kernels.
+/// A SIMD instruction-set backend for the f32 and integer kernels.
 ///
-/// Ordering is by capability: `Scalar < Avx2`.
+/// Ordering is by capability: `Scalar < Avx2 < Avx512`, and a CPU that
+/// runs one backend runs every lesser one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdBackend {
     /// Plain `f32` arithmetic — the oracle the vector path is tested
@@ -99,28 +107,33 @@ pub enum SimdBackend {
     /// multiply-adds, so its bits differ (deterministically) from the
     /// scalar oracle; everything else stays bitwise identical.
     Avx2,
+    /// The two register tiles on AVX-512 `zmm` vectors (16 × f32 or i32),
+    /// every other kernel on AVX2. Bitwise identical to [`Self::Avx2`].
+    Avx512,
 }
 
 impl SimdBackend {
-    /// Stable lower-case name (`"scalar"` / `"avx2"`), as accepted by
-    /// `LIGHTTS_SIMD` and recorded in bench output.
+    /// Stable lower-case name (`"scalar"` / `"avx2"` / `"avx512"`), as
+    /// accepted by `LIGHTTS_SIMD` and recorded in bench output.
     pub fn name(self) -> &'static str {
         match self {
             SimdBackend::Scalar => "scalar",
             SimdBackend::Avx2 => "avx2",
+            SimdBackend::Avx512 => "avx512",
         }
     }
 
     /// The backend a `LIGHTTS_SIMD` value names, case-insensitively;
     /// `None` for any other value.
     fn parse(value: &str) -> Option<SimdBackend> {
-        [SimdBackend::Scalar, SimdBackend::Avx2]
+        [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512]
             .into_iter()
             .find(|bk| value.eq_ignore_ascii_case(bk.name()))
     }
 
     fn from_u8(v: u8) -> SimdBackend {
         match v {
+            3 => SimdBackend::Avx512,
             2 => SimdBackend::Avx2,
             _ => SimdBackend::Scalar,
         }
@@ -128,6 +141,7 @@ impl SimdBackend {
 
     fn as_u8(self) -> u8 {
         match self {
+            SimdBackend::Avx512 => 3,
             SimdBackend::Avx2 => 2,
             SimdBackend::Scalar => 1,
         }
@@ -140,37 +154,52 @@ static BACKEND: AtomicU8 = AtomicU8::new(0);
 /// Whether the running CPU can execute `bk`.
 ///
 /// [`SimdBackend::Scalar`] is always supported; [`SimdBackend::Avx2`]
-/// requires an x86-64 CPU with the AVX2 *and* FMA feature flags.
+/// requires an x86-64 CPU with the AVX2 *and* FMA feature flags, and
+/// [`SimdBackend::Avx512`] those plus AVX-512F and AVX-512BW.
 pub fn cpu_supports(bk: SimdBackend) -> bool {
     match bk {
         SimdBackend::Scalar => true,
         #[cfg(target_arch = "x86_64")]
         SimdBackend::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx512 => {
+            cpu_supports(SimdBackend::Avx2)
+                && is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+        }
         #[cfg(not(target_arch = "x86_64"))]
-        SimdBackend::Avx2 => false,
+        SimdBackend::Avx2 | SimdBackend::Avx512 => false,
     }
 }
 
-/// The backend that runs for `request` on a CPU that does (`avx2_fma`) or
-/// does not run AVX2+FMA. No request (`LIGHTTS_SIMD` unset or naming no
+/// The most capable backend the CPU runs.
+fn native() -> SimdBackend {
+    [SimdBackend::Avx512, SimdBackend::Avx2]
+        .into_iter()
+        .find(|&bk| cpu_supports(bk))
+        .unwrap_or(SimdBackend::Scalar)
+}
+
+/// The backend that runs for `request` on a CPU whose most capable
+/// backend is `native`. No request (`LIGHTTS_SIMD` unset or naming no
 /// backend) takes the native choice; a request the CPU cannot run resolves
 /// to scalar.
-fn resolve(request: Option<SimdBackend>, avx2_fma: bool) -> SimdBackend {
-    if avx2_fma && request != Some(SimdBackend::Scalar) {
-        SimdBackend::Avx2
-    } else {
-        SimdBackend::Scalar
+fn resolve(request: Option<SimdBackend>, native: SimdBackend) -> SimdBackend {
+    match request {
+        None => native,
+        Some(bk) if bk <= native => bk,
+        Some(_) => SimdBackend::Scalar,
     }
 }
 
 /// `bk` if the CPU can run it, else scalar.
 pub(crate) fn effective(bk: SimdBackend) -> SimdBackend {
-    resolve(Some(bk), cpu_supports(SimdBackend::Avx2))
+    resolve(Some(bk), native())
 }
 
 fn detect() -> SimdBackend {
     let request = std::env::var("LIGHTTS_SIMD").ok().and_then(|v| SimdBackend::parse(&v));
-    resolve(request, cpu_supports(SimdBackend::Avx2))
+    resolve(request, native())
 }
 
 /// The process-wide SIMD backend all dispatched kernels currently use.
@@ -235,30 +264,55 @@ pub fn log_softmax_row_with(bk: SimdBackend, row: &mut [f32]) {
 mod tests {
     use super::*;
 
+    use SimdBackend::{Avx2, Avx512, Scalar};
+
     #[test]
     fn sse2_is_an_unknown_value_and_takes_the_native_choice() {
-        for value in ["sse2", "SSE2", "Sse2", "", "avx512", "neon"] {
+        for value in ["sse2", "SSE2", "Sse2", "", "avx", "neon"] {
             assert_eq!(SimdBackend::parse(value), None, "{value:?}");
-            assert_eq!(resolve(SimdBackend::parse(value), true), SimdBackend::Avx2, "{value:?}");
-            assert_eq!(resolve(SimdBackend::parse(value), false), SimdBackend::Scalar, "{value:?}");
+            for native in [Scalar, Avx2, Avx512] {
+                assert_eq!(resolve(SimdBackend::parse(value), native), native, "{value:?}");
+            }
         }
     }
 
     #[test]
     fn backend_names_parse_in_any_case() {
+        for value in ["avx512", "AVX512", "Avx512"] {
+            assert_eq!(SimdBackend::parse(value), Some(Avx512), "{value:?}");
+        }
         for value in ["avx2", "AVX2", "Avx2"] {
-            assert_eq!(SimdBackend::parse(value), Some(SimdBackend::Avx2), "{value:?}");
+            assert_eq!(SimdBackend::parse(value), Some(Avx2), "{value:?}");
         }
         for value in ["scalar", "SCALAR", "Scalar"] {
-            assert_eq!(SimdBackend::parse(value), Some(SimdBackend::Scalar), "{value:?}");
+            assert_eq!(SimdBackend::parse(value), Some(Scalar), "{value:?}");
+        }
+    }
+
+    /// Every request against every CPU: no request takes the CPU's most
+    /// capable backend, a request the CPU runs is honoured, and any other
+    /// request resolves to scalar.
+    #[test]
+    fn a_request_the_cpu_cannot_run_resolves_to_scalar() {
+        // (request, on a CPU without AVX2, AVX2-only, AVX-512)
+        let table = [
+            (None, Scalar, Avx2, Avx512),
+            (Some(Avx512), Scalar, Scalar, Avx512),
+            (Some(Avx2), Scalar, Avx2, Avx2),
+            (Some(Scalar), Scalar, Scalar, Scalar),
+        ];
+        for (request, none, avx2_only, avx512) in table {
+            assert_eq!(resolve(request, Scalar), none, "{request:?} without AVX2");
+            assert_eq!(resolve(request, Avx2), avx2_only, "{request:?} on AVX2 only");
+            assert_eq!(resolve(request, Avx512), avx512, "{request:?} on AVX-512");
         }
     }
 
     #[test]
-    fn a_request_the_cpu_cannot_run_resolves_to_scalar() {
-        assert_eq!(resolve(Some(SimdBackend::Avx2), false), SimdBackend::Scalar);
-        assert_eq!(resolve(Some(SimdBackend::Avx2), true), SimdBackend::Avx2);
-        assert_eq!(resolve(Some(SimdBackend::Scalar), true), SimdBackend::Scalar);
-        assert_eq!(resolve(Some(SimdBackend::Scalar), false), SimdBackend::Scalar);
+    fn the_native_choice_is_the_most_capable_supported_backend() {
+        let native = native();
+        for bk in [Scalar, Avx2, Avx512] {
+            assert_eq!(cpu_supports(bk), bk <= native, "{bk:?}");
+        }
     }
 }

@@ -5,18 +5,18 @@
 //! both operands holds two sign-extended i16 values (an i8 code pair, low
 //! half first), and one reduction step multiplies the pairs lane by lane
 //! and adds both products to the accumulator — one `vpmaddwd` and one
-//! `vpaddd` on AVX2. Unlike the f32 kernels, every instantiation here
-//! accumulates in **exact integer arithmetic**: two's-complement i32
-//! addition is associative, so the lane width, the tiling and the loop
-//! order cannot change the result. Both backends are therefore **bitwise
-//! identical for every input and every shape**, remainder lanes included:
-//! a fourth, strongest determinism class (see `docs/NUMERICS.md`,
-//! "Quantized inference").
+//! `vpaddd` on AVX2 and AVX-512. Unlike the f32 kernels, every
+//! instantiation here accumulates in **exact integer arithmetic**:
+//! two's-complement i32 addition is associative, so the lane width, the
+//! tiling and the loop order cannot change the result. All backends are
+//! therefore **bitwise identical for every input and every shape**,
+//! remainder lanes included: a fourth, strongest determinism class (see
+//! `docs/NUMERICS.md`, "Quantized inference").
 //!
 //! The kernel is written once, generically over [`QLanes`], and
-//! instantiated twice: with [`ScalarI32`], the oracle, and with `I32x8`
-//! (AVX2). The widening multiply-add on sign-extended i16 (`madd`) is
-//! chosen over `maddubs` deliberately: `maddubs` is u8×i8 and saturates
+//! instantiated three times: with [`ScalarI32`], the oracle, with `I32x8`
+//! (AVX2) and with `I32x16` (AVX-512BW). The widening multiply-add on
+//! sign-extended i16 (`madd`) is chosen over `maddubs` deliberately: `maddubs` is u8×i8 and saturates
 //! its i16 pair-sum, which would make the kernel value-dependent, while
 //! `madd` products of i8 codes are ≤ 2·128·128 and can never saturate.
 //!
@@ -35,9 +35,10 @@ use std::arch::x86_64::*;
 /// contract above).
 pub const QDOT_MAX_K: usize = 1 << 16;
 
-/// Output rows one [`qgemm_tile`] register block covers: six rows of two
-/// `ymm` vectors are 12 accumulators, which leaves the AVX2 register file
-/// room for the two `b` vectors and one broadcast.
+/// Output rows one [`qgemm_tile`] register block covers: six rows of four
+/// `zmm` vectors are 24 accumulators, which leaves the 32 AVX-512
+/// registers room for the four `b` vectors and one broadcast (on AVX2, six
+/// rows of two `ymm` vectors take 12 of 16).
 const QTILE_ROWS: usize = 6;
 
 /// One `i16` pair per `i32`: `lo` in the low half, `hi` in the high half,
@@ -63,6 +64,10 @@ fn madd_pairs(a: i32, b: i32) -> i32 {
 trait QLanes: Copy {
     /// Number of `i32` lanes.
     const LANES: usize;
+    /// The narrower vector that runs a tile's leftover columns once no
+    /// whole `Self` fits: the 256-bit type under the 512-bit one, `Self`
+    /// otherwise.
+    type Half: QLanes;
     /// Loads `LANES` consecutive values from the front of `src`.
     ///
     /// # Safety
@@ -81,6 +86,7 @@ struct ScalarI32(i32);
 
 impl QLanes for ScalarI32 {
     const LANES: usize = 1;
+    type Half = ScalarI32;
     #[inline(always)]
     unsafe fn load(src: &[i32]) -> Self {
         ScalarI32(src[0])
@@ -103,6 +109,7 @@ struct I32x8(__m256i);
 #[cfg(target_arch = "x86_64")]
 impl QLanes for I32x8 {
     const LANES: usize = 8;
+    type Half = I32x8;
     #[inline(always)]
     unsafe fn load(src: &[i32]) -> Self {
         debug_assert!(src.len() >= 8);
@@ -121,13 +128,43 @@ impl QLanes for I32x8 {
     }
 }
 
+/// Sixteen `i32` lanes in a `zmm` register (AVX-512BW).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct I32x16(__m512i);
+
+#[cfg(target_arch = "x86_64")]
+impl QLanes for I32x16 {
+    const LANES: usize = 16;
+    type Half = I32x8;
+    #[inline(always)]
+    unsafe fn load(src: &[i32]) -> Self {
+        debug_assert!(src.len() >= 16);
+        I32x16(_mm512_loadu_si512(src.as_ptr().cast()))
+    }
+    #[inline(always)]
+    fn madd(self, a: i32, b: Self) -> Self {
+        // SAFETY: `self` came from `load`, whose caller confirmed AVX-512BW.
+        unsafe { I32x16(_mm512_add_epi32(self.0, _mm512_madd_epi16(_mm512_set1_epi32(a), b.0))) }
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [i32]) {
+        let dst = &mut dst[..16];
+        // SAFETY: as in `madd`; `dst` holds the sixteen lanes.
+        unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), self.0) }
+    }
+}
+
 #[cfg(not(target_arch = "x86_64"))]
 type I32x8 = ScalarI32;
 
 /// The integer register tile (see [`Tile`] for the operand layout, read
 /// in `i32` elements): rows in blocks of up to [`QTILE_ROWS`], each block
 /// over every column with its accumulators in registers for the whole
-/// reduction.
+/// reduction. The columns go in tiles of `NV` vectors, then one tile of
+/// the whole vectors left, then one [`QLanes::Half`] vector, then single
+/// lanes. Integer sums are exact, so the width a column is computed at
+/// cannot show.
 #[inline(always)]
 unsafe fn qgemm_tile_g<V: QLanes, const NV: usize>(c: &mut [i32], a: &[i32], b: &[i32], t: &Tile) {
     if t.rows == 0 || t.n == 0 || t.k == 0 {
@@ -140,27 +177,61 @@ unsafe fn qgemm_tile_g<V: QLanes, const NV: usize>(c: &mut [i32], a: &[i32], b: 
         let rows = (t.rows - r0).min(QTILE_ROWS);
         let (c, a) = (&mut c[r0 * t.ldc..], &a[r0 * t.lda..]);
         match rows {
-            6 => qtile_block::<V, NV, 6>(c, a, b, t, 0),
-            5 => qtile_block::<V, NV, 5>(c, a, b, t, 0),
-            4 => qtile_block::<V, NV, 4>(c, a, b, t, 0),
-            3 => qtile_block::<V, NV, 3>(c, a, b, t, 0),
-            2 => qtile_block::<V, NV, 2>(c, a, b, t, 0),
-            _ => qtile_block::<V, NV, 1>(c, a, b, t, 0),
+            6 => qtile_rows::<V, NV, 6>(c, a, b, t),
+            5 => qtile_rows::<V, NV, 5>(c, a, b, t),
+            4 => qtile_rows::<V, NV, 4>(c, a, b, t),
+            3 => qtile_rows::<V, NV, 3>(c, a, b, t),
+            2 => qtile_rows::<V, NV, 2>(c, a, b, t),
+            _ => qtile_rows::<V, NV, 1>(c, a, b, t),
         }
         r0 += rows;
     }
 }
 
-/// `R` rows of [`qgemm_tile`], columns `j0..n`: blocks of `NV` vectors,
-/// then the columns left over at one vector, then at one lane. Integer
-/// sums are exact, so the width a column is computed at cannot show.
+/// One block of `R` rows of [`qgemm_tile`], all `n` columns.
+///
+/// # Safety
+/// `t` restricted to the block's `R` rows must pass [`Tile::check`] for
+/// `c`, `a` and `b`, and the CPU must run the backend of `V`.
+#[inline(always)]
+unsafe fn qtile_rows<V: QLanes, const NV: usize, const R: usize>(
+    c: &mut [i32],
+    a: &[i32],
+    b: &[i32],
+    t: &Tile,
+) {
+    let w = V::LANES;
+    let mut j0 = 0;
+    while j0 + NV * w <= t.n {
+        qtile_block::<V, NV, R>(c, a, b, t, j0);
+        j0 += NV * w;
+    }
+    let left = (t.n - j0) / w;
+    match left {
+        0 => {}
+        1 => qtile_block::<V, 1, R>(c, a, b, t, j0),
+        2 => qtile_block::<V, 2, R>(c, a, b, t, j0),
+        _ => qtile_block::<V, 3, R>(c, a, b, t, j0),
+    }
+    j0 += left * w;
+    let h = V::Half::LANES;
+    if h < w && j0 + h <= t.n {
+        qtile_block::<V::Half, 1, R>(c, a, b, t, j0);
+        j0 += h;
+    }
+    while j0 < t.n {
+        qtile_block::<ScalarI32, 1, R>(c, a, b, t, j0);
+        j0 += 1;
+    }
+}
+
+/// `R` rows × `NV` vectors of [`qgemm_tile`] starting at column `j0`.
 ///
 /// The per-step loops index instead of iterating, as in the f32 tile:
 /// iterator adaptors cost several times more in unoptimized builds.
 ///
 /// # Safety
-/// `t` restricted to the block's `R` rows must pass [`Tile::check`] for
-/// `c`, `a` and `b`, and the CPU must run the backend of `V`.
+/// As [`qtile_rows`], and `j0 + NV·LANES ≤ n`.
 #[allow(clippy::needless_range_loop)]
 #[inline(always)]
 unsafe fn qtile_block<V: QLanes, const NV: usize, const R: usize>(
@@ -168,52 +239,41 @@ unsafe fn qtile_block<V: QLanes, const NV: usize, const R: usize>(
     a: &[i32],
     b: &[i32],
     t: &Tile,
-    mut j0: usize,
+    j0: usize,
 ) {
-    let width = NV * V::LANES;
-    while j0 + width <= t.n {
-        // Seeded from `c`, which the tile adds to (the first load only
-        // fills the array).
-        let mut acc = [[V::load(&c[j0..]); NV]; R];
-        for r in 0..R {
-            for v in 0..NV {
-                acc[r][v] = V::load(&c[r * t.ldc + j0 + v * V::LANES..]);
-            }
+    // Seeded from `c`, which the tile adds to (the first load only
+    // fills the array).
+    let mut acc = [[V::load(&c[j0..]); NV]; R];
+    for r in 0..R {
+        for v in 0..NV {
+            acc[r][v] = V::load(&c[r * t.ldc + j0 + v * V::LANES..]);
         }
-        let (mut p, mut run) = (0, 0);
-        for _ in 0..t.k / t.b_run {
-            let mut bp = run + j0;
-            for _ in 0..t.b_run {
-                // SAFETY: `Tile::check` bounds every `r·lda + p` in `a` and
-                // every `off(p) + t` (`t < n`) in `b`; here `t` runs
-                // `j0 .. j0 + width ≤ n`.
-                let mut bv = [acc[0][0]; NV];
-                for v in 0..NV {
-                    bv[v] = V::load(b.get_unchecked(bp + v * V::LANES..));
-                }
-                for r in 0..R {
-                    let w = *a.get_unchecked(r * t.lda + p);
-                    for v in 0..NV {
-                        acc[r][v] = acc[r][v].madd(w, bv[v]);
-                    }
-                }
-                p += 1;
-                bp += t.b_step;
-            }
-            run += t.b_jump;
-        }
-        for r in 0..R {
-            for v in 0..NV {
-                acc[r][v].store(&mut c[r * t.ldc + j0 + v * V::LANES..]);
-            }
-        }
-        j0 += width;
     }
-    if j0 < t.n {
-        if NV > 1 {
-            qtile_block::<V, 1, R>(c, a, b, t, j0);
-        } else {
-            qtile_block::<ScalarI32, 1, R>(c, a, b, t, j0);
+    let (mut p, mut run) = (0, 0);
+    for _ in 0..t.k / t.b_run {
+        let mut bp = run + j0;
+        for _ in 0..t.b_run {
+            // SAFETY: `Tile::check` bounds every `r·lda + p` in `a` and
+            // every `off(p) + t` (`t < n`) in `b`; here `t` runs
+            // `j0 .. j0 + NV·LANES ≤ n`.
+            let mut bv = [acc[0][0]; NV];
+            for v in 0..NV {
+                bv[v] = V::load(b.get_unchecked(bp + v * V::LANES..));
+            }
+            for r in 0..R {
+                let w = *a.get_unchecked(r * t.lda + p);
+                for v in 0..NV {
+                    acc[r][v] = acc[r][v].madd(w, bv[v]);
+                }
+            }
+            p += 1;
+            bp += t.b_step;
+        }
+        run += t.b_jump;
+    }
+    for r in 0..R {
+        for v in 0..NV {
+            acc[r][v].store(&mut c[r * t.ldc + j0 + v * V::LANES..]);
         }
     }
 }
@@ -225,9 +285,11 @@ dispatch_kernel!(
     /// `a[r·lda + p]` and `b[off(p) + t]` to `c[r·ldc + t]` in i32
     /// ([`i16_pair`] builds the pairs). **Bitwise identical on every
     /// backend**; the reduction must stay within [`QDOT_MAX_K`] i8
-    /// products.
+    /// products. AVX2 runs blocks of 6 rows × 2 `ymm` vectors, AVX-512
+    /// blocks of 6 rows × up to 4 `zmm` vectors.
     qgemm_tile / qgemm_tile_with(c: &mut [i32], a: &[i32], b: &[i32], t: &Tile),
-    avx2: qgemm_tile_g::<I32x8, 2>, scalar: qgemm_tile_g::<ScalarI32, 1>
+    avx2: qgemm_tile_g::<I32x8, 2>, avx512: qgemm_tile_g::<I32x16, 4>,
+    scalar: qgemm_tile_g::<ScalarI32, 1>
 );
 
 #[cfg(test)]
@@ -261,7 +323,7 @@ mod tests {
                 }
             }
         }
-        for bk in [SimdBackend::Scalar, SimdBackend::Avx2] {
+        for bk in [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512] {
             let mut c = vec![0i32; 7 * 19];
             qgemm_tile_with(bk, &mut c, &a, &b, &t);
             assert_eq!(c, want, "bk={bk:?}");

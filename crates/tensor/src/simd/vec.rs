@@ -4,8 +4,10 @@
 //! rounding IEEE-754 operations, bit manipulation, and lane plumbing to
 //! express the kernels in [`super::kernels`] once, generically, and have
 //! each backend (scalar / AVX2+FMA) instantiate them with its own
-//! register type. [`ScalarVec`] is the 1-lane instantiation: it mirrors the
-//! x86 instruction semantics (`minps`/`maxps` operand ordering on NaN,
+//! register type. Its supertrait [`TileLanes`] is the part the register
+//! tile uses, and the only part the AVX-512 type implements.
+//! [`ScalarVec`] is the 1-lane instantiation: it mirrors the x86
+//! instruction semantics (`minps`/`maxps` operand ordering on NaN,
 //! full-width compare masks, bitwise selects) exactly, so a generic kernel
 //! run with `ScalarVec` is the *oracle* — bit-for-bit the reference the
 //! vector backends are tested against.
@@ -19,29 +21,22 @@
 //! [`super::kernels`], which select a vector type strictly according to the
 //! resolved [`super::SimdBackend`].
 
-/// A vector of `LANES` packed `f32` values.
-///
-/// Semantic fine print (all mirrored exactly by [`ScalarVec`]):
-///
-/// * [`min`](SimdF32::min) / [`max`](SimdF32::max) follow `minps`/`maxps`:
-///   `a.min(b)` is `if a < b { a } else { b }` per lane, so a NaN in `a`
-///   yields `b` (and a NaN in `b` yields `b`). This asymmetry is what the
-///   `exp` kernel relies on for NaN handling.
-/// * [`is_nan`](SimdF32::is_nan) produces a full-width mask (all-ones or
-///   all-zeros per lane) suitable for [`select`](SimdF32::select), which is
-///   a pure bitwise blend.
-/// * [`mul_add_fast`](SimdF32::mul_add_fast) is the *only* operation whose
-///   rounding differs between backends: fused (single rounding) when
-///   [`FUSED`](SimdF32::FUSED) is `true` (AVX2+FMA), an ordinary
-///   multiply-then-add otherwise. Kernels that promise cross-backend
-///   bitwise identity must not use it.
-pub(super) trait SimdF32: Copy {
+/// The lane operations of the register tile [`super::gemm_tile`]: a
+/// vector of `LANES` packed `f32` values with loads, stores, a broadcast
+/// and the multiply-add. [`SimdF32`] adds what the other kernels need; the
+/// 512-bit type, which only the tile runs, implements just this trait.
+pub(super) trait TileLanes: Copy {
     /// Number of `f32` lanes.
     const LANES: usize;
-    /// Whether [`mul_add_fast`](SimdF32::mul_add_fast) fuses (single
+    /// Whether [`mul_add_fast`](TileLanes::mul_add_fast) fuses (single
     /// rounding). Scalar tails of fused kernels consult this to match the
     /// vector body bit-for-bit via [`scalar_madd`].
     const FUSED: bool;
+    /// The narrower vector that runs a tile's leftover columns once no
+    /// whole `Self` fits: the 256-bit type under the 512-bit one, `Self`
+    /// otherwise. It must round [`mul_add_fast`](TileLanes::mul_add_fast)
+    /// like `Self`.
+    type Half: TileLanes;
 
     /// Broadcasts `v` to every lane.
     unsafe fn splat(v: f32) -> Self;
@@ -55,7 +50,28 @@ pub(super) trait SimdF32: Copy {
     unsafe fn zero() -> Self {
         Self::splat(0.0)
     }
+    /// Lane-wise `self * b + acc`; fused iff [`FUSED`](TileLanes::FUSED).
+    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self;
+}
 
+/// A vector of packed `f32` values with the element-wise operations of
+/// every kernel but the tile.
+///
+/// Semantic fine print (all mirrored exactly by [`ScalarVec`]):
+///
+/// * [`min`](SimdF32::min) / [`max`](SimdF32::max) follow `minps`/`maxps`:
+///   `a.min(b)` is `if a < b { a } else { b }` per lane, so a NaN in `a`
+///   yields `b` (and a NaN in `b` yields `b`). This asymmetry is what the
+///   `exp` kernel relies on for NaN handling.
+/// * [`is_nan`](SimdF32::is_nan) produces a full-width mask (all-ones or
+///   all-zeros per lane) suitable for [`select`](SimdF32::select), which is
+///   a pure bitwise blend.
+/// * [`mul_add_fast`](TileLanes::mul_add_fast) is the *only* operation
+///   whose rounding differs between backends: fused (single rounding) when
+///   [`FUSED`](TileLanes::FUSED) is `true` (AVX2+FMA), an ordinary
+///   multiply-then-add otherwise. Kernels that promise cross-backend
+///   bitwise identity must not use it.
+pub(super) trait SimdF32: TileLanes {
     /// Lane-wise `self + o` (single rounding).
     unsafe fn add(self, o: Self) -> Self;
     /// Lane-wise `self - o` (single rounding).
@@ -66,8 +82,6 @@ pub(super) trait SimdF32: Copy {
     unsafe fn min(self, o: Self) -> Self;
     /// Lane-wise `maxps` semantics: `if self > o { self } else { o }`.
     unsafe fn max(self, o: Self) -> Self;
-    /// Lane-wise `self * b + acc`; fused iff [`FUSED`](SimdF32::FUSED).
-    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self;
 
     /// Lane-wise bitwise AND.
     unsafe fn and_bits(self, o: Self) -> Self;
@@ -107,9 +121,10 @@ pub(super) struct ScalarVec(pub f32);
 /// All-ones / all-zeros scalar masks, as bit patterns.
 const MASK_TRUE: u32 = u32::MAX;
 
-impl SimdF32 for ScalarVec {
+impl TileLanes for ScalarVec {
     const LANES: usize = 1;
     const FUSED: bool = false;
+    type Half = ScalarVec;
 
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {
@@ -125,6 +140,13 @@ impl SimdF32 for ScalarVec {
         debug_assert!(!dst.is_empty());
         dst[0] = self.0;
     }
+    #[inline(always)]
+    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self {
+        ScalarVec(self.0 * b.0 + acc.0)
+    }
+}
+
+impl SimdF32 for ScalarVec {
     #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
         ScalarVec(self.0 + o.0)
@@ -153,10 +175,6 @@ impl SimdF32 for ScalarVec {
         } else {
             o
         }
-    }
-    #[inline(always)]
-    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self {
-        ScalarVec(self.0 * b.0 + acc.0)
     }
     #[inline(always)]
     unsafe fn and_bits(self, o: Self) -> Self {
@@ -190,7 +208,7 @@ impl SimdF32 for ScalarVec {
 /// `a * b + acc` with the rounding of `V::mul_add_fast`: the scalar-tail
 /// companion that keeps remainder lanes bit-identical to the vector body.
 #[inline(always)]
-pub(super) fn scalar_madd<V: SimdF32>(a: f32, b: f32, acc: f32) -> f32 {
+pub(super) fn scalar_madd<V: TileLanes>(a: f32, b: f32, acc: f32) -> f32 {
     if V::FUSED {
         a.mul_add(b, acc)
     } else {

@@ -1,4 +1,6 @@
-//! The x86-64 implementation of [`SimdF32`]: [`F32x8`] (AVX2 + FMA).
+//! The x86-64 vector types: [`F32x8`] (AVX2 + FMA), which implements
+//! [`SimdF32`], and [`F32x16`] (AVX-512F), which implements only the
+//! register tile's [`TileLanes`].
 //!
 //! A thin `#[repr(transparent)]` wrapper over the architectural register
 //! type with `#[inline(always)]` methods, so when a generic kernel from
@@ -9,22 +11,24 @@
 //! # Safety
 //!
 //! Every method lowers to `core::arch::x86_64` intrinsics that need AVX2
-//! and FMA, so [`F32x8`] must only be instantiated after
-//! [`super::cpu_supports`](super::cpu_supports) has confirmed them (the
-//! dispatchers in [`super::kernels`] are the single place that does this).
+//! and FMA (and AVX-512F for [`F32x16`]), so each type must only be
+//! instantiated after [`super::cpu_supports`](super::cpu_supports) has
+//! confirmed its backend (the dispatchers in [`super::kernels`] are the
+//! single place that does this).
 
 use core::arch::x86_64::*;
 
-use super::vec::SimdF32;
+use super::vec::{SimdF32, TileLanes};
 
 /// Eight `f32` lanes in a `ymm` register (AVX2 + FMA).
 #[derive(Copy, Clone)]
 #[repr(transparent)]
 pub(super) struct F32x8(__m256);
 
-impl SimdF32 for F32x8 {
+impl TileLanes for F32x8 {
     const LANES: usize = 8;
     const FUSED: bool = true;
+    type Half = F32x8;
 
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {
@@ -40,6 +44,15 @@ impl SimdF32 for F32x8 {
         debug_assert!(dst.len() >= 8);
         _mm256_storeu_ps(dst.as_mut_ptr(), self.0)
     }
+    #[inline(always)]
+    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self {
+        // Fused: a·b+acc in a single rounding. The one place the AVX2
+        // backend's bits diverge from the scalar oracle.
+        F32x8(_mm256_fmadd_ps(self.0, b.0, acc.0))
+    }
+}
+
+impl SimdF32 for F32x8 {
     #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
         F32x8(_mm256_add_ps(self.0, o.0))
@@ -59,12 +72,6 @@ impl SimdF32 for F32x8 {
     #[inline(always)]
     unsafe fn max(self, o: Self) -> Self {
         F32x8(_mm256_max_ps(self.0, o.0))
-    }
-    #[inline(always)]
-    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self {
-        // Fused: a·b+acc in a single rounding. The one place the AVX2
-        // backend's bits diverge from the scalar oracle.
-        F32x8(_mm256_fmadd_ps(self.0, b.0, acc.0))
     }
     #[inline(always)]
     unsafe fn and_bits(self, o: Self) -> Self {
@@ -99,5 +106,36 @@ impl SimdF32 for F32x8 {
         let t = _mm_add_ps(s, hi); // [s0+s2, s1+s3, ..]
         let t1 = _mm_shuffle_ps::<0b01>(t, t); // lane0 = s1+s3
         _mm_cvtss_f32(_mm_add_ss(t, t1))
+    }
+}
+
+/// Sixteen `f32` lanes in a `zmm` register (AVX-512F). Only the register
+/// tile runs it; its multiply-add rounds like [`F32x8`]'s, once per term.
+#[derive(Copy, Clone)]
+#[repr(transparent)]
+pub(super) struct F32x16(__m512);
+
+impl TileLanes for F32x16 {
+    const LANES: usize = 16;
+    const FUSED: bool = true;
+    type Half = F32x8;
+
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        F32x16(_mm512_set1_ps(v))
+    }
+    #[inline(always)]
+    unsafe fn load(src: &[f32]) -> Self {
+        debug_assert!(src.len() >= 16);
+        F32x16(_mm512_loadu_ps(src.as_ptr()))
+    }
+    #[inline(always)]
+    unsafe fn store(self, dst: &mut [f32]) {
+        debug_assert!(dst.len() >= 16);
+        _mm512_storeu_ps(dst.as_mut_ptr(), self.0)
+    }
+    #[inline(always)]
+    unsafe fn mul_add_fast(self, b: Self, acc: Self) -> Self {
+        F32x16(_mm512_fmadd_ps(self.0, b.0, acc.0))
     }
 }

@@ -293,6 +293,7 @@ impl Tape {
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Result<Var> {
         self.check(a)?;
+        let _prof = lightts_obs::prof::scope("relu.fwd");
         let v = self.nodes[a.0].value.relu();
         let rg = self.rg(a);
         Ok(self.push(v, Op::Relu(a.0), rg))
@@ -330,6 +331,7 @@ impl Tape {
             });
         }
         let c = bv.len();
+        let _prof = lightts_obs::prof::scope("bias.fwd");
         let v = match xv.rank() {
             2 => {
                 if xv.dims()[1] != c {
@@ -406,6 +408,7 @@ impl Tape {
             }
             c_total += t.dims()[1];
         }
+        let _prof = lightts_obs::prof::scope("concat.fwd");
         let mut out = pool::take_zeroed(b * c_total * l);
         for bi in 0..b {
             let mut c_off = 0usize;
@@ -431,6 +434,7 @@ impl Tape {
             return Err(TensorError::RankMismatch { found: xv.rank(), expected: 3, op: "gap" });
         }
         let (b, c, l) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
+        let _prof = lightts_obs::prof::scope("gap.fwd");
         let mut out = pool::take_zeroed(b * c);
         for bi in 0..b {
             for ci in 0..c {
@@ -446,6 +450,7 @@ impl Tape {
     /// Row-wise log-softmax.
     pub fn log_softmax(&mut self, x: Var) -> Result<Var> {
         self.check(x)?;
+        let _prof = lightts_obs::prof::scope("log_softmax.fwd");
         let v = self.nodes[x.0].value.log_softmax_rows()?;
         let rg = self.rg(x);
         Ok(self.push(v, Op::LogSoftmax(x.0), rg))
@@ -485,6 +490,7 @@ impl Tape {
         if targets.len() != b {
             return Err(TensorError::LengthMismatch { len: targets.len(), expected: b });
         }
+        let _prof = lightts_obs::prof::scope("nll.fwd");
         let mut acc = 0.0f32;
         for (bi, &t) in targets.iter().enumerate() {
             if t >= k {
@@ -523,6 +529,7 @@ impl Tape {
             });
         }
         let b = lp.dims()[0];
+        let _prof = lightts_obs::prof::scope("kl.fwd");
         let mut acc = 0.0f32;
         for (&qv, &lpv) in q.data().iter().zip(lp.data().iter()) {
             if qv > 0.0 {
@@ -559,6 +566,7 @@ impl Tape {
     /// gradients (the backward rule is the identity).
     pub fn fake_quant(&mut self, x: Var, bits: u8) -> Result<Var> {
         self.check(x)?;
+        let _prof = lightts_obs::prof::scope("fake_quant.fwd");
         let v = fake_quantize(&self.nodes[x.0].value, bits)?;
         let rg = self.rg(x);
         Ok(self.push(v, Op::FakeQuant { x: x.0, bits }, rg))
@@ -598,6 +606,7 @@ impl Tape {
                 op: "batch_norm",
             });
         }
+        let _prof = lightts_obs::prof::scope("bn.fwd");
         let m = (b * l) as f32;
         let mut mean = vec![0.0f32; c];
         let mut var = vec![0.0f32; c];
@@ -696,6 +705,7 @@ impl Tape {
         grads: &mut [Option<Tensor>],
     ) -> Result<()> {
         let node = &self.nodes[id];
+        let _prof = backward_scope(&node.op).map(lightts_obs::prof::scope);
         match &node.op {
             Op::Leaf => {}
             Op::Add(a, b) => {
@@ -914,6 +924,23 @@ impl Tape {
         }
         Ok(())
     }
+}
+
+/// The profiler scope of an op's backward rule, for the ops whose kernels
+/// open none of their own (the conv and matmul kernels do).
+fn backward_scope(op: &Op) -> Option<&'static str> {
+    Some(match op {
+        Op::Relu(_) => "relu.bwd",
+        Op::AddBias { .. } => "bias.bwd",
+        Op::ConcatChannels(_) => "concat.bwd",
+        Op::Gap(_) => "gap.bwd",
+        Op::LogSoftmax(_) => "log_softmax.bwd",
+        Op::NllMean { .. } => "nll.bwd",
+        Op::KlToTarget { .. } => "kl.bwd",
+        Op::FakeQuant { .. } => "fake_quant.bwd",
+        Op::BatchNorm { .. } => "bn.bwd",
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

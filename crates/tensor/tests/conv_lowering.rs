@@ -10,8 +10,9 @@
 //! independently of the tile's layout — the forward chained over
 //! `(ci, j)`; the input gradient chained over `(co, j')` for the flipped
 //! tap `j' = k−1−j`, with `pr` zeros on the left; one chain over `(b, t)`
-//! per weight. This covers AVX2, where the golden training fixture
-//! (scalar) cannot see the bits. Agreement with the math is checked
+//! per weight. This covers AVX2 and AVX-512, where the golden training
+//! fixture (scalar) cannot see the bits; both slab references run the same
+//! AVX2 `gemm_row`, so the AVX-512 passes must also give the AVX2 bits. Agreement with the math is checked
 //! separately, against f64 brute-force references and finite
 //! differences, in `kernel_reference.rs`.
 //!
@@ -140,7 +141,9 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) {
 
 /// `cout` runs through every remainder of the 6-row tile; `(l, k)` covers
 /// `k = 1`, even `k`, `k > l`, the student's kernel lengths and lengths
-/// that are not multiples of 8 or 16; `cin` and `b` cycle through 1..=3.
+/// that are not multiples of 8 or 16 (the weight gradient pads `k` to 16
+/// columns under AVX-512 and to 8 otherwise); `cin` and `b` cycle through
+/// 1..=3.
 /// Zeros: scattered in `w` and `dy`, a whole output channel of `w`, every
 /// weight at `j = 1` (so whole tile steps are skipped in the forward and
 /// input gradient), and whole time steps of `dy` (skipped steps in the
@@ -149,15 +152,24 @@ fn assert_bits(got: &[f32], want: &[f32], what: &str) {
 fn lowered_passes_match_slab_references_bitwise_on_every_backend() {
     let _guard = backend_lock();
     let before = backend();
-    let backends =
-        [SimdBackend::Scalar, SimdBackend::Avx2].into_iter().filter(|&bk| cpu_supports(bk));
+    let backends = [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512]
+        .into_iter()
+        .filter(|&bk| cpu_supports(bk));
     for bk in backends {
         assert_eq!(set_simd_backend(bk), bk);
         for cout in 1..=13usize {
-            for (case, &(l, k)) in
-                [(13usize, 1usize), (13, 16), (5, 40), (29, 4), (64, 10), (19, 40), (70, 5)]
-                    .iter()
-                    .enumerate()
+            for (case, &(l, k)) in [
+                (13usize, 1usize),
+                (13, 16),
+                (5, 40),
+                (29, 4),
+                (64, 10),
+                (19, 40),
+                (70, 5),
+                (48, 20),
+            ]
+            .iter()
+            .enumerate()
             {
                 let (b, cin) = (1 + (cout + case) % 3, 1 + (cout + 2 * case) % 3);
                 let seed = (cout * 31 + case) as u32;

@@ -5,20 +5,23 @@
 //! (`docs/NUMERICS.md`, "Quantized inference"), so unlike the f32 suites
 //! these properties demand **exact equality**:
 //!
-//! * on both forced backends, the tile run as a "same" convolution equals
+//! * on every forced backend, the tile run as a "same" convolution equals
 //!   an i64 brute-force convolution bit for bit (the i64 reference also
 //!   proves the i32 accumulator never wraps on supported shapes), across
 //!   remainder columns and rows, odd and even filter lengths, reductions
 //!   past 512 products and extreme codes;
+//! * the 512-bit tile equals the 256-bit one on every column count from 1
+//!   to 70, with strided `a` and offset `b`, and rejects the same layouts;
 //! * quantize→dequantize round-trips stay within half a quantization step;
 //! * the quantized conv driver equals a direct integer convolution with
 //!   explicit zero-point padding.
 
-use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QuantizedMatrix};
-use lightts_tensor::simd::{i16_pair, qgemm_tile_with, SimdBackend, Tile};
+use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QFilters, QuantizedMatrix};
+use lightts_tensor::simd::{cpu_supports, i16_pair, qgemm_tile_with, SimdBackend, Tile};
 use proptest::prelude::*;
 
-const BACKENDS: [SimdBackend; 2] = [SimdBackend::Scalar, SimdBackend::Avx2];
+/// Every backend; one the CPU cannot run repeats the scalar oracle.
+const BACKENDS: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512];
 
 /// The "same" convolution on [`qgemm_tile_with`], with the operands laid
 /// out here from first principles: filter tap pairs `(w[2m], w[2m+1])`
@@ -64,7 +67,7 @@ fn conv_on_tile(
     out
 }
 
-/// Requires [`conv_on_tile`] to equal [`qconv_ref`] on both backends.
+/// Requires [`conv_on_tile`] to equal [`qconv_ref`] on every backend.
 #[allow(clippy::too_many_arguments)]
 fn assert_tile_conv_exact(
     qw: &[i8],
@@ -202,11 +205,12 @@ proptest! {
         };
         let wsrc: Vec<f32> = (0..cout * cin * k).map(|_| f32::from(next()) / 16.0).collect();
         let w = QuantizedMatrix::quantize_rows_symmetric(&wsrc, cout, cin * k).unwrap();
+        let w = QFilters::new(w, k).unwrap();
         let qx: Vec<i8> = (0..cin * l).map(|_| next()).collect();
         let mut out = vec![0i32; cout * l];
         let mut pairs = Vec::new();
-        qconv1d_same_into(&mut out, &mut pairs, &qx, cin, l, &w, k, pad).unwrap();
-        let want = qconv_ref(w.data(), &qx, cout, cin, l, k, pad);
+        qconv1d_same_into(&mut out, &mut pairs, &qx, cin, l, &w, pad).unwrap();
+        let want = qconv_ref(w.weight().data(), &qx, cout, cin, l, k, pad);
         for (i, (&got, &exp)) in out.iter().zip(&want).enumerate() {
             prop_assert!(i64::from(got) == exp, "elem {}: {} vs {}", i, got, exp);
         }
@@ -240,6 +244,64 @@ fn tile_conv_is_exact_on_extreme_codes() {
     }
 }
 
+/// The 512-bit tile equals the 256-bit one, and both the scalar oracle:
+/// every column count from 1 to 70 (whole 64-column `zmm` tiles, three,
+/// two or one left-over `zmm` vectors, a `ymm` vector and single lanes),
+/// rows 1 to 13, strided `a` rows (`lda > k`) and offset `b` rows (pairs
+/// read with `b_step` 2, jumping per run), on a non-zero `c`.
+#[test]
+fn qgemm_avx512_equals_avx2_on_every_column_count() {
+    if !cpu_supports(SimdBackend::Avx512) {
+        eprintln!("qgemm_avx512_equals_avx2_on_every_column_count: no AVX-512F/BW, skipped");
+        return;
+    }
+    let pairs = |n: usize, seed: u64| -> Vec<i32> {
+        let c = codes(2 * n, seed);
+        c.chunks_exact(2).map(|p| i16_pair(p[0], p[1])).collect()
+    };
+    for rows in 1..=13usize {
+        for n in 1..=70usize {
+            let (k, b_run) = (6usize, 3usize);
+            let (lda, ldc, b_jump) = (k + 2, n + 3, 2 * (b_run - 1) + n + 4);
+            let t = Tile { rows, k, n, ldc, lda, b_step: 2, b_run, b_jump };
+            let a = pairs(rows * lda, (rows * 97 + n) as u64);
+            let b = pairs(k / b_run * b_jump, n as u64);
+            let c: Vec<i32> = codes(rows * ldc, 5).into_iter().map(i32::from).collect();
+            let run = |bk| {
+                let mut out = c.clone();
+                qgemm_tile_with(bk, &mut out, &a, &b, &t);
+                out
+            };
+            let wide = run(SimdBackend::Avx512);
+            assert_eq!(wide, run(SimdBackend::Avx2), "avx512 vs avx2 {t:?}");
+            assert_eq!(wide, run(SimdBackend::Scalar), "avx512 vs scalar {t:?}");
+        }
+    }
+}
+
+/// The integer tile shares the f32 tile's up-front layout check: on every
+/// backend, and on a 70-column layout that runs every column path of the
+/// 512-bit tile, a layout one element past an operand panics.
+#[test]
+fn qgemm_rejects_layouts_past_its_operands() {
+    let wide = Tile { rows: 7, k: 5, n: 70, ldc: 70, lda: 5, b_step: 70, b_run: 5, b_jump: 0 };
+    let (c, a, b) = (490usize, 35usize, 350usize);
+    let runs = |bk: SimdBackend, c: usize, a: usize, b: usize, t: Tile| {
+        std::panic::catch_unwind(move || {
+            qgemm_tile_with(bk, &mut vec![0; c], &vec![1; a], &vec![1; b], &t)
+        })
+        .is_ok()
+    };
+    for bk in BACKENDS {
+        assert!(runs(bk, c, a, b, wide));
+        assert!(!runs(bk, c - 1, a, b, wide), "c too short");
+        assert!(!runs(bk, c, a - 1, b, wide), "a too short");
+        assert!(!runs(bk, c, a, b - 1, wide), "b too short");
+        assert!(!runs(bk, c, a, b, Tile { b_run: 2, ..wide }), "k not a multiple of b_run");
+        assert!(!runs(bk, c, a, b, Tile { ldc: 69, ..wide }), "overlapping rows of c");
+    }
+}
+
 /// Non-proptest spot check: a padded position dequantizes to exactly 0.0
 /// through the zero-point correction (the property that makes "same"
 /// padding exact in the quantized plan).
@@ -256,7 +318,8 @@ fn zero_point_padding_cancels_exactly() {
     aq.quantize_into(&data, &mut qx);
     let mut out = vec![0i32; 2];
     let mut pairs = Vec::new();
-    qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 2, &w, 3, aq.zero_point).unwrap();
+    let filters = QFilters::new(w.clone(), 3).unwrap();
+    qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 2, &filters, aq.zero_point).unwrap();
     // f32 reference conv over the *dequantized* codes with literal zero
     // padding.
     let deq: Vec<f32> = qx.iter().map(|&q| aq.dequantize(q)).collect();

@@ -1,20 +1,22 @@
 //! Differential tests for the SIMD backend layer (`lightts_tensor::simd`).
 //!
 //! Every dispatched kernel has a scalar oracle (`SimdBackend::Scalar`) and
-//! one vector instantiation (AVX2+FMA). `docs/NUMERICS.md`
-//! sorts the kernels into three determinism classes; this suite checks each
-//! class's claim, via the `*_with` kernel variants so backends can be
-//! compared concurrently from many test threads without touching the
-//! process-wide toggle:
+//! an AVX2+FMA instantiation; the register tile also has an AVX-512 one,
+//! and every other kernel runs its AVX2 code under `SimdBackend::Avx512`.
+//! `docs/NUMERICS.md` sorts the kernels into three determinism classes;
+//! this suite checks each class's claim, via the `*_with` kernel variants
+//! so backends can be compared concurrently from many test threads without
+//! touching the process-wide toggle:
 //!
 //! 1. **Backend-invariant kernels** (element-wise ops, exponentials,
 //!    striped reductions, `log_softmax_row`) must agree *bitwise* across
-//!    scalar and AVX2 on every shape — including remainder lanes,
+//!    scalar, AVX2 and AVX-512 on every shape — including remainder lanes,
 //!    empty and single-element inputs — and on NaN/±inf/±0 specials.
 //! 2. **FMA-sensitive kernels** (`gemm_row`, `gemm_tile`) must be bitwise
 //!    identical between the scalar oracle and an unfused reference, and
-//!    between AVX2 and a scalar reference that uses `f32::mul_add` (both
-//!    fused, same accumulation order).
+//!    between each vector backend and a scalar reference that uses
+//!    `f32::mul_add` (both fused, same accumulation order). The 512-bit
+//!    tile must give the 256-bit tile's bits on every shape.
 //! 3. The `vec_exp` approximation must stay within its documented ULP
 //!    budget of the correctly rounded result (≤ 2 ULP over the tested
 //!    range; the measured worst case is 1).
@@ -30,10 +32,18 @@ use lightts_tensor::simd::{
 };
 use proptest::prelude::*;
 
-/// Both backends; `*_with` runs a request the CPU cannot run on scalar, so
-/// on a host without AVX2+FMA the AVX2 entries repeat the (already
-/// covered) scalar comparisons rather than failing.
-const BACKENDS: [SimdBackend; 2] = [SimdBackend::Scalar, SimdBackend::Avx2];
+/// Every backend; `*_with` runs a request the CPU cannot run on scalar,
+/// so on a host without AVX2+FMA (or AVX-512) those entries repeat the
+/// (already covered) scalar comparisons rather than failing.
+const BACKENDS: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512];
+
+/// The vector backends, each compared against the scalar oracle.
+const VECTOR: [SimdBackend; 2] = [SimdBackend::Avx2, SimdBackend::Avx512];
+
+/// Whether `*_with(bk, …)` fuses its multiply-adds on this host.
+fn fuses(bk: SimdBackend) -> bool {
+    bk != SimdBackend::Scalar && cpu_supports(bk)
+}
 
 /// Lengths that hit every remainder-lane case for 8-wide vectors.
 const EDGE_LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33];
@@ -86,21 +96,26 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
 // Class 1: backend-invariant kernels, bitwise across both backends
 // ---------------------------------------------------------------------
 
-/// Runs an in-place kernel under AVX2 and asserts the output is bitwise
-/// identical to the scalar oracle's.
+/// Runs an in-place kernel under each vector backend and asserts the
+/// output is bitwise identical to the scalar oracle's.
 fn check_invariant_inplace(xs: &[f32], what: &str, f: impl Fn(SimdBackend, &mut [f32])) {
     let mut oracle = xs.to_vec();
     f(SimdBackend::Scalar, &mut oracle);
-    let mut out = xs.to_vec();
-    f(SimdBackend::Avx2, &mut out);
-    assert_bits_eq(&out, &oracle, &format!("{what} [avx2]"));
+    for bk in VECTOR {
+        let mut out = xs.to_vec();
+        f(bk, &mut out);
+        assert_bits_eq(&out, &oracle, &format!("{what} [{}]", bk.name()));
+    }
 }
 
 /// Same for scalar-returning reductions.
 fn check_invariant_reduce(xs: &[f32], what: &str, f: impl Fn(SimdBackend, &[f32]) -> f32) {
     let oracle = f(SimdBackend::Scalar, xs);
-    let got = f(SimdBackend::Avx2, xs);
-    assert_eq!(got.to_bits(), oracle.to_bits(), "{what} [avx2]: {got:?} != {oracle:?}");
+    for bk in VECTOR {
+        let got = f(bk, xs);
+        let name = bk.name();
+        assert_eq!(got.to_bits(), oracle.to_bits(), "{what} [{name}]: {got:?} != {oracle:?}");
+    }
 }
 
 #[test]
@@ -171,13 +186,12 @@ fn reductions_match_serial_sum_for_short_inputs() {
     for n in 0..8usize {
         let xs = vec_data(n, 5);
         let serial: f32 = xs.iter().fold(0.0, |a, &b| a + b);
-        assert_eq!(reduce_sum_with(SimdBackend::Avx2, &xs).to_bits(), serial.to_bits(), "n={n}");
         let serial_sq: f32 = xs.iter().fold(0.0, |a, &b| a + b * b);
-        assert_eq!(
-            reduce_sum_sq_with(SimdBackend::Avx2, &xs).to_bits(),
-            serial_sq.to_bits(),
-            "sq n={n}"
-        );
+        for bk in VECTOR {
+            assert_eq!(reduce_sum_with(bk, &xs).to_bits(), serial.to_bits(), "n={n} {bk:?}");
+            let sq = reduce_sum_sq_with(bk, &xs);
+            assert_eq!(sq.to_bits(), serial_sq.to_bits(), "sq n={n} {bk:?}");
+        }
     }
 }
 
@@ -221,11 +235,7 @@ fn gemm_row_honours_per_backend_fma_contract() {
         for bk in BACKENDS {
             let mut c = seed_c.clone();
             gemm_row_with(bk, &mut c, &a, &b, k, n);
-            let want = if bk == SimdBackend::Avx2 && cpu_supports(SimdBackend::Avx2) {
-                &fused
-            } else {
-                &unfused
-            };
+            let want = if fuses(bk) { &fused } else { &unfused };
             assert_bits_eq(&c, want, &format!("gemm_row k={k} n={n} [{}]", bk.name()));
         }
     }
@@ -295,26 +305,69 @@ fn gemm_tile_matches_gemm_row_per_backend() {
     }
 }
 
+/// The 512-bit tile gives the 256-bit tile's bits: every column count
+/// from 1 to 70 (whole 64-column `zmm` tiles, one tile of three, two or
+/// one left-over `zmm` vectors, a `ymm` vector and single columns), every
+/// row count of one and two 6-row blocks and a remainder, strided `a` rows
+/// and offset-addressed `b` rows (sliding windows jumping per run) as well
+/// as dense ones, on a non-zero `c`, with zeros in `a` so that some steps
+/// are skipped and others add `±0.0` terms.
+#[test]
+fn gemm_tile_avx512_gives_the_avx2_bits() {
+    if !cpu_supports(SimdBackend::Avx512) {
+        eprintln!("gemm_tile_avx512_gives_the_avx2_bits: no AVX-512F/BW on this CPU, skipped");
+        return;
+    }
+    for rows in 1..=13usize {
+        for n in 1..=70usize {
+            for (k, runs) in [(1usize, 1usize), (6, 2), (9, 3)] {
+                let (lda, ldc, b_jump) = (k + 3, n + 5, n + k / runs + 1);
+                let offset = Tile { rows, k, n, ldc, lda, b_step: 1, b_run: k / runs, b_jump };
+                let dense = Tile { b_step: n, b_run: k, b_jump: 0, ..offset };
+                let mut a = vec_data(rows * lda, (rows * 71 + n) as u32);
+                for (i, v) in a.iter_mut().enumerate() {
+                    if i % lda == 1 || i % 7 == 3 {
+                        *v = 0.0;
+                    }
+                }
+                let b = vec_data(runs * b_jump + k * n, (n * 13 + k) as u32);
+                let c = vec_data(rows * ldc, 7);
+                for t in [offset, dense] {
+                    let mut wide = c.clone();
+                    gemm_tile_with(SimdBackend::Avx512, &mut wide, &a, &b, &t);
+                    let mut narrow = c.clone();
+                    gemm_tile_with(SimdBackend::Avx2, &mut narrow, &a, &b, &t);
+                    assert_bits_eq(&wide, &narrow, &format!("avx512 vs avx2 {t:?}"));
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn gemm_tile_rejects_layouts_past_its_operands() {
     // The tile loads `a` and `b` unchecked past one up-front check of the
     // layout; a layout reaching one element too far, or overflowing, must
-    // panic instead.
-    let t = Tile { rows: 2, k: 3, n: 4, ldc: 4, lda: 3, b_step: 4, b_run: 3, b_jump: 0 };
+    // panic instead. The wide layout (70 columns over 7 rows) runs every
+    // column path of the 512-bit tile.
+    let narrow = Tile { rows: 2, k: 3, n: 4, ldc: 4, lda: 3, b_step: 4, b_run: 3, b_jump: 0 };
+    let wide = Tile { rows: 7, k: 5, n: 70, ldc: 70, lda: 5, b_step: 70, b_run: 5, b_jump: 0 };
     let runs = |bk: SimdBackend, c: usize, a: usize, b: usize, t: Tile| {
         std::panic::catch_unwind(move || {
             gemm_tile_with(bk, &mut vec![0.0; c], &vec![1.0; a], &vec![1.0; b], &t)
         })
         .is_ok()
     };
-    for bk in BACKENDS {
-        assert!(runs(bk, 8, 6, 12, t));
-        assert!(!runs(bk, 7, 6, 12, t), "c too short");
-        assert!(!runs(bk, 8, 5, 12, t), "a too short");
-        assert!(!runs(bk, 8, 6, 11, t), "b too short");
-        assert!(!runs(bk, 8, 6, 12, Tile { b_step: usize::MAX / 2, ..t }), "overflow");
-        assert!(!runs(bk, 8, 6, 12, Tile { b_run: 2, ..t }), "k not a multiple of b_run");
-        assert!(!runs(bk, 8, 6, 12, Tile { ldc: 3, ..t }), "overlapping rows of c");
+    for (t, c, a, b) in [(narrow, 8, 6, 12), (wide, 490, 35, 350)] {
+        for bk in BACKENDS {
+            assert!(runs(bk, c, a, b, t));
+            assert!(!runs(bk, c - 1, a, b, t), "c too short");
+            assert!(!runs(bk, c, a - 1, b, t), "a too short");
+            assert!(!runs(bk, c, a, b - 1, t), "b too short");
+            assert!(!runs(bk, c, a, b, Tile { b_step: usize::MAX / 2, ..t }), "overflow");
+            assert!(!runs(bk, c, a, b, Tile { b_run: 2, ..t }), "k not a multiple of b_run");
+            assert!(!runs(bk, c, a, b, Tile { ldc: t.n - 1, ..t }), "overlapping rows of c");
+        }
     }
 }
 
@@ -403,21 +456,24 @@ proptest! {
 
 #[test]
 fn set_simd_backend_clamps_and_installs() {
-    let native = set_simd_backend(SimdBackend::Avx2);
-    assert!(cpu_supports(native), "installed backend must be runnable");
-    if !cpu_supports(SimdBackend::Avx2) {
-        assert!(native < SimdBackend::Avx2, "unsupported request clamps down");
+    let before = lightts_tensor::simd::backend();
+    for bk in BACKENDS {
+        let installed = set_simd_backend(bk);
+        assert!(cpu_supports(installed), "installed backend must be runnable");
+        let want = if cpu_supports(bk) { bk } else { SimdBackend::Scalar };
+        assert_eq!(installed, want, "request {bk:?}");
+        assert_eq!(lightts_tensor::simd::backend(), installed);
     }
-    assert_eq!(set_simd_backend(SimdBackend::Scalar), SimdBackend::Scalar);
-    assert_eq!(lightts_tensor::simd::backend(), SimdBackend::Scalar);
-    // Restore native detection for any later test in this binary.
-    set_simd_backend(native);
-    assert_eq!(lightts_tensor::simd::backend(), native);
+    // Restore the resolution for any later test in this binary.
+    set_simd_backend(before);
+    assert_eq!(lightts_tensor::simd::backend(), before);
 }
 
 #[test]
 fn backend_names_are_stable() {
     assert_eq!(SimdBackend::Scalar.name(), "scalar");
     assert_eq!(SimdBackend::Avx2.name(), "avx2");
+    assert_eq!(SimdBackend::Avx512.name(), "avx512");
     assert!(SimdBackend::Scalar < SimdBackend::Avx2);
+    assert!(SimdBackend::Avx2 < SimdBackend::Avx512);
 }
