@@ -5,8 +5,8 @@
 //! oracle), resolved once per process:
 //! 1. [`set_simd_backend`] — explicit override (scalar if the CPU cannot
 //!    run it);
-//! 2. the `LIGHTTS_SIMD` environment variable (`avx512`/`avx2`/`scalar`);
-//! 3. runtime CPU feature detection.
+//! 2. the `LIGHTTS_SIMD` environment variable (`avx2`/`scalar`);
+//! 3. runtime CPU feature detection, the only way to AVX-512.
 //!
 //! The backend *can* change result bits — but only for the FMA-fused
 //! GEMM/convolution family, only between scalar and the fused backends

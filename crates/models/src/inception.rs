@@ -430,7 +430,7 @@ impl InceptionTime {
     /// accuracy loss.
     pub fn compile_quantized(&self) -> Result<crate::qinference::QuantizedPlan> {
         use crate::qinference::{QPlanBlock, QPlanConv, QPlanWeights, QuantizedPlan};
-        use lightts_tensor::qint::{QFilters, QuantizedMatrix};
+        use lightts_tensor::qint::QuantizedMatrix;
         for (i, block) in self.blocks.iter().enumerate() {
             for conv in &block.convs {
                 if conv.bits() > 8 {
@@ -465,8 +465,7 @@ impl InceptionTime {
                 let (w, b) = conv.quantized_params(&self.store)?;
                 let (filters, cin, k) = (w.dims()[0], w.dims()[1], w.dims()[2]);
                 let weight = QuantizedMatrix::quantize_rows_symmetric(w.data(), filters, cin * k)?;
-                let filters = QFilters::new(weight, k)?;
-                convs.push(QPlanConv { filters, bias: b.into_vec() });
+                convs.push(QPlanConv { weight, kernel: k, bias: b.into_vec() });
             }
             let (bn_scale, bn_shift) = block.bn.folded_affine(&self.store)?;
             blocks.push(QPlanBlock { convs, bn_scale, bn_shift });
@@ -487,7 +486,7 @@ impl InceptionTime {
         sp.record("classes", nc);
         Ok(QuantizedPlan::new(QPlanWeights {
             blocks,
-            fc: QPlanConv { filters: QFilters::new(weight, 1)?, bias: fb.into_vec() },
+            fc: QPlanConv { weight, kernel: 1, bias: fb.into_vec() },
             in_dims: self.config.in_dims,
             in_len: self.config.in_len,
             num_classes: nc,

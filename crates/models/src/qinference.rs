@@ -3,12 +3,12 @@
 //! [`QuantizedPlan`] is the deployment-side sibling of
 //! [`InferencePlan`](crate::inference::InferencePlan). Where the f32 plan
 //! hoists fake-quantized f32 weights, this plan stores every conv / FC
-//! weight as real `i8` codes with per-output-channel scales, their tap
-//! pairs packed once ([`QFilters`]), and executes the convolutions and the
-//! FC head in pure integer arithmetic on one kernel, [`qconv1d_same_into`]
-//! (`i8×i8→i32` on the integer register tile
-//! `lightts_tensor::simd::qgemm_tile`; the FC head is a 1×1 conv over
-//! `fc_in` channels of length 1), dequantizing once per layer.
+//! weight as real `i8` codes with per-output-channel scales
+//! ([`QuantizedMatrix`]) and executes the convolutions and the FC head in
+//! pure integer arithmetic on one kernel, [`qconv1d_same_into`] (`i8×i8→i32`
+//! on the integer register tile `lightts_tensor::simd::qgemm_tile`; the FC
+//! head is a 1×1 conv over `fc_in` channels of length 1), dequantizing once
+//! per layer.
 //!
 //! Per forward pass and per sample, activations are re-quantized
 //! dynamically: an [`ActQuant`] affine is fitted to each sample's activation
@@ -42,7 +42,7 @@
 use crate::plan::{bn_relu, check_input, ensure, global_avg_pool, plan_api, Scratch};
 use crate::Result;
 use lightts_obs::Histogram;
-use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QFilters};
+use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QuantizedMatrix};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,9 +50,10 @@ use std::time::Instant;
 /// conv over `fc_in` channels of length 1.
 #[derive(Debug)]
 pub(crate) struct QPlanConv {
-    /// Quantized filter bank, flattened `[filters, cin·kernel]`, with its
-    /// tap pairs packed at compile time.
-    pub(crate) filters: QFilters,
+    /// Quantized filter bank, flattened `[filters, cin·kernel]`.
+    pub(crate) weight: QuantizedMatrix,
+    /// Filter length.
+    pub(crate) kernel: usize,
     /// Bias in f32, one entry per output channel (added after dequant).
     pub(crate) bias: Vec<f32>,
 }
@@ -73,12 +74,12 @@ impl QPlanConv {
         pairs: &mut Vec<i32>,
         acc: &mut Vec<i32>,
     ) -> Result<()> {
-        let w = self.filters.weight();
+        let w = &self.weight;
         if acc.len() < w.rows() * l {
             acc.resize(w.rows() * l, 0);
         }
         let acc = &mut acc[..w.rows() * l];
-        qconv1d_same_into(acc, pairs, qx, cin, l, &self.filters, aq.zero_point)?;
+        qconv1d_same_into(acc, pairs, qx, cin, l, w, self.kernel, aq.zero_point)?;
         let zp = i32::from(aq.zero_point);
         for (ci, (o, a)) in dst.chunks_exact_mut(l).zip(acc.chunks_exact(l)).enumerate() {
             let s = aq.scale * w.scales()[ci];
@@ -120,7 +121,7 @@ struct QScratch {
     f32s: Scratch,
     /// One sample's quantized activation codes (grow-only).
     qx: Vec<i8>,
-    /// One conv's padded input as i16 pairs (grow-only).
+    /// One conv's i16 operand pairs, filters and padded input (grow-only).
     pairs: Vec<i32>,
     /// Integer accumulators for one sample's conv / FC output (grow-only).
     acc: Vec<i32>,
@@ -166,12 +167,11 @@ plan_api!(QuantizedPlan, QPlanWeights, "inference.forward_i8_ns");
 impl QuantizedPlan {
     /// Heap bytes of quantized weight storage (codes + per-channel
     /// metadata), the number compared against the f32 plan's `4 ·
-    /// parameter-count` in the README size table. The filters' packed tap
-    /// pairs, a compute copy of two bytes per code, are not counted.
+    /// parameter-count` in the README size table.
     pub fn weight_bytes(&self) -> usize {
         let w = &self.weights;
         let convs = w.blocks.iter().flat_map(|b| b.convs.iter()).chain([&w.fc]);
-        let conv: usize = convs.map(|c| c.filters.weight().size_bytes() + c.bias.len() * 4).sum();
+        let conv: usize = convs.map(|c| c.weight.size_bytes() + c.bias.len() * 4).sum();
         let bn: usize = w.blocks.iter().map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4).sum();
         conv + bn
     }
@@ -195,7 +195,7 @@ impl QuantizedPlan {
         scratch.a[..batch * cin * l].copy_from_slice(inputs);
 
         for block in &w.blocks {
-            let filters = block.convs[0].filters.weight().rows();
+            let filters = block.convs[0].weight.rows();
             let c_total = block.convs.len() * filters;
             ensure(&mut scratch.b, batch * c_total * l);
             for bi in 0..batch {
@@ -356,7 +356,7 @@ mod tests {
         // must undercut that by at least 2× even on this tiny model
         // (larger models approach the full 4×).
         let convs = || w.blocks.iter().flat_map(|b| b.convs.iter()).chain([&w.fc]);
-        let codes: usize = convs().map(|c| c.filters.weight().data().len()).sum();
+        let codes: usize = convs().map(|c| c.weight.data().len()).sum();
         let aux: usize =
             w.blocks.iter().map(|b| (b.bn_scale.len() + b.bn_shift.len()) * 4).sum::<usize>()
                 + convs().map(|c| c.bias.len() * 4).sum::<usize>();

@@ -104,7 +104,7 @@
 //! | `LIGHTTS_OBS` | `lightts-obs` | unset/`0` (off), `1` (stderr), a file path, `memory` | span/event JSONL emission target; metrics are always on |
 //! | `LIGHTTS_FAILPOINTS` | `lightts-obs` | `name=action[@N\|%p]`, action `panic`/`err`, comma-separated | arms deterministic fault injection at named points (`serve.batch`, `serve.shard`, `trainer.epoch`, `mobo.trial`, `checkpoint.write`); `@N` fires once on the N-th hit, `%p` fires each hit with probability p (deterministic under the seed) |
 //! | `LIGHTTS_FAILPOINT_SEED` | `lightts-obs` | u64 (default `0x5EED`) | seed for `%p` probabilistic failpoint triggers — a fixed seed replays the exact kill schedule (CI chaos soak); overridden by [`failpoint::set_failpoint_seed`] |
-//! | `LIGHTTS_SIMD` | `lightts-tensor` (`simd`) | `avx512` / `avx2` / `scalar` (case-insensitive; any other value is ignored) | forces the SIMD backend; a request the CPU cannot run (`avx512` without AVX-512F/BW, `avx2` without AVX2+FMA) runs scalar; `avx512` and `avx2` give the same bits; overridden by `set_simd_backend`; see `docs/NUMERICS.md` |
+//! | `LIGHTTS_SIMD` | `lightts-tensor` (`simd`) | `avx2` / `scalar` (case-insensitive; any other value, `avx512` included, is ignored) | forces the SIMD backend; `avx2` keeps the 256-bit tiles on a host whose detection picks AVX-512 (both give the same bits); a request the CPU cannot run (`avx2` without AVX2+FMA) runs scalar; overridden by `set_simd_backend`; see `docs/NUMERICS.md` |
 //! | `LIGHTTS_BENCH_SMOKE` | `lightts-bench` | `1` | shrinks every criterion bench to a CI-sized compile-rot check |
 //! | `LIGHTTS_PROF` | `lightts-obs` (`prof`) | unset/`0`/`off`/`false` (off), anything else (on) | hierarchical profiler behind the permanent kernel/serve hooks; `GET /profilez` renders collapsed stacks; never changes bits |
 //! | `LIGHTTS_TELEMETRY_ADDR` | `lightts-obs` (`http`) | `host:port`, e.g. `127.0.0.1:9464` | the experiment binaries spawn the telemetry HTTP server here at startup ([`http::spawn_from_env`]) |

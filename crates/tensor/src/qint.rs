@@ -50,8 +50,7 @@ use crate::{Result, TensorError};
 pub const WEIGHT_QMAX: f32 = 127.0;
 
 /// An `i8` matrix with per-row symmetric quantization metadata, laid out
-/// row-major `[rows, k]` — a flattened filter bank, which [`QFilters`]
-/// packs for [`qconv1d_same_into`].
+/// row-major `[rows, k]` — the filter bank of [`qconv1d_same_into`].
 ///
 /// `rows` is the output-channel axis (conv filters, FC output features);
 /// `k` is the reduction axis (`cin·kernel` or `in_features`).
@@ -146,43 +145,6 @@ impl QuantizedMatrix {
     }
 }
 
-/// A quantized filter bank ready for [`qconv1d_same_into`]: the flattened
-/// `[cout, cin·kernel]` codes with their metadata, and each filter's taps
-/// packed once as i16 pairs `(w[2m], w[2m+1])`, with a zero partner past
-/// an odd `kernel` — the tile's `a` operand, `[cout, cin·⌈kernel/2⌉]`.
-///
-/// A compiled plan builds these once, so a conv call packs only its input.
-/// The pairs take two bytes per code on top of the codes themselves.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QFilters {
-    weight: QuantizedMatrix,
-    kernel: usize,
-    pairs: Vec<i32>,
-}
-
-impl QFilters {
-    /// Packs `weight`, a flattened `[cout, cin·kernel]` filter bank. Fails
-    /// unless `kernel` is non-zero and divides `weight.k()`.
-    pub fn new(weight: QuantizedMatrix, kernel: usize) -> Result<Self> {
-        if kernel == 0 || !weight.k().is_multiple_of(kernel) {
-            return Err(TensorError::LengthMismatch { len: weight.k(), expected: kernel });
-        }
-        let half = kernel.div_ceil(2);
-        let mut pairs = Vec::with_capacity(weight.k() / kernel * half * weight.rows());
-        for taps in weight.data().chunks_exact(kernel) {
-            let two = taps.chunks_exact(2);
-            let last = two.remainder().first().map(|&w| simd::i16_pair(w, 0));
-            pairs.extend(two.map(|tap| simd::i16_pair(tap[0], tap[1])).chain(last));
-        }
-        Ok(QFilters { weight, kernel, pairs })
-    }
-
-    /// The codes and their per-row metadata.
-    pub fn weight(&self) -> &QuantizedMatrix {
-        &self.weight
-    }
-}
-
 /// A fitted asymmetric activation quantizer: `x ≈ scale · (q − zero_point)`
 /// with codes in `[−128, 127]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -259,27 +221,28 @@ impl ActQuant {
 /// rest on the right.
 ///
 /// The tile reads the padded codes in place, two taps per step: each
-/// channel becomes one row of i16 pairs `(xpad[s], xpad[s+1])`, packed per
-/// call, against the filter pairs [`QFilters`] packed once, and tap pair
-/// `m` of output `t` is pair `t + 2m` of the row.
+/// channel becomes one row of i16 pairs `(xpad[s], xpad[s+1])`, each
+/// filter's taps the pairs `(w[2m], w[2m+1])` with a zero partner for odd
+/// `kernel`, and tap pair `m` of output `t` is pair `t + 2m` of the row.
 ///
-/// `w` must hold a `[cout, cin·kernel]` filter bank (the flattened conv
-/// weight), `qx` the quantized `[cin, l]` activation map, `pad` the
+/// `w` must be a `[cout, cin·kernel]` [`QuantizedMatrix`] (the flattened
+/// conv weight), `qx` the quantized `[cin, l]` activation map, `pad` the
 /// activation zero-point code. `pairs` is a caller-owned scratch buffer
-/// for the input's pairs, grown as needed and never shrunk; `out` must
+/// for both operands' pairs, grown as needed and never shrunk; `out` must
 /// hold `cout · l` elements. Integer-exact: bitwise identical on every
 /// SIMD backend.
+#[allow(clippy::too_many_arguments)]
 pub fn qconv1d_same_into(
     out: &mut [i32],
     pairs: &mut Vec<i32>,
     qx: &[i8],
     cin: usize,
     l: usize,
-    w: &QFilters,
+    w: &QuantizedMatrix,
+    kernel: usize,
     pad: i8,
 ) -> Result<()> {
-    let (kernel, wp, w) = (w.kernel, &w.pairs, &w.weight);
-    if cin == 0 || l == 0 {
+    if cin == 0 || l == 0 || kernel == 0 {
         return Err(TensorError::Empty { op: "qconv1d_same_into" });
     }
     if w.k() != cin * kernel {
@@ -295,10 +258,20 @@ pub fn qconv1d_same_into(
     let (pl, _pr) = crate::conv::same_padding(kernel);
     let (half, lp) = (kernel.div_ceil(2), l + kernel - 1);
     let steps = cin * half;
-    if pairs.len() < cin * lp {
-        pairs.resize(cin * lp, 0);
+    let need = w.rows() * steps + cin * lp;
+    if pairs.len() < need {
+        pairs.resize(need, 0);
     }
-    let xp = &mut pairs[..cin * lp];
+    let (wp, xp) = pairs[..need].split_at_mut(w.rows() * steps);
+    for (dst, taps) in wp.chunks_exact_mut(half).zip(w.data().chunks_exact(kernel)) {
+        let two = taps.chunks_exact(2);
+        if let [last] = two.remainder() {
+            dst[half - 1] = simd::i16_pair(*last, 0);
+        }
+        for (d, tap) in dst.iter_mut().zip(two) {
+            *d = simd::i16_pair(tap[0], tap[1]);
+        }
+    }
     let edge = simd::i16_pair(pad, pad);
     for (dst, row) in xp.chunks_exact_mut(lp).zip(qx.chunks_exact(l)) {
         let (head, rest) = dst.split_at_mut(pl);
@@ -418,24 +391,15 @@ mod tests {
     }
 
     #[test]
-    fn filters_reject_a_kernel_that_does_not_split_the_rows() {
-        let w = QuantizedMatrix::quantize_rows_symmetric(&[0.5; 12], 2, 6).unwrap();
-        assert!(QFilters::new(w.clone(), 0).is_err());
-        assert!(QFilters::new(w.clone(), 4).is_err());
-        assert!(QFilters::new(w, 3).is_ok());
-    }
-
-    #[test]
     fn qconv_matches_dequantized_f32_conv_on_identity() {
         // k=1 identity kernel: quantized conv must reproduce the quantized
         // input codes times the weight scale.
         let qx: Vec<i8> = vec![-3, 0, 5, 7];
         let w = QuantizedMatrix::quantize_rows_symmetric(&[1.0], 1, 1).unwrap();
-        let wq = i32::from(w.data()[0]);
-        let w = QFilters::new(w, 1).unwrap();
         let mut out = vec![0i32; 4];
         let mut pairs = Vec::new();
-        qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 4, &w, 0).unwrap();
+        qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 4, &w, 1, 0).unwrap();
+        let wq = i32::from(w.data()[0]);
         let want: Vec<i32> = qx.iter().map(|&q| i32::from(q) * wq).collect();
         assert_eq!(out, want);
     }

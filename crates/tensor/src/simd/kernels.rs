@@ -355,9 +355,8 @@ impl Tile {
 ///
 /// Rows are taken in blocks of up to [`TILE_ROWS`]; each block walks
 /// column tiles of `NV` vectors, then one tile of the whole vectors left,
-/// then one vector of [`TileLanes::Half`] (under AVX-512), then a scalar
-/// tail, keeping its accumulators in registers for the whole `k`
-/// reduction.
+/// then a scalar tail, keeping its accumulators in registers for the whole
+/// `k` reduction.
 /// Per output element the terms accumulate `k`-ascending, one
 /// [`TileLanes::mul_add_fast`] each, whatever the tiling. A step `p` is
 /// skipped when the block's `a` values are all zero; when only some are,
@@ -419,11 +418,6 @@ unsafe fn tile_rows<V: TileLanes, const NV: usize, const R: usize>(
         _ => tile_block::<V, 3, R>(c, a, b, t, j0),
     }
     j0 += left * w;
-    let h = V::Half::LANES;
-    if h < w && j0 + h <= t.n {
-        tile_block::<V::Half, 1, R>(c, a, b, t, j0);
-        j0 += h;
-    }
     while j0 < t.n {
         tile_column::<V, R>(c, a, b, t, j0);
         j0 += 1;

@@ -16,14 +16,16 @@
 //!
 //! 1. [`set_simd_backend`] — explicit programmatic override, wins over
 //!    everything, takes effect for subsequent kernel calls;
-//! 2. the `LIGHTTS_SIMD` environment variable (`avx512` | `avx2` |
-//!    `scalar`, case-insensitive; any other value is ignored);
+//! 2. the `LIGHTTS_SIMD` environment variable (`avx2` | `scalar`,
+//!    case-insensitive; any other value, `avx512` included, is ignored);
 //! 3. runtime CPU feature detection (AVX-512F+BW with AVX2+FMA →
 //!    [`SimdBackend::Avx512`], AVX2+FMA → [`SimdBackend::Avx2`], otherwise
 //!    scalar).
 //!
-//! A request the CPU cannot run resolves to scalar, so forcing
-//! `LIGHTTS_SIMD=avx512` on a host without AVX-512 is safe. On non-x86-64
+//! Avx512 is reached by detection (or [`set_simd_backend`]) only:
+//! `LIGHTTS_SIMD=avx2` keeps the 256-bit tiles on an AVX-512 host. A
+//! request the CPU cannot run resolves to scalar, so forcing
+//! `LIGHTTS_SIMD=avx2` on a host without AVX2 is safe. On non-x86-64
 //! targets every request resolves to scalar. [`cpu_supports`] reports what
 //! the host can actually run.
 //!
@@ -93,6 +95,7 @@ pub use kernels::{
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// A SIMD instruction-set backend for the f32 and integer kernels.
 ///
@@ -114,7 +117,7 @@ pub enum SimdBackend {
 
 impl SimdBackend {
     /// Stable lower-case name (`"scalar"` / `"avx2"` / `"avx512"`), as
-    /// accepted by `LIGHTTS_SIMD` and recorded in bench output.
+    /// recorded in bench output; `LIGHTTS_SIMD` accepts the first two.
     pub fn name(self) -> &'static str {
         match self {
             SimdBackend::Scalar => "scalar",
@@ -124,9 +127,10 @@ impl SimdBackend {
     }
 
     /// The backend a `LIGHTTS_SIMD` value names, case-insensitively;
-    /// `None` for any other value.
+    /// `None` for any other value. Avx512 has no value: detection alone
+    /// chooses it.
     fn parse(value: &str) -> Option<SimdBackend> {
-        [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Avx512]
+        [SimdBackend::Scalar, SimdBackend::Avx2]
             .into_iter()
             .find(|bk| value.eq_ignore_ascii_case(bk.name()))
     }
@@ -172,18 +176,21 @@ pub fn cpu_supports(bk: SimdBackend) -> bool {
     }
 }
 
-/// The most capable backend the CPU runs.
+/// The most capable backend the CPU runs, probed once per process.
 fn native() -> SimdBackend {
-    [SimdBackend::Avx512, SimdBackend::Avx2]
-        .into_iter()
-        .find(|&bk| cpu_supports(bk))
-        .unwrap_or(SimdBackend::Scalar)
+    static NATIVE: OnceLock<SimdBackend> = OnceLock::new();
+    *NATIVE.get_or_init(|| {
+        [SimdBackend::Avx512, SimdBackend::Avx2]
+            .into_iter()
+            .find(|&bk| cpu_supports(bk))
+            .unwrap_or(SimdBackend::Scalar)
+    })
 }
 
 /// The backend that runs for `request` on a CPU whose most capable
 /// backend is `native`. No request (`LIGHTTS_SIMD` unset or naming no
-/// backend) takes the native choice; a request the CPU cannot run resolves
-/// to scalar.
+/// backend it accepts) takes the native choice; a request the CPU cannot
+/// run resolves to scalar.
 fn resolve(request: Option<SimdBackend>, native: SimdBackend) -> SimdBackend {
     match request {
         None => native,
@@ -268,7 +275,7 @@ mod tests {
 
     #[test]
     fn sse2_is_an_unknown_value_and_takes_the_native_choice() {
-        for value in ["sse2", "SSE2", "Sse2", "", "avx", "neon"] {
+        for value in ["sse2", "SSE2", "Sse2", "", "avx512", "neon"] {
             assert_eq!(SimdBackend::parse(value), None, "{value:?}");
             for native in [Scalar, Avx2, Avx512] {
                 assert_eq!(resolve(SimdBackend::parse(value), native), native, "{value:?}");
@@ -278,9 +285,6 @@ mod tests {
 
     #[test]
     fn backend_names_parse_in_any_case() {
-        for value in ["avx512", "AVX512", "Avx512"] {
-            assert_eq!(SimdBackend::parse(value), Some(Avx512), "{value:?}");
-        }
         for value in ["avx2", "AVX2", "Avx2"] {
             assert_eq!(SimdBackend::parse(value), Some(Avx2), "{value:?}");
         }
@@ -291,7 +295,8 @@ mod tests {
 
     /// Every request against every CPU: no request takes the CPU's most
     /// capable backend, a request the CPU runs is honoured, and any other
-    /// request resolves to scalar.
+    /// request resolves to scalar. Avx512 is requested only through
+    /// `set_simd_backend` and the `*_with` kernels.
     #[test]
     fn a_request_the_cpu_cannot_run_resolves_to_scalar() {
         // (request, on a CPU without AVX2, AVX2-only, AVX-512)

@@ -64,10 +64,6 @@ fn madd_pairs(a: i32, b: i32) -> i32 {
 trait QLanes: Copy {
     /// Number of `i32` lanes.
     const LANES: usize;
-    /// The narrower vector that runs a tile's leftover columns once no
-    /// whole `Self` fits: the 256-bit type under the 512-bit one, `Self`
-    /// otherwise.
-    type Half: QLanes;
     /// Loads `LANES` consecutive values from the front of `src`.
     ///
     /// # Safety
@@ -86,7 +82,6 @@ struct ScalarI32(i32);
 
 impl QLanes for ScalarI32 {
     const LANES: usize = 1;
-    type Half = ScalarI32;
     #[inline(always)]
     unsafe fn load(src: &[i32]) -> Self {
         ScalarI32(src[0])
@@ -109,7 +104,6 @@ struct I32x8(__m256i);
 #[cfg(target_arch = "x86_64")]
 impl QLanes for I32x8 {
     const LANES: usize = 8;
-    type Half = I32x8;
     #[inline(always)]
     unsafe fn load(src: &[i32]) -> Self {
         debug_assert!(src.len() >= 8);
@@ -136,7 +130,6 @@ struct I32x16(__m512i);
 #[cfg(target_arch = "x86_64")]
 impl QLanes for I32x16 {
     const LANES: usize = 16;
-    type Half = I32x8;
     #[inline(always)]
     unsafe fn load(src: &[i32]) -> Self {
         debug_assert!(src.len() >= 16);
@@ -162,9 +155,8 @@ type I32x8 = ScalarI32;
 /// in `i32` elements): rows in blocks of up to [`QTILE_ROWS`], each block
 /// over every column with its accumulators in registers for the whole
 /// reduction. The columns go in tiles of `NV` vectors, then one tile of
-/// the whole vectors left, then one [`QLanes::Half`] vector, then single
-/// lanes. Integer sums are exact, so the width a column is computed at
-/// cannot show.
+/// the whole vectors left, then single lanes. Integer sums are exact, so
+/// the width a column is computed at cannot show.
 #[inline(always)]
 unsafe fn qgemm_tile_g<V: QLanes, const NV: usize>(c: &mut [i32], a: &[i32], b: &[i32], t: &Tile) {
     if t.rows == 0 || t.n == 0 || t.k == 0 {
@@ -214,11 +206,6 @@ unsafe fn qtile_rows<V: QLanes, const NV: usize, const R: usize>(
         _ => qtile_block::<V, 3, R>(c, a, b, t, j0),
     }
     j0 += left * w;
-    let h = V::Half::LANES;
-    if h < w && j0 + h <= t.n {
-        qtile_block::<V::Half, 1, R>(c, a, b, t, j0);
-        j0 += h;
-    }
     while j0 < t.n {
         qtile_block::<ScalarI32, 1, R>(c, a, b, t, j0);
         j0 += 1;

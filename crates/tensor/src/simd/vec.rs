@@ -32,11 +32,6 @@ pub(super) trait TileLanes: Copy {
     /// rounding). Scalar tails of fused kernels consult this to match the
     /// vector body bit-for-bit via [`scalar_madd`].
     const FUSED: bool;
-    /// The narrower vector that runs a tile's leftover columns once no
-    /// whole `Self` fits: the 256-bit type under the 512-bit one, `Self`
-    /// otherwise. It must round [`mul_add_fast`](TileLanes::mul_add_fast)
-    /// like `Self`.
-    type Half: TileLanes;
 
     /// Broadcasts `v` to every lane.
     unsafe fn splat(v: f32) -> Self;
@@ -124,7 +119,6 @@ const MASK_TRUE: u32 = u32::MAX;
 impl TileLanes for ScalarVec {
     const LANES: usize = 1;
     const FUSED: bool = false;
-    type Half = ScalarVec;
 
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {

@@ -28,7 +28,6 @@ pub(super) struct F32x8(__m256);
 impl TileLanes for F32x8 {
     const LANES: usize = 8;
     const FUSED: bool = true;
-    type Half = F32x8;
 
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {
@@ -118,7 +117,6 @@ pub(super) struct F32x16(__m512);
 impl TileLanes for F32x16 {
     const LANES: usize = 16;
     const FUSED: bool = true;
-    type Half = F32x8;
 
     #[inline(always)]
     unsafe fn splat(v: f32) -> Self {

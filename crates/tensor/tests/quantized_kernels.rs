@@ -16,7 +16,7 @@
 //! * the quantized conv driver equals a direct integer convolution with
 //!   explicit zero-point padding.
 
-use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QFilters, QuantizedMatrix};
+use lightts_tensor::qint::{qconv1d_same_into, ActQuant, QuantizedMatrix};
 use lightts_tensor::simd::{cpu_supports, i16_pair, qgemm_tile_with, SimdBackend, Tile};
 use proptest::prelude::*;
 
@@ -205,12 +205,11 @@ proptest! {
         };
         let wsrc: Vec<f32> = (0..cout * cin * k).map(|_| f32::from(next()) / 16.0).collect();
         let w = QuantizedMatrix::quantize_rows_symmetric(&wsrc, cout, cin * k).unwrap();
-        let w = QFilters::new(w, k).unwrap();
         let qx: Vec<i8> = (0..cin * l).map(|_| next()).collect();
         let mut out = vec![0i32; cout * l];
         let mut pairs = Vec::new();
-        qconv1d_same_into(&mut out, &mut pairs, &qx, cin, l, &w, pad).unwrap();
-        let want = qconv_ref(w.weight().data(), &qx, cout, cin, l, k, pad);
+        qconv1d_same_into(&mut out, &mut pairs, &qx, cin, l, &w, k, pad).unwrap();
+        let want = qconv_ref(w.data(), &qx, cout, cin, l, k, pad);
         for (i, (&got, &exp)) in out.iter().zip(&want).enumerate() {
             prop_assert!(i64::from(got) == exp, "elem {}: {} vs {}", i, got, exp);
         }
@@ -246,7 +245,7 @@ fn tile_conv_is_exact_on_extreme_codes() {
 
 /// The 512-bit tile equals the 256-bit one, and both the scalar oracle:
 /// every column count from 1 to 70 (whole 64-column `zmm` tiles, three,
-/// two or one left-over `zmm` vectors, a `ymm` vector and single lanes),
+/// two or one left-over `zmm` vectors and single lanes),
 /// rows 1 to 13, strided `a` rows (`lda > k`) and offset `b` rows (pairs
 /// read with `b_step` 2, jumping per run), on a non-zero `c`.
 #[test]
@@ -318,8 +317,7 @@ fn zero_point_padding_cancels_exactly() {
     aq.quantize_into(&data, &mut qx);
     let mut out = vec![0i32; 2];
     let mut pairs = Vec::new();
-    let filters = QFilters::new(w.clone(), 3).unwrap();
-    qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 2, &filters, aq.zero_point).unwrap();
+    qconv1d_same_into(&mut out, &mut pairs, &qx, 1, 2, &w, 3, aq.zero_point).unwrap();
     // f32 reference conv over the *dequantized* codes with literal zero
     // padding.
     let deq: Vec<f32> = qx.iter().map(|&q| aq.dequantize(q)).collect();

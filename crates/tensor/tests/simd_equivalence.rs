@@ -307,7 +307,7 @@ fn gemm_tile_matches_gemm_row_per_backend() {
 
 /// The 512-bit tile gives the 256-bit tile's bits: every column count
 /// from 1 to 70 (whole 64-column `zmm` tiles, one tile of three, two or
-/// one left-over `zmm` vectors, a `ymm` vector and single columns), every
+/// one left-over `zmm` vectors and single columns), every
 /// row count of one and two 6-row blocks and a remainder, strided `a` rows
 /// and offset-addressed `b` rows (sliding windows jumping per run) as well
 /// as dense ones, on a non-zero `c`, with zeros in `a` so that some steps
