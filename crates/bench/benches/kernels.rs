@@ -6,10 +6,11 @@
 //!   loop calls (rows `conv1d_{forward,backward_w,backward_x}_lowered`);
 //! * the SIMD backends: the register tile `simd::gemm_tile` (rows
 //!   `simd_gemm_panel/*`: one 4-row block over a dense `k=256, n=256`
-//!   panel) and the `vec_exp` transcendental must be ≥ 2× faster under the
-//!   native vector backend (AVX-512 or AVX2+FMA where available) than
-//!   under the forced scalar oracle; only the tile has an AVX-512 row,
-//!   since `vec_exp` runs its AVX2 code there;
+//!   panel, the layout `linalg::matmul_into` runs for every
+//!   `Tensor::matmul`) and the `vec_exp` transcendental must be ≥ 2×
+//!   faster under the native vector backend (AVX-512 or AVX2+FMA where
+//!   available) than under the forced scalar oracle; only the tile has an
+//!   AVX-512 row, since `vec_exp` runs its AVX2 code there;
 //! * the int8 conv `qint::qconv1d_same_into` at the `k=9` conv shape
 //!   (row `quant_qconv1d_same`), against `conv1d_forward_lowered`.
 //!

@@ -15,8 +15,8 @@
 //! * [`tape::Tape`] — a define-by-run autodiff tape. Every operation is an
 //!   explicit [`tape::Op`] variant with a hand-written backward rule, verified
 //!   against finite differences by property tests.
-//! * [`linalg`] — Cholesky decomposition, triangular solves, and the blocked
-//!   matmul kernel for the GP estimator and dense layers.
+//! * [`linalg`] — Cholesky decomposition and triangular solves for the GP
+//!   estimator, and the dense layers' matmul on the register tile.
 //! * [`quant`] — uniform quantization (paper Figure 4) shared by the
 //!   quantization-aware training op and the model-size accounting.
 //! * [`pool`] — a grow-only, size-bucketed buffer pool backing every tensor

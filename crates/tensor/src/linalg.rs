@@ -8,38 +8,32 @@
 //! forward/backward substitution — numerically stable and `O(n³)` exactly as
 //! the paper's complexity analysis assumes.
 //!
-//! [`matmul_into`] is the cache-blocked matrix-multiply that backs
-//! [`Tensor::matmul`] (and through it the tape's dense layers).
+//! [`matmul_into`] is the matrix multiply that backs [`Tensor::matmul`]
+//! (and through it the tape's dense layers), one call of the register tile
+//! every convolution pass runs.
 
 use crate::{simd, Result, Tensor, TensorError};
 
-/// `c = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `c: [m,n]`.
+/// `c += a · b` for row-major `a: [m,k]`, `b: [k,n]`, `c: [m,n]`: one
+/// [`crate::simd::gemm_tile`] call on the dense layout, the kernel under
+/// every convolution pass too.
 ///
-/// Rows of `c` are computed one after another through
-/// [`crate::simd::gemm_row`] — training dense layers and serving plans
-/// reduce through this exact loop, so their numerics cannot drift apart.
-/// The traversal is `kj` (row-major friendly, vectorized along `j`) with a
-/// zero-skip on `a`'s elements, which helps the magnitude-pruned weight
-/// matrices common in this workspace, k-blocked so the touched rows of `b`
-/// stay resident in L1/L2; blocking and lane width reorder only loop
-/// traversal, never the per-element accumulation sequence (`k`-ascending
-/// into each output). Each accumulation step is one `simd::mul_add_fast`:
-/// under the scalar backend that is the historical
-/// multiply-then-add (bitwise identical to the pre-SIMD kernel); under
-/// AVX2 it fuses into a single rounding (see `docs/NUMERICS.md`). The
-/// convolutions use the register-tiled sibling [`crate::simd::gemm_tile`],
-/// which keeps the same per-element order.
+/// Both callers, [`Tensor::matmul`] and the f32 serving plan's FC head,
+/// pass a zeroed `c`, so training dense layers and serving plans reduce
+/// through this exact call and their numerics cannot drift apart. Each
+/// output element is one chain from `+0.0`, `k`-ascending, one
+/// `mul_add_fast` per term: multiply then add under the scalar backend,
+/// one fused rounding under AVX2 and AVX-512 (see `docs/NUMERICS.md`).
+/// The tile skips a step `p` when the `a` values of all rows in its block
+/// (up to six) are zero; a zero in a step that runs adds a `±0.0` term,
+/// which can change only the sign of an output that is exactly zero.
 pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "matmul_into: lhs length");
     assert_eq!(b.len(), k * n, "matmul_into: rhs length");
     assert_eq!(c.len(), m * n, "matmul_into: out length");
-    if n == 0 {
-        return;
-    }
     let _prof = lightts_obs::prof::scope("gemm.matmul");
-    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
-        simd::gemm_row(c_row, &a[i * k..(i + 1) * k], b, k, n);
-    }
+    let t = simd::Tile { rows: m, k, n, ldc: n, lda: k, b_step: n, b_run: k, b_jump: 0 };
+    simd::gemm_tile(c, a, b, &t);
 }
 
 /// Cholesky factorization of a symmetric positive-definite matrix.
@@ -92,15 +86,14 @@ impl Cholesky {
         self.n
     }
 
-    /// Solves `A x = b` via `L y = b` then `Lᵀ x = y`.
+    /// `L y = b` by forward substitution, in `f64`.
     #[allow(clippy::needless_range_loop)] // triangular solves have loop-carried deps
-    pub fn solve(&self, b: &[f32]) -> Result<Vec<f32>> {
+    fn forward_substitute(&self, b: &[f32]) -> Result<Vec<f64>> {
         if b.len() != self.n {
             return Err(TensorError::LengthMismatch { len: b.len(), expected: self.n });
         }
         let n = self.n;
         let mut y = vec![0.0f64; n];
-        // forward substitution
         for i in 0..n {
             let mut sum = b[i] as f64;
             for k in 0..i {
@@ -108,6 +101,14 @@ impl Cholesky {
             }
             y[i] = sum / self.l[i * n + i];
         }
+        Ok(y)
+    }
+
+    /// Solves `A x = b` via `L y = b` then `Lᵀ x = y`.
+    #[allow(clippy::needless_range_loop)]
+    pub fn solve(&self, b: &[f32]) -> Result<Vec<f32>> {
+        let n = self.n;
+        let y = self.forward_substitute(b)?;
         // backward substitution with Lᵀ
         let mut x = vec![0.0f64; n];
         for i in (0..n).rev() {
@@ -122,31 +123,19 @@ impl Cholesky {
 
     /// Solves `L y = b` only (used for the GP variance term
     /// `κ(x*,x*) − vᵀv` with `v = L⁻¹ κ(X, x*)`).
-    #[allow(clippy::needless_range_loop)]
     pub fn solve_lower(&self, b: &[f32]) -> Result<Vec<f32>> {
-        if b.len() != self.n {
-            return Err(TensorError::LengthMismatch { len: b.len(), expected: self.n });
-        }
-        let n = self.n;
-        let mut y = vec![0.0f64; n];
-        for i in 0..n {
-            let mut sum = b[i] as f64;
-            for k in 0..i {
-                sum -= self.l[i * n + k] * y[k];
-            }
-            y[i] = sum / self.l[i * n + i];
-        }
-        Ok(y.into_iter().map(|v| v as f32).collect())
+        Ok(self.forward_substitute(b)?.into_iter().map(|v| v as f32).collect())
     }
 }
 
 /// Dot product of two equal-length slices.
 ///
-/// Deliberately a plain left-to-right scalar fold, *not* the striped
-/// [`crate::simd::dot`] kernel: these helpers feed the Gaussian-process
-/// estimator, whose inputs are short hyper-parameter encodings (nothing to
-/// vectorize) and whose seeded search trajectories are pinned by tests —
-/// keeping the historical summation order keeps them backend-independent.
+/// Deliberately a plain left-to-right scalar fold, *not* a striped SIMD
+/// reduction like [`crate::simd::reduce_sum_sq`]: these helpers feed the
+/// Gaussian-process estimator, whose inputs are short hyper-parameter
+/// encodings (nothing to vectorize) and whose seeded search trajectories
+/// are pinned by tests — keeping the historical summation order keeps them
+/// backend-independent.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()

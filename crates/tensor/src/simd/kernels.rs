@@ -22,29 +22,22 @@
 //!   ([`vec_exp`], [`sum_exp`]) perform the identical single-rounding
 //!   operation sequence per element on every backend ⇒ **bitwise
 //!   backend-invariant**.
-//! * The striped reductions ([`reduce_sum`], [`reduce_sum_sq`], [`dot`])
-//!   accumulate into 8 fixed stripes combined by one canonical pairing
-//!   tree ⇒ **bitwise backend-invariant**, though *not* equal to a plain
-//!   left-to-right sum (for `n < 8` the stripe tree degenerates to exactly
-//!   left-to-right).
-//! * The GEMM family ([`gemm_row`], and [`gemm_tile`] under every conv
-//!   pass) uses [`TileLanes::mul_add_fast`]: the scalar oracle multiplies
-//!   then adds; AVX2 and AVX-512 fuse multiply-add (one rounding instead
-//!   of two) and therefore produce different — but equally deterministic,
-//!   and on both fused backends the same — bits.
+//! * The striped reduction [`reduce_sum_sq`] accumulates into 8 fixed
+//!   stripes combined by one canonical pairing tree ⇒ **bitwise
+//!   backend-invariant**, though *not* equal to a plain left-to-right sum
+//!   (for `n < 8` the stripe tree degenerates to exactly left-to-right).
+//! * The one f32 GEMM kernel, [`gemm_tile`] (under every conv pass and
+//!   every `Tensor::matmul`), uses [`TileLanes::mul_add_fast`]: the scalar
+//!   oracle multiplies then adds; AVX2 and AVX-512 fuse multiply-add (one
+//!   rounding instead of two) and therefore produce different — but
+//!   equally deterministic, and on both fused backends the same — bits.
 
 use super::vec::{scalar_madd, ScalarVec, SimdF32, TileLanes};
 #[cfg(target_arch = "x86_64")]
 use super::x86::{F32x16, F32x8};
 use super::SimdBackend;
 
-/// Number of consecutive `k`-indices per cache block in [`gemm_row`].
-/// Keeps the touched rows of `b` resident in L1/L2 while a block is live.
-/// Blocking only reorders loop *traversal*, never the per-element
-/// accumulation sequence, so results are independent of this value.
-pub(crate) const K_BLOCK: usize = 256;
-
-/// Stripe count of the canonical striped reductions. Eight stripes is one
+/// Stripe count of the canonical striped reduction. Eight stripes is one
 /// AVX2 register or eight scalar accumulators — both backends walk the
 /// same stripes and fold them with the same pairing tree
 /// ([`SimdF32::hsum`]), so the reduced value is backend-invariant.
@@ -242,38 +235,6 @@ unsafe fn sum_exp_g<V: SimdF32>(row: &[f32]) -> f32 {
 // GEMM micro-kernels (mul_add_fast ⇒ scalar unfused; AVX2 fuses)
 // ---------------------------------------------------------------------------
 
-/// One output row of the blocked GEMM: `c += a_row · b` for `a_row: [k]`,
-/// `b: [k, n]`, `c: [n]`. `k`-blocked traversal with a zero-skip on
-/// `a_row`; per output element the accumulation runs `k`-ascending, one
-/// [`TileLanes::mul_add_fast`] per term.
-#[inline(always)]
-unsafe fn gemm_row_g<V: SimdF32>(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k);
-    debug_assert_eq!(c.len(), n);
-    debug_assert_eq!(b.len(), k * n);
-    let mut p0 = 0;
-    while p0 < k {
-        let p1 = (p0 + K_BLOCK).min(k);
-        for (p, &av) in a[p0..p1].iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[(p0 + p) * n..(p0 + p + 1) * n];
-            let vs = V::splat(av);
-            let mut j = 0;
-            while j + V::LANES <= n {
-                vs.mul_add_fast(V::load(&b_row[j..]), V::load(&c[j..])).store(&mut c[j..]);
-                j += V::LANES;
-            }
-            while j < n {
-                c[j] = scalar_madd::<V>(av, b_row[j], c[j]);
-                j += 1;
-            }
-        }
-        p0 = p1;
-    }
-}
-
 /// Output rows one [`gemm_tile`] register block covers, on every backend.
 /// Six rows of four `zmm` vectors are 24 accumulators, which leaves the 32
 /// AVX-512 registers room for the four `b` vectors and one broadcast (on
@@ -350,8 +311,10 @@ impl Tile {
     }
 }
 
-/// The register-tiled GEMM micro-kernel behind every lowered convolution
-/// pass (see [`Tile`] for the operand layout).
+/// The register-tiled GEMM micro-kernel, the one f32 GEMM kernel: every
+/// lowered convolution pass and every dense product
+/// ([`crate::linalg::matmul_into`]) run it (see [`Tile`] for the operand
+/// layout).
 ///
 /// Rows are taken in blocks of up to [`TILE_ROWS`]; each block walks
 /// column tiles of `NV` vectors, then one tile of the whole vectors left,
@@ -360,10 +323,15 @@ impl Tile {
 /// Per output element the terms accumulate `k`-ascending, one
 /// [`TileLanes::mul_add_fast`] each, whatever the tiling. A step `p` is
 /// skipped when the block's `a` values are all zero; when only some are,
-/// the update adds `±0.0·b` terms. For finite inputs these change no bits
-/// of a chain that never holds `-0.0`, and a chain seeded with `+0.0`
-/// never does (`+0.0 + −0.0` and `x + (−x)` round to `+0.0`, fused or
-/// not); every convolution seeds its chains with `+0.0`.
+/// each zero adds a `±0.0·b` term. For finite `b` that term leaves every
+/// chain value but `−0.0` as it is (`acc + ±0.0 = acc`), and may turn
+/// `−0.0` into `+0.0`. A chain seeded with `+0.0` holds `−0.0` only on
+/// the fused backends, after a negative product below 2⁻¹⁵⁰ in magnitude
+/// rounds to zero with its sign; unfused, that product rounds first and
+/// `+0.0 + −0.0 = +0.0`. So for finite operands, how rows group into
+/// blocks can flip the sign of an output that is exactly zero, and no
+/// other bit. A non-finite `b` value at a step where only some of the
+/// block's `a` values are zero gives NaN (`0·∞`).
 #[inline(always)]
 unsafe fn gemm_tile_g<V: TileLanes, const NV: usize>(
     c: &mut [f32],
@@ -542,64 +510,40 @@ unsafe fn tile_column<V: TileLanes, const R: usize>(
 // Striped reductions (fixed 8-stripe canonical tree ⇒ backend-invariant)
 // ---------------------------------------------------------------------------
 
-macro_rules! striped_reduce {
-    ($name:ident, ($($arg:ident),+), |$vx:ident, $vy:ident| $vacc:expr, |$sx:ident, $sy:ident| $sacc:expr) => {
-        #[inline(always)]
-        unsafe fn $name<V: SimdF32, const NV: usize>($($arg: &[f32]),+) -> f32 {
-            let n = [$($arg.len()),+][0];
-            debug_assert!([$($arg.len()),+].iter().all(|&l| l == n));
-            debug_assert_eq!(NV * V::LANES, REDUCE_STRIPES);
-            let mut acc = [V::zero(); NV];
-            let mut i = 0;
-            while i + REDUCE_STRIPES <= n {
-                for v in 0..NV {
-                    striped_reduce!(@load ($($arg),+), i + v * V::LANES, $vx, $vy);
-                    acc[v] = ($vacc).add(acc[v]);
-                }
-                i += REDUCE_STRIPES;
-            }
-            // Fold stripe vectors pairwise (s_i = p_i + p_{i+NV/2}·LANES …)
-            // down to one vector, then the canonical in-register tree.
-            let mut w = NV;
-            while w > 1 {
-                w /= 2;
-                for v in 0..w {
-                    acc[v] = acc[v].add(acc[v + w]);
-                }
-            }
-            let mut r = acc[0].hsum();
-            // Tail (< 8 elements) appended strictly left-to-right, so for
-            // n < 8 the whole reduction degenerates to a plain serial sum
-            // (at exactly n = 8 the pairing tree runs).
-            while i < n {
-                striped_reduce!(@tail ($($arg),+), i, $sx, $sy);
-                r += $sacc;
-                i += 1;
-            }
-            r
+/// `Σ xᵢ²` accumulated into [`REDUCE_STRIPES`] fixed stripes, held as `NV`
+/// vectors of `V::LANES` lanes (`stripe[s] += x[s + 8m]²`), folded by one
+/// canonical tree, with the tail (`n mod 8` values) appended strictly
+/// left-to-right.
+#[inline(always)]
+unsafe fn reduce_sum_sq_g<V: SimdF32, const NV: usize>(x: &[f32]) -> f32 {
+    debug_assert_eq!(NV * V::LANES, REDUCE_STRIPES);
+    let n = x.len();
+    let mut acc = [V::zero(); NV];
+    let mut i = 0;
+    while i + REDUCE_STRIPES <= n {
+        for (v, acc_v) in acc.iter_mut().enumerate() {
+            let vx = V::load(&x[i + v * V::LANES..]);
+            *acc_v = vx.mul(vx).add(*acc_v);
         }
-    };
-    (@load ($a:ident), $idx:expr, $vx:ident, $vy:ident) => {
-        let $vx = V::load(&$a[$idx..]);
-        let $vy = $vx;
-    };
-    (@load ($a:ident, $b:ident), $idx:expr, $vx:ident, $vy:ident) => {
-        let $vx = V::load(&$a[$idx..]);
-        let $vy = V::load(&$b[$idx..]);
-    };
-    (@tail ($a:ident), $idx:expr, $sx:ident, $sy:ident) => {
-        let $sx = $a[$idx];
-        let $sy = $sx;
-    };
-    (@tail ($a:ident, $b:ident), $idx:expr, $sx:ident, $sy:ident) => {
-        let $sx = $a[$idx];
-        let $sy = $b[$idx];
-    };
+        i += REDUCE_STRIPES;
+    }
+    // Fold stripe vectors pairwise (s_i = p_i + p_{i+NV/2}·LANES …)
+    // down to one vector, then the canonical in-register tree.
+    let mut w = NV;
+    while w > 1 {
+        w /= 2;
+        for v in 0..w {
+            acc[v] = acc[v].add(acc[v + w]);
+        }
+    }
+    let mut r = acc[0].hsum();
+    // For n < 8 the whole reduction degenerates to a plain serial sum (at
+    // exactly n = 8 the pairing tree runs).
+    for &v in &x[i..] {
+        r += v * v;
+    }
+    r
 }
-
-striped_reduce!(reduce_sum_g, (x), |vx, _vy| vx, |sx, _sy| sx);
-striped_reduce!(reduce_sum_sq_g, (x), |vx, vy| vx.mul(vy), |sx, sy| sx * sy);
-striped_reduce!(dot_g, (x, y), |vx, vy| vx.mul(vy), |sx, sy| sx * sy);
 
 // ---------------------------------------------------------------------------
 // Dispatch
@@ -721,13 +665,6 @@ dispatch_kernel!(
     avx2: sum_exp_g::<F32x8>, scalar: sum_exp_g::<ScalarVec>
 );
 dispatch_kernel!(
-    /// One GEMM output row: `c += a_row · b` (`a_row: [k]`, `b: [k,n]`),
-    /// `k`-ascending per element with a zero-skip on `a_row`. AVX2 fuses
-    /// each multiply-add.
-    gemm_row / gemm_row_with(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize),
-    avx2: gemm_row_g::<F32x8>, scalar: gemm_row_g::<ScalarVec>
-);
-dispatch_kernel!(
     /// The register-tiled GEMM micro-kernel: `c += a · b` with strided
     /// rows and offset-addressed `b` rows (see [`Tile`]). Per element,
     /// `k`-ascending, one multiply-add per term. AVX2 fuses each
@@ -739,21 +676,9 @@ dispatch_kernel!(
     scalar: gemm_tile_g::<ScalarVec, 2>
 );
 dispatch_kernel!(
-    /// `Σ xᵢ` over 8 fixed stripes + canonical pairing tree; tail (< 8)
+    /// `Σ xᵢ²` over 8 fixed stripes + canonical pairing tree; tail (< 8)
     /// appended left-to-right. Bitwise backend-invariant (and exactly the
     /// plain serial sum for `n < 8`).
-    reduce_sum / reduce_sum_with(x: &[f32]) -> f32,
-    avx2: reduce_sum_g::<F32x8, 1>, scalar: reduce_sum_g::<ScalarVec, 8>
-);
-dispatch_kernel!(
-    /// `Σ xᵢ²` with the same striped scheme as [`reduce_sum`]. Bitwise
-    /// backend-invariant.
     reduce_sum_sq / reduce_sum_sq_with(x: &[f32]) -> f32,
     avx2: reduce_sum_sq_g::<F32x8, 1>, scalar: reduce_sum_sq_g::<ScalarVec, 8>
-);
-dispatch_kernel!(
-    /// `Σ xᵢ·yᵢ` (unfused multiply) with the same striped scheme as
-    /// [`reduce_sum`]. Bitwise backend-invariant.
-    dot / dot_with(x: &[f32], y: &[f32]) -> f32,
-    avx2: dot_g::<F32x8, 1>, scalar: dot_g::<ScalarVec, 8>
 );

@@ -4,8 +4,8 @@
 //! instruction set. It provides a small portable-vector abstraction over
 //! `core::arch` x86-64 — AVX2+FMA, AVX-512 for the two register tiles, and
 //! a scalar oracle that is always available — plus one-time runtime
-//! feature detection and an explicit override. Every hot kernel (the GEMM
-//! row and register tile under [`crate::linalg`] and [`crate::conv`], the
+//! feature detection and an explicit override. Every hot kernel (the
+//! register tile under [`crate::linalg`] and [`crate::conv`], the
 //! element-wise tensor ops, and the `vec_exp` exponential behind the
 //! softmax family) is written once, generically, and lowered onto
 //! whichever backend is selected.
@@ -43,15 +43,17 @@
 //!   [`vec_exp`], [`sum_exp`], [`log_softmax_row`] — single-rounding ops
 //!   (or a fixed polynomial algorithm) applied per element, so scalar and
 //!   AVX2 produce identical bits for every shape, including remainder lanes.
-//! * **Backend-invariant, striped**: [`reduce_sum`], [`reduce_sum_sq`],
-//!   [`dot`] — eight fixed stripes folded by one canonical pairing tree on
-//!   every backend (degenerating to a plain serial sum for `n < 8`).
-//! * **Backend-sensitive (FMA)**: [`gemm_row`] and [`gemm_tile`] (the one
-//!   kernel under every conv pass) — scalar multiplies then adds (two
-//!   roundings); AVX2 and AVX-512 fuse each multiply-add into one
-//!   rounding, producing different, but equally deterministic, bits
-//!   (the same on both fused backends): for a fixed backend the result is
-//!   independent of batch fusion and call context.
+//! * **Backend-invariant, striped**: [`reduce_sum_sq`] — eight fixed
+//!   stripes folded by one canonical pairing tree on every backend
+//!   (degenerating to a plain serial sum for `n < 8`).
+//! * **Backend-sensitive (FMA)**: [`gemm_tile`], the one f32 GEMM kernel
+//!   (under every conv pass and every `Tensor::matmul`) — scalar
+//!   multiplies then adds (two roundings); AVX2 and AVX-512 fuse each
+//!   multiply-add into one rounding, producing different, but equally
+//!   deterministic, bits (the same on both fused backends). For a fixed
+//!   backend the result is independent of call context; how rows group
+//!   into blocks (batch samples, in a dense layer) can flip only the sign
+//!   of an output that is exactly zero.
 //! * **Integer-exact (quantized)**: [`qgemm_tile`], the one integer kernel
 //!   (the int8 conv and FC head) — i8×i8 products accumulated in i32.
 //!   Two's-complement addition is associative, so both backends are
@@ -87,11 +89,10 @@ mod x86;
 pub use qkernels::{i16_pair, qgemm_tile, qgemm_tile_with, QDOT_MAX_K};
 
 pub use kernels::{
-    add_assign, add_assign_with, axpy, axpy_with, dot, dot_with, gemm_row, gemm_row_with,
-    gemm_tile, gemm_tile_with, mul_assign, mul_assign_with, reduce_sum, reduce_sum_sq,
-    reduce_sum_sq_with, reduce_sum_with, relu, relu_with, scale, scale_with, sub_assign,
-    sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp, vec_exp_with,
-    Tile,
+    add_assign, add_assign_with, axpy, axpy_with, gemm_tile, gemm_tile_with, mul_assign,
+    mul_assign_with, reduce_sum_sq, reduce_sum_sq_with, relu, relu_with, scale, scale_with,
+    sub_assign, sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp,
+    vec_exp_with, Tile,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -103,7 +103,7 @@ pub(super) trait SimdF32: TileLanes {
     /// 128-bit halves are added first (`s_i = q_i + q_{i+4}`), then the
     /// result is `(s0+s2) + (s1+s3)`. Single-lane vectors return their
     /// value. Both backends reduce 8 stripes through the identical tree,
-    /// which is what makes [`super::reduce_sum`] bitwise
+    /// which is what makes [`super::reduce_sum_sq`] bitwise
     /// backend-invariant.
     unsafe fn hsum(self) -> f32;
 }

@@ -448,8 +448,8 @@ impl Tensor {
 
     /// Rank-2 matrix product `self[m,k] @ other[k,n] -> [m,n]`.
     ///
-    /// Delegates to [`crate::linalg::matmul_into`]: a cache-blocked ikj
-    /// kernel that accumulates each output in `k`-ascending order.
+    /// Delegates to [`crate::linalg::matmul_into`]: one call of the
+    /// register tile, which accumulates each output in `k`-ascending order.
     pub fn matmul(&self, other: &Tensor) -> Result<Self> {
         if self.rank() != 2 || other.rank() != 2 {
             return Err(TensorError::RankMismatch {

@@ -220,7 +220,8 @@ proptest! {
         let a = tensor_from(&avals, &[m, k]);
         let b = tensor_from(&bvals, &[k, n]);
         let fast = a.matmul(&b).unwrap();
-        // independent ijk ordering in f64 (the kernel is f32 ikj + blocking)
+        // independent ijk ordering in f64 (the kernel is the f32 register
+        // tile: one chain per output, `k`-ascending)
         let mut slow = vec![0.0f32; m * n];
         let mut mags = vec![0.0f32; m * n];
         for i in 0..m {

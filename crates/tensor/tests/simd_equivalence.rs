@@ -8,13 +8,13 @@
 //! so backends can be compared concurrently from many test threads without
 //! touching the process-wide toggle:
 //!
-//! 1. **Backend-invariant kernels** (element-wise ops, exponentials,
-//!    striped reductions, `log_softmax_row`) must agree *bitwise* across
+//! 1. **Backend-invariant kernels** (element-wise ops, exponentials, the
+//!    striped reduction, `log_softmax_row`) must agree *bitwise* across
 //!    scalar, AVX2 and AVX-512 on every shape — including remainder lanes,
 //!    empty and single-element inputs — and on NaN/±inf/±0 specials.
-//! 2. **FMA-sensitive kernels** (`gemm_row`, `gemm_tile`) must be bitwise
-//!    identical between the scalar oracle and an unfused reference, and
-//!    between each vector backend and a scalar reference that uses
+//! 2. **The FMA-sensitive kernel** (`gemm_tile`) must be bitwise
+//!    identical between the scalar oracle and an unfused reference chain,
+//!    and between each vector backend and a reference chain that uses
 //!    `f32::mul_add` (both fused, same accumulation order). The 512-bit
 //!    tile must give the 256-bit tile's bits on every shape.
 //! 3. The `vec_exp` approximation must stay within its documented ULP
@@ -24,11 +24,13 @@
 //! Only `set_simd_backend_clamps_and_installs` touches the process-wide
 //! backend, and no other test reads it.
 
+mod common;
+
+use common::{fuses, gemm_row_ref};
 use lightts_tensor::simd::{
-    add_assign_with, axpy_with, cpu_supports, dot_with, gemm_row_with, gemm_tile_with,
-    log_softmax_row_with, mul_assign_with, reduce_sum_sq_with, reduce_sum_with, relu_with,
-    scale_with, set_simd_backend, sub_assign_with, sub_scalar_with, sum_exp_with, vec_exp_with,
-    SimdBackend, Tile,
+    add_assign_with, axpy_with, cpu_supports, gemm_tile_with, log_softmax_row_with,
+    mul_assign_with, reduce_sum_sq_with, relu_with, scale_with, set_simd_backend, sub_assign_with,
+    sub_scalar_with, sum_exp_with, vec_exp_with, SimdBackend, Tile,
 };
 use proptest::prelude::*;
 
@@ -39,11 +41,6 @@ const BACKENDS: [SimdBackend; 3] = [SimdBackend::Scalar, SimdBackend::Avx2, Simd
 
 /// The vector backends, each compared against the scalar oracle.
 const VECTOR: [SimdBackend; 2] = [SimdBackend::Avx2, SimdBackend::Avx512];
-
-/// Whether `*_with(bk, …)` fuses its multiply-adds on this host.
-fn fuses(bk: SimdBackend) -> bool {
-    bk != SimdBackend::Scalar && cpu_supports(bk)
-}
 
 /// Lengths that hit every remainder-lane case for 8-wide vectors.
 const EDGE_LENS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 33];
@@ -133,9 +130,7 @@ fn elementwise_kernels_bitwise_invariant_on_edge_lengths() {
         check_invariant_inplace(&xs, "vec_exp", vec_exp_with);
         check_invariant_inplace(&xs, "log_softmax_row", log_softmax_row_with);
         check_invariant_reduce(&xs, "sum_exp", sum_exp_with);
-        check_invariant_reduce(&xs, "reduce_sum", reduce_sum_with);
         check_invariant_reduce(&xs, "reduce_sum_sq", reduce_sum_sq_with);
-        check_invariant_reduce(&xs, "dot", |bk, x| dot_with(bk, x, &rhs));
     }
 }
 
@@ -185,10 +180,8 @@ fn reductions_match_serial_sum_for_short_inputs() {
     // identity element is `-0.0`.) At n = 8 the pairing tree kicks in.
     for n in 0..8usize {
         let xs = vec_data(n, 5);
-        let serial: f32 = xs.iter().fold(0.0, |a, &b| a + b);
         let serial_sq: f32 = xs.iter().fold(0.0, |a, &b| a + b * b);
         for bk in VECTOR {
-            assert_eq!(reduce_sum_with(bk, &xs).to_bits(), serial.to_bits(), "n={n} {bk:?}");
             let sq = reduce_sum_sq_with(bk, &xs);
             assert_eq!(sq.to_bits(), serial_sq.to_bits(), "sq n={n} {bk:?}");
         }
@@ -199,51 +192,10 @@ fn reductions_match_serial_sum_for_short_inputs() {
 // Class 2: FMA-sensitive kernels
 // ---------------------------------------------------------------------
 
-/// Scalar GEMM-row reference parameterized over the madd: `fused=false`
-/// mirrors the scalar contract, `fused=true` the AVX2 one. Matches
-/// the kernels' k-ascending accumulation order and zero-skip.
-fn gemm_row_ref(c: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, fused: bool) {
-    for (p, &av) in a.iter().enumerate().take(k) {
-        if av == 0.0 {
-            continue;
-        }
-        let brow = &b[p * n..p * n + n];
-        for j in 0..n {
-            c[j] = if fused { av.mul_add(brow[j], c[j]) } else { av * brow[j] + c[j] };
-        }
-    }
-}
-
-#[test]
-fn gemm_row_honours_per_backend_fma_contract() {
-    for &(k, n) in &[(1usize, 1usize), (3, 5), (8, 16), (17, 33), (64, 40), (300, 7)] {
-        let a = {
-            let mut a = vec_data(k, 31);
-            if k > 2 {
-                a[k / 2] = 0.0; // exercise the zero-skip
-            }
-            a
-        };
-        let b = vec_data(k * n, 37);
-        let seed_c = vec_data(n, 41);
-
-        let mut unfused = seed_c.clone();
-        gemm_row_ref(&mut unfused, &a, &b, k, n, false);
-        let mut fused = seed_c.clone();
-        gemm_row_ref(&mut fused, &a, &b, k, n, true);
-
-        for bk in BACKENDS {
-            let mut c = seed_c.clone();
-            gemm_row_with(bk, &mut c, &a, &b, k, n);
-            let want = if fuses(bk) { &fused } else { &unfused };
-            assert_bits_eq(&c, want, &format!("gemm_row k={k} n={n} [{}]", bk.name()));
-        }
-    }
-}
-
 /// Runs [`gemm_tile_with`] on `c` and checks it against a reference built
-/// from one `gemm_row_with` per row over `a` and `b` gathered into dense
-/// operands: same bits on every row, and `c` untouched between rows.
+/// from one `gemm_row_ref` chain per row over `a` and `b` gathered into
+/// dense operands, unfused under scalar and fused where `bk` fuses: same
+/// bits on every row, and `c` untouched between rows.
 fn check_tile(bk: SimdBackend, t: &Tile, a: &[f32], b: &[f32], c: &[f32], what: &str) {
     let mut want = c.to_vec();
     let dense_b: Vec<f32> = (0..t.k)
@@ -254,7 +206,7 @@ fn check_tile(bk: SimdBackend, t: &Tile, a: &[f32], b: &[f32], c: &[f32], what: 
         .collect();
     for r in 0..t.rows {
         let a_r = &a[r * t.lda..r * t.lda + t.k];
-        gemm_row_with(bk, &mut want[r * t.ldc..r * t.ldc + t.n], a_r, &dense_b, t.k, t.n);
+        gemm_row_ref(&mut want[r * t.ldc..r * t.ldc + t.n], a_r, &dense_b, t.k, t.n, fuses(bk));
     }
     let mut got = c.to_vec();
     gemm_tile_with(bk, &mut got, a, b, t);
@@ -262,16 +214,20 @@ fn check_tile(bk: SimdBackend, t: &Tile, a: &[f32], b: &[f32], c: &[f32], what: 
 }
 
 #[test]
-fn gemm_tile_matches_gemm_row_per_backend() {
-    // The register tile must produce exactly the bits of independent row
-    // kernels under the same backend (same madd per element, same k-order)
-    // for every row count of its 6-row block (and multi-block counts),
-    // every column case of its NV-vector tiles, single-vector tiles and
-    // scalar tail, dense and offset-addressed `b` rows (overlapping
-    // windows jumping per run) and padded `a` rows (`lda > k`). `c` is
-    // not zero, so each chain must start from it.
+fn gemm_tile_matches_the_chain_reference_per_backend() {
+    // The register tile must produce exactly the bits of independent
+    // reference chains under the same backend's contract (unfused on
+    // scalar, fused on AVX2 and AVX-512, same k-order per element) for
+    // every row count of its 6-row block (and multi-block counts), every
+    // column case of its NV-vector tiles, single-vector tiles and scalar
+    // tail, dense and offset-addressed `b` rows (overlapping windows
+    // jumping per run) and padded `a` rows (`lda > k`). The last five
+    // shapes are the dense layers' widths (`n` = 12, 37, 42, 48, 70). `c`
+    // is not zero, so each chain must start from it.
     for rows in [1usize, 2, 3, 4, 5, 6, 7, 13] {
-        for &(k, n) in &[(5usize, 1usize), (9, 7), (16, 16), (21, 17), (33, 31), (40, 64)] {
+        let shapes = [(5, 1), (9, 7), (16, 16), (21, 17), (33, 31), (40, 64)];
+        let dense = [(42, 12), (18, 37), (48, 42), (12, 48), (32, 70)];
+        for (k, n) in shapes.into_iter().chain(dense) {
             // Exact zeros: one whole reduction step (skipped) and
             // scattered single values (added as ±0 terms).
             let mut a = vec_data(rows * k, 51 + rows as u32);
@@ -422,9 +378,7 @@ proptest! {
         check_invariant_inplace(xs, "p/add", |bk, o| add_assign_with(bk, o, rhs));
         check_invariant_inplace(xs, "p/mul", |bk, o| mul_assign_with(bk, o, rhs));
         check_invariant_inplace(xs, "p/relu", relu_with);
-        check_invariant_reduce(xs, "p/sum", reduce_sum_with);
         check_invariant_reduce(xs, "p/sumsq", reduce_sum_sq_with);
-        check_invariant_reduce(xs, "p/dot", |bk, x| dot_with(bk, x, rhs));
     }
 
     #[test]
@@ -439,14 +393,14 @@ proptest! {
     }
 
     #[test]
-    fn prop_reduce_sum_tracks_f64_reference(
+    fn prop_reduce_sum_sq_tracks_f64_reference(
         xs in proptest::collection::vec(-100.0f32..100.0, MAX_N),
         n in 0usize..MAX_N,
     ) {
         let xs = &xs[..n];
-        let want: f64 = xs.iter().map(|&x| f64::from(x)).sum();
-        let got = reduce_sum_with(SimdBackend::Avx2, xs);
-        prop_assert!((f64::from(got) - want).abs() <= 1e-3 + want.abs() * 1e-5);
+        let want: f64 = xs.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
+        let got = reduce_sum_sq_with(SimdBackend::Avx2, xs);
+        prop_assert!((f64::from(got) - want).abs() <= 1e-3 + want * 1e-5);
     }
 }
 
