@@ -24,7 +24,9 @@
 //! derivation or to the AED loop shows up here as a byte difference.
 //!
 //! The binary forces the scalar SIMD backend, so the fixtures do not
-//! depend on whether the host has FMA (`docs/NUMERICS.md`).
+//! depend on whether the host has FMA (`docs/NUMERICS.md`). The student
+//! and teacher recipes live in `recipes/mod.rs`; `golden_training_fused.rs`
+//! pins them on the fused backends.
 //!
 //! To regenerate after an *intentional* change to the training numerics:
 //!
@@ -34,82 +36,27 @@
 //! cargo test --test golden_training -- --ignored regenerate_golden_removal_fixture
 //! ```
 
-use lightts::data::synth::{Generator, SynthConfig};
-use lightts::data::{LabeledDataset, Splits};
-use lightts::distill::aed::{run_aed, AedConfig};
+mod recipes;
+
+use lightts::distill::aed::AedConfig;
 use lightts::distill::removal::{lightts_removal, RemovalStrategy};
 use lightts::distill::trainer::StudentTrainOpts;
 use lightts::distill::weights::WeightTransform;
 use lightts::distill::TeacherProbs;
-use lightts::models::ensemble::{train_ensemble, BaseModelKind, EnsembleTrainConfig};
-use lightts::models::inception::{BlockSpec, InceptionConfig, TrainConfig};
+use lightts::models::inception::{BlockSpec, InceptionConfig};
 use lightts::runtime::{set_simd_backend, SimdBackend};
-use lightts::tensor::Tensor;
+use recipes::{assert_same_bytes, smoothed, splits, write_fixture, CLASSES, LEN};
 
-const CLASSES: usize = 3;
-const LEN: usize = 32;
-
-fn splits() -> Splits {
-    let gen = Generator::new(
-        SynthConfig { classes: CLASSES, dims: 1, length: LEN, difficulty: 0.2, waveforms: 3 },
-        2024,
-    );
-    gen.splits("golden-training", 24, 12, 12, 2025).unwrap()
-}
-
-/// Label-smoothed teacher: `sharp` on class `label + shift`, the rest spread
-/// evenly over the other classes.
-fn smoothed(ds: &LabeledDataset, sharp: f32, shift: usize) -> Tensor {
-    let mut t = Tensor::full(&[ds.len(), CLASSES], (1.0 - sharp) / (CLASSES as f32 - 1.0));
-    for (i, &l) in ds.labels().iter().enumerate() {
-        t.set(&[i, (l + shift) % CLASSES], sharp).unwrap();
-    }
-    t
-}
-
-/// Runs the pinned recipe: two smoothed-label teachers (one faithful, one
-/// shifted by a class), an 8-bit student with two blocks, Adam, and 4
-/// epochs with `v = 2`, so one outer λ step sits between two inner phases.
+/// The student recipe (`recipes::student_bytes`) on the scalar backend.
 fn train_golden_student() -> Vec<u8> {
     set_simd_backend(SimdBackend::Scalar);
-    let s = splits();
-    let teachers = TeacherProbs::from_raw(
-        vec![smoothed(&s.train, 0.9, 0), smoothed(&s.train, 0.7, 1)],
-        vec![smoothed(&s.validation, 0.9, 0), smoothed(&s.validation, 0.7, 1)],
-        s.validation.labels(),
-    )
-    .unwrap();
-    let student = InceptionConfig {
-        blocks: vec![BlockSpec { layers: 2, filter_len: 8, bits: 8 }; 2],
-        filters: 4,
-        in_dims: 1,
-        in_len: LEN,
-        num_classes: CLASSES,
-    };
-    let cfg = AedConfig {
-        train: StudentTrainOpts {
-            epochs: 4,
-            batch_size: 8,
-            adam: true,
-            seed: 5,
-            ..Default::default()
-        },
-        v: 2,
-        lambda_lr: 2.0,
-        transform: WeightTransform::Softmax,
-    };
-    let res = run_aed(&s, &teachers, &student, &cfg).unwrap();
-    res.student.save_bytes_exact().unwrap()
+    recipes::student_bytes()
 }
 
 #[test]
 fn seeded_aed_run_reproduces_committed_student_bytes() {
-    let expected: &[u8] = include_bytes!("fixtures/golden_training_student.bin");
-    let got = train_golden_student();
-    assert_eq!(got.len(), expected.len(), "student snapshot length changed");
-    if let Some(i) = got.iter().zip(expected).position(|(a, b)| a != b) {
-        panic!("student snapshot differs from the committed fixture first at byte {i}");
-    }
+    let expected = include_bytes!("fixtures/golden_training_student.bin");
+    assert_same_bytes("student snapshot", &train_golden_student(), expected);
 }
 
 /// Rewrites the committed fixture from the recipe above. Ignored by
@@ -117,46 +64,22 @@ fn seeded_aed_run_reproduces_committed_student_bytes() {
 #[test]
 #[ignore = "writes the committed fixture file"]
 fn regenerate_golden_training_fixture() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    std::fs::create_dir_all(&dir).unwrap();
     let bytes = train_golden_student();
-    std::fs::write(dir.join("golden_training_student.bin"), &bytes).unwrap();
+    write_fixture("golden_training_student.bin", &bytes);
     assert_eq!(bytes, train_golden_student(), "the recipe must be deterministic");
 }
 
-/// Runs the teacher recipe: a two-member InceptionTime ensemble (4 filters,
-/// 3 epochs, batch 8, Adam) trained on the train split, then both members'
-/// class distributions over the train and validation splits. Returns the
-/// little-endian bit patterns of the train probabilities (member by member)
-/// followed by the validation ones.
+/// The teacher recipe (`recipes::teacher_prob_bytes`) on the scalar
+/// backend.
 fn teacher_prob_bytes() -> Vec<u8> {
     set_simd_backend(SimdBackend::Scalar);
-    let s = splits();
-    let cfg = EnsembleTrainConfig {
-        n_members: 2,
-        seed: 11,
-        filters: 4,
-        inception: TrainConfig { epochs: 3, batch_size: 8, lr: 0.01, adam: true, seed: 0 },
-        ..EnsembleTrainConfig::default()
-    };
-    let ensemble = train_ensemble(BaseModelKind::InceptionTime, &s.train, &cfg).unwrap();
-    let probs = TeacherProbs::compute(&ensemble, &s).unwrap();
-    probs
-        .train
-        .iter()
-        .chain(&probs.val)
-        .flat_map(|t| t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()))
-        .collect()
+    recipes::teacher_prob_bytes()
 }
 
 #[test]
 fn seeded_teacher_ensemble_reproduces_committed_probabilities() {
-    let expected: &[u8] = include_bytes!("fixtures/golden_teacher_probs.bin");
-    let got = teacher_prob_bytes();
-    assert_eq!(got.len(), expected.len(), "teacher probability length changed");
-    if let Some(i) = got.iter().zip(expected).position(|(a, b)| a != b) {
-        panic!("teacher probabilities differ from the committed fixture first at byte {i}");
-    }
+    let expected = include_bytes!("fixtures/golden_teacher_probs.bin");
+    assert_same_bytes("teacher probabilities", &teacher_prob_bytes(), expected);
 }
 
 /// Rewrites the committed teacher fixture from the recipe above. Ignored by
@@ -164,10 +87,8 @@ fn seeded_teacher_ensemble_reproduces_committed_probabilities() {
 #[test]
 #[ignore = "writes the committed fixture file"]
 fn regenerate_golden_teacher_fixture() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    std::fs::create_dir_all(&dir).unwrap();
     let bytes = teacher_prob_bytes();
-    std::fs::write(dir.join("golden_teacher_probs.bin"), &bytes).unwrap();
+    write_fixture("golden_teacher_probs.bin", &bytes);
     assert_eq!(bytes, teacher_prob_bytes(), "the recipe must be deterministic");
 }
 
@@ -224,12 +145,8 @@ fn removal_bytes() -> Vec<u8> {
 
 #[test]
 fn seeded_removal_run_reproduces_committed_rounds_and_student() {
-    let expected: &[u8] = include_bytes!("fixtures/golden_removal.bin");
-    let got = removal_bytes();
-    assert_eq!(got.len(), expected.len(), "removal record length changed");
-    if let Some(i) = got.iter().zip(expected).position(|(a, b)| a != b) {
-        panic!("removal record differs from the committed fixture first at byte {i}");
-    }
+    let expected = include_bytes!("fixtures/golden_removal.bin");
+    assert_same_bytes("removal record", &removal_bytes(), expected);
 }
 
 /// Rewrites the committed removal fixture from the recipe above. Ignored by
@@ -237,9 +154,7 @@ fn seeded_removal_run_reproduces_committed_rounds_and_student() {
 #[test]
 #[ignore = "writes the committed fixture file"]
 fn regenerate_golden_removal_fixture() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    std::fs::create_dir_all(&dir).unwrap();
     let bytes = removal_bytes();
-    std::fs::write(dir.join("golden_removal.bin"), &bytes).unwrap();
+    write_fixture("golden_removal.bin", &bytes);
     assert_eq!(bytes, removal_bytes(), "the recipe must be deterministic");
 }
