@@ -156,7 +156,7 @@ pub fn run_forecast_aed(
                 |rows| Ok(train.batch(rows)?),
                 |tape, pred, rows, y| {
                     let gt = tape.mse_to_target(pred, y)?;
-                    let dist = |t: &mut Tape, q: &Tensor| t.mse_to_target(pred, q);
+                    let dist = |t: &mut Tape, q: Tensor| t.mse_to_target(pred, q);
                     Ok(eq2_loss(tape, cfg.alpha, gt, &teachers.train, weights, rows, dist)?)
                 },
             )?)

@@ -101,14 +101,14 @@ pub(crate) fn eq2_loss(
     teachers: &[Tensor],
     weights: &[f32],
     rows: &[usize],
-    dist: impl Fn(&mut Tape, &Tensor) -> lightts_tensor::Result<Var>,
+    dist: impl Fn(&mut Tape, Tensor) -> lightts_tensor::Result<Var>,
 ) -> lightts_tensor::Result<Var> {
     let mut loss = tape.scale(gt, alpha)?;
     for (q, &w) in teachers.iter().zip(weights) {
         if w <= 1e-6 {
             continue;
         }
-        let d = dist(tape, &q.gather_rows(rows)?)?;
+        let d = dist(tape, q.gather_rows(rows)?)?;
         let term = tape.scale(d, (1.0 - alpha) * w)?;
         loss = tape.add(loss, term)?;
     }
@@ -149,8 +149,8 @@ pub fn train_student_epochs(
             |rows| Ok(train.batch(rows).map(|b| (b.inputs, b.labels))?),
             |tape, logits, rows, labels| {
                 let logp = tape.log_softmax(logits)?;
-                let ce = tape.nll_mean(logp, labels)?;
-                let kl = |t: &mut Tape, q: &Tensor| t.kl_to_target(logp, q);
+                let ce = tape.nll_mean(logp, &labels)?;
+                let kl = |t: &mut Tape, q: Tensor| t.kl_to_target(logp, q);
                 Ok(eq2_loss(tape, opts.alpha, ce, q_train, weights, rows, kl)?)
             },
         )?;

@@ -530,7 +530,7 @@ impl InceptionTime {
             |rows| Ok(train.batch(rows).map(|b| (b.inputs, b.labels))?),
             |tape, logits, _, labels| {
                 let logp = tape.log_softmax(logits)?;
-                Ok(tape.nll_mean(logp, labels)?)
+                Ok(tape.nll_mean(logp, &labels)?)
             },
         )?;
         sp.record("loss", loss);
@@ -546,7 +546,8 @@ impl InceptionTime {
     /// `(inputs, target)` from the row indices, the network runs
     /// [`forward_train`](Self::forward_train) in [`Mode::Train`], `loss`
     /// builds the scalar loss from the tape, the network output, the rows and
-    /// the target, and `optimizer` steps on its gradients. One tape and one
+    /// the target (by value, so a loss op keeps it without a copy), and
+    /// `optimizer` steps on its gradients. One tape and one
     /// binding set are `reset` per batch, so steady-state steps allocate
     /// nothing (see `lightts_tensor::pool`).
     ///
@@ -561,7 +562,7 @@ impl InceptionTime {
         optimizer: &mut dyn Optimizer,
         rng: &mut StdRng,
         mut batch: impl FnMut(&[usize]) -> Result<(Tensor, T)>,
-        mut loss: impl FnMut(&mut Tape, Var, &[usize], &T) -> Result<Var>,
+        mut loss: impl FnMut(&mut Tape, Var, &[usize], T) -> Result<Var>,
     ) -> Result<f32> {
         if batch_size == 0 {
             return Err(ModelError::BadConfig { what: "batch_size must be > 0".into() });
@@ -578,7 +579,7 @@ impl InceptionTime {
                 tape.reset();
                 bind.reset();
                 let out = self.forward_train(&mut tape, &mut bind, &inputs, Mode::Train)?;
-                let l = loss(&mut tape, out, rows, &target)?;
+                let l = loss(&mut tape, out, rows, target)?;
                 sum += tape.value(l)?.item()?;
                 let grads = tape.backward(l)?;
                 optimizer.step(&mut self.store, &bind.collect_grads(grads))?;

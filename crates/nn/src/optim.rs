@@ -8,7 +8,7 @@
 use crate::serialize::{put_tensor, read_tensor};
 use crate::{NnError, ParamRef, ParamStore, Result};
 use lightts_obs::checkpoint::{Cursor, SectionReader, SectionWriter};
-use lightts_tensor::Tensor;
+use lightts_tensor::{Tensor, TensorError};
 use std::collections::HashMap;
 
 /// A gradient-descent parameter updater.
@@ -143,21 +143,33 @@ impl Optimizer for Adam {
     fn step(&mut self, store: &mut ParamStore, grads: &[(ParamRef, Tensor)]) -> Result<()> {
         let _prof = lightts_obs::prof::scope("optim.step");
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (b1, b2, eps, neg_lr) = (self.beta1, self.beta2, self.eps, -self.lr);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
+        let bc1 = 1.0 - b1.powi(self.t as i32);
+        let bc2 = 1.0 - b2.powi(self.t as i32);
         for (r, g) in grads {
             let m = self.m.entry(r.index()).or_insert_with(|| Tensor::zeros(g.dims()));
             let v = self.v.entry(r.index()).or_insert_with(|| Tensor::zeros(g.dims()));
-            *m = m.scale(self.beta1).add(&g.scale(1.0 - self.beta1))?;
-            *v = v.scale(self.beta2).add(&g.mul(g)?.scale(1.0 - self.beta2))?;
-            let p = store.get_mut(*r)?;
-            let (lr, eps) = (self.lr, self.eps);
-            let update = m.zip_map(v, |mi, vi| {
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                m_hat / (v_hat.sqrt() + eps)
-            })?;
-            p.value.axpy(&update, -lr)?;
+            let p = &mut store.get_mut(*r)?.value;
+            for other in [&*m, &*v, &*p] {
+                if other.dims() != g.dims() {
+                    return Err(TensorError::ShapeMismatch {
+                        left: other.dims().to_vec(),
+                        right: g.dims().to_vec(),
+                        op: "adam",
+                    }
+                    .into());
+                }
+            }
+            // One pass per parameter. Each element's expression keeps its
+            // operation order, which fixes the bits (NUMERICS "Training ops").
+            let slots = p.data_mut().iter_mut().zip(m.data_mut()).zip(v.data_mut());
+            for (((pi, mi), vi), &gi) in slots.zip(g.data()) {
+                *mi = *mi * b1 + gi * c1;
+                *vi = *vi * b2 + gi * gi * c2;
+                let u = (*mi / bc1) / ((*vi / bc2).sqrt() + eps);
+                *pi += u * neg_lr;
+            }
         }
         Ok(())
     }
@@ -281,6 +293,57 @@ mod tests {
     #[test]
     fn adam_state_roundtrip_is_bit_identical() {
         split_resume_matches(|| Adam::new(0.1), 20, 7);
+    }
+
+    /// A few steps of `Adam::step` against its update written as the
+    /// tensor-op chain it ran before it became one pass per parameter
+    /// (one whole-tensor pass per operation, `m` and `v` rebuilt each
+    /// step): the same bits.
+    #[test]
+    fn adam_step_matches_the_tensor_op_chain_bit_for_bit() {
+        let mut rng = seeded(23);
+        let mut store = ParamStore::new();
+        let shapes: [&[usize]; 3] = [&[6, 18, 40], &[37], &[3]];
+        let refs: Vec<ParamRef> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, d)| store.register(format!("p{i}"), Tensor::randn(&mut rng, d, 0.5), 32))
+            .collect();
+        let mut opt = Adam::new(0.01);
+        let (b1, b2, eps, lr) = (opt.beta1, opt.beta2, opt.eps, opt.lr);
+        let mut params: Vec<Tensor> =
+            refs.iter().map(|&r| store.get(r).unwrap().value.clone()).collect();
+        let mut ms: Vec<Tensor> = shapes.iter().map(|d| Tensor::zeros(d)).collect();
+        let mut vs: Vec<Tensor> = shapes.iter().map(|d| Tensor::zeros(d)).collect();
+        for t in 1..=5 {
+            let grads: Vec<(ParamRef, Tensor)> = refs
+                .iter()
+                .zip(shapes)
+                .map(|(&r, d)| (r, Tensor::randn(&mut rng, d, 1.0)))
+                .collect();
+            opt.step(&mut store, &grads).unwrap();
+            let bc1 = 1.0 - b1.powi(t);
+            let bc2 = 1.0 - b2.powi(t);
+            for (i, (r, g)) in grads.iter().enumerate() {
+                ms[i] = ms[i].scale(b1).add(&g.scale(1.0 - b1)).unwrap();
+                vs[i] = vs[i].scale(b2).add(&g.map(|x| x * x).scale(1.0 - b2)).unwrap();
+                let update: Vec<f32> = ms[i]
+                    .data()
+                    .iter()
+                    .zip(vs[i].data())
+                    .map(|(&mi, &vi)| {
+                        let m_hat = mi / bc1;
+                        let v_hat = vi / bc2;
+                        m_hat / (v_hat.sqrt() + eps)
+                    })
+                    .collect();
+                params[i].axpy(&Tensor::from_vec(update, g.dims()).unwrap(), -lr).unwrap();
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&store.get(*r).unwrap().value), bits(&params[i]), "step {t}");
+                assert_eq!(bits(&opt.m[&r.index()]), bits(&ms[i]), "m at step {t}");
+                assert_eq!(bits(&opt.v[&r.index()]), bits(&vs[i]), "v at step {t}");
+            }
+        }
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub fn train_encoder(
             let h = enc.dec1.forward(&mut tape, &mut bind, &enc.store, z)?;
             let h = tape.relu(h)?;
             let recon = enc.dec2.forward(&mut tape, &mut bind, &enc.store, h)?;
-            let loss = tape.mse_to_target(recon, &x)?;
+            let loss = tape.mse_to_target(recon, x)?;
             let grads = tape.backward(loss)?;
             let pairs = bind.collect_grads(grads);
             opt.step(&mut enc.store, &pairs)?;
@@ -251,7 +251,7 @@ fn predictor_step(
     let h = enc.pred1.forward(&mut tape, &mut bind, &enc.store, z)?;
     let h = tape.relu(h)?;
     let pred = enc.pred2.forward(&mut tape, &mut bind, &enc.store, h)?;
-    let loss = tape.mse_to_target(pred, &target)?;
+    let loss = tape.mse_to_target(pred, target)?;
     let grads = tape.backward(loss)?;
     let pairs = bind.collect_grads(grads);
     opt.step(&mut enc.store, &pairs)?;

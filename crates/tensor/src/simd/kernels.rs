@@ -17,8 +17,8 @@
 //!
 //! Determinism contract (see `docs/NUMERICS.md` for the full statement):
 //!
-//! * Element-wise kernels ([`add_assign`], [`sub_assign`], [`mul_assign`],
-//!   [`scale`], [`sub_scalar`], [`axpy`], [`relu`]) and the exponentials
+//! * Element-wise kernels ([`add_assign`], [`sub_assign`], [`scale`],
+//!   [`sub_scalar`], [`axpy`], [`fake_quant`]) and the exponentials
 //!   ([`vec_exp`], [`sum_exp`]) perform the identical single-rounding
 //!   operation sequence per element on every backend ⇒ **bitwise
 //!   backend-invariant**.
@@ -72,7 +72,6 @@ macro_rules! elementwise_binary {
 
 elementwise_binary!(add_assign_g, |x, y| x.add(y), |a, b| a + b);
 elementwise_binary!(sub_assign_g, |x, y| x.sub(y), |a, b| a - b);
-elementwise_binary!(mul_assign_g, |x, y| x.mul(y), |a, b| a * b);
 
 #[inline(always)]
 unsafe fn scale_g<V: SimdF32>(out: &mut [f32], s: f32) {
@@ -122,22 +121,27 @@ unsafe fn axpy_g<V: SimdF32>(out: &mut [f32], rhs: &[f32], s: f32) {
     }
 }
 
-/// `max(x, +0.0)` with `maxps` operand order: NaN and `-0.0` both map to
-/// `+0.0`, matching the historical `f32::max(x, 0.0)` bit-for-bit.
+/// Appends the fake quantization of each `x` to `out`:
+/// `zero_point + round((x − zero_point) / step).clamp(0, max_code) · step`,
+/// the expression of `QuantParams::quantize` in its order (Rust fuses no
+/// multiply-add). Under the AVX2 wrapper the loop vectorizes, and `f32::round`
+/// becomes `vroundps` toward zero after adding `copysign(0.49999997, x)`:
+/// that rounds every input as the libm `roundf` call of the scalar build
+/// does (halves away from zero, NaN and ±inf unchanged), so the bits are
+/// the same on every backend.
+///
+/// The loop writes `out`'s spare capacity in place, not through
+/// `Vec::extend`, whose loop the compiler keeps out of line, where the
+/// wrapper's target features do not reach it.
 #[inline(always)]
-unsafe fn relu_g<V: SimdF32>(out: &mut [f32]) {
-    let n = out.len();
-    let z = V::zero();
-    let mut i = 0;
-    while i + V::LANES <= n {
-        V::load(&out[i..]).max(z).store(&mut out[i..]);
-        i += V::LANES;
+unsafe fn fake_quant_g(out: &mut Vec<f32>, x: &[f32], zero_point: f32, step: f32, max_code: f32) {
+    out.reserve(x.len());
+    let len = out.len();
+    for (o, &v) in out.spare_capacity_mut().iter_mut().zip(x) {
+        o.write(zero_point + ((v - zero_point) / step).round().clamp(0.0, max_code) * step);
     }
-    while i < n {
-        let x = out[i];
-        out[i] = if x > 0.0 { x } else { 0.0 };
-        i += 1;
-    }
+    // SAFETY: the loop initialized the `x.len()` slots past `len`.
+    out.set_len(len + x.len());
 }
 
 // ---------------------------------------------------------------------------
@@ -624,11 +628,6 @@ dispatch_kernel!(
     avx2: sub_assign_g::<F32x8>, scalar: sub_assign_g::<ScalarVec>
 );
 dispatch_kernel!(
-    /// Element-wise `out *= rhs` (Hadamard). Bitwise backend-invariant.
-    mul_assign / mul_assign_with(out: &mut [f32], rhs: &[f32]),
-    avx2: mul_assign_g::<F32x8>, scalar: mul_assign_g::<ScalarVec>
-);
-dispatch_kernel!(
     /// `out *= s`. Bitwise backend-invariant.
     scale / scale_with(out: &mut [f32], s: f32),
     avx2: scale_g::<F32x8>, scalar: scale_g::<ScalarVec>
@@ -646,10 +645,17 @@ dispatch_kernel!(
     avx2: axpy_g::<F32x8>, scalar: axpy_g::<ScalarVec>
 );
 dispatch_kernel!(
-    /// In-place `max(x, 0.0)`. Bitwise backend-invariant (NaN → `0.0`,
-    /// `-0.0` → `+0.0`, exactly like `f32::max(x, 0.0)`).
-    relu / relu_with(out: &mut [f32]),
-    avx2: relu_g::<F32x8>, scalar: relu_g::<ScalarVec>
+    /// Appends `zero_point + round((x − zero_point) / step).clamp(0,
+    /// max_code) · step` for each `x` to `out` (fake quantization with a
+    /// non-zero step). Bitwise backend-invariant.
+    fake_quant / fake_quant_with(
+        out: &mut Vec<f32>,
+        x: &[f32],
+        zero_point: f32,
+        step: f32,
+        max_code: f32,
+    ),
+    avx2: fake_quant_g, scalar: fake_quant_g
 );
 dispatch_kernel!(
     /// In-place vectorized `exp(x)` (polynomial kernel, ≤ 2 ulp). Bitwise

@@ -39,10 +39,11 @@
 //! `docs/NUMERICS.md` states the full contract; in brief, four classes:
 //!
 //! * **Backend-invariant, element-wise**: [`add_assign`], [`sub_assign`],
-//!   [`mul_assign`], [`scale`], [`sub_scalar`], [`axpy`], [`relu`],
-//!   [`vec_exp`], [`sum_exp`], [`log_softmax_row`] — single-rounding ops
-//!   (or a fixed polynomial algorithm) applied per element, so scalar and
-//!   AVX2 produce identical bits for every shape, including remainder lanes.
+//!   [`scale`], [`sub_scalar`], [`axpy`], [`fake_quant`], [`vec_exp`],
+//!   [`sum_exp`], [`log_softmax_row`] — single-rounding ops (or a fixed
+//!   polynomial algorithm, or IEEE rounding to an integer) applied per
+//!   element, so scalar and AVX2 produce identical bits for every shape,
+//!   including remainder lanes.
 //! * **Backend-invariant, striped**: [`reduce_sum_sq`] — eight fixed
 //!   stripes folded by one canonical pairing tree on every backend
 //!   (degenerating to a plain serial sum for `n < 8`).
@@ -89,10 +90,10 @@ mod x86;
 pub use qkernels::{i16_pair, qgemm_tile, qgemm_tile_with, QDOT_MAX_K};
 
 pub use kernels::{
-    add_assign, add_assign_with, axpy, axpy_with, gemm_tile, gemm_tile_with, mul_assign,
-    mul_assign_with, reduce_sum_sq, reduce_sum_sq_with, relu, relu_with, scale, scale_with,
-    sub_assign, sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp,
-    vec_exp_with, Tile,
+    add_assign, add_assign_with, axpy, axpy_with, fake_quant, fake_quant_with, gemm_tile,
+    gemm_tile_with, reduce_sum_sq, reduce_sum_sq_with, scale, scale_with, sub_assign,
+    sub_assign_with, sub_scalar, sub_scalar_with, sum_exp, sum_exp_with, vec_exp, vec_exp_with,
+    Tile,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

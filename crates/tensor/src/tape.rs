@@ -16,11 +16,17 @@
 //! Every buffer a tape op materializes — forward values, saved auxiliaries,
 //! and the gradients produced by [`Tape::backward`] — lives in a [`Tensor`]
 //! whose storage is drawn from the thread-local [`crate::pool`] and recycled
-//! when the node is dropped. Together with [`Tape::reset`] (which clears the
-//! node list while keeping its allocation), a steady-state training loop
-//! that reuses one tape performs zero transient heap allocations per step
-//! once the pool is warm; the pool's hit/miss counters sit next to
-//! [`tapes_created`] so tests can assert exactly that.
+//! when it is dropped. Each op writes its outputs in one pass into slabs
+//! taken empty, with no zero-fill. [`Tape::backward`] keeps a gradient only
+//! while a rule can still read it: a non-leaf's gradient is freed as soon
+//! as its own rule has run, and a rule that passes it through unchanged
+//! moves it to the parent, so only the leaves' gradients outlive the call
+//! and the peak holds just the gradients of the frontier being walked.
+//! Together with [`Tape::reset`] (which clears the node list while keeping
+//! its allocation), a steady-state training loop that reuses one tape
+//! performs zero transient heap allocations per step once the pool is warm;
+//! the pool's hit/miss counters sit next to [`tapes_created`] so tests can
+//! assert exactly that.
 
 use crate::conv::{conv1d_backward_input, conv1d_backward_weight, conv1d_forward};
 use crate::quant::fake_quantize;
@@ -147,10 +153,12 @@ pub struct Grads {
 }
 
 impl Grads {
-    /// The gradient of the loss with respect to `var`, if it was computed.
+    /// The gradient of the loss with respect to the leaf `var`, if it was
+    /// computed.
     ///
-    /// `None` for nodes that do not require gradients or are not ancestors
-    /// of the loss.
+    /// `None` for leaves that do not require gradients or are not ancestors
+    /// of the loss, and for every non-leaf node, the root included:
+    /// [`Tape::backward`] frees a non-leaf's gradient once its rule has run.
     pub fn get(&self, var: Var) -> Option<&Tensor> {
         self.grads.get(var.0).and_then(|g| g.as_ref())
     }
@@ -341,12 +349,9 @@ impl Tape {
                         op: "add_bias",
                     });
                 }
-                let (b, k) = (xv.dims()[0], xv.dims()[1]);
-                let mut out = pool::take_copy(xv.data());
-                for bi in 0..b {
-                    for ci in 0..k {
-                        out[bi * k + ci] += bv.data()[ci];
-                    }
+                let mut out = pool::take_empty(xv.len());
+                for row in xv.data().chunks_exact(c.max(1)) {
+                    out.extend(row.iter().zip(bv.data()).map(|(&v, &bias_v)| v + bias_v));
                 }
                 Tensor::from_vec(out, xv.dims())?
             }
@@ -358,16 +363,11 @@ impl Tape {
                         op: "add_bias",
                     });
                 }
-                let (b, ch, l) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
-                let mut out = pool::take_copy(xv.data());
-                for bi in 0..b {
-                    for ci in 0..ch {
-                        let off = (bi * ch + ci) * l;
-                        let bias_v = bv.data()[ci];
-                        for o in &mut out[off..off + l] {
-                            *o += bias_v;
-                        }
-                    }
+                let l = xv.dims()[2];
+                let mut out = pool::take_empty(xv.len());
+                for (r, row) in xv.data().chunks_exact(l.max(1)).enumerate() {
+                    let bias_v = bv.data()[r % c];
+                    out.extend(row.iter().map(|&v| v + bias_v));
                 }
                 Tensor::from_vec(out, xv.dims())?
             }
@@ -409,16 +409,12 @@ impl Tape {
             c_total += t.dims()[1];
         }
         let _prof = lightts_obs::prof::scope("concat.fwd");
-        let mut out = pool::take_zeroed(b * c_total * l);
+        let mut out = pool::take_empty(b * c_total * l);
         for bi in 0..b {
-            let mut c_off = 0usize;
             for &p in parts {
                 let t = &self.nodes[p.0].value;
                 let ci = t.dims()[1];
-                let src = &t.data()[bi * ci * l..(bi + 1) * ci * l];
-                let dst_off = (bi * c_total + c_off) * l;
-                out[dst_off..dst_off + ci * l].copy_from_slice(src);
-                c_off += ci;
+                out.extend_from_slice(&t.data()[bi * ci * l..(bi + 1) * ci * l]);
             }
         }
         let v = Tensor::from_vec(out, &[b, c_total, l])?;
@@ -435,13 +431,9 @@ impl Tape {
         }
         let (b, c, l) = (xv.dims()[0], xv.dims()[1], xv.dims()[2]);
         let _prof = lightts_obs::prof::scope("gap.fwd");
-        let mut out = pool::take_zeroed(b * c);
-        for bi in 0..b {
-            for ci in 0..c {
-                let off = (bi * c + ci) * l;
-                out[bi * c + ci] = xv.data()[off..off + l].iter().sum::<f32>() / l as f32;
-            }
-        }
+        let xd = xv.data();
+        let mut out = pool::take_empty(b * c);
+        out.extend((0..b * c).map(|r| xd[r * l..(r + 1) * l].iter().sum::<f32>() / l as f32));
         let v = Tensor::from_vec(out, &[b, c])?;
         let rg = self.rg(x);
         Ok(self.push(v, Op::Gap(x.0), rg))
@@ -510,8 +502,11 @@ impl Tape {
     /// `q` is a constant teacher distribution and `p` is the student
     /// distribution given by its log-probabilities.
     ///
-    /// This is the `Dist(q_i, p_w)` term of paper Eq. 2.
-    pub fn kl_to_target(&mut self, logp: Var, q: &Tensor) -> Result<Var> {
+    /// This is the `Dist(q_i, p_w)` term of paper Eq. 2. The node keeps
+    /// `q` for its gradient: pass it by value to move it in (a reference
+    /// is copied).
+    pub fn kl_to_target(&mut self, logp: Var, q: impl Into<Tensor>) -> Result<Var> {
+        let q = q.into();
         self.check(logp)?;
         let lp = &self.nodes[logp.0].value;
         if lp.dims() != q.dims() {
@@ -538,11 +533,14 @@ impl Tape {
         }
         let v = Tensor::scalar(acc / b as f32);
         let rg = self.rg(logp);
-        Ok(self.push(v, Op::KlToTarget { logp: logp.0, q: q.clone() }, rg))
+        Ok(self.push(v, Op::KlToTarget { logp: logp.0, q }, rg))
     }
 
-    /// Mean squared error against a constant target.
-    pub fn mse_to_target(&mut self, x: Var, target: &Tensor) -> Result<Var> {
+    /// Mean squared error against a constant target. The node keeps the
+    /// target for its gradient: pass it by value to move it in (a
+    /// reference is copied).
+    pub fn mse_to_target(&mut self, x: Var, target: impl Into<Tensor>) -> Result<Var> {
+        let target = target.into();
         self.check(x)?;
         let xv = &self.nodes[x.0].value;
         if xv.dims() != target.dims() {
@@ -552,6 +550,7 @@ impl Tape {
                 op: "mse_to_target",
             });
         }
+        let _prof = lightts_obs::prof::scope("mse.fwd");
         let n = xv.len().max(1);
         let mut acc = 0.0f32;
         for (&a, &b) in xv.data().iter().zip(target.data().iter()) {
@@ -559,7 +558,7 @@ impl Tape {
         }
         let v = Tensor::scalar(acc / n as f32);
         let rg = self.rg(x);
-        Ok(self.push(v, Op::MseToTarget { x: x.0, target: target.clone() }, rg))
+        Ok(self.push(v, Op::MseToTarget { x: x.0, target }, rg))
     }
 
     /// Uniform fake quantization of `x` to `bits`, with straight-through
@@ -577,7 +576,6 @@ impl Tape {
     ///
     /// Returns `(output, batch_mean, batch_var)` so callers can maintain
     /// running statistics for inference.
-    #[allow(clippy::needless_range_loop)] // per-channel stats with strided offsets
     pub fn batch_norm(
         &mut self,
         x: Var,
@@ -607,55 +605,40 @@ impl Tape {
             });
         }
         let _prof = lightts_obs::prof::scope("bn.fwd");
+        let xd = xv.data();
         let m = (b * l) as f32;
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for bi in 0..b {
-            for ci in 0..c {
-                let off = (bi * c + ci) * l;
-                for &v in &xv.data()[off..off + l] {
-                    mean[ci] += v;
-                }
-            }
-        }
-        for mu in &mut mean {
-            *mu /= m;
-        }
-        for bi in 0..b {
-            for ci in 0..c {
-                let off = (bi * c + ci) * l;
-                for &v in &xv.data()[off..off + l] {
-                    let d = v - mean[ci];
-                    var[ci] += d * d;
-                }
-            }
-        }
-        for vv in &mut var {
-            *vv /= m;
-        }
+        let mut mean = Vec::with_capacity(c);
+        channel_sums([xd], [b, c, l], |_, [v]| [v], |_, [s]| mean.push(s / m));
+        let mut var = Vec::with_capacity(c);
+        channel_sums(
+            [xd],
+            [b, c, l],
+            |ci, [v]| {
+                let d = v - mean[ci];
+                [d * d]
+            },
+            |_, [s]| var.push(s / m),
+        );
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
-        let mut x_hat = pool::take_zeroed(b * c * l);
-        let mut out = pool::take_zeroed(b * c * l);
-        for bi in 0..b {
-            for ci in 0..c {
-                let off = (bi * c + ci) * l;
-                for t in 0..l {
-                    let xh = (xv.data()[off + t] - mean[ci]) * inv_std[ci];
-                    x_hat[off + t] = xh;
-                    out[off + t] = g.data()[ci] * xh + be.data()[ci];
-                }
+        let mut x_hat = pool::take_empty(b * c * l);
+        let mut out = pool::take_empty(b * c * l);
+        for rows in xd.chunks_exact((c * l).max(1)) {
+            for (ci, row) in rows.chunks_exact(l.max(1)).enumerate() {
+                let (mu, is, gc, bc) = (mean[ci], inv_std[ci], g.data()[ci], be.data()[ci]);
+                let start = x_hat.len();
+                x_hat.extend(row.iter().map(|&v| (v - mu) * is));
+                out.extend(x_hat[start..].iter().map(|&xh| gc * xh + bc));
             }
         }
         let x_hat = Tensor::from_vec(x_hat, &[b, c, l])?;
         let v = Tensor::from_vec(out, &[b, c, l])?;
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
-        let var_out = var.clone();
         let node = self.push(
             v,
             Op::BatchNorm { x: x.0, gamma: gamma.0, beta: beta.0, aux: BnAux { x_hat, inv_std } },
             rg,
         );
-        Ok((node, mean, var_out))
+        Ok((node, mean, var))
     }
 
     // ------------------------------------------------------------------
@@ -663,6 +646,11 @@ impl Tape {
     // ------------------------------------------------------------------
 
     /// Runs reverse-mode differentiation from the scalar node `root`.
+    ///
+    /// The returned [`Grads`] hold the gradients of the leaves only: each
+    /// non-leaf's gradient is freed as soon as its backward rule has run,
+    /// and a rule that passes its gradient through unchanged (`Add`,
+    /// `AddBias` for its input, `FakeQuant`) moves it to the parent.
     pub fn backward(&self, root: Var) -> Result<Grads> {
         self.check(root)?;
         if self.nodes[root.0].value.len() != 1 {
@@ -674,15 +662,16 @@ impl Tape {
         grads[root.0] = Some(Tensor::scalar(1.0));
 
         for id in (0..=root.0).rev() {
-            let Some(gy) = grads[id].take() else { continue };
-            // put it back for consumers of Grads
             let node = &self.nodes[id];
-            if !node.requires_grad {
-                grads[id] = Some(gy);
+            if matches!(node.op, Op::Leaf) {
                 continue;
             }
-            self.accumulate_parents(id, &gy, &mut grads)?;
-            grads[id] = Some(gy);
+            // A non-leaf that does not require a gradient (only the root can
+            // hold one) has no rule to run: its gradient drops here.
+            let Some(gy) = grads[id].take() else { continue };
+            if node.requires_grad {
+                self.accumulate_parents(id, gy, &mut grads)?;
+            }
         }
         Ok(Grads { grads })
     }
@@ -697,85 +686,84 @@ impl Tape {
         }
     }
 
-    #[allow(clippy::too_many_lines, clippy::needless_range_loop)]
+    /// Runs node `id`'s backward rule on its gradient `gy`, adding each
+    /// parent's share into `grads`.
     fn accumulate_parents(
         &self,
         id: usize,
-        gy: &Tensor,
+        gy: Tensor,
         grads: &mut [Option<Tensor>],
     ) -> Result<()> {
         let node = &self.nodes[id];
         let _prof = backward_scope(&node.op).map(lightts_obs::prof::scope);
+        let rg = |p: usize| self.nodes[p].requires_grad;
         match &node.op {
             Op::Leaf => {}
-            Op::Add(a, b) => {
-                if self.nodes[*a].requires_grad {
+            Op::Add(a, b) => match (rg(*a), rg(*b)) {
+                (true, true) => {
                     Self::acc(grads, *a, gy.clone())?;
+                    Self::acc(grads, *b, gy)?;
                 }
-                if self.nodes[*b].requires_grad {
-                    Self::acc(grads, *b, gy.clone())?;
-                }
-            }
+                (true, false) => Self::acc(grads, *a, gy)?,
+                (false, true) => Self::acc(grads, *b, gy)?,
+                (false, false) => {}
+            },
             Op::Scale(a, s) => {
-                if self.nodes[*a].requires_grad {
+                if rg(*a) {
                     Self::acc(grads, *a, gy.scale(*s))?;
                 }
             }
             Op::Relu(a) => {
-                if self.nodes[*a].requires_grad {
-                    let mask = self.nodes[*a].value.map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-                    Self::acc(grads, *a, gy.mul(&mask)?)?;
+                if rg(*a) {
+                    let x = &self.nodes[*a].value;
+                    let gx = gy.zip_map(x, |g, x| g * if x > 0.0 { 1.0 } else { 0.0 })?;
+                    Self::acc(grads, *a, gx)?;
                 }
             }
             Op::MatMul(a, b) => {
                 let av = &self.nodes[*a].value;
                 let bv = &self.nodes[*b].value;
-                if self.nodes[*a].requires_grad {
+                if rg(*a) {
                     // dA = dY Bᵀ
                     Self::acc(grads, *a, gy.matmul(&bv.transpose2()?)?)?;
                 }
-                if self.nodes[*b].requires_grad {
+                if rg(*b) {
                     // dB = Aᵀ dY
-                    Self::acc(grads, *b, av.transpose2()?.matmul(gy)?)?;
+                    Self::acc(grads, *b, av.transpose2()?.matmul(&gy)?)?;
                 }
             }
             Op::Conv1d { x, w } => {
                 let xv = &self.nodes[*x].value;
                 let wv = &self.nodes[*w].value;
-                if self.nodes[*x].requires_grad {
-                    Self::acc(grads, *x, conv1d_backward_input(gy, wv, xv.dims())?)?;
+                if rg(*x) {
+                    Self::acc(grads, *x, conv1d_backward_input(&gy, wv, xv.dims())?)?;
                 }
-                if self.nodes[*w].requires_grad {
-                    Self::acc(grads, *w, conv1d_backward_weight(gy, xv, wv.dims())?)?;
+                if rg(*w) {
+                    Self::acc(grads, *w, conv1d_backward_weight(&gy, xv, wv.dims())?)?;
                 }
             }
             Op::AddBias { x, bias } => {
-                if self.nodes[*x].requires_grad {
-                    Self::acc(grads, *x, gy.clone())?;
-                }
-                if self.nodes[*bias].requires_grad {
+                if rg(*bias) {
                     let c = self.nodes[*bias].value.len();
                     let mut gb = pool::take_zeroed(c);
-                    match gy.rank() {
-                        2 => {
-                            let (b, k) = (gy.dims()[0], gy.dims()[1]);
-                            for bi in 0..b {
-                                for ci in 0..k {
-                                    gb[ci] += gy.data()[bi * k + ci];
-                                }
+                    if gy.rank() == 2 {
+                        for row in gy.data().chunks_exact(c.max(1)) {
+                            for (s, &g) in gb.iter_mut().zip(row) {
+                                *s += g;
                             }
                         }
-                        _ => {
-                            let (b, ch, l) = (gy.dims()[0], gy.dims()[1], gy.dims()[2]);
-                            for bi in 0..b {
-                                for ci in 0..ch {
-                                    let off = (bi * ch + ci) * l;
-                                    gb[ci] += gy.data()[off..off + l].iter().sum::<f32>();
-                                }
+                    } else {
+                        let l = gy.dims()[2];
+                        for rows in gy.data().chunks_exact((c * l).max(1)) {
+                            for (s, row) in gb.iter_mut().zip(rows.chunks_exact(l.max(1))) {
+                                *s += row.iter().sum::<f32>();
                             }
                         }
                     }
                     Self::acc(grads, *bias, Tensor::from_vec(gb, &[c])?)?;
+                }
+                if rg(*x) {
+                    Self::acc(grads, *x, gy)?;
                 }
             }
             Op::ConcatChannels(parts) => {
@@ -783,13 +771,11 @@ impl Tape {
                 let mut c_off = 0usize;
                 for &p in parts {
                     let ci = self.nodes[p].value.dims()[1];
-                    if self.nodes[p].requires_grad {
-                        let mut gp = pool::take_zeroed(b * ci * l);
+                    if rg(p) {
+                        let mut gp = pool::take_empty(b * ci * l);
                         for bi in 0..b {
-                            let src_off = (bi * c_total + c_off) * l;
-                            let dst_off = bi * ci * l;
-                            gp[dst_off..dst_off + ci * l]
-                                .copy_from_slice(&gy.data()[src_off..src_off + ci * l]);
+                            let src = (bi * c_total + c_off) * l;
+                            gp.extend_from_slice(&gy.data()[src..src + ci * l]);
                         }
                         Self::acc(grads, p, Tensor::from_vec(gp, &[b, ci, l])?)?;
                     }
@@ -797,40 +783,35 @@ impl Tape {
                 }
             }
             Op::Gap(x) => {
-                if self.nodes[*x].requires_grad {
+                if rg(*x) {
                     let xd = self.nodes[*x].value.dims();
-                    let (b, c, l) = (xd[0], xd[1], xd[2]);
-                    let mut gx = pool::take_zeroed(b * c * l);
-                    for bi in 0..b {
-                        for ci in 0..c {
-                            let g = gy.data()[bi * c + ci] / l as f32;
-                            let off = (bi * c + ci) * l;
-                            for v in &mut gx[off..off + l] {
-                                *v = g;
-                            }
-                        }
+                    let l = xd[2];
+                    let mut gx = pool::take_empty(xd.iter().product());
+                    for &g in gy.data() {
+                        gx.resize(gx.len() + l, g / l as f32);
                     }
-                    Self::acc(grads, *x, Tensor::from_vec(gx, &[b, c, l])?)?;
+                    Self::acc(grads, *x, Tensor::from_vec(gx, xd)?)?;
                 }
             }
             Op::LogSoftmax(x) => {
-                if self.nodes[*x].requires_grad {
+                if rg(*x) {
                     // d/dx log_softmax: gx = gy − softmax(x) · Σ_row gy
                     let lsm = &node.value;
-                    let (b, k) = (lsm.dims()[0], lsm.dims()[1]);
-                    let mut gx = pool::take_zeroed(b * k);
-                    for bi in 0..b {
-                        let row_sum: f32 = gy.data()[bi * k..(bi + 1) * k].iter().sum();
-                        for ci in 0..k {
-                            let p = lsm.data()[bi * k + ci].exp();
-                            gx[bi * k + ci] = gy.data()[bi * k + ci] - p * row_sum;
-                        }
+                    let k = lsm.dims()[1];
+                    let mut gx = pool::take_empty(lsm.len());
+                    let rows =
+                        gy.data().chunks_exact(k.max(1)).zip(lsm.data().chunks_exact(k.max(1)));
+                    for (g_row, lsm_row) in rows {
+                        let row_sum: f32 = g_row.iter().sum();
+                        gx.extend(
+                            g_row.iter().zip(lsm_row).map(|(&g, &lp)| g - lp.exp() * row_sum),
+                        );
                     }
-                    Self::acc(grads, *x, Tensor::from_vec(gx, &[b, k])?)?;
+                    Self::acc(grads, *x, Tensor::from_vec(gx, lsm.dims())?)?;
                 }
             }
             Op::Mean(x) => {
-                if self.nodes[*x].requires_grad {
+                if rg(*x) {
                     let n = self.nodes[*x].value.len().max(1) as f32;
                     let g = gy.item()? / n;
                     let dims = self.nodes[*x].value.dims().to_vec();
@@ -838,14 +819,14 @@ impl Tape {
                 }
             }
             Op::Sum(x) => {
-                if self.nodes[*x].requires_grad {
+                if rg(*x) {
                     let g = gy.item()?;
                     let dims = self.nodes[*x].value.dims().to_vec();
                     Self::acc(grads, *x, Tensor::full(&dims, g))?;
                 }
             }
             Op::NllMean { logp, targets } => {
-                if self.nodes[*logp].requires_grad {
+                if rg(*logp) {
                     let dims = self.nodes[*logp].value.dims().to_vec();
                     let (b, k) = (dims[0], dims[1]);
                     let g = gy.item()? / b as f32;
@@ -857,65 +838,66 @@ impl Tape {
                 }
             }
             Op::KlToTarget { logp, q } => {
-                if self.nodes[*logp].requires_grad {
+                if rg(*logp) {
                     let b = q.dims()[0] as f32;
                     let g = gy.item()? / b;
-                    Self::acc(grads, *logp, q.scale(-g))?;
+                    Self::acc(grads, *logp, q.map(|v| v * -g))?;
                 }
             }
             Op::MseToTarget { x, target } => {
-                if self.nodes[*x].requires_grad {
+                if rg(*x) {
                     let xv = &self.nodes[*x].value;
                     let n = xv.len().max(1) as f32;
                     let g = gy.item()? * 2.0 / n;
-                    let diff = xv.sub(target)?;
-                    Self::acc(grads, *x, diff.scale(g))?;
+                    Self::acc(grads, *x, xv.zip_map(target, |a, t| (a - t) * g)?)?;
                 }
             }
             Op::FakeQuant { x, .. } => {
                 // Straight-through estimator: pass the gradient unchanged.
-                if self.nodes[*x].requires_grad {
-                    Self::acc(grads, *x, gy.clone())?;
+                if rg(*x) {
+                    Self::acc(grads, *x, gy)?;
                 }
             }
             Op::BatchNorm { x, gamma, beta, aux } => {
                 let (b, c, l) = (gy.dims()[0], gy.dims()[1], gy.dims()[2]);
                 let m = (b * l) as f32;
-                let gv = &self.nodes[*gamma].value;
-                // per-channel reductions
-                let mut sum_dy = vec![0.0f32; c];
-                let mut sum_dy_xhat = vec![0.0f32; c];
-                for bi in 0..b {
-                    for ci in 0..c {
-                        let off = (bi * c + ci) * l;
-                        for t in 0..l {
-                            let dy = gy.data()[off + t];
-                            sum_dy[ci] += dy;
-                            sum_dy_xhat[ci] += dy * aux.x_hat.data()[off + t];
-                        }
-                    }
-                }
-                if self.nodes[*beta].requires_grad {
+                let (dy, x_hat) = (gy.data(), aux.x_hat.data());
+                let mut sum_dy = Vec::with_capacity(c);
+                let mut sum_dy_xhat = Vec::with_capacity(c);
+                channel_sums(
+                    [dy, x_hat],
+                    [b, c, l],
+                    |_, [dy, xh]| [dy, dy * xh],
+                    |_, [s, sx]| {
+                        sum_dy.push(s);
+                        sum_dy_xhat.push(sx);
+                    },
+                );
+                if rg(*beta) {
                     Self::acc(grads, *beta, Tensor::from_vec(pool::take_copy(&sum_dy), &[c])?)?;
                 }
-                if self.nodes[*gamma].requires_grad {
+                if rg(*gamma) {
                     Self::acc(
                         grads,
                         *gamma,
                         Tensor::from_vec(pool::take_copy(&sum_dy_xhat), &[c])?,
                     )?;
                 }
-                if self.nodes[*x].requires_grad {
-                    let mut gx = pool::take_zeroed(b * c * l);
-                    for bi in 0..b {
-                        for ci in 0..c {
-                            let off = (bi * c + ci) * l;
-                            let coeff = gv.data()[ci] * aux.inv_std[ci] / m;
-                            for t in 0..l {
-                                let dy = gy.data()[off + t];
-                                let xh = aux.x_hat.data()[off + t];
-                                gx[off + t] = coeff * (m * dy - sum_dy[ci] - xh * sum_dy_xhat[ci]);
-                            }
+                if rg(*x) {
+                    let gv = self.nodes[*gamma].value.data();
+                    let mut gx = pool::take_empty(b * c * l);
+                    let (row, rows) = (l.max(1), (c * l).max(1));
+                    for (dys, xhs) in dy.chunks_exact(rows).zip(x_hat.chunks_exact(rows)) {
+                        let channels = dys.chunks_exact(row).zip(xhs.chunks_exact(row));
+                        for (ci, (dy_row, xh_row)) in channels.enumerate() {
+                            let coeff = gv[ci] * aux.inv_std[ci] / m;
+                            let (sd, sdx) = (sum_dy[ci], sum_dy_xhat[ci]);
+                            gx.extend(
+                                dy_row
+                                    .iter()
+                                    .zip(xh_row)
+                                    .map(|(&dy, &xh)| coeff * (m * dy - sd - xh * sdx)),
+                            );
                         }
                     }
                     Self::acc(grads, *x, Tensor::from_vec(gx, &[b, c, l])?)?;
@@ -924,6 +906,64 @@ impl Tape {
         }
         Ok(())
     }
+}
+
+/// Channels whose sums [`channel_sums`] runs side by side.
+const CHANNEL_GROUP: usize = 6;
+
+/// `N` sums per channel over `[b, c, l]` data: sum `n` of channel `ci`
+/// adds `term(ci, [src₀[i], …])[n]` for each flat index `i` of the channel,
+/// over `(b, t)` in order from `+0.0`, and `sink(ci, sums)` receives them
+/// channel by channel. Each sum is one chain, as a loop over one channel
+/// would run it. The chains of [`CHANNEL_GROUP`] channels run side by
+/// side, which hides the add latency; channels past the last whole group
+/// run one at a time.
+fn channel_sums<const K: usize, const N: usize>(
+    src: [&[f32]; K],
+    dims: [usize; 3],
+    term: impl Fn(usize, [f32; K]) -> [f32; N],
+    mut sink: impl FnMut(usize, [f32; N]),
+) {
+    let c = dims[1];
+    let mut c0 = 0;
+    while c0 + CHANNEL_GROUP <= c {
+        let sums = group_sums::<CHANNEL_GROUP, K, N>(src, dims, c0, |g, v| term(c0 + g, v));
+        for (g, s) in sums.into_iter().enumerate() {
+            sink(c0 + g, s);
+        }
+        c0 += CHANNEL_GROUP;
+    }
+    for ci in c0..c {
+        let [s] = group_sums::<1, K, N>(src, dims, ci, |_, v| term(ci, v));
+        sink(ci, s);
+    }
+}
+
+/// The sums of [`channel_sums`] for the `G` channels from `c0`, with
+/// `term(g, values)` giving channel `c0 + g`'s terms.
+#[inline(always)]
+fn group_sums<const G: usize, const K: usize, const N: usize>(
+    src: [&[f32]; K],
+    [b, c, l]: [usize; 3],
+    c0: usize,
+    term: impl Fn(usize, [f32; K]) -> [f32; N],
+) -> [[f32; N]; G] {
+    let mut acc = [[0.0f32; N]; G];
+    for bi in 0..b {
+        let rows: [[&[f32]; K]; G] = std::array::from_fn(|g| {
+            let off = (bi * c + c0 + g) * l;
+            src.map(|s| &s[off..off + l])
+        });
+        for t in 0..l {
+            for (g, (sums, rows)) in acc.iter_mut().zip(&rows).enumerate() {
+                let terms = term(g, rows.map(|r| r[t]));
+                for (s, v) in sums.iter_mut().zip(terms) {
+                    *s += v;
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// The profiler scope of an op's backward rule, for the ops whose kernels
@@ -937,6 +977,7 @@ fn backward_scope(op: &Op) -> Option<&'static str> {
         Op::LogSoftmax(_) => "log_softmax.bwd",
         Op::NllMean { .. } => "nll.bwd",
         Op::KlToTarget { .. } => "kl.bwd",
+        Op::MseToTarget { .. } => "mse.bwd",
         Op::FakeQuant { .. } => "fake_quant.bwd",
         Op::BatchNorm { .. } => "bn.bwd",
         _ => return None,
@@ -1222,6 +1263,51 @@ mod tests {
         let x3 = x.clone();
         let g3 = gamma.clone();
         check_grad(|t| run(&x3, &g3, t), &beta, grads.get(bv).unwrap(), 5e-2);
+    }
+
+    /// Every op on one tape: after `backward`, each leaf that requires a
+    /// gradient and feeds the loss has one, constants have none, and no
+    /// non-leaf keeps one.
+    #[test]
+    fn backward_keeps_leaf_gradients_only() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut tape = Tape::new();
+        let x = tape.constant(Tensor::randn(&mut rng, &[2, 1, 6], 1.0));
+        let w = tape.leaf(Tensor::randn(&mut rng, &[3, 1, 3], 0.5), true);
+        let bias = tape.leaf(Tensor::randn(&mut rng, &[3], 0.1), true);
+        let gamma = tape.leaf(Tensor::ones(&[6]), true);
+        let beta = tape.leaf(Tensor::zeros(&[6]), true);
+        let fc = tape.leaf(Tensor::randn(&mut rng, &[6, 3], 0.5), true);
+        let fc_bias = tape.leaf(Tensor::zeros(&[3]), true);
+        let wq = tape.fake_quant(w, 4).unwrap();
+        let y = tape.conv1d(x, wq).unwrap();
+        let y = tape.add_bias(y, bias).unwrap();
+        let half = tape.scale(y, 0.5).unwrap();
+        let cat = tape.concat_channels(&[y, half]).unwrap();
+        let (bn, _, _) = tape.batch_norm(cat, gamma, beta, 1e-5).unwrap();
+        let r = tape.relu(bn).unwrap();
+        let pooled = tape.gap(r).unwrap();
+        let logits = tape.matmul(pooled, fc).unwrap();
+        let logits = tape.add_bias(logits, fc_bias).unwrap();
+        let lp = tape.log_softmax(logits).unwrap();
+        let ce = tape.nll_mean(lp, &[0, 2]).unwrap();
+        let kl = tape.kl_to_target(lp, Tensor::full(&[2, 3], 1.0 / 3.0)).unwrap();
+        let mse = tape.mse_to_target(pooled, Tensor::zeros(&[2, 6])).unwrap();
+        let m = tape.mean(r).unwrap();
+        let s = tape.sum(pooled).unwrap();
+        let mut loss = tape.add(ce, kl).unwrap();
+        for term in [mse, m, s] {
+            loss = tape.add(loss, term).unwrap();
+        }
+        let grads = tape.backward(loss).unwrap();
+        for (i, node) in tape.nodes.iter().enumerate() {
+            let kept = grads.get(Var(i)).is_some();
+            if matches!(node.op, Op::Leaf) {
+                assert_eq!(kept, node.requires_grad, "leaf {i}");
+            } else {
+                assert!(!kept, "non-leaf {i} kept its gradient");
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,14 @@ impl Clone for Tensor {
     }
 }
 
+/// A copy into a pooled slab, so an API that keeps a tensor
+/// (`impl Into<Tensor>`) takes it by value or by reference.
+impl From<&Tensor> for Tensor {
+    fn from(t: &Tensor) -> Self {
+        t.clone()
+    }
+}
+
 impl Drop for Tensor {
     fn drop(&mut self) {
         crate::pool::recycle(std::mem::take(&mut self.data));
@@ -303,11 +311,6 @@ impl Tensor {
         self.zip_simd(other, "sub", crate::simd::sub_assign)
     }
 
-    /// Element-wise product (Hadamard).
-    pub fn mul(&self, other: &Tensor) -> Result<Self> {
-        self.zip_simd(other, "mul", crate::simd::mul_assign)
-    }
-
     /// Multiplies every element by `s`.
     pub fn scale(&self, s: f32) -> Self {
         let mut out = crate::pool::take_copy(&self.data);
@@ -335,14 +338,10 @@ impl Tensor {
         Ok(())
     }
 
-    /// Element-wise rectified linear unit `max(x, 0)`.
-    ///
-    /// Vectorized via [`crate::simd::relu`]; `NaN` and `-0.0` both map to
-    /// `+0.0`, matching `f32::max(x, 0.0)` bit-for-bit on every backend.
+    /// Element-wise rectified linear unit `max(x, 0)`: `NaN` and `-0.0`
+    /// both map to `+0.0`, like `f32::max(x, 0.0)`.
     pub fn relu(&self) -> Self {
-        let mut out = crate::pool::take_copy(&self.data);
-        crate::simd::relu(&mut out);
-        Tensor { shape: self.shape.clone(), data: out }
+        self.map(|x| if x > 0.0 { x } else { 0.0 })
     }
 
     // ------------------------------------------------------------------
@@ -527,7 +526,6 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[-3.0, -3.0, -3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
     }
 

@@ -28,8 +28,8 @@ mod common;
 
 use common::{fuses, gemm_row_ref};
 use lightts_tensor::simd::{
-    add_assign_with, axpy_with, cpu_supports, gemm_tile_with, log_softmax_row_with,
-    mul_assign_with, reduce_sum_sq_with, relu_with, scale_with, set_simd_backend, sub_assign_with,
+    add_assign_with, axpy_with, cpu_supports, fake_quant_with, gemm_tile_with,
+    log_softmax_row_with, reduce_sum_sq_with, scale_with, set_simd_backend, sub_assign_with,
     sub_scalar_with, sum_exp_with, vec_exp_with, SimdBackend, Tile,
 };
 use proptest::prelude::*;
@@ -105,6 +105,13 @@ fn check_invariant_inplace(xs: &[f32], what: &str, f: impl Fn(SimdBackend, &mut 
     }
 }
 
+/// [`fake_quant_with`] at 8 bits on `[-4, 4)`, written back over its input.
+fn fake_quant_inplace(bk: SimdBackend, xs: &mut [f32]) {
+    let mut out = Vec::new();
+    fake_quant_with(bk, &mut out, xs, -4.0, 8.0 / 255.0, 255.0);
+    xs.copy_from_slice(&out);
+}
+
 /// Same for scalar-returning reductions.
 fn check_invariant_reduce(xs: &[f32], what: &str, f: impl Fn(SimdBackend, &[f32]) -> f32) {
     let oracle = f(SimdBackend::Scalar, xs);
@@ -122,11 +129,10 @@ fn elementwise_kernels_bitwise_invariant_on_edge_lengths() {
         let rhs = vec_data(n, 23);
         check_invariant_inplace(&xs, "add_assign", |bk, o| add_assign_with(bk, o, &rhs));
         check_invariant_inplace(&xs, "sub_assign", |bk, o| sub_assign_with(bk, o, &rhs));
-        check_invariant_inplace(&xs, "mul_assign", |bk, o| mul_assign_with(bk, o, &rhs));
         check_invariant_inplace(&xs, "scale", |bk, o| scale_with(bk, o, 1.7));
         check_invariant_inplace(&xs, "sub_scalar", |bk, o| sub_scalar_with(bk, o, 0.3));
         check_invariant_inplace(&xs, "axpy", |bk, o| axpy_with(bk, o, &rhs, -2.5));
-        check_invariant_inplace(&xs, "relu", relu_with);
+        check_invariant_inplace(&xs, "fake_quant", fake_quant_inplace);
         check_invariant_inplace(&xs, "vec_exp", vec_exp_with);
         check_invariant_inplace(&xs, "log_softmax_row", log_softmax_row_with);
         check_invariant_reduce(&xs, "sum_exp", sum_exp_with);
@@ -157,7 +163,7 @@ fn transcendental_specials_bitwise_invariant() {
         f32::MIN,
     ];
     check_invariant_inplace(&specials, "vec_exp/specials", vec_exp_with);
-    check_invariant_inplace(&specials, "relu/specials", relu_with);
+    check_invariant_inplace(&specials, "fake_quant/specials", fake_quant_inplace);
 
     // Pinned special-value semantics (scalar oracle; the loop above proved
     // the other backends identical).
@@ -376,8 +382,6 @@ proptest! {
         let xs = &xs[..n];
         let rhs = &rhs[..n];
         check_invariant_inplace(xs, "p/add", |bk, o| add_assign_with(bk, o, rhs));
-        check_invariant_inplace(xs, "p/mul", |bk, o| mul_assign_with(bk, o, rhs));
-        check_invariant_inplace(xs, "p/relu", relu_with);
         check_invariant_reduce(xs, "p/sumsq", reduce_sum_sq_with);
     }
 

@@ -524,7 +524,8 @@ fn distillation_losses_keep_their_bits() {
         let lp = tape.log_softmax(xv).unwrap();
         let ce = tape.nll_mean(lp, &targets).unwrap();
         let s1 = tape.scale(ce, alpha).unwrap();
-        let kl = tape.kl_to_target(lp, &tensor(q.clone(), &[b, k])).unwrap();
+        let q = tensor(q, &[b, k]);
+        let kl = tape.kl_to_target(lp, &q).unwrap();
         let s2 = tape.scale(kl, w).unwrap();
         let loss = tape.add(s1, s2).unwrap();
 
@@ -536,7 +537,7 @@ fn distillation_losses_keep_their_bits() {
         }
         let nll = nll / b as f32;
         let mut kl_v = 0.0f32;
-        for (&qv, &lpv) in q.iter().zip(lsm.iter()) {
+        for (&qv, &lpv) in q.data().iter().zip(lsm.iter()) {
             if qv > 0.0 {
                 kl_v += qv * (qv.ln() - lpv);
             }
@@ -549,7 +550,7 @@ fn distillation_losses_keep_their_bits() {
         let grads = tape.backward(loss).unwrap();
         // KL first (the later node), then the NLL gradient added onto it.
         let g_kl = 1.0f32 * w / b as f32;
-        let mut g_lp: Vec<f32> = q.iter().map(|&qv| qv * -g_kl).collect();
+        let mut g_lp: Vec<f32> = q.data().iter().map(|&qv| qv * -g_kl).collect();
         let g_ce = 1.0f32 * alpha / b as f32;
         let mut gl = vec![0.0f32; b * k];
         for (bi, &t) in targets.iter().enumerate() {
@@ -579,8 +580,9 @@ fn mse_loss_keeps_its_bits() {
             let target = data(n, 81, 2.0);
             let mut tape = Tape::new();
             let xv = tape.leaf(tensor(x.clone(), &dims), true);
-            let loss = tape.mse_to_target(xv, &tensor(target.clone(), &dims)).unwrap();
-            let (want, dy) = mse_ref(&x, &target);
+            let target = tensor(target, &dims);
+            let loss = tape.mse_to_target(xv, &target).unwrap();
+            let (want, dy) = mse_ref(&x, target.data());
             assert_bits("mse", tape.value(loss).unwrap().data(), &[want]);
             let grads = tape.backward(loss).unwrap();
             assert_bits("mse dx", grads.get(xv).unwrap().data(), &dy);
